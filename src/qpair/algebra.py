@@ -435,19 +435,30 @@ class Algebra:
         return self._gen_coproducts
 
     def coproduct_monomial(self, mono: PBWMonomial) -> "TensorElement":
-        """Multiplicative extension of the generator coproducts (cached)."""
+        """The coproduct of a basis monomial, cached per monomial.
+
+        Delta(K^ell) = K^ell (x) K^ell.  Any other monomial is g * rest,
+        where g is its leftmost generator (e1, else e2, f1, f2), so
+        Delta(mono) = Delta(g) * Delta(rest) with Delta(rest) taken from the
+        cache: one tensor product per monomial.
+        """
         cached = self._coproduct_cache.get(mono)
         if cached is not None:
             return cached
+        m1, m2, n1, n2, ell = mono
         gens = self._generator_coproducts()
-        kl = PBWMonomial(0, 0, 0, 0, mono.ell)
-        acc = TensorElement(self, {(kl, kl): self.params.one})
-        # right-to-left accumulation: e1^m1 e2^m2 f1^n1 f2^n2 K^ell
-        for name, count in (("f2", mono.n2), ("f1", mono.n1),
-                            ("e2", mono.m2), ("e1", mono.m1)):
-            g = gens[name]
-            for _ in range(count):
-                acc = g * acc
+        delta = self.coproduct_monomial
+        if m1:
+            acc = gens["e1"] * delta(PBWMonomial(m1 - 1, m2, n1, n2, ell))
+        elif m2:
+            acc = gens["e2"] * delta(PBWMonomial(0, m2 - 1, n1, n2, ell))
+        elif n1:
+            acc = gens["f1"] * delta(PBWMonomial(0, 0, n1 - 1, n2, ell))
+        elif n2:
+            acc = gens["f2"] * delta(PBWMonomial(0, 0, 0, n2 - 1, ell))
+        else:
+            kl = PBWMonomial(0, 0, 0, 0, ell)
+            acc = TensorElement(self, {(kl, kl): self.params.one})
         self._coproduct_cache[mono] = acc
         return acc
 

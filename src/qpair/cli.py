@@ -223,6 +223,9 @@ def cyclo_to_json(x: CycloNumber) -> List[str]:
 
 
 def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
+    if len(coeffs) != field.degree:
+        raise ValueError(f"expected {field.degree} coefficients for "
+                         f"Q(zeta_{field.order}), got {len(coeffs)}")
     fracs = [Fraction(c) for c in coeffs]
     den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
     return field.make([int(f * den) for f in fracs], den)

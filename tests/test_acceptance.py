@@ -7,7 +7,6 @@ throughout — every quantity here is exact cyclotomic arithmetic; the only
 numeric bounds are the stated wall-clock limits.
 """
 
-import random
 import sys
 import time
 
@@ -24,7 +23,6 @@ A23 = Algebra.for_pair(2, 3)
 B23 = BlockSystem(A23)
 R23 = Realization(B23)
 F23 = Functionals(R23)
-rng = random.Random(130013)
 
 _DECOMP = None
 
@@ -50,24 +48,23 @@ def test_criterion_01_pbw_dimension_and_closure():
     fresh = Algebra.for_pair(2, 3)
     monos = list(fresh.basis_monomials())
     build_s = time.time() - t0
-    t1 = time.time()
-    fresh.build_product_cache()
-    cache_s = time.time() - t1
+    basis = set(monos)
     closure_ok = True
-    for _ in range(500):
-        u, v = rng.choice(monos), rng.choice(monos)
-        for m in fresh.product_monomials(u, v):
-            if not 0 <= fresh.monomial_index(m) < fresh.dimension:
+    t1 = time.time()
+    for u in monos:
+        for v in monos:
+            if not fresh.product_monomials(u, v).keys() <= basis:
                 closure_ok = False
+    table_s = time.time() - t1
     big = Algebra.for_pair(2, 5)
     ok = (len(monos) == 432 and fresh.dimension == 432
           and big.dimension == 2000
           and len(list(big.basis_monomials())) == 2000
-          and closure_ok and build_s < 1.0 and cache_s < 60.0)
+          and closure_ok and build_s < 1.0 and table_s < 60.0)
     _report(1, "pbw-dimension-and-closure", ok,
             f"432 monomials at (2,3), 2000 at (2,5); construction "
-            f"{build_s:.2f}s; full structure-constant cache {cache_s:.1f}s; "
-            f"500 sampled products stay inside the basis")
+            f"{build_s:.2f}s; all 432^2 basis products {table_s:.1f}s, "
+            f"each inside the basis")
 
 
 def test_criterion_02_hopf_axioms_exhaustive():

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from qpair.algebra import Algebra, PBWMonomial
+from qpair.algebra import Algebra, PBWMonomial, TensorElement
 from qpair.cyclo import Params
 
 A23 = Algebra.for_pair(2, 3)
@@ -209,6 +209,36 @@ def test_coproduct_generator_images_and_k_powers():
     for ell in range(A.korder):
         kl = A.monomial(0, 0, 0, 0, ell)
         assert A.coproduct_monomial(kl).terms == {(kl, kl): one}
+
+
+def test_coproduct_recursion_matches_generator_chain():
+    # Delta(e1^m1 e2^m2 f1^n1 f2^n2 K^ell), accumulated right to left from
+    # Delta(K^ell) = K^ell (x) K^ell by the generator images, one factor at
+    # a time, on every basis monomial.
+    A = Algebra.for_pair(2, 3)
+    one = A.params.one
+    unit = A.monomial(0, 0, 0, 0, 0)
+
+    def k(t):
+        return A.monomial(0, 0, 0, 0, t)
+
+    gens = {
+        "e1": TensorElement(A, {(A.monomial(1, 0, 0, 0, 0), unit): one,
+                                (k(A.p2), A.monomial(1, 0, 0, 0, 0)): one}),
+        "e2": TensorElement(A, {(A.monomial(0, 1, 0, 0, 0), k(A.p1)): one,
+                                (unit, A.monomial(0, 1, 0, 0, 0)): one}),
+        "f1": TensorElement(A, {(A.monomial(0, 0, 1, 0, 0), k(-A.p2)): one,
+                                (unit, A.monomial(0, 0, 1, 0, 0)): one}),
+        "f2": TensorElement(A, {(A.monomial(0, 0, 0, 1, 0), unit): one,
+                                (k(-A.p1), A.monomial(0, 0, 0, 1, 0)): one}),
+    }
+    for mono in A.basis_monomials():
+        chain = TensorElement(A, {(k(mono.ell), k(mono.ell)): one})
+        for name, count in (("f2", mono.n2), ("f1", mono.n1),
+                            ("e2", mono.m2), ("e1", mono.m1)):
+            for _ in range(count):
+                chain = gens[name] * chain
+        assert A.coproduct_monomial(mono) == chain, mono
 
 
 def test_coproduct_is_algebra_map_on_random_pairs():

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from qpair.algebra import Algebra
@@ -161,6 +162,16 @@ def test_cyclo_json_round_trip():
         assert cyclo_from_json(field, cyclo_to_json(x)) == x
     strings = cyclo_to_json(field.make([1, -3], 7))
     assert strings[0] == "1/7" and strings[1] == "-3/7"
+
+
+def test_cyclo_from_json_rejects_wrong_length():
+    # a short or long array would build a non-canonical number that
+    # compares unequal to its true value (zeta^8, or 1)
+    field = A23.params.field
+    for coeffs in (["0"] * 8 + ["1"], ["1"], []):
+        with pytest.raises(ValueError, match="expected 8 coefficients"):
+            cyclo_from_json(field, coeffs)
+    assert cyclo_from_json(field, ["1"] + ["0"] * 7) == 1
 
 
 def test_element_json_round_trip():

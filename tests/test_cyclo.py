@@ -102,6 +102,84 @@ def test_division_by_zero_is_signalled():
         F.zero.inverse()
 
 
+def test_mixed_field_arithmetic_is_rejected():
+    F24, F40, F48 = CycloField(24), CycloField(40), CycloField(48)
+    with pytest.raises(ValueError):
+        F24.zeta(1) + F40.zeta(1)
+    with pytest.raises(ValueError):
+        F24.zeta(1) - F40.zeta(1)
+    with pytest.raises(ValueError):
+        F40.zeta(3) * F24.zeta(1)
+    with pytest.raises(ValueError):
+        F40.zeta(3) / F48.zeta(1)  # equal degrees, different fields
+    with pytest.raises(ValueError):
+        F24._inverse(F48.zeta(1))
+    # fields of one order are interchangeable
+    assert CycloField(24).zeta(1) * F24.zeta(1) == F24.zeta(2)
+    assert CycloField(24).zeta(1) + F24.zeta(1) == F24.zeta(1) * 2
+
+
+# ---------------------------------------------------------------------------
+# Multiply and inverse against sympy's cyclotomic reduction
+# ---------------------------------------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def _to_sympy(x):
+    coeffs = [sympy.Rational(c.numerator, c.denominator)
+              for c in reversed(x.coefficients())]
+    return sympy.Poly(coeffs, X, domain="QQ")
+
+
+def _from_sympy(F, poly):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (F.degree - len(coeffs)))
+
+
+def _operand(F, rng, shape):
+    """A random element of the given shape, possibly with a denominator."""
+    d = F.degree
+    den = rng.choice((1, 1, rng.randint(2, 30)))
+    if shape == "term":
+        # +-c * zeta^k over the whole group, so high powers reduce
+        c = rng.choice((-1, 1)) * rng.randint(1, 50)
+        return F.zeta(rng.randrange(F.order)) * Fraction(c, den)
+    count = rng.randint(2, d // 2) if shape == "sparse" else d
+    num = [0] * d
+    for i in rng.sample(range(d), count):
+        num[i] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+    return F.make(num, den)
+
+
+@pytest.mark.parametrize("order", [24, 40, 48])
+def test_mul_matches_sympy_remainder(order):
+    rng = random.Random(order)
+    F = CycloField(order)
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ")
+    shapes = ("term", "sparse", "dense")
+    for _ in range(60):
+        a = _operand(F, rng, rng.choice(shapes))
+        b = _operand(F, rng, rng.choice(shapes))
+        want = _from_sympy(F, (_to_sympy(a) * _to_sympy(b)).rem(phi))
+        assert (a * b).coefficients() == want
+        assert F._mul(a, b) == F._mul(b, a)
+
+
+@pytest.mark.parametrize("order", [24, 40, 48])
+def test_inverse_matches_sympy_and_is_stable_when_repeated(order):
+    rng = random.Random(order + 1)
+    F = CycloField(order)
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ")
+    for shape in ("term", "sparse", "dense") * 5:
+        x = _operand(F, rng, shape)
+        first = x.inverse()
+        assert first.coefficients() == _from_sympy(F, _to_sympy(x).invert(phi))
+        assert x * first == 1
+        again = F.make(x.num, x.den).inverse()  # an equal, distinct object
+        assert again == first and x * again == 1
+
+
 def test_evaluate_quarter_turn_is_i():
     for p1, p2 in [(2, 3), (2, 5), (3, 4)]:
         P = Params(p1, p2)
