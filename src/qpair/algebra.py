@@ -29,14 +29,11 @@ and `coproduct_closed_form` are genuine cross-checks, not restatements.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import random
-import time
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
-from .cyclo import CycloNumber, Params, Rational
+from .cyclo import CycloNumber, Params
 from .report import Check
 
 __all__ = ["Algebra", "AlgebraElement", "PBWMonomial", "TensorElement"]
@@ -85,6 +82,16 @@ class Algebra:
     @classmethod
     def for_pair(cls, p1: int, p2: int) -> "Algebra":
         return cls(Params(p1, p2))
+
+    @property
+    def exhaustive_scans(self) -> bool:
+        """Whether basis-wide scans visit every monomial instead of a sample.
+
+        The one rule for every exhaustive-or-sampled choice: dimension at
+        most 1000.  Among valid pairs that is (2,3) alone (dimension 432);
+        the next product p1*p2 = 10 already gives dimension 2000.
+        """
+        return self.dimension <= 1000
 
     # ------------------------------------------------------------------
     # Basis bookkeeping
@@ -270,85 +277,6 @@ class Algebra:
             out[key] = add if val is None else val + add
         return {k: c for k, c in out.items() if not c.is_zero()}
 
-    def build_product_cache(self) -> dict:
-        """Eagerly touch every rewrite key so later products are table lookups.
-
-        The product of two basis monomials factors through the fused rewrite
-        table (K-exponents only shift the result), so the table *is* the full
-        structure-constant cache in factored form.  Returns statistics.
-        """
-        t0 = time.perf_counter()
-        n_entries = sum(len(v) for v in self._fuse.values())
-        # exercise one full sweep of products against the identity-K classes
-        # to validate exponent bookkeeping at build time
-        checked = 0
-        one = self.one()
-        for (b1, c1, b2, c2), entries in self._fuse.items():
-            u = PBWMonomial(0, 0, b1, b2, 0)
-            v = PBWMonomial(c1, c2, 0, 0, 0)
-            self.product_monomials(u, v)
-            checked += 1
-        return {
-            "keys": len(self._fuse),
-            "entries": n_entries,
-            "products_checked": checked,
-            "seconds": time.perf_counter() - t0,
-        }
-
-    def cache_fingerprint(self) -> dict:
-        """Version header for persisted caches."""
-        phi_hash = hashlib.sha256(
-            ",".join(str(c) for c in self.field.phi).encode()
-        ).hexdigest()[:16]
-        return {
-            "format": 1,
-            "p1": self.p1,
-            "p2": self.p2,
-            "N": self.params.N,
-            "phi_sha256_16": phi_hash,
-        }
-
-    def save_product_cache(self, path: str) -> None:
-        """Persist the rewrite tables (single-writer; load is read-only)."""
-        payload = {
-            "header": self.cache_fingerprint(),
-            "fe1": self._serialize_table(self._fe1),
-            "fe2": self._serialize_table(self._fe2),
-        }
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def load_product_cache(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("header") != self.cache_fingerprint():
-            raise ValueError(
-                f"cache at {path} was built for different parameters: "
-                f"{payload.get('header')} != {self.cache_fingerprint()}"
-            )
-        self._fe1 = self._deserialize_table(payload["fe1"])
-        self._fe2 = self._deserialize_table(payload["fe2"])
-        self._fuse = self._fuse_tables()
-
-    def _serialize_table(self, table):
-        return {
-            key: {
-                j: {t: (list(w.num), w.den) for t, w in kp.items()}
-                for j, kp in jmap.items()
-            }
-            for key, jmap in table.items()
-        }
-
-    def _deserialize_table(self, data):
-        make = self.field.make
-        return {
-            key: {
-                j: {t: make(num, den) for t, (num, den) in kp.items()}
-                for j, kp in jmap.items()
-            }
-            for key, jmap in data.items()
-        }
-
     # ------------------------------------------------------------------
     # Closed-form commutators (independent of the rewrite engine)
     # ------------------------------------------------------------------
@@ -480,8 +408,8 @@ class Algebra:
 
         The copy-2 exponent p1*(r2*(m2-r2) + s2*(n2-s2) - 2*r2*(n2-s2)) is the
         same in both.  Ground truth is the multiplicative extension
-        (`coproduct_monomial`); `compare_coproduct_closed_form` grades both
-        variants against it per monomial and alters nothing silently.
+        (`coproduct_monomial`); the tests grade both variants against it
+        and nothing here alters either silently.
         """
         if variant not in ("printed", "corrected"):
             raise ValueError(f"unknown variant {variant!r}")
@@ -521,25 +449,6 @@ class Algebra:
                         val = terms.get(key)
                         terms[key] = scalar if val is None else val + scalar
         return TensorElement(self, {k: v for k, v in terms.items() if not v.is_zero()})
-
-    def compare_coproduct_closed_form(self) -> dict:
-        """Grade both closed-form variants against the multiplicative
-        extension on every basis monomial.  Returns per-variant match counts
-        and the list of first few mismatches for each variant."""
-        results = {"printed": {"matches": 0, "mismatches": []},
-                   "corrected": {"matches": 0, "mismatches": []}}
-        total = 0
-        for mono in self.basis_monomials():
-            total += 1
-            truth = self.coproduct_monomial(mono)
-            for variant in ("printed", "corrected"):
-                cand = self.coproduct_closed_form(mono, variant)
-                if cand == truth:
-                    results[variant]["matches"] += 1
-                elif len(results[variant]["mismatches"]) < 5:
-                    results[variant]["mismatches"].append(tuple(mono))
-        results["total"] = total
-        return results
 
     def antipode_monomial(self, mono: PBWMonomial) -> "AlgebraElement":
         cached = self._antipode_cache.get(mono)
@@ -617,8 +526,9 @@ class Algebra:
         """Coassociativity, counit and antipode axioms, S anti-morphism and
         S^2 = conjugation by K^(p1-p2).
 
-        Exhaustive over the whole monomial basis when p1*p2 <= 6, otherwise
-        over `sample_size` randomly chosen basis monomials (seeded).  The
+        Exhaustive over the whole monomial basis when `exhaustive_scans`
+        holds, otherwise over `sample_size` randomly chosen basis monomials
+        (seeded).  The
         pair checks (coproduct/counit multiplicativity, anti-morphism) are
         always sampled.
         """
@@ -626,7 +536,7 @@ class Algebra:
         rng = random.Random(seed)
         checks: list[Check] = []
         basis = list(self.basis_monomials())
-        if self.p1 * self.p2 <= 6:
+        if self.exhaustive_scans:
             sample = basis
             how = f"exhaustive on {len(basis)} basis monomials"
         else:
@@ -731,9 +641,19 @@ class AlgebraElement:
             return self.algebra.params.rational(other)
         return None
 
+    def _same_algebra(self, other: "AlgebraElement") -> None:
+        # for_pair builds a new Algebra per call, so equal pairs also pass
+        if (other.algebra is not self.algebra
+                and other.algebra.params != self.algebra.params):
+            raise ValueError(
+                f"cannot combine elements of the algebras at "
+                f"({self.algebra.p1}, {self.algebra.p2}) and "
+                f"({other.algebra.p1}, {other.algebra.p2})")
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        self._same_algebra(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             val = out.get(mono)
@@ -747,6 +667,7 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        self._same_algebra(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             val = out.get(mono)

@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass (erratum-corrected counts as passing),
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -65,12 +66,6 @@ class Session:
     def __init__(self, config: RunConfig):
         self.config = config
         self.algebra = Algebra.for_pair(config.p1, config.p2)
-        if config.cache_path:
-            try:
-                self.algebra.load_product_cache(config.cache_path)
-            except (OSError, ValueError):
-                self.algebra.build_product_cache()
-                self.algebra.save_product_cache(config.cache_path)
         self._system: Optional[BlockSystem] = None
         self._realization: Optional[Realization] = None
         self._functionals: Optional[Functionals] = None
@@ -102,7 +97,7 @@ class Session:
     # -- suites ---------------------------------------------------------
 
     def _scan_mode(self) -> Tuple[str, int]:
-        if self.config.sample_size == 0 and self.algebra.dimension <= 1000:
+        if self.config.sample_size == 0 and self.algebra.exhaustive_scans:
             return "exhaustive", 0
         return "sampled", self.config.sample_size or 2000
 
@@ -246,9 +241,11 @@ def element_from_json(algebra: Algebra, data: List[dict]) -> AlgebraElement:
 
 
 def artifact_header(algebra: Algebra) -> dict:
-    fp = algebra.cache_fingerprint()
-    return {"p1": fp["p1"], "p2": fp["p2"], "N": fp["N"],
-            "phi_digest": fp["phi_sha256_16"], "version": __version__}
+    """Pair, field order, a digest of Phi_N and the package version."""
+    phi = ",".join(str(c) for c in algebra.field.phi)
+    return {"p1": algebra.p1, "p2": algebra.p2, "N": algebra.params.N,
+            "phi_digest": hashlib.sha256(phi.encode()).hexdigest()[:16],
+            "version": __version__}
 
 
 def _sparse_matrix_to_json(mat) -> Dict[str, Dict[str, List[str]]]:
@@ -344,18 +341,16 @@ def main() -> None:
 @click.option("--sample", "sample_size", type=int, default=0,
               help="0 = suite defaults (exhaustive where feasible)")
 @click.option("--seed", type=int, default=0)
-@click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--format", "output_format",
               type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def verify(p1, p2, suites, sample_size, seed, cache_path, output_format,
-           out_path) -> None:
+def verify(p1, p2, suites, sample_size, seed, output_format, out_path) -> None:
     """Run verification suites and print one row per check."""
     config = RunConfig(p1=p1, p2=p2,
                        suites=tuple(s.strip() for s in suites.split(",")
                                     if s.strip()),
                        sample_size=sample_size, seed=seed,
-                       cache_path=cache_path, output_format=output_format)
+                       output_format=output_format)
     code, report = run(config)
     rendered = (report.to_json() if output_format == "json"
                 else report.to_text())

@@ -37,8 +37,8 @@ field: the verifier divides by a few dozen distinct values (q-integers,
 brackets, normalising constants) thousands of times.
 
 Elements of fields of different order never mix: addition, multiplication
-and inversion raise ValueError.  Fields of the same order are
-interchangeable.
+and inversion raise ValueError, and they never compare or hash equal.
+Fields of the same order are interchangeable.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ __all__ = [
     "CycloField",
     "CycloNumber",
     "Params",
-    "canonicalize",
     "cyclotomic_polynomial",
-    "evaluate_complex",
 ]
 
 
@@ -448,7 +446,8 @@ class CycloNumber:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNumber):
-            return self.num == other.num and self.den == other.den
+            return (self.num == other.num and self.den == other.den
+                    and self.field.order == other.field.order)
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             return self.is_rational() and Fraction(self.num[0], self.den) == other
@@ -457,7 +456,7 @@ class CycloNumber:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.num, self.den))
+            h = self._hash = hash((self.field.order, self.num, self.den))
         return h
 
     def __bool__(self) -> bool:
@@ -486,16 +485,6 @@ class CycloNumber:
                 terms.append(f"{c}*z^{k}" if abs(c) != 1 else (f"z^{k}" if c > 0 else f"-z^{k}"))
         body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
         return body if self.den == 1 else f"({body})/{self.den}"
-
-
-def canonicalize(field: CycloField, coeffs: Sequence[Rational]) -> CycloNumber:
-    """Module-level alias for :meth:`CycloField.canonicalize`."""
-    return field.canonicalize(coeffs)
-
-
-def evaluate_complex(x: CycloNumber) -> complex:
-    """Module-level alias for :meth:`CycloNumber.evaluate`."""
-    return x.evaluate()
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import Algebra, AlgebraElement, PBWMonomial
 from .cyclo import CycloNumber
 from .ideals import BlockLabel
 from .linalg import IncrementalSpan, nullspace
 from .modules import SimpleModuleSpec, all_simple_specs, simple_action
-from .realization import Realization, SparseMat, _identity, _matmul
+from .realization import GENERATOR_NAMES, Realization, pbw_matrices
 from .report import Check
 
 
@@ -107,9 +107,6 @@ _TARGET_GROUP = {
     "beta_up": ("T", "up"),
     "beta_down": ("T", "down"),
 }
-
-_GENERATOR_ORDER = ("e1", "e2", "f1", "f2", "K")
-
 
 class Functionals:
     """The dual layer over one realized algebra."""
@@ -239,7 +236,7 @@ class Functionals:
         A = self.algebra
         big = self.integral_element()
         bad = []
-        for gen in _GENERATOR_ORDER:
+        for gen in GENERATOR_NAMES:
             g = A.generator(gen)
             eps = A.counit(g)
             if g * big != big * eps:
@@ -662,54 +659,20 @@ class Functionals:
         if cached is not None:
             return cached
         P = self.params
-        mats = {}
-        for gen in _GENERATOR_ORDER:
-            dense = simple_action(P, spec, gen)
-            rows_n, cols_n = dense.shape
-            sparse: SparseMat = {}
-            for j in range(cols_n):
-                col = {i: dense[i, j] for i in range(rows_n)
-                       if not dense[i, j].is_zero()}
-                if col:
-                    sparse[j] = col
-            mats[gen] = sparse
-        dim = spec.dim
-        ident = _identity(dim, P.field.one)
-
-        def powers(mat, count):
-            out = [ident]
-            for _ in range(count - 1):
-                out.append(_matmul(out[-1], mat))
-            return out
-
-        e1 = powers(mats["e1"], self.p1)
-        e2 = powers(mats["e2"], self.p2)
-        f1 = powers(mats["f1"], self.p1)
-        f2 = powers(mats["f2"], self.p2)
-        kp = powers(mats["K"], P.korder)
-        gexp = (self.p2 - self.p1) % P.korder
-        ginv_diag = [kp[gexp][d][d] for d in range(dim)]
+        gens = {g: simple_action(P, spec, g) for g in GENERATOR_NAMES}
+        # g^{-1} = K^(p2-p1) acts diagonally, so the twisted trace only
+        # reads the diagonal of each monomial matrix.
+        ginv = gens["K"] ** ((self.p2 - self.p1) % P.korder)
+        ginv_diag = [ginv[d, d] for d in range(spec.dim)]
         values = {}
-        k = 0
-        for m1 in range(self.p1):
-            for m2 in range(self.p2):
-                left = _matmul(e1[m1], e2[m2])
-                for n1 in range(self.p1):
-                    mid = _matmul(left, f1[n1])
-                    for n2 in range(self.p2):
-                        right = _matmul(mid, f2[n2])
-                        for ell in range(P.korder):
-                            M = _matmul(right, kp[ell])
-                            acc = None
-                            for d in range(dim):
-                                v = M.get(d, {}).get(d)
-                                if v is not None:
-                                    term = ginv_diag[d] * v
-                                    acc = (term if acc is None
-                                           else acc + term)
-                            if acc is not None and not acc.is_zero():
-                                values[k] = acc
-                            k += 1
+        for k, M in enumerate(pbw_matrices(P, gens)):
+            acc = P.zero
+            for d, rows in M.items():
+                v = rows.get(d)
+                if v is not None:
+                    acc = acc + ginv_diag[d] * v
+            if not acc.is_zero():
+                values[k] = acc
         func = LinearFunctional(self.algebra, values)
         self._qchars[key] = func
         return func

@@ -1,11 +1,14 @@
 """Exact linear algebra over a fixed cyclotomic field.
 
-Two shapes of data pass through this module.  Sparse vectors are plain
-dicts mapping coordinate index -> CycloNumber with zero entries never
-stored; they carry coordinates of algebra elements in the ordered
-monomial basis (hundreds of coordinates, mostly empty).  Small dense
-matrices represent generator actions on modules (dimension at most a
-few dozen), stored as row lists.
+Two shapes of data pass through this module, both sparse with zero
+entries never stored.  Vectors are plain dicts mapping coordinate index
+-> CycloNumber; they carry coordinates of algebra elements in the
+ordered monomial basis (hundreds of coordinates, mostly empty).
+Matrices are the one `Matrix` type: a dict from column index to a
+{row index: value} dict that also records its shape.  Every matrix in
+the package uses it -- generator actions on the simple modules (a few
+dozen rows at most) and left multiplication on the projective ideals of
+a block (the realizations, where most entries are zero).
 
 All elimination happens in the field itself.  CycloNumber arithmetic is
 exact -- gcd-normalized integer coefficient vectors over a common
@@ -16,15 +19,11 @@ and never needs pivot-growth tricks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from .cyclo import CycloField, CycloNumber
 
 Vector = Dict[int, CycloNumber]
-
-
-def vector_is_zero(vec: Vector) -> bool:
-    return not vec
 
 
 def scale_into(target: Vector, source: Vector, factor: CycloNumber) -> None:
@@ -151,45 +150,125 @@ def nullspace(field: CycloField, equations: Iterable[Vector], dim: int) -> List[
     return basis
 
 
-class Matrix:
-    """Dense matrix over the field, sized for module representations."""
+class Matrix(dict):
+    """Sparse matrix over the field, stored column by column.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    The matrix *is* the mapping column -> {row: value}: zero entries are
+    never stored and an all-zero column is absent, so iterating
+    ``items()`` visits exactly the nonzero columns and ``get(col)`` reads
+    one column.  ``m[i, j]`` reads a single entry (zero when absent).
+    The shape is kept beside the entries, so a zero matrix still knows
+    its dimension and equality compares shapes as well as entries.
+    Entry (i, j) is the coefficient of basis vector i in the image of
+    basis vector j.  The constructor copies an optional column mapping,
+    dropping zeros.
+    """
 
-    def __init__(self, field: CycloField, rows: Sequence[Sequence[CycloNumber]]):
+    __slots__ = ("field", "nrows", "ncols")
+
+    def __init__(self, field: CycloField, nrows: int,
+                 ncols: Optional[int] = None,
+                 columns: Optional[Mapping[int, Mapping[int, CycloNumber]]] = None):
+        super().__init__()
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged matrix rows")
+        self.nrows = nrows
+        self.ncols = nrows if ncols is None else ncols
+        if columns:
+            for col, rows in columns.items():
+                kept = {r: v for r, v in rows.items() if not v.is_zero()}
+                if kept:
+                    self[col] = kept
 
     @classmethod
-    def zeros(cls, field: CycloField, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+    def zeros(cls, field: CycloField, nrows: int,
+              ncols: Optional[int] = None) -> "Matrix":
+        return cls(field, nrows, ncols)
 
     @classmethod
     def identity(cls, field: CycloField, n: int) -> "Matrix":
-        out = cls.zeros(field, n, n)
-        for i in range(n):
-            out.rows[i][i] = field.one
-        return out
-
-    @classmethod
-    def diagonal(cls, field: CycloField, entries: Sequence[CycloNumber]) -> "Matrix":
-        out = cls.zeros(field, len(entries), len(entries))
-        for i, val in enumerate(entries):
-            out.rows[i][i] = val
+        out = cls(field, n)
+        one = field.one
+        for j in range(n):
+            out[j] = {j: one}
         return out
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> CycloNumber:
         i, j = key
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry {key} outside shape {self.shape}")
+        rows = self.get(j)
+        val = None if rows is None else rows.get(i)
+        return self.field.zero if val is None else val
+
+    def put(self, i: int, j: int, value: CycloNumber) -> None:
+        """Set entry (i, j), dropping it when the value is zero."""
+        if value.is_zero():
+            rows = self.get(j)
+            if rows is not None:
+                rows.pop(i, None)
+                if not rows:
+                    del self[j]
+        else:
+            self.setdefault(j, {})[i] = value
+
+    def _check_shape(self, other: "Matrix") -> None:
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+    def add_scaled(self, other: "Matrix", coeff: CycloNumber) -> None:
+        """self += coeff * other, in place."""
+        self._check_shape(other)
+        if coeff.is_zero():
+            return
+        for col, rows in other.items():
+            dst = self.setdefault(col, {})
+            for row, val in rows.items():
+                add = coeff * val
+                cur = dst.get(row)
+                tot = add if cur is None else cur + add
+                if tot.is_zero():
+                    dst.pop(row, None)
+                else:
+                    dst[row] = tot
+            if not dst:
+                del self[col]
+
+    def _combined(self, other, subtract: bool) -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_shape(other)
+        out = Matrix(self.field, self.nrows, self.ncols, self)
+        for col, rows in other.items():
+            dst = out.setdefault(col, {})
+            for row, val in rows.items():
+                cur = dst.get(row)
+                if subtract:
+                    tot = -val if cur is None else cur - val
+                else:
+                    tot = val if cur is None else cur + val
+                if tot.is_zero():
+                    dst.pop(row, None)
+                else:
+                    dst[row] = tot
+            if not dst:
+                del out[col]
+        return out
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combined(other, subtract=False)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combined(other, subtract=True)
+
+    def __neg__(self) -> "Matrix":
+        out = Matrix(self.field, self.nrows, self.ncols)
+        for col, rows in self.items():
+            out[col] = {row: -val for row, val in rows.items()}
+        return out
 
     def _coerce_scalar(self, other) -> Optional[CycloNumber]:
         if isinstance(other, CycloNumber):
@@ -198,44 +277,36 @@ class Matrix:
             return self.field.from_rational(other)
         return None
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(self.field, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
-
     def __mul__(self, other):
-        scalar = self._coerce_scalar(other)
-        if scalar is not None:
-            return Matrix(self.field, [[a * scalar for a in row] for row in self.rows])
         if not isinstance(other, Matrix):
-            return NotImplemented
+            scalar = self._coerce_scalar(other)
+            if scalar is None:
+                return NotImplemented
+            out = Matrix(self.field, self.nrows, self.ncols)
+            if not scalar.is_zero():
+                for col, rows in self.items():
+                    out[col] = {row: val * scalar for row, val in rows.items()}
+            return out
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        zero = self.field.zero
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for k, a in enumerate(row):
-                if a.is_zero():
+        out = Matrix(self.field, self.nrows, other.ncols)
+        for col, brows in other.items():
+            acc: Dict[int, CycloNumber] = {}
+            for mid, bval in brows.items():
+                arows = self.get(mid)
+                if arows is None:
                     continue
-                other_row = other.rows[k]
-                out_row = out[i]
-                for j, b in enumerate(other_row):
-                    if not b.is_zero():
-                        out_row[j] = out_row[j] + a * b
-        return Matrix(self.field, out)
+                for row, aval in arows.items():
+                    add = aval * bval
+                    cur = acc.get(row)
+                    tot = add if cur is None else cur + add
+                    if tot.is_zero():
+                        acc.pop(row, None)
+                    else:
+                        acc[row] = tot
+            if acc:
+                out[col] = acc
+        return out
 
     def __rmul__(self, other):
         scalar = self._coerce_scalar(other)
@@ -260,63 +331,30 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.shape == other.shape and dict.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return not self.__eq__(other)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not self
 
     def is_diagonal(self) -> bool:
-        return all(
-            a.is_zero()
-            for i, row in enumerate(self.rows)
-            for j, a in enumerate(row)
-            if i != j
-        )
+        return all(len(rows) == 1 and col in rows
+                   for col, rows in self.items())
 
     def scalar_of_identity(self) -> Optional[CycloNumber]:
         """Return c when the matrix equals c * identity, else None."""
         if self.nrows != self.ncols or self.nrows == 0:
             return None
-        c = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if i == j:
-                    if a != c:
-                        return None
-                elif not a.is_zero():
-                    return None
-        return c
-
-    def trace(self) -> CycloNumber:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        total = self.field.zero
-        for i in range(self.nrows):
-            total = total + self.rows[i][i]
-        return total
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)])
-
-    def apply(self, vec: Sequence[CycloNumber]) -> List[CycloNumber]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for row in self.rows:
-            total = self.field.zero
-            for a, x in zip(row, vec):
-                if not a.is_zero() and not x.is_zero():
-                    total = total + a * x
-            out.append(total)
-        return out
-
-    def column(self, j: int) -> List[CycloNumber]:
-        return [row[j] for row in self.rows]
-
-    def diagonal_entries(self) -> List[CycloNumber]:
-        return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
+        if not self:
+            return self.field.zero
+        if len(self) != self.nrows or not self.is_diagonal():
+            return None
+        c = self[0, 0]
+        return c if all(rows[col] == c for col, rows in self.items()) else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Matrix({self.nrows}x{self.ncols} over zeta_{self.field.order})"

@@ -120,31 +120,31 @@ def simple_action(params: Params, spec: SimpleModuleSpec, gen: str) -> Matrix:
     spec.validate(params)
     field = params.field
     dim = spec.dim
-    out = Matrix.zeros(field, dim, dim)
+    out = Matrix(field, dim)
     r1, r2 = spec.r1, spec.r2
     for n2 in range(r2):
         for n1 in range(r1):
             src = spec.index(n1, n2)
             if gen == "K":
-                out.rows[src][src] = weight(params, spec, n1, n2)
+                out.put(src, src, weight(params, spec, n1, n2))
             elif gen == "Kinv":
-                out.rows[src][src] = weight(params, spec, n1, n2).inverse()
+                out.put(src, src, weight(params, spec, n1, n2).inverse())
             elif gen == "one":
-                out.rows[src][src] = field.one
+                out.put(src, src, field.one)
             elif gen == "e1":
                 if n1 >= 1:
                     coeff = phi(params, 1, spec.alpha, n1, r1, r2)
-                    out.rows[spec.index(n1 - 1, n2)][src] = coeff
+                    out.put(spec.index(n1 - 1, n2), src, coeff)
             elif gen == "e2":
                 if n2 >= 1:
                     coeff = phi(params, 2, spec.alpha, n2, r1, r2)
-                    out.rows[spec.index(n1, n2 - 1)][src] = coeff
+                    out.put(spec.index(n1, n2 - 1), src, coeff)
             elif gen == "f1":
                 if n1 <= r1 - 2:
-                    out.rows[spec.index(n1 + 1, n2)][src] = field.one
+                    out.put(spec.index(n1 + 1, n2), src, field.one)
             elif gen == "f2":
                 if n2 <= r2 - 2:
-                    out.rows[spec.index(n1, n2 + 1)][src] = field.one
+                    out.put(spec.index(n1, n2 + 1), src, field.one)
             else:
                 raise ValueError(f"unknown generator {gen!r}")
     return out
@@ -259,7 +259,7 @@ def verify_simple_module(params: Params, spec: SimpleModuleSpec) -> List[Check]:
         for n2 in range(spec.r2):
             for n1 in range(spec.r1):
                 if n2 + 2 <= spec.r2 - 1:
-                    bad_f2.rows[spec.index(n1, n2 + 2)][spec.index(n1, n2)] = field.one
+                    bad_f2.put(spec.index(n1, n2 + 2), spec.index(n1, n2), field.one)
         pj = params.p1
         gap = params.q2_pow(pj) - params.q2_pow(-pj)
         rhs = ((act["K"] ** pj) - (act["Kinv"] ** pj)) * gap.inverse()

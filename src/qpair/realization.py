@@ -8,32 +8,33 @@ ideals list their four arrow families in the order up, left, right,
 down; interior ideals nest that order inside the letter order T, L, R,
 B; within a family the first index varies fastest.
 
+All matrices are the package's one sparse `linalg.Matrix` type.
 Generator matrices are obtained by expanding honest algebra products
-over the ideal basis; the matrix of a PBW monomial is the corresponding
-product of generator matrices, which makes representing an arbitrary
-element a linear combination of precomputed sparse matrices.  A single
-nine-cell occupancy template (applied once per ladder direction)
-predicts where each named element may act and with which unit entries;
-comparing predicted against realized matrices verifies the displayed
-action tables, the block shapes with their forced zeros and repeated
-diagonal sub-blocks, and the misprint adjudication at the re-entry
-cell.  The same matrices drive exact rank (faithfulness), central
-preimage solving, and block-center dimensions.
+over the ideal basis.  The matrix of a PBW monomial is the corresponding
+product of generator matrices (`pbw_matrices`, which the functional
+layer reuses for the characters of the simple modules), so representing
+an arbitrary element is a linear combination of precomputed matrices,
+accumulated in place.
+
+A single nine-cell occupancy template (applied once per ladder
+direction) predicts where each named element may act and with which
+unit entries; comparing predicted against realized matrices verifies
+the displayed action tables, the block shapes with their forced zeros
+and repeated diagonal sub-blocks, and the misprint adjudication at the
+re-entry cell.  The same matrices drive exact rank (faithfulness),
+central preimage solving, and block-center dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .algebra import AlgebraElement
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, Params
 from .ideals import BlockLabel, BlockSystem, NamedElement
-from .linalg import IncrementalSpan, nullspace
+from .linalg import IncrementalSpan, Matrix, nullspace
 from .report import Check
-
-# Sparse column-major matrix: column index -> {row index: coefficient}.
-SparseMat = Dict[int, Dict[int, CycloNumber]]
 
 ARROWS = ("up", "left", "right", "down")
 LETTERS = ("T", "L", "R", "B")
@@ -71,67 +72,41 @@ def _ladder_cells(sign: int, low: int, size: int):
 
 
 # ----------------------------------------------------------------------
-# Sparse matrix helpers
+# Monomial matrices
 # ----------------------------------------------------------------------
 
-def _identity(dim: int, one: CycloNumber) -> SparseMat:
-    return {j: {j: one} for j in range(dim)}
+def pbw_matrices(params: Params,
+                 gens: Mapping[str, Matrix]) -> Iterator[Matrix]:
+    """Matrices of all PBW basis monomials, in basis-index order.
 
+    ``gens`` maps e1, e2, f1, f2 and K to their matrices on any module.
+    A PBW monomial is literally the product of its generator powers, so
+    its matrix is the matching product of generator matrices; the loop
+    nest mirrors the basis enumeration and shares partial products.
+    """
+    ident = Matrix.identity(params.field, gens["K"].nrows)
 
-def _matmul(a: SparseMat, b: SparseMat) -> SparseMat:
-    """a @ b for column-major sparse matrices (zero-free invariant kept)."""
-    out: SparseMat = {}
-    for col, brows in b.items():
-        acc: Dict[int, CycloNumber] = {}
-        for mid, bval in brows.items():
-            arows = a.get(mid)
-            if arows is None:
-                continue
-            for row, aval in arows.items():
-                add = aval * bval
-                cur = acc.get(row)
-                tot = add if cur is None else cur + add
-                if tot.is_zero():
-                    acc.pop(row, None)
-                else:
-                    acc[row] = tot
-        if acc:
-            out[col] = acc
-    return out
+    def powers(mat: Matrix, count: int) -> List[Matrix]:
+        out = [ident]
+        for _ in range(count - 1):
+            out.append(out[-1] * mat)
+        return out
 
-
-def _axpy(acc: SparseMat, mat: SparseMat, coeff: CycloNumber) -> None:
-    """acc += coeff * mat, in place."""
-    if coeff.is_zero():
-        return
-    for col, rows in mat.items():
-        dst = acc.setdefault(col, {})
-        for row, val in rows.items():
-            add = coeff * val
-            cur = dst.get(row)
-            tot = add if cur is None else cur + add
-            if tot.is_zero():
-                dst.pop(row, None)
-            else:
-                dst[row] = tot
-        if not dst:
-            acc.pop(col, None)
-
-
-def _sub(a: SparseMat, b: SparseMat) -> SparseMat:
-    out = {col: dict(rows) for col, rows in a.items()}
-    for col, rows in b.items():
-        dst = out.setdefault(col, {})
-        for row, val in rows.items():
-            cur = dst.get(row)
-            tot = -val if cur is None else cur - val
-            if tot.is_zero():
-                dst.pop(row, None)
-            else:
-                dst[row] = tot
-        if not dst:
-            out.pop(col, None)
-    return out
+    p1, p2 = params.p1, params.p2
+    e1 = powers(gens["e1"], p1)
+    e2 = powers(gens["e2"], p2)
+    f1 = powers(gens["f1"], p1)
+    f2 = powers(gens["f2"], p2)
+    kp = powers(gens["K"], params.korder)
+    for m1 in range(p1):
+        for m2 in range(p2):
+            left = e1[m1] * e2[m2]
+            for n1 in range(p1):
+                mid = left * f1[n1]
+                for n2 in range(p2):
+                    right = mid * f2[n2]
+                    for ell in range(params.korder):
+                        yield right * kp[ell]
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +146,7 @@ class BlockRealization:
     label: BlockLabel
     summands: Tuple[ProjectiveSummand, ...]
     elements: List[NamedElement]
-    matrices: List[Tuple[SparseMat, ...]]
+    matrices: List[Tuple[Matrix, ...]]
 
 
 class Realization:
@@ -185,8 +160,8 @@ class Realization:
         self.p2 = system.p2
         self._layouts: Dict[ProjectiveSummand, GroupLayout] = {}
         self._bases: Dict[ProjectiveSummand, tuple] = {}
-        self._gen_mats: Dict[ProjectiveSummand, Dict[str, SparseMat]] = {}
-        self._monomials: Dict[ProjectiveSummand, List[SparseMat]] = {}
+        self._gen_mats: Dict[ProjectiveSummand, Dict[str, Matrix]] = {}
+        self._monomials: Dict[ProjectiveSummand, List[Matrix]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
         self._joint: Dict[BlockLabel, tuple] = {}
 
@@ -293,7 +268,7 @@ class Realization:
     # ------------------------------------------------------------------
 
     def generator_matrix(self, summand: ProjectiveSummand,
-                         gen: str) -> SparseMat:
+                         gen: str) -> Matrix:
         """Left multiplication by a generator, expanded honestly.
 
         Each column is the exact coordinate solve of generator * basis
@@ -307,7 +282,7 @@ class Realization:
         A = self.algebra
         els, span = self._basis(summand)
         g = A.generator(gen)
-        cols: SparseMat = {}
+        cols = Matrix(self.params.field, len(els))
         for j, el in enumerate(els):
             image = g * el.value
             if image.is_zero():
@@ -322,52 +297,24 @@ class Realization:
         mats[gen] = cols
         return cols
 
-    def monomial_matrices(self, summand: ProjectiveSummand) -> List[SparseMat]:
-        """Matrices of all PBW basis monomials, in basis-index order.
-
-        A PBW monomial is literally the product of its generator powers,
-        so its matrix is the matching product of generator matrices; the
-        loop nest mirrors the basis enumeration and shares partial
-        products.
-        """
+    def monomial_matrices(self, summand: ProjectiveSummand) -> List[Matrix]:
+        """Matrices of all PBW basis monomials, in basis-index order."""
         cached = self._monomials.get(summand)
         if cached is not None:
             return cached
-        lay = self.layout(summand)
-        ident = _identity(lay.dim, self.params.field.one)
-
-        def powers(mat: SparseMat, count: int) -> List[SparseMat]:
-            out = [ident]
-            for _ in range(count - 1):
-                out.append(_matmul(out[-1], mat))
-            return out
-
-        e1 = powers(self.generator_matrix(summand, "e1"), self.p1)
-        e2 = powers(self.generator_matrix(summand, "e2"), self.p2)
-        f1 = powers(self.generator_matrix(summand, "f1"), self.p1)
-        f2 = powers(self.generator_matrix(summand, "f2"), self.p2)
-        kp = powers(self.generator_matrix(summand, "K"), self.params.korder)
-        out: List[SparseMat] = []
-        for m1 in range(self.p1):
-            for m2 in range(self.p2):
-                left = _matmul(e1[m1], e2[m2])
-                for n1 in range(self.p1):
-                    mid = _matmul(left, f1[n1])
-                    for n2 in range(self.p2):
-                        right = _matmul(mid, f2[n2])
-                        for ell in range(self.params.korder):
-                            out.append(_matmul(right, kp[ell]))
+        gens = {g: self.generator_matrix(summand, g) for g in GENERATOR_NAMES}
+        out = list(pbw_matrices(self.params, gens))
         self._monomials[summand] = out
         return out
 
     def represent(self, x: AlgebraElement,
-                  summand: ProjectiveSummand) -> SparseMat:
+                  summand: ProjectiveSummand) -> Matrix:
         """Left-multiplication matrix of x on the summand's ideal."""
         mono = self.monomial_matrices(summand)
         A = self.algebra
-        acc: SparseMat = {}
+        acc = Matrix(self.params.field, self.layout(summand).dim)
         for m, c in x.terms.items():
-            _axpy(acc, mono[A.monomial_index(m)], c)
+            acc.add_scaled(mono[A.monomial_index(m)], c)
         return acc
 
     def block_realization(self, label: BlockLabel) -> BlockRealization:
@@ -391,7 +338,7 @@ class Realization:
     # ------------------------------------------------------------------
 
     def expected_matrix(self, el: NamedElement,
-                        summand: ProjectiveSummand) -> SparseMat:
+                        summand: ProjectiveSummand) -> Matrix:
         """The 0/1 matrix the action displays predict for one element.
 
         An element contributes a unit entry at (its own index pair, the
@@ -402,12 +349,11 @@ class Realization:
         lay = self.layout(summand)
         kind = self.summand_kind(summand)
         one = self.params.field.one
-        out: SparseMat = {}
+        out = Matrix(self.params.field, lay.dim)
 
         def put(rfam, rarrow, cfam, carrow):
-            row = lay.flat(rfam, rarrow, el.idx1, el.idx2)
-            col = lay.flat(cfam, carrow, el.s1 - 1, el.s2 - 1)
-            out.setdefault(col, {})[row] = one
+            out.put(lay.flat(rfam, rarrow, el.idx1, el.idx2),
+                    lay.flat(cfam, carrow, el.s1 - 1, el.s2 - 1), one)
 
         if kind == "corner":
             if el.alpha == summand.alpha:
@@ -456,7 +402,7 @@ class Realization:
         return out
 
     @staticmethod
-    def _cellwise(mat: SparseMat, lay: GroupLayout, group_of) -> Dict:
+    def _cellwise(mat: Matrix, lay: GroupLayout, group_of) -> Dict:
         """Split a matrix into {(row group, col group): {local pos: val}}."""
         out: Dict = {}
         for col, rows in mat.items():
@@ -603,15 +549,15 @@ class Realization:
             f"realized subalgebra dimension {span.rank}, block dimension "
             f"{want}", anchor="block-dimension"))
 
-        one = self.params.field.one
+        field = self.params.field
         unit = self.system.block_idempotent(label)
         ident_ok = all(
-            self.represent(unit, S) == _identity(lay.dim, one)
+            self.represent(unit, S) == Matrix.identity(field, lay.dim)
             for S, lay in zip(real.summands, lays))
         foreign_label = next(lab for lab in self.system.block_labels()
                              if lab != label)
         foreign = self.summands_of(foreign_label)[0]
-        zero_ok = not self.represent(unit, foreign)
+        zero_ok = self.represent(unit, foreign).is_zero()
         checks.append(Check(
             f"{prefix}.unit-matrix", ident_ok and zero_ok,
             "block idempotent acts as the identity on its own summands "
@@ -683,7 +629,7 @@ class Realization:
         return out
 
     @staticmethod
-    def _flatten(mats: Sequence[SparseMat], dims, offsets):
+    def _flatten(mats: Sequence[Matrix], dims, offsets):
         vec: Dict[int, CycloNumber] = {}
         for mat, d, off in zip(mats, dims, offsets):
             for col, rows in mat.items():
@@ -693,7 +639,7 @@ class Realization:
         return vec
 
     def solve_central_preimage(self, label: BlockLabel,
-                               prescription: Sequence[SparseMat]
+                               prescription: Sequence[Matrix]
                                ) -> AlgebraElement:
         """The unique block element realizing the prescribed matrices."""
         real = self.block_realization(label)
@@ -712,10 +658,10 @@ class Realization:
             out = out + real.elements[k].value * c
         return out
 
-    def _shift_matrix(self, lay: GroupLayout, pairs) -> SparseMat:
+    def _shift_matrix(self, lay: GroupLayout, pairs) -> Matrix:
         """Index-preserving unit map from each source family to its target."""
         one = self.params.field.one
-        out: SparseMat = {}
+        out = Matrix(self.params.field, lay.dim)
         for (dfam, darrow), (sfam, sarrow) in pairs:
             h1, h2 = lay.sizes[(sfam, sarrow)]
             if lay.sizes[(dfam, darrow)] != (h1, h2):
@@ -727,7 +673,7 @@ class Realization:
         return out
 
     def central_prescriptions(self, label: BlockLabel
-                              ) -> Dict[str, List[SparseMat]]:
+                              ) -> Dict[str, List[Matrix]]:
         """Matrix prescriptions of the block's central elements.
 
         Beyond the unit, boundary blocks carry one nilpotent per summand
@@ -739,12 +685,12 @@ class Realization:
         kind = self.system.block_kind(label)
         real = self.block_realization(label)
         lays = [self.layout(S) for S in real.summands]
-        one = self.params.field.one
-        out: Dict[str, List[SparseMat]] = {
-            "unit": [_identity(lay.dim, one) for lay in lays]}
+        field = self.params.field
+        out: Dict[str, List[Matrix]] = {
+            "unit": [Matrix.identity(field, lay.dim) for lay in lays]}
 
         def place(name, positions, pairs):
-            mats: List[SparseMat] = [{} for _ in real.summands]
+            mats = [Matrix(field, lay.dim) for lay in lays]
             for pos in positions:
                 mats[pos] = self._shift_matrix(lays[pos], pairs)
             out[name] = mats
@@ -778,7 +724,7 @@ class Realization:
             for k, mats in enumerate(real.matrices):
                 M = mats[s_idx]
                 for g_idx, G in enumerate(gens):
-                    D = _sub(_matmul(M, G), _matmul(G, M))
+                    D = M * G - G * M
                     for col, rows in D.items():
                         for row, val in rows.items():
                             equations.setdefault(
@@ -843,7 +789,7 @@ class Realization:
     # Traces for the functional layer
     # ------------------------------------------------------------------
 
-    def group_trace(self, summand: ProjectiveSummand, mat: SparseMat,
+    def group_trace(self, summand: ProjectiveSummand, mat: Matrix,
                     rowgroup: Tuple[str, str],
                     colgroup: Tuple[str, str]) -> CycloNumber:
         """Sum of entries at (row family position t, col family position t)."""
@@ -863,7 +809,7 @@ class Realization:
         return total
 
     def full_trace(self, summand: ProjectiveSummand,
-                   mat: SparseMat) -> CycloNumber:
+                   mat: Matrix) -> CycloNumber:
         total = self.params.field.zero
         lay = self.layout(summand)
         for gkey in lay.families:

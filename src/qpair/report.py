@@ -54,7 +54,6 @@ class RunConfig:
     suites: tuple[str, ...]
     sample_size: int = 0
     seed: int = 0
-    cache_path: str | None = None
     output_format: str = "text"
 
 

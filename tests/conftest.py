@@ -1,6 +1,45 @@
-"""Shared pytest wiring: prints the acceptance scorecard after the run."""
+"""Shared pytest wiring: the (2,3) stack and the acceptance scorecard.
+
+The (2,3) algebra, its block system, realization and functional layer
+are built once per session and imported by the test modules that need
+them, so their caches (ideal bases, monomial matrices, block
+realizations) are filled once.  The two heaviest check sweeps are
+memoised here too: the block decomposition and the per-block
+action-table and block-shape checks each run once, whichever test asks
+first.  A test that times its work builds fresh objects for it instead.
+"""
+
+from functools import lru_cache
+
+from qpair.algebra import Algebra
+from qpair.functionals import Functionals
+from qpair.ideals import BlockSystem
+from qpair.realization import Realization
 
 ACCEPTANCE_LINES: list = []
+
+A23 = Algebra.for_pair(2, 3)
+B23 = BlockSystem(A23)
+R23 = Realization(B23)
+F23 = Functionals(R23)
+
+
+@lru_cache(maxsize=None)
+def decomposition_checks() -> tuple:
+    """`B23.verify_block_decomposition()`, computed once."""
+    return tuple(B23.verify_block_decomposition())
+
+
+@lru_cache(maxsize=None)
+def action_table_checks(label) -> tuple:
+    """`R23.verify_action_table(label)`, computed once per block."""
+    return tuple(R23.verify_action_table(label))
+
+
+@lru_cache(maxsize=None)
+def block_shape_checks(label) -> tuple:
+    """`R23.verify_block_shape(label)`, computed once per block."""
+    return tuple(R23.verify_block_shape(label))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

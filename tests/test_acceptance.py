@@ -10,7 +10,9 @@ numeric bounds are the stated wall-clock limits.
 import sys
 import time
 
-from conftest import ACCEPTANCE_LINES
+from conftest import (A23, ACCEPTANCE_LINES, B23, F23, R23,
+                      action_table_checks, block_shape_checks,
+                      decomposition_checks)
 
 from qpair.algebra import Algebra
 from qpair.functionals import Functionals
@@ -19,19 +21,9 @@ from qpair.linalg import IncrementalSpan
 from qpair.modules import verify_simple_family
 from qpair.realization import Realization
 
-A23 = Algebra.for_pair(2, 3)
-B23 = BlockSystem(A23)
-R23 = Realization(B23)
-F23 = Functionals(R23)
-
-_DECOMP = None
-
 
 def _decomposition():
-    global _DECOMP
-    if _DECOMP is None:
-        _DECOMP = {c.check_id: c for c in B23.verify_block_decomposition()}
-    return _DECOMP
+    return {c.check_id: c for c in decomposition_checks()}
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -68,8 +60,9 @@ def test_criterion_01_pbw_dimension_and_closure():
 
 
 def test_criterion_02_hopf_axioms_exhaustive():
+    fresh = Algebra.for_pair(2, 3)   # no earlier test has warmed its caches
     t0 = time.time()
-    checks = A23.verify_hopf_axioms(sample_size=300, seed=2)
+    checks = fresh.verify_hopf_axioms(sample_size=300, seed=2)
     elapsed = time.time() - t0
     bad = [c.check_id for c in checks if not c.passed]
     ok = not bad and elapsed < 300
@@ -132,8 +125,8 @@ def test_criterion_07_matrix_realization():
     t0 = time.time()
     checks = []
     for label in B23.block_labels():
-        checks.extend(R23.verify_action_table(label))
-        checks.extend(R23.verify_block_shape(label))
+        checks.extend(action_table_checks(label))
+        checks.extend(block_shape_checks(label))
     bad = [c.check_id for c in checks if not c.passed]
     corrected = sorted(c.check_id for c in checks if c.corrected)
     ok = (not bad
@@ -147,9 +140,10 @@ def test_criterion_07_matrix_realization():
 
 
 def test_criterion_08_slf_basis_exhaustive_symmetry():
+    fresh = Functionals(R23)   # no earlier test has warmed its caches
     t0 = time.time()
-    base_checks = F23.slf_checks()
-    scan = F23.pairwise_scan(F23.slf_basis(), mode="exhaustive")
+    base_checks = fresh.slf_checks()
+    scan = fresh.pairwise_scan(fresh.slf_basis(), mode="exhaustive")
     elapsed = time.time() - t0
     bad = [c.check_id for c in base_checks + scan if not c.passed]
     ok = not bad and len(scan) == 20 and elapsed < 600

@@ -7,6 +7,7 @@ and agreement with the explicit q-binomial commutator formula, which is
 derived without the engine.
 """
 
+import math
 import random
 
 import pytest
@@ -46,6 +47,28 @@ def test_elements_are_normalized_sparse():
     x = A23.generator("e1")
     assert (x - x).is_zero()
     assert x * A23.one() == x and A23.one() * x == x
+
+
+def test_elements_of_different_pairs_do_not_add():
+    other = Algebra.for_pair(2, 5)
+    with pytest.raises(ValueError):
+        A23.e(1) + other.f(1)
+    with pytest.raises(ValueError):
+        A23.e(1) - other.f(1)
+    # for_pair builds a fresh Algebra each call; the same pair still adds
+    twin = Algebra.for_pair(2, 3)
+    assert A23.e(1) + twin.f(1) == A23.e(1) + A23.f(1)
+    assert (A23.e(1) - twin.e(1)).is_zero()
+
+
+def test_exhaustive_scans_only_at_2_3():
+    # the rule is dimension <= 1000; it selects exactly the pairs with
+    # p1*p2 <= 6, the bound the Hopf check used before
+    for p1 in range(2, 6):
+        for p2 in range(2, 6):
+            if math.gcd(p1, p2) == 1:
+                A = Algebra.for_pair(p1, p2)
+                assert A.exhaustive_scans == (p1 * p2 <= 6), (p1, p2)
 
 
 def test_generator_examples():
@@ -275,26 +298,6 @@ def test_hopf_axiom_suite_passes():
     assert [c.check_id for c in checks if not c.passed] == []
     # exhaustive mode engaged at (2,3)
     assert any("exhaustive on 432" in c.detail for c in checks)
-
-
-def test_cache_save_load_roundtrip(tmp_path):
-    path = tmp_path / "rewrite.cache"
-    A = Algebra.for_pair(2, 3)
-    stats = A.build_product_cache()
-    assert stats["keys"] == (A.p1 * A.p2) ** 2
-    A.save_product_cache(str(path))
-    B = Algebra.for_pair(2, 3)
-    B.load_product_cache(str(path))
-    rng = random.Random(1)
-    basis = list(A.basis_monomials())
-    for _ in range(40):
-        u = basis[rng.randrange(len(basis))]
-        v = basis[rng.randrange(len(basis))]
-        assert A.product_monomials(u, v) == B.product_monomials(u, v)
-    # wrong parameters are rejected
-    C = Algebra.for_pair(2, 5)
-    with pytest.raises(ValueError):
-        C.load_product_cache(str(path))
 
 
 def test_weight_line_crossing_identity():

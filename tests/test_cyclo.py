@@ -16,13 +16,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from qpair.cyclo import (
-    CycloField,
-    Params,
-    canonicalize,
-    cyclotomic_polynomial,
-    evaluate_complex,
-)
+from qpair.cyclo import CycloField, Params, cyclotomic_polynomial
 
 # The polynomials the three reference pairs live over, frozen:
 #   N = 24 -> x^8 - x^4 + 1, N = 40 -> x^16 - x^12 + x^8 - x^4 + 1,
@@ -58,11 +52,11 @@ def test_canonicalize_wraps_and_kills_phi():
         F = P.field
         n = P.N
         # zeta^N -> 1
-        assert canonicalize(F, [0] * n + [1]) == 1
+        assert F.canonicalize([0] * n + [1]) == 1
         # zeta^(N/2) -> -1 (K has order N/2 and q^(N/2) = -1)
-        assert canonicalize(F, [0] * (n // 2) + [1]) == -1
+        assert F.canonicalize([0] * (n // 2) + [1]) == -1
         # Phi_N(zeta) -> 0
-        assert canonicalize(F, list(F.phi)).is_zero()
+        assert F.canonicalize(list(F.phi)).is_zero()
 
 
 def test_canonical_form_is_sound_against_float_oracle():
@@ -74,7 +68,7 @@ def test_canonical_form_is_sound_against_float_oracle():
             v = x.evaluate()
             assert x.is_zero() == (abs(v) < 1e-9)
             # rebuilding from the reported coefficients is the identity
-            assert canonicalize(F, x.coefficients()) == x
+            assert F.canonicalize(x.coefficients()) == x
 
 
 def test_field_axioms_on_random_triples():
@@ -117,6 +111,18 @@ def test_mixed_field_arithmetic_is_rejected():
     # fields of one order are interchangeable
     assert CycloField(24).zeta(1) * F24.zeta(1) == F24.zeta(2)
     assert CycloField(24).zeta(1) + F24.zeta(1) == F24.zeta(1) * 2
+
+
+def test_equal_coefficients_in_different_fields_are_distinct():
+    # Q(zeta_40) and Q(zeta_48) both have degree 16, so zeta^1 has the
+    # same coefficient vector in each
+    F40, F48 = CycloField(40), CycloField(48)
+    assert F40.zeta(1).num == F48.zeta(1).num
+    assert F40.zeta(1) != F48.zeta(1)
+    assert hash(F40.zeta(1)) != hash(F48.zeta(1))
+    assert len({F40.zeta(1), F48.zeta(1)}) == 2
+    assert CycloField(40).zeta(1) == F40.zeta(1)
+    assert hash(CycloField(40).zeta(1)) == hash(F40.zeta(1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,11 @@ why the slip is invisible there).
 import random
 
 import pytest
+from conftest import A23, B23, F23, R23
 
-from qpair.algebra import Algebra, PBWMonomial
-from qpair.functionals import Functionals, LinearFunctional, SigmaRecord
-from qpair.ideals import BlockSystem
+from qpair.algebra import PBWMonomial
+from qpair.functionals import SigmaRecord
 from qpair.modules import SimpleModuleSpec, all_simple_specs
-from qpair.realization import Realization
-
-A23 = Algebra.for_pair(2, 3)
-B23 = BlockSystem(A23)
-R23 = Realization(B23)
-F23 = Functionals(R23)
 MONOS = list(A23.basis_monomials())
 rng = random.Random(90125)
 

@@ -8,14 +8,12 @@ index misprints and (3,5) for the normalizer sign.
 """
 
 import pytest
+from conftest import A23, B23, decomposition_checks
 
 from qpair.algebra import Algebra
 from qpair.cyclo import Params
 from qpair.ideals import BlockLabel, BlockSystem, NamedElement
 from qpair.modules import phi
-
-A23 = Algebra.for_pair(2, 3)
-B23 = BlockSystem(A23)
 
 
 def test_block_labels_and_kinds():
@@ -139,7 +137,7 @@ def test_ladder_relations_all_blocks():
 
 
 def test_block_decomposition_report():
-    checks = B23.verify_block_decomposition()
+    checks = decomposition_checks()
     bad = [c for c in checks if not c.passed]
     assert not bad, [c.row() for c in bad]
     ids = {c.check_id for c in checks}

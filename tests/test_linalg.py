@@ -134,16 +134,53 @@ def test_matrix_arithmetic_round_trip():
     assert ident.scalar_of_identity() == one
     assert (ident * FIELD.zeta(1)).scalar_of_identity() == FIELD.zeta(1)
     assert m.scalar_of_identity() == FIELD.zero  # zero matrix is 0 * identity
-    assert Matrix.diagonal(FIELD, [one, one]) == ident
-    offdiag = Matrix(FIELD, [[FIELD.zero, one], [FIELD.zero, FIELD.zero]])
+    assert Matrix(FIELD, 2, columns={0: {0: one}, 1: {1: one}}) == ident
+    offdiag = Matrix(FIELD, 2, columns={1: {0: one}})
     assert offdiag.scalar_of_identity() is None
+    skew = Matrix(FIELD, 2, columns={0: {0: one}, 1: {1: -one}})
+    assert skew.is_diagonal() and skew.scalar_of_identity() is None
 
 
-def test_matrix_apply_and_trace():
+def test_matrix_entries_and_products():
     one = FIELD.one
-    rows = [[FIELD.zero, one], [one, FIELD.zero]]
-    swap = Matrix(FIELD, rows)
-    assert swap.trace().is_zero()
-    assert swap.apply([one, FIELD.zero]) == [FIELD.zero, one]
+    swap = Matrix(FIELD, 2, columns={0: {1: one}, 1: {0: one}})
+    assert swap[0, 1] == one and swap[1, 0] == one
+    assert swap[0, 0].is_zero()
+    assert not swap.is_diagonal()
     assert (swap * swap) == Matrix.identity(FIELD, 2)
-    assert swap.transpose() == swap
+    with pytest.raises(IndexError):
+        swap[2, 0]
+    with pytest.raises(ValueError):
+        swap * Matrix.identity(FIELD, 3)
+
+
+def test_matrix_stores_no_zeros_and_keeps_its_shape():
+    one = FIELD.one
+    m = Matrix(FIELD, 3, columns={0: {0: one, 2: FIELD.zero}, 1: {}})
+    assert dict(m) == {0: {0: one}}
+    m.put(1, 2, FIELD.zeta(1))
+    m.put(0, 0, FIELD.zero)
+    assert dict(m) == {2: {1: FIELD.zeta(1)}}
+    assert (m - m).is_zero() and not (m - m)
+    # zero matrices of different shapes differ
+    assert Matrix.zeros(FIELD, 2) != Matrix.zeros(FIELD, 3)
+    assert Matrix.zeros(FIELD, 2, 3).shape == (2, 3)
+    # products and sums drop cancelled entries
+    nil = Matrix(FIELD, 2, columns={1: {0: one}})
+    assert (nil * nil) == Matrix.zeros(FIELD, 2) and not (nil * nil)
+    assert not (nil + (-nil))
+
+
+def test_matrix_add_scaled_accumulates_in_place():
+    one = FIELD.one
+    z = FIELD.zeta(1)
+    a = Matrix(FIELD, 2, columns={0: {0: one}, 1: {0: z}})
+    acc = Matrix.zeros(FIELD, 2)
+    acc.add_scaled(a, z)
+    assert acc == a * z
+    acc.add_scaled(a, -z)
+    assert acc.is_zero() and dict(acc) == {}
+    acc.add_scaled(a, FIELD.zero)
+    assert acc.is_zero()
+    with pytest.raises(ValueError):
+        acc.add_scaled(Matrix.identity(FIELD, 3), one)

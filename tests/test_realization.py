@@ -12,21 +12,13 @@ by the acceptance smoke test.
 import random
 
 import pytest
+from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
-from qpair.algebra import Algebra
-from qpair.ideals import BlockLabel, BlockSystem
-from qpair.realization import (
-    ARROWS,
-    LETTERS,
-    ProjectiveSummand,
-    Realization,
-    _identity,
-    _matmul,
-)
+from qpair.ideals import BlockLabel
+from qpair.linalg import Matrix
+from qpair.realization import ProjectiveSummand
 
-A23 = Algebra.for_pair(2, 3)
-B23 = BlockSystem(A23)
-R23 = Realization(B23)
+FIELD = A23.params.field
 
 rng = random.Random(61412)
 
@@ -112,29 +104,28 @@ def test_represent_is_multiplicative_sampled():
         x = A23.monomial_element(rng.choice(MONOS))
         y = A23.monomial_element(rng.choice(MONOS))
         left = R23.represent(x * y, summand)
-        right = _matmul(R23.represent(x, summand), R23.represent(y, summand))
+        right = R23.represent(x, summand) * R23.represent(y, summand)
         assert left == right
 
 
 def test_identity_represents_as_identity():
-    one = A23.params.field.one
     for summand in (ProjectiveSummand(1, 2, 3), ProjectiveSummand(-1, 2, 2),
                     ProjectiveSummand(1, 1, 1)):
         dim = R23.layout(summand).dim
-        assert R23.represent(A23.one(), summand) == _identity(dim, one)
+        assert R23.represent(A23.one(), summand) == Matrix.identity(FIELD, dim)
 
 
 def test_corner_elements_are_matrix_units():
     # flat positions: row = own index pair, column = slot pair
     summand = ProjectiveSummand(1, 2, 3)
     lay = R23.layout(summand)
-    one = A23.params.field.one
+    one = FIELD.one
     for (s1, s2, i1, i2) in ((1, 1, 0, 0), (2, 3, 1, 2), (1, 2, 1, 1)):
         el = B23.build_named_element("B", "down", 1, 2, 3, s1, s2, i1, i2)
         mat = R23.represent(el.value, summand)
         row = lay.flat("B", "down", i1, i2)
         col = lay.flat("B", "down", s1 - 1, s2 - 1)
-        assert mat == {col: {row: one}}
+        assert mat == Matrix(FIELD, lay.dim, columns={col: {row: one}})
 
 
 # ----------------------------------------------------------------------
@@ -148,13 +139,13 @@ def test_expected_pattern_edge_reentry_cell():
     minus = ProjectiveSummand(-1, 1, 3)
     lay = R23.layout(minus)
     plus_left = B23.build_named_element("B", "left", 1, 1, 3, 1, 1, 0, 0)
-    want = {lay.flat("B", "right", 0, 0): {lay.flat("B", "down", 0, 0):
-                                           A23.params.field.one}}
+    want = Matrix(FIELD, lay.dim, columns={
+        lay.flat("B", "right", 0, 0): {lay.flat("B", "down", 0, 0): FIELD.one}})
     assert R23.expected_matrix(plus_left, minus) == want
     minus_left = B23.build_named_element("B", "left", -1, 1, 3, 1, 1, 0, 0)
     got = R23.expected_matrix(minus_left, minus)
     assert list(got) == [lay.flat("B", "up", 0, 0)]
-    assert list(got[lay.flat("B", "up", 0, 0)]) == [lay.flat("B", "left", 0, 0)]
+    assert list(got.get(lay.flat("B", "up", 0, 0))) == [lay.flat("B", "left", 0, 0)]
 
 
 def test_expected_pattern_interior_top_element():
@@ -173,11 +164,13 @@ def test_expected_pattern_interior_top_element():
 def test_expected_pattern_respects_sign_tags():
     # corner ideals only ever see their own sign
     minus_corner = B23.build_named_element("B", "down", -1, 2, 3, 1, 1, 0, 0)
-    assert R23.expected_matrix(minus_corner, ProjectiveSummand(1, 2, 3)) == {}
+    assert R23.expected_matrix(minus_corner, ProjectiveSummand(1, 2, 3)) \
+        == Matrix.zeros(FIELD, 6)
     # the down arrow occurs in the inner template only with the base sign,
     # so a sign-flipped down element with matching labels still acts as zero
     el = B23.build_named_element("T", "down", -1, 1, 1, 1, 1, 0, 0)
-    assert R23.expected_matrix(el, ProjectiveSummand(1, 1, 1)) == {}
+    assert R23.expected_matrix(el, ProjectiveSummand(1, 1, 1)) \
+        == Matrix.zeros(FIELD, 24)
 
 
 # ----------------------------------------------------------------------
@@ -186,18 +179,18 @@ def test_expected_pattern_respects_sign_tags():
 
 def test_action_tables_all_blocks():
     for lab in B23.block_labels():
-        for check in R23.verify_action_table(lab):
+        for check in action_table_checks(lab):
             assert check.passed, check.row()
 
 
 def test_block_shapes_all_blocks():
     for lab in B23.block_labels():
-        for check in R23.verify_block_shape(lab):
+        for check in block_shape_checks(lab):
             assert check.passed, check.row()
 
 
 def test_reentry_check_is_marked_corrected():
-    checks = R23.verify_block_shape(BlockLabel(1, 3))
+    checks = block_shape_checks(BlockLabel(1, 3))
     statuses = {c.check_id: c.status for c in checks}
     assert statuses["realization[1,3].reentry-cell-family"] == "erratum-corrected"
 
@@ -232,14 +225,14 @@ def test_preimage_round_trip():
 def test_preimage_rejects_bad_input():
     lab = BlockLabel(1, 3)
     with pytest.raises(ValueError):
-        R23.solve_central_preimage(lab, [{}])   # wrong summand count
+        R23.solve_central_preimage(lab, [Matrix.zeros(FIELD, 12)])  # wrong count
     # a lone unit entry without its repeated-diagonal partner is not the
     # matrix of any block element
     lay = R23.layout(ProjectiveSummand(1, 1, 3))
-    lone = {lay.flat("B", "up", 0, 0): {lay.flat("B", "up", 0, 0):
-                                        A23.params.field.one}}
+    up = lay.flat("B", "up", 0, 0)
+    lone = Matrix(FIELD, lay.dim, columns={up: {up: FIELD.one}})
     with pytest.raises(ValueError):
-        R23.solve_central_preimage(lab, [lone, {}])
+        R23.solve_central_preimage(lab, [lone, Matrix.zeros(FIELD, lay.dim)])
 
 
 def test_group_trace_of_unit():
