@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import click
@@ -213,17 +213,48 @@ def run(config: RunConfig) -> Tuple[int, VerificationReport]:
 # ----------------------------------------------------------------------
 
 def cyclo_to_json(x: CycloNumber) -> List[str]:
-    """Fixed-length coefficient array of exact rationals as strings."""
-    return [str(c) for c in x.coefficients()]
+    """Fixed-length coefficient array of exact rationals as strings.
+
+    Each coefficient is written in lowest terms as ``"n"`` or ``"n/d"``
+    with ``d > 1``.
+
+    >>> from qpair.cyclo import CycloField
+    >>> cyclo_to_json(CycloField(12).make([3, -2, 0, 6], 4))
+    ['3/4', '-1/2', '0', '3/2']
+    """
+    den = x.den
+    out = []
+    for c in x.num:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
+
+
+_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
+    """Parse the array `cyclo_to_json` writes; refuse anything else.
+
+    Each coefficient must be a string ``-?[0-9]+(/[0-9]+)?`` with a
+    positive denominator; it need not be in lowest terms.
+    """
     if len(coeffs) != field.degree:
         raise ValueError(f"expected {field.degree} coefficients for "
                          f"Q(zeta_{field.order}), got {len(coeffs)}")
-    fracs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return field.make([int(f * den) for f in fracs], den)
+    nums, dens = [], []
+    for c in coeffs:
+        m = _COEFFICIENT.fullmatch(c) if isinstance(c, str) else None
+        if m is None:
+            raise ValueError(f"malformed coefficient {c!r}: expected an "
+                             f"integer or n/d as a string")
+        den = int(m[2]) if m[2] else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in coefficient {c!r}")
+        nums.append(int(m[1]))
+        dens.append(den)
+    den = math.lcm(*dens)
+    return field.make([n * (den // d) for n, d in zip(nums, dens)], den)
 
 
 def element_to_json(x: AlgebraElement) -> List[dict]:
@@ -246,6 +277,25 @@ def artifact_header(algebra: Algebra) -> dict:
     return {"p1": algebra.p1, "p2": algebra.p2, "N": algebra.params.N,
             "phi_digest": hashlib.sha256(phi.encode()).hexdigest()[:16],
             "version": __version__}
+
+
+def check_header(algebra: Algebra, header: dict) -> None:
+    """Refuse an artifact header written for another pair or field.
+
+    Raises ValueError naming each of ``p1``, ``p2``, ``N`` and
+    ``phi_digest`` that differs from `artifact_header` of ``algebra``;
+    ``version`` is not compared.
+    """
+    if not isinstance(header, dict):
+        raise ValueError(f"artifact header must be an object, got "
+                         f"{type(header).__name__}")
+    expected = artifact_header(algebra)
+    wrong = [f"{key} {header.get(key)!r} (expected {expected[key]!r})"
+             for key in ("p1", "p2", "N", "phi_digest")
+             if header.get(key) != expected[key]]
+    if wrong:
+        raise ValueError("artifact header does not match this algebra: "
+                         + ", ".join(wrong))
 
 
 def _sparse_matrix_to_json(mat) -> Dict[str, Dict[str, List[str]]]:

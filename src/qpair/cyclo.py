@@ -30,7 +30,13 @@ have an operand with a single nonzero coefficient (a rational multiple of
 a power of zeta), and no operand has more than d/4 nonzeros.  Packing
 coefficient vectors into one integer (Kronecker substitution) would cost
 O(d) Python steps per product to pack and unpack, more than the handful of
-partial products a sparse product needs.
+partial products a sparse product needs.  Most of those single-term
+operands are units: over one pass at (2,3), (3,4) and (2,5), an operand
+equal to 1 appears in 59%, 31% and 86% of multiplies and one equal to -1
+in another 9%, 3% and 2%.  So `_mul`, after the field check, returns the
+other operand for a factor of exactly 1 and its negation for exactly -1,
+without building a product or calling `make`; the canonical form makes
+both tests exact, and sharing the immutable operand is safe.
 
 Inversion runs the extended Euclidean algorithm over Q and is memoised per
 field: the verifier divides by a few dozen distinct values (q-integers,
@@ -228,6 +234,19 @@ class CycloField:
     def _mul(self, a: "CycloNumber", b: "CycloNumber") -> "CycloNumber":
         if a.field.order != b.field.order:
             raise ValueError(_mixed(a.field, b.field))
+        # An exact unit factor costs no arithmetic: canonical forms are
+        # unique, so these compares are exact and the result is canonical.
+        one, minus_one = self.one.num, self.minus_one.num
+        if a.den == 1:
+            if a.num == one:
+                return b
+            if a.num == minus_one:
+                return -b
+        if b.den == 1:
+            if b.num == one:
+                return a
+            if b.num == minus_one:
+                return -a
         d = self.degree
         rows = self._reduction
         an, bn = a.num, b.num

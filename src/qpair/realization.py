@@ -83,13 +83,23 @@ def pbw_matrices(params: Params,
     A PBW monomial is literally the product of its generator powers, so
     its matrix is the matching product of generator matrices; the loop
     nest mirrors the basis enumeration and shares partial products.
+    Every power list starts with one shared identity matrix, and a
+    product with it is skipped, so a yielded matrix may be the identity,
+    a generator matrix or another yielded matrix: callers only read them.
     """
     ident = Matrix.identity(params.field, gens["K"].nrows)
+
+    def times(a: Matrix, b: Matrix) -> Matrix:
+        if a is ident:
+            return b
+        if b is ident:
+            return a
+        return a * b
 
     def powers(mat: Matrix, count: int) -> List[Matrix]:
         out = [ident]
         for _ in range(count - 1):
-            out.append(out[-1] * mat)
+            out.append(times(out[-1], mat))
         return out
 
     p1, p2 = params.p1, params.p2
@@ -100,13 +110,13 @@ def pbw_matrices(params: Params,
     kp = powers(gens["K"], params.korder)
     for m1 in range(p1):
         for m2 in range(p2):
-            left = e1[m1] * e2[m2]
+            left = times(e1[m1], e2[m2])
             for n1 in range(p1):
-                mid = left * f1[n1]
+                mid = times(left, f1[n1])
                 for n2 in range(p2):
-                    right = mid * f2[n2]
+                    right = times(mid, f2[n2])
                     for ell in range(params.korder):
-                        yield right * kp[ell]
+                        yield times(right, kp[ell])
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 from qpair.algebra import Algebra
-from qpair.cli import (Session, cyclo_from_json, cyclo_to_json, dump_payload,
-                       element_from_json, element_to_json, main, run,
-                       validate_config)
+from qpair.cli import (Session, check_header, cyclo_from_json, cyclo_to_json,
+                       dump_payload, element_from_json, element_to_json, main,
+                       run, validate_config)
 from qpair.report import RunConfig
 
 A23 = Algebra.for_pair(2, 3)
@@ -172,6 +172,40 @@ def test_cyclo_from_json_rejects_wrong_length():
         with pytest.raises(ValueError, match="expected 8 coefficients"):
             cyclo_from_json(field, coeffs)
     assert cyclo_from_json(field, ["1"] + ["0"] * 7) == 1
+
+
+def test_cyclo_from_json_accepts_only_the_written_grammar():
+    field = A23.params.field
+    zeros = ["0"] * 7
+    for bad in ("1.5", "1e3", " 1", "1 ", "+1", "1/0", "-1/-2", "1/+2", "/2",
+                "1/", "--1", "", "0x10", "1_000", "\u0661", "1/2/3", 1):
+        with pytest.raises(ValueError):
+            cyclo_from_json(field, [bad] + zeros)
+    # non-reduced input is accepted and normalised
+    assert cyclo_from_json(field, ["2/4"] + zeros) == field.from_rational(
+        Fraction(1, 2))
+    assert cyclo_from_json(field, ["-0", "007/1"] + ["0"] * 6) == (
+        field.zeta(1) * 7)
+    x = field.make([6, -4, 0, 9, 0, 0, 0, 1], 12)
+    assert cyclo_to_json(x) == ["1/2", "-1/3", "0", "3/4", "0", "0", "0",
+                                "1/12"]
+    assert cyclo_from_json(field, cyclo_to_json(x)) == x
+
+
+def test_check_header_refuses_other_pairs_and_fields():
+    session = Session(RunConfig(p1=2, p2=3, suites=("all",)))
+    header = json.loads(json.dumps(dump_payload(session, "block 2 3")))["header"]
+    check_header(A23, header)
+    check_header(A23, dict(header, version="0.0.0"))   # version not compared
+    with pytest.raises(ValueError, match="p2 3 .*N 24 .*phi_digest"):
+        check_header(Algebra.for_pair(2, 5), header)
+    with pytest.raises(ValueError, match="phi_digest") as err:
+        check_header(A23, dict(header, phi_digest="0" * 16))
+    assert "p1" not in str(err.value)
+    with pytest.raises(ValueError, match="N"):
+        check_header(A23, {k: v for k, v in header.items() if k != "N"})
+    with pytest.raises(ValueError):
+        check_header(A23, [header])
 
 
 def test_element_json_round_trip():

@@ -108,6 +108,13 @@ def test_mixed_field_arithmetic_is_rejected():
         F40.zeta(3) / F48.zeta(1)  # equal degrees, different fields
     with pytest.raises(ValueError):
         F24._inverse(F48.zeta(1))
+    # the unit short-circuit in _mul runs after the field check
+    for unit, other in ((F24.one, F40.zeta(1)), (F24.minus_one, F40.zeta(1)),
+                        (F40.one, F48.zeta(1))):
+        with pytest.raises(ValueError):
+            unit * other
+        with pytest.raises(ValueError):
+            other * unit
     # fields of one order are interchangeable
     assert CycloField(24).zeta(1) * F24.zeta(1) == F24.zeta(2)
     assert CycloField(24).zeta(1) + F24.zeta(1) == F24.zeta(1) * 2
@@ -170,6 +177,29 @@ def test_mul_matches_sympy_remainder(order):
         want = _from_sympy(F, (_to_sympy(a) * _to_sympy(b)).rem(phi))
         assert (a * b).coefficients() == want
         assert F._mul(a, b) == F._mul(b, a)
+
+
+@pytest.mark.parametrize("order", [24, 40, 48])
+def test_unit_factors_match_sympy_remainder(order):
+    # +-1 factors skip the product loop; near-units must not
+    rng = random.Random(order + 2)
+    F = CycloField(order)
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ")
+    factors = (F.one, F.minus_one, CycloField(order).one,
+               F.zeta(order // 2),                    # -1, by another route
+               F.from_rational(Fraction(1, 2)), F.from_rational(-2),
+               F.one + F.zeta(1))
+    for shape in ("term", "sparse", "dense") * 4:
+        a = _operand(F, rng, shape)
+        if rng.random() < 0.5:
+            a = a * Fraction(1, rng.randint(2, 30))
+        for u in factors:
+            want = _from_sympy(F, (_to_sympy(u) * _to_sympy(a)).rem(phi))
+            for got in (u * a, a * u):
+                assert got.coefficients() == want
+                assert got == F.make(got.num, got.den)  # canonical form
+    assert F.minus_one * F.minus_one == F.one
+    assert F.one * F.one == F.one
 
 
 @pytest.mark.parametrize("order", [24, 40, 48])

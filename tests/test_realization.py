@@ -16,7 +16,7 @@ from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
 from qpair.ideals import BlockLabel
 from qpair.linalg import Matrix
-from qpair.realization import ProjectiveSummand
+from qpair.realization import GENERATOR_NAMES, ProjectiveSummand, pbw_matrices
 
 FIELD = A23.params.field
 
@@ -81,6 +81,24 @@ def test_monomials_factor_into_generator_powers():
             for _ in range(power):
                 word = word * gen
         assert word == A23.monomial_element(m)
+
+
+def test_pbw_matrices_are_generator_products():
+    # pbw_matrices skips products with the identity and shares partial
+    # products; an explicit left-to-right generator chain is the reference
+    summand = ProjectiveSummand(1, 1, 1)
+    gens = {g: R23.generator_matrix(summand, g) for g in GENERATOR_NAMES}
+    ident = Matrix.identity(FIELD, R23.layout(summand).dim)
+    mats = list(pbw_matrices(A23.params, gens))
+    assert len(mats) == len(MONOS)
+    assert mats[A23.monomial_index(MONOS[0])] == ident      # monomial 1
+    for m, got in zip(MONOS, mats):
+        want = ident
+        for gen, power in zip(GENERATOR_NAMES, m):
+            for _ in range(power):
+                want = want * gens[gen]
+        assert got == want, m
+    assert R23.monomial_matrices(summand) == mats
 
 
 def test_represent_matches_columnwise_products():
