@@ -988,7 +988,14 @@ class BlockSystem:
 
     def _product_averager_first(self, left_key: tuple,
                                 right_value: AlgebraElement) -> AlgebraElement:
-        """Product (named element) * (element), averager applied first."""
+        """Product (named element) * (element), averager applied first.
+
+        The named element is (left factor) * (averager); applying the
+        short averager to the right factor first keeps both products
+        small.  Measured at (2,3), `verify_block_decomposition` takes
+        5.7 s this way and 13.0 s with direct products of the named
+        elements, even with word-by-word element products.
+        """
         before = self._left_factors[left_key]
         v = self._averagers[left_key[2:7]]
         return before * (v * right_value)

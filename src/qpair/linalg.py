@@ -120,32 +120,34 @@ def rank_of(field: CycloField, vectors: Iterable[Vector]) -> int:
 def nullspace(field: CycloField, equations: Iterable[Vector], dim: int) -> List[Vector]:
     """Basis of {x : row . x = 0 for every equation row} in dimension dim.
 
-    The equations are eliminated incrementally (at most ``dim`` survive),
-    back-substituted to reduced echelon form, and each free coordinate
-    contributes one basis vector with that coordinate set to one.
+    The equations are eliminated incrementally (at most ``dim`` survive,
+    in echelon form with unit leads).  Each free coordinate f contributes
+    the one solution with x_f = 1 and every other free coordinate 0, found
+    by back-substitution: pivot rows are walked by descending lead, with
+    x_lead = -sum(row[j] * x_j).  Leads above f are skipped, since their
+    coordinates are zero.  No reduced echelon form is built.
     """
     span = IncrementalSpan(field)
     for row in equations:
         span.add(row)
-    reduced = {lead: dict(row) for lead, row in span.rows.items()}
-    for lead in sorted(reduced, reverse=True):
-        pivot_row = reduced[lead]
-        for other_lead, other_row in reduced.items():
-            if other_lead >= lead:
-                continue
-            factor = other_row.get(lead)
-            if factor is not None:
-                scale_into(other_row, pivot_row, factor)
+    rows = span.rows
+    leads = sorted(rows, reverse=True)
     basis: List[Vector] = []
-    pivots = set(reduced)
     for free in range(dim):
-        if free in pivots:
+        if free in rows:
             continue
         vec: Vector = {free: field.one}
-        for lead, row in reduced.items():
-            coeff = row.get(free)
-            if coeff is not None and not coeff.is_zero():
-                vec[lead] = -coeff
+        for lead in leads:
+            if lead > free:
+                continue
+            acc = None
+            for j, coeff in rows[lead].items():
+                xj = vec.get(j)
+                if xj is not None:
+                    add = coeff * xj
+                    acc = add if acc is None else acc + add
+            if acc is not None and not acc.is_zero():
+                vec[lead] = -acc
         basis.append(vec)
     return basis
 
@@ -221,10 +223,18 @@ class Matrix(dict):
 
     def add_scaled(self, other: "Matrix", coeff: CycloNumber) -> None:
         """self += coeff * other, in place."""
+        self.add_column_scaled(
+            other, {} if coeff.is_zero() else dict.fromkeys(other, coeff))
+
+    def add_column_scaled(self, other: "Matrix",
+                          scales: Mapping[int, CycloNumber]) -> None:
+        """self += other * diag(scales), in place: column j of other is
+        scaled by scales[j], and columns absent from scales are skipped."""
         self._check_shape(other)
-        if coeff.is_zero():
-            return
-        for col, rows in other.items():
+        for col, coeff in scales.items():
+            rows = other.get(col)
+            if rows is None:
+                continue
             dst = self.setdefault(col, {})
             for row, val in rows.items():
                 add = coeff * val

@@ -12,9 +12,12 @@ All matrices are the package's one sparse `linalg.Matrix` type.
 Generator matrices are obtained by expanding honest algebra products
 over the ideal basis.  The matrix of a PBW monomial is the corresponding
 product of generator matrices (`pbw_matrices`, which the functional
-layer reuses for the characters of the simple modules), so representing
-an arbitrary element is a linear combination of precomputed matrices,
-accumulated in place.
+layer reuses for the characters of the simple modules).  Every ideal
+basis vector is a word times a weight averager, so K acts diagonally,
+as zeta^(s_j) on basis vector j.  `represent` therefore takes an element
+word by word, x = sum_w w * P_w(K): the matrix of each term is the
+word's matrix with column j scaled by P_w(zeta^(s_j)), accumulated in
+place.
 
 A single nine-cell occupancy template (applied once per ladder
 direction) predicts where each named element may act and with which
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, PBWMonomial
 from .cyclo import CycloNumber, Params
 from .ideals import BlockLabel, BlockSystem, NamedElement
 from .linalg import IncrementalSpan, Matrix, nullspace
@@ -83,9 +86,12 @@ def pbw_matrices(params: Params,
     A PBW monomial is literally the product of its generator powers, so
     its matrix is the matching product of generator matrices; the loop
     nest mirrors the basis enumeration and shares partial products.
-    Every power list starts with one shared identity matrix, and a
-    product with it is skipped, so a yielded matrix may be the identity,
-    a generator matrix or another yielded matrix: callers only read them.
+    Every power list starts with one shared identity matrix and stops
+    before the first power equal to the identity, so it is indexed
+    cyclically: on a module where K has order t < 2 p1 p2, K^t is never
+    multiplied.  A product with the identity is skipped, so a yielded
+    matrix may be the identity, a generator matrix or another yielded
+    matrix: callers only read them.
     """
     ident = Matrix.identity(params.field, gens["K"].nrows)
 
@@ -99,7 +105,10 @@ def pbw_matrices(params: Params,
     def powers(mat: Matrix, count: int) -> List[Matrix]:
         out = [ident]
         for _ in range(count - 1):
-            out.append(times(out[-1], mat))
+            nxt = times(out[-1], mat)
+            if nxt == ident:
+                break
+            out.append(nxt)
         return out
 
     p1, p2 = params.p1, params.p2
@@ -110,13 +119,13 @@ def pbw_matrices(params: Params,
     kp = powers(gens["K"], params.korder)
     for m1 in range(p1):
         for m2 in range(p2):
-            left = times(e1[m1], e2[m2])
+            left = times(e1[m1 % len(e1)], e2[m2 % len(e2)])
             for n1 in range(p1):
-                mid = times(left, f1[n1])
+                mid = times(left, f1[n1 % len(f1)])
                 for n2 in range(p2):
-                    right = times(mid, f2[n2])
+                    right = times(mid, f2[n2 % len(f2)])
                     for ell in range(params.korder):
-                        yield times(right, kp[ell])
+                        yield times(right, kp[ell % len(kp)])
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +181,7 @@ class Realization:
         self._bases: Dict[ProjectiveSummand, tuple] = {}
         self._gen_mats: Dict[ProjectiveSummand, Dict[str, Matrix]] = {}
         self._monomials: Dict[ProjectiveSummand, List[Matrix]] = {}
+        self._k_exponents: Dict[ProjectiveSummand, List[int]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
         self._joint: Dict[BlockLabel, tuple] = {}
 
@@ -308,23 +318,70 @@ class Realization:
         return cols
 
     def monomial_matrices(self, summand: ProjectiveSummand) -> List[Matrix]:
-        """Matrices of all PBW basis monomials, in basis-index order."""
+        """Matrices of all PBW basis monomials, in basis-index order.
+
+        Also records the exponents s_j of K's diagonal (K acts on basis
+        vector j as zeta^(s_j)), which `represent` reads.
+        """
         cached = self._monomials.get(summand)
         if cached is not None:
             return cached
         gens = {g: self.generator_matrix(summand, g) for g in GENERATOR_NAMES}
+        self._k_exponents[summand] = self._diagonal_exponents(summand, gens["K"])
         out = list(pbw_matrices(self.params, gens))
         self._monomials[summand] = out
         return out
 
+    def _diagonal_exponents(self, summand: ProjectiveSummand,
+                            kmat: Matrix) -> List[int]:
+        """s_j with K e_j = zeta^(s_j) e_j; K must be a diagonal of roots of unity."""
+        pows = self.params.field.zeta_pows
+        log = {z: k for k, z in enumerate(pows)}
+        out = []
+        for j in range(kmat.ncols):
+            rows = kmat.get(j)
+            s = None
+            if rows is not None and len(rows) == 1 and j in rows:
+                s = log.get(rows[j])
+            if s is None:
+                raise ArithmeticError(
+                    f"K is not diagonal with root-of-unity entries on "
+                    f"{summand} (column {j})")
+            out.append(s)
+        return out
+
     def represent(self, x: AlgebraElement,
                   summand: ProjectiveSummand) -> Matrix:
-        """Left-multiplication matrix of x on the summand's ideal."""
+        """Left-multiplication matrix of x on the summand's ideal.
+
+        x is taken word by word, x = sum_w w * P_w(K).  K is diagonal on
+        the ideal basis, so the matrix of w * P_w(K) is the matrix of w
+        with column j scaled by P_w(zeta^(s_j)); P_w is evaluated once per
+        distinct exponent s_j.
+        """
         mono = self.monomial_matrices(summand)
+        k_exp = self._k_exponents[summand]
         A = self.algebra
+        zeta = self.params.field.zeta_pows
+        N = len(zeta)
         acc = Matrix(self.params.field, self.layout(summand).dim)
-        for m, c in x.terms.items():
-            acc.add_scaled(mono[A.monomial_index(m)], c)
+        for word, poly in x.by_word().items():
+            base = mono[A.monomial_index(PBWMonomial(*word, 0))]
+            if not base:
+                continue
+            values: Dict[int, CycloNumber] = {}
+            scales: Dict[int, CycloNumber] = {}
+            for col in base:
+                s = k_exp[col]
+                val = values.get(s)
+                if val is None:
+                    for ell, c in poly.items():
+                        add = c * zeta[(s * ell) % N]
+                        val = add if val is None else val + add
+                    values[s] = val
+                if not val.is_zero():
+                    scales[col] = val
+            acc.add_column_scaled(base, scales)
         return acc
 
     def block_realization(self, label: BlockLabel) -> BlockRealization:

@@ -129,6 +129,89 @@ def test_random_element_products_distribute():
         assert (x + y) * z == x * z + y * z
 
 
+def _termwise_product(x, y):
+    """Reference product: sum of cu * cv * product_monomials(u, v)."""
+    A = x.algebra
+    out = {}
+    for mu, cu in x.terms.items():
+        for mv, cv in y.terms.items():
+            for mono, w in A.product_monomials(mu, mv).items():
+                add = cu * cv * w
+                out[mono] = add if mono not in out else out[mono] + add
+    return A.element(out)
+
+
+def _multiword_element(A, rng, words, density):
+    """Random element over a few words, each with a dense K-polynomial."""
+    P = A.params
+    terms = {}
+    for _ in range(words):
+        word = (rng.randrange(A.p1), rng.randrange(A.p2),
+                rng.randrange(A.p1), rng.randrange(A.p2))
+        for ell in rng.sample(range(A.korder), density):
+            c = P.zeta(rng.randrange(P.N)) * rng.randint(-3, 3)
+            if rng.random() < 0.3:
+                c = c / rng.randint(2, 5) + P.zeta(rng.randrange(P.N))
+            terms[A.monomial(*word, ell)] = c
+    return A.element(terms)
+
+
+def test_word_by_word_products_match_termwise_reference():
+    rng = random.Random(2718)
+    for _ in range(30):
+        x = _multiword_element(A23, rng, rng.randint(1, 4), rng.randint(1, 12))
+        y = _multiword_element(A23, rng, rng.randint(1, 4), rng.randint(1, 12))
+        assert x * y == _termwise_product(x, y)
+    A34 = Algebra.for_pair(3, 4)
+    for _ in range(3):
+        x = _multiword_element(A34, rng, 3, 16)
+        y = _multiword_element(A34, rng, 3, 16)
+        assert x * y == _termwise_product(x, y)
+
+
+def test_word_by_word_product_edge_cases():
+    P = A23.params
+    rng = random.Random(5)
+    x = _multiword_element(A23, rng, 3, 8)
+    zero = A23.zero()
+    assert (x * zero).is_zero() and (zero * x).is_zero()
+    assert (zero * zero).is_zero()
+    # scalars of every accepted kind
+    z = P.zeta(5)
+    assert x * 3 == 3 * x == _termwise_product(x, A23.one() * 3)
+    assert x * z == _termwise_product(x, A23.one() * z)
+    assert (x / 2) * 2 == x
+    # (1 - c K) * sum_l c^l K^l = 0 once the word's weight is folded in:
+    # e1 (1 - K) f1 = e1 f1 (1 - zeta^w K), w the weight of f1
+    w = A23.conjugation_weight_exponent(A23.monomial(0, 0, 1, 0, 0))
+    left = A23.e(1) * (A23.one() - A23.generator("K"))
+    right = A23.element({A23.monomial(0, 0, 1, 0, ell): P.zeta(w * ell)
+                         for ell in range(A23.korder)})
+    assert not left.is_zero() and not right.is_zero()
+    assert (left * right).is_zero()
+    assert _termwise_product(left, right).is_zero()
+    # the top power of e1 dies by the range checks alone
+    assert (A23.e(1).power(A23.p1 - 1) * (A23.e(1) * A23.k_power(3))).is_zero()
+
+
+def test_elements_of_different_pairs_do_not_multiply():
+    # (2,3) and (3,2) share the field Q(zeta_24), so only the pair check
+    # can catch the mix
+    other = Algebra.for_pair(3, 2)
+    assert other.params.field.order == A23.params.field.order
+    with pytest.raises(ValueError):
+        A23.e(1) * other.e(1)
+    delta = A23.coproduct(A23.e(1))
+    foreign = other.coproduct(other.e(1))
+    with pytest.raises(ValueError):
+        delta * foreign
+    with pytest.raises(ValueError):
+        delta + foreign
+    twin = Algebra.for_pair(2, 3)
+    assert A23.e(1) * twin.f(1) == A23.e(1) * A23.f(1)
+    assert delta * twin.coproduct(twin.f(1)) == delta * A23.coproduct(A23.f(1))
+
+
 # ---------------------------------------------------------------------------
 # Commutator closed form (independent route)
 # ---------------------------------------------------------------------------

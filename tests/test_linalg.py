@@ -123,6 +123,62 @@ def test_nullspace_full_rank_is_trivial():
     assert nullspace(FIELD, eqs, 3) == []
 
 
+def _rref_nullspace(rows, dim):
+    """Reference: dense Gauss-Jordan, one basis vector per free column."""
+    mat = [[row.get(j, FIELD.zero) for j in range(dim)] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(dim):
+        hit = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()),
+                   None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][col].is_zero():
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        vec = {free: FIELD.one}
+        for i, col in enumerate(pivots):
+            if not mat[i][free].is_zero():
+                vec[col] = -mat[i][free]
+        basis.append(vec)
+    return basis
+
+
+def test_nullspace_matches_reduced_echelon_reference():
+    rng = random.Random(4242)
+    cases = [([], 4), ([{}, {}], 3)]                      # rank 0
+    cases.append(([_random_vector(rng, 5) for _ in range(7)], 5))   # full
+    for _ in range(25):
+        dim = rng.randint(1, 9)
+        rows = [_random_vector(rng, dim, rng.sample(range(dim),
+                                                    rng.randint(1, dim)))
+                for _ in range(rng.randint(1, dim + 2))]
+        if rng.random() < 0.4 and rows:
+            # a dependent row: the sum of two others
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append({k: a.get(k, FIELD.zero) + b.get(k, FIELD.zero)
+                         for k in set(a) | set(b)})
+            rows[-1] = {k: v for k, v in rows[-1].items() if not v.is_zero()}
+        cases.append((rows, dim))
+    ranks = set()
+    for rows, dim in cases:
+        want = _rref_nullspace(rows, dim)
+        assert nullspace(FIELD, rows, dim) == want
+        ranks.add(dim - len(want))
+    assert 0 in ranks and len(ranks) > 3
+    assert nullspace(FIELD, cases[2][0], 5) == []
+
+
 def test_matrix_arithmetic_round_trip():
     one = FIELD.one
     m = Matrix.zeros(FIELD, 2, 2)

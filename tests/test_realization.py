@@ -16,7 +16,8 @@ from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
 from qpair.ideals import BlockLabel
 from qpair.linalg import Matrix
-from qpair.realization import GENERATOR_NAMES, ProjectiveSummand, pbw_matrices
+from qpair.realization import (GENERATOR_NAMES, ProjectiveSummand, Realization,
+                               pbw_matrices)
 
 FIELD = A23.params.field
 
@@ -114,6 +115,36 @@ def test_represent_matches_columnwise_products():
                 assert j not in mat
             else:
                 assert mat.get(j) == span.coordinates(_as_vector(image))
+
+
+def test_represent_equals_sum_of_monomial_matrices():
+    # represent scales each word's matrix by K's diagonal; the reference
+    # sums coefficient times monomial matrix, term by term, on every
+    # summand for named elements of every block
+    summands = sorted({S for lab in B23.block_labels()
+                       for S in R23.summands_of(lab)})
+    sample = []
+    for lab in B23.block_labels():
+        els = R23.block_realization(lab).elements
+        sample.extend(rng.sample(els, min(4, len(els))))
+    for S in summands:
+        kmat = R23.generator_matrix(S, "K")
+        assert kmat.is_diagonal() and len(kmat) == R23.layout(S).dim
+        mono = R23.monomial_matrices(S)
+        for el in sample:
+            want = Matrix(FIELD, R23.layout(S).dim)
+            for m, c in el.value.terms.items():
+                want.add_scaled(mono[A23.monomial_index(m)], c)
+            assert R23.represent(el.value, S) == want, (S, el.family)
+
+
+def test_represent_refuses_a_non_diagonal_k():
+    summand = ProjectiveSummand(1, 1, 3)
+    real = Realization(B23)
+    gens = {g: R23.generator_matrix(summand, g) for g in GENERATOR_NAMES}
+    real._gen_mats[summand] = dict(gens, K=gens["K"] + gens["e1"])
+    with pytest.raises(ArithmeticError, match="ProjectiveSummand"):
+        real.represent(A23.one(), summand)
 
 
 def test_represent_is_multiplicative_sampled():
