@@ -7,13 +7,35 @@ Presentation.  Generators e1, e2, f1, f2, K, K^-1 with
     [e1, f1] = (K^p2 - K^-p2)/(q1^p2 - q1^-p2),
     [e2, f2] = (K^p1 - K^-p1)/(q2^p1 - q2^-p1).
 
-Monomial basis.  Elements are stored in the ordered-monomial basis
+Two bases.  The PBW basis is
 
     e1^m1 e2^m2 f1^n1 f2^n2 K^ell,
-    0 <= m_i, n_i <= p_i - 1,   0 <= ell <= 2 p1 p2 - 1,
+    0 <= m_i, n_i <= p_i - 1,   0 <= ell < korder = 2 p1 p2,
 
-of size 2 p1^3 p2^3.  An AlgebraElement is a sparse dict from PBWMonomial
-to CycloNumber with no stored zeros.
+of size 2 p1^3 p2^3.  Elements are stored in the projector basis
+
+    e1^m1 e2^m2 f1^n1 f2^n2 1_j,   0 <= j < korder,
+
+where 1_j = (1/korder) sum_l zeta^(-2jl) K^l projects onto the eigenvalue
+lambda_j = zeta^(2j) of K (zeta = zeta_N, N = 2 korder).  An
+AlgebraElement maps (m1, m2, n1, n2, j) to the nonzero coefficient of
+w 1_j.  If the element is sum_w w P_w(K) in the PBW basis, that
+coefficient is P_w(lambda_j): a weight averager sum_l rho^l K^l is the one
+term korder 1_j with lambda_j = rho^-1.  Both bases are indexed by the same
+arithmetic (`monomial_index`), so a span built over either has the same
+rank and coordinates.
+
+The PBW boundary.  `Algebra.element` takes PBW terms and
+`AlgebraElement.pbw_terms` gives them back: one exact discrete Fourier
+transform per word, accumulated on integer exponent vectors and reduced
+mod Phi_N once per coefficient (`CycloField.fold`).  The PBW basis stays
+the external one: `monomial_index` of the functionals, the JSON dumps,
+`product_monomials`, `TensorElement` (coproducts) and the closed-form
+commutator and coproduct oracles.  A basis monomial w K^ell is dense in
+projector form (korder terms), so the Hopf operations on basis monomials
+(antipode, counit and the axiom checks) work on PBW term dicts through
+`product_monomials` (`pbw_product`, `pbw_antipode`, `pbw_counit`,
+`pbw_coproduct`) and never multiply monomial elements.
 
 Normal ordering.  Products are normal-ordered through per-copy rewrite
 tables: for each copy i and exponents (b, c) the table expands
@@ -25,21 +47,22 @@ transitive closure of the defining commutator.  Everything downstream --
 Hopf operations, module actions, idempotents -- multiplies through this
 single engine, so the independent closed forms in `commutator_closed_form`
 and `coproduct_closed_form` are genuine cross-checks, not restatements.
+`_word_product` expands the product of two K-free words once, as
+(word, K-shift, coefficient) triples, memoised per algebra;
+`product_monomials` is its single-term PBW case.
 
-Products go word pair by word pair.  An element is a sum of K-free
-e/f words, each times a K-polynomial (the weight averagers of the block
-layer are such polynomials), and the verifier's elements carry many K
-terms on few words: the element products of the criterion-13 idempotent
-and center checks at (3,4) form 100,848 term pairs but only 1,852 word
-pairs.  `_word_product` expands the product of two words once, as
-(word, K-shift, coefficient) triples, memoised per algebra.  An element
-product u P(K) * v Q(K) is then one convolution P(zeta^w K) Q(K), with w
-the weight of v, followed by the triples; `product_monomials` is the
-single-term case of the same expansion.
+Products are pointwise in j.  Let t_v be the weight of the word w_v
+(K w_v = zeta^(t_v) w_v K).  Then 1_a w_v = w_v 1_(a - t_v/2), so
+(w_u 1_a)(w_v 1_b) vanishes unless a = b + t_v/2 (mod korder), and
+otherwise equals sum coef lambda_b^s word 1_b over the triples
+(word, s, coef) of w_u w_v.  `AlgebraElement.__mul__` walks the right
+operand's (word, j) terms and looks up the left terms at the one matching
+index, so a generator times a block element costs O(support).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -50,6 +73,7 @@ from .report import Check
 __all__ = ["Algebra", "AlgebraElement", "PBWMonomial", "TensorElement"]
 
 Scalar = Union[int, Fraction, CycloNumber]
+Terms = dict  # PBW terms: {PBWMonomial: nonzero CycloNumber}
 
 
 class PBWMonomial(NamedTuple):
@@ -68,6 +92,19 @@ class PBWMonomial(NamedTuple):
 
 
 GENERATOR_NAMES = ("e1", "e2", "f1", "f2", "K", "Kinv", "one")
+_UNIT_WORD = (0, 0, 0, 0)
+
+
+def _accumulate(out: dict, terms: Mapping, scale: CycloNumber) -> None:
+    """out += scale * terms, in place; zeros are left for the caller."""
+    for key, c in terms.items():
+        add = scale * c
+        val = out.get(key)
+        out[key] = add if val is None else val + add
+
+
+def _pruned(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 class Algebra:
@@ -89,7 +126,7 @@ class Algebra:
         self._word_products: dict[tuple, tuple] = {}
         self._word_rows: dict[tuple, tuple] = {}
         self._coproduct_cache: dict[PBWMonomial, TensorElement] = {}
-        self._antipode_cache: dict[PBWMonomial, "AlgebraElement"] = {}
+        self._antipode_cache: dict[PBWMonomial, Terms] = {}
         self._gen_coproducts = None
 
     @classmethod
@@ -127,23 +164,66 @@ class Algebra:
                         for ell in range(self.korder):
                             yield PBWMonomial(m1, m2, n1, n2, ell)
 
-    def monomial_index(self, m: PBWMonomial) -> int:
-        return ((((m.m1 * self.p2 + m.m2) * self.p1 + m.n1) * self.p2 + m.n2)
-                * self.korder + m.ell)
+    def word_index(self, word: tuple) -> int:
+        """Index of the K-free word (m1, m2, n1, n2) in basis order."""
+        m1, m2, n1, n2 = word[:4]
+        return ((m1 * self.p2 + m2) * self.p1 + n1) * self.p2 + n2
+
+    def monomial_index(self, m: tuple) -> int:
+        """Index of a PBW monomial in basis order; the same arithmetic
+        indexes a projector term (m1, m2, n1, n2, j)."""
+        return self.word_index(m) * self.korder + m[4]
 
     # ------------------------------------------------------------------
-    # Element constructors
+    # Element constructors and the change of basis
     # ------------------------------------------------------------------
 
-    def element(self, terms: Mapping[PBWMonomial, Scalar]) -> "AlgebraElement":
-        clean: dict[PBWMonomial, CycloNumber] = {}
+    def element(self, terms: Mapping[tuple, Scalar]) -> "AlgebraElement":
+        """The element sum c * e1^m1 e2^m2 f1^n1 f2^n2 K^ell of PBW terms.
+
+        Keys go through `monomial`, so ell is taken mod 2*p1*p2 and keys
+        equal mod 2*p1*p2 add up.
+        """
+        polys: dict[tuple, dict[int, CycloNumber]] = {}
         for mono, coeff in terms.items():
-            mono = self.monomial(*mono)
+            m1, m2, n1, n2, ell = self.monomial(*mono)
             if not isinstance(coeff, CycloNumber):
                 coeff = self.params.rational(coeff)
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        return AlgebraElement(self, clean)
+            poly = polys.setdefault((m1, m2, n1, n2), {})
+            val = poly.get(ell)
+            poly[ell] = coeff if val is None else val + coeff
+        return AlgebraElement(self, {word + (j,): c for word, j, c
+                                     in self._fourier(polys, 1, 1)})
+
+    def _fourier(self, polys: Mapping[tuple, Mapping[int, CycloNumber]],
+                 sign: int, scale: int) -> Iterator[tuple]:
+        """(word, t, sum_s poly[s] * zeta^(2 sign s t) / scale) per word.
+
+        t runs over 0 .. korder - 1 and zero values are skipped.  sign 1,
+        scale 1 maps PBW coefficients (s = ell) to projector ones (t = j);
+        sign -1, scale korder maps them back.  Each value is summed as an
+        integer exponent vector over a common denominator and reduced mod
+        Phi_N once, so the transform is exact and costs no field products.
+        """
+        N = self._N
+        fold = self.field.fold
+        for word, poly in polys.items():
+            den = math.lcm(*(c.den for c in poly.values()))
+            parts = [(2 * sign * s,
+                      [(i, a * (den // c.den)) for i, a in enumerate(c.num) if a])
+                     for s, c in poly.items() if not c.is_zero()]
+            if not parts:
+                continue
+            den *= scale
+            for t in range(self.korder):
+                vec = [0] * N
+                for step, nonzero in parts:
+                    shift = step * t
+                    for i, a in nonzero:
+                        vec[(i + shift) % N] += a
+                value = fold(vec, den)
+                if not value.is_zero():
+                    yield word, t, value
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
@@ -264,10 +344,11 @@ class Algebra:
 
         ``wu`` and ``wv`` are exponent tuples (m1, m2, n1, n2) of
         e1^m1 e2^m2 f1^n1 f2^n2.  The product is returned as a tuple of
-        (row, shift, coeff) triples meaning
-        wu * wv = sum coeff * word * K^shift, where ``row`` lists the
-        word's basis monomials indexed by K-exponent.  Memoised per
-        algebra: there are at most (p1 p2)^4 word pairs.
+        (keys, monos, shift, coeff) meaning
+        wu * wv = sum coeff * word * K^shift, where ``keys`` and ``monos``
+        list the word's projector keys and PBW monomials indexed by j and
+        by K-exponent.  Memoised per algebra: there are at most
+        (p1 p2)^4 word pairs.
         """
         key = (wu, wv)
         cached = self._word_products.get(key)
@@ -299,31 +380,40 @@ class Algebra:
             add = coef * zeta[ze]
             val = acc.get(term)
             acc[term] = add if val is None else val + add
-        out = tuple((self._word_row(word), shift, c)
+        out = tuple(self._word_row(word) + (shift, c)
                     for (word, shift), c in acc.items() if not c.is_zero())
         self._word_products[key] = out
         return out
 
     def _word_row(self, word: tuple) -> tuple:
-        """The basis monomials word * K^ell for ell = 0 .. korder - 1."""
+        """(word 1_j for each j, word K^ell for each ell) as key tuples."""
         row = self._word_rows.get(word)
         if row is None:
-            row = tuple(PBWMonomial(*word, ell) for ell in range(self.korder))
+            row = (tuple(word + (j,) for j in range(self.korder)),
+                   tuple(PBWMonomial(*word, ell) for ell in range(self.korder)))
             self._word_rows[word] = row
         return row
 
     def product_monomials(self, u: PBWMonomial, v: PBWMonomial) -> dict[PBWMonomial, CycloNumber]:
         """Structure constants: the normal-ordered expansion of u * v.
 
-        The single-term case of the word-by-word product: K^l crosses
-        v's word as zeta^(l * weight), then the word product is shifted
-        by l + m.
+        The single-term PBW case of the word product: K^l crosses v's word
+        as zeta^(l * weight), then the word product is shifted by l + m.
         """
         l, m = u[4], v[4]
         twist = self._zeta[(l * self.conjugation_weight_exponent(v)) % self._N]
         korder = self.korder
-        return {row[(shift + l + m) % korder]: c * twist
-                for row, shift, c in self._word_product(u[:4], v[:4])}
+        return {monos[(shift + l + m) % korder]: c * twist
+                for _, monos, shift, c in self._word_product(u[:4], v[:4])}
+
+    def pbw_product(self, x: Mapping[PBWMonomial, CycloNumber],
+                    y: Mapping[PBWMonomial, CycloNumber]) -> Terms:
+        """The product of two PBW term dicts, term pair by term pair."""
+        out: Terms = {}
+        for u, cu in x.items():
+            for v, cv in y.items():
+                _accumulate(out, self.product_monomials(u, v), cu * cv)
+        return _pruned(out)
 
     # ------------------------------------------------------------------
     # Closed-form commutators (independent of the rewrite engine)
@@ -383,10 +473,15 @@ class Algebra:
     # ------------------------------------------------------------------
 
     def counit(self, x: "AlgebraElement") -> CycloNumber:
-        """The counit: kills e_i and f_i, sends every K power to 1."""
+        """The counit: kills e_i and f_i and sends K to 1, so it sends
+        w 1_j to 1 when w = 1 and j = 0, and to 0 otherwise."""
+        return x.terms.get(_UNIT_WORD + (0,), self.params.zero)
+
+    def pbw_counit(self, terms: Mapping[PBWMonomial, CycloNumber]) -> CycloNumber:
+        """The counit of PBW terms: the sum of the coefficients of K powers."""
         acc = self.params.zero
-        for mono, coeff in x.terms.items():
-            if mono.m1 == 0 and mono.m2 == 0 and mono.n1 == 0 and mono.n2 == 0:
+        for mono, coeff in terms.items():
+            if mono[:4] == _UNIT_WORD:
                 acc = acc + coeff
         return acc
 
@@ -439,8 +534,11 @@ class Algebra:
         return acc
 
     def coproduct(self, x: "AlgebraElement") -> "TensorElement":
+        return self.pbw_coproduct(x.pbw_terms())
+
+    def pbw_coproduct(self, terms: Mapping[PBWMonomial, CycloNumber]) -> "TensorElement":
         out = TensorElement(self, {})
-        for mono, coeff in x.terms.items():
+        for mono, coeff in terms.items():
             out = out + self.coproduct_monomial(mono) * coeff
         return out
 
@@ -498,30 +596,42 @@ class Algebra:
                         terms[key] = scalar if val is None else val + scalar
         return TensorElement(self, {k: v for k, v in terms.items() if not v.is_zero()})
 
-    def antipode_monomial(self, mono: PBWMonomial) -> "AlgebraElement":
+    def antipode_monomial(self, mono: PBWMonomial) -> Terms:
+        """S of a basis monomial as PBW terms, cached per monomial; the
+        returned dict is shared, so callers only read it."""
         cached = self._antipode_cache.get(mono)
         if cached is not None:
             return cached
         p1, p2 = self.p1, self.p2
+        korder = self.korder
+        plus, minus = self.params.one, self.field.minus_one
+
+        def k(t: int) -> PBWMonomial:
+            return PBWMonomial(0, 0, 0, 0, t % korder)
+
         # S reverses products: S(e1^m1 e2^m2 f1^n1 f2^n2 K^l)
         #   = K^-l S(f2)^n2 S(f1)^n1 S(e2)^m2 S(e1)^m1
-        s_e1 = self.k_power(-p2) * self.generator("e1") * (-1)
-        s_e2 = self.generator("e2") * self.k_power(-p1) * (-1)
-        s_f1 = self.generator("f1") * self.k_power(p2) * (-1)
-        s_f2 = self.k_power(p1) * self.generator("f2") * (-1)
-        acc = self.k_power(-mono.ell)
+        prod = self.pbw_product
+        s_e1 = prod({k(-p2): minus}, {PBWMonomial(1, 0, 0, 0, 0): plus})
+        s_e2 = prod({PBWMonomial(0, 1, 0, 0, 0): minus}, {k(-p1): plus})
+        s_f1 = prod({PBWMonomial(0, 0, 1, 0, 0): minus}, {k(p2): plus})
+        s_f2 = prod({k(p1): minus}, {PBWMonomial(0, 0, 0, 1, 0): plus})
+        acc = {k(-mono.ell): plus}
         for img, count in ((s_f2, mono.n2), (s_f1, mono.n1),
                            (s_e2, mono.m2), (s_e1, mono.m1)):
             for _ in range(count):
-                acc = acc * img
+                acc = prod(acc, img)
         self._antipode_cache[mono] = acc
         return acc
 
+    def pbw_antipode(self, terms: Mapping[PBWMonomial, CycloNumber]) -> Terms:
+        out: Terms = {}
+        for mono, coeff in terms.items():
+            _accumulate(out, self.antipode_monomial(mono), coeff)
+        return _pruned(out)
+
     def antipode(self, x: "AlgebraElement") -> "AlgebraElement":
-        out = self.zero()
-        for mono, coeff in x.terms.items():
-            out = out + self.antipode_monomial(mono) * coeff
-        return out
+        return self.element(self.pbw_antipode(x.pbw_terms()))
 
     # ------------------------------------------------------------------
     # Verification suites
@@ -578,7 +688,8 @@ class Algebra:
         holds, otherwise over `sample_size` randomly chosen basis monomials
         (seeded).  The
         pair checks (coproduct/counit multiplicativity, anti-morphism) are
-        always sampled.
+        always sampled.  Everything runs on PBW terms through
+        `product_monomials`.
         """
         P = self.params
         rng = random.Random(seed)
@@ -592,25 +703,28 @@ class Algebra:
             sample = [basis[rng.randrange(len(basis))] for _ in range(size)]
             how = f"sampled {len(sample)} basis monomials (seed {seed})"
 
-        one = self.one()
-        g = self.balancing_element()
-        ginv = self.k_power(-(self.p1 - self.p2))
+        one = P.one
+        unit = PBWMonomial(0, 0, 0, 0, 0)
+        g = {PBWMonomial(0, 0, 0, 0, (self.p1 - self.p2) % self.korder): one}
+        ginv = {PBWMonomial(0, 0, 0, 0, (self.p2 - self.p1) % self.korder): one}
 
         coassoc_fail = counit_fail = antipode_fail = square_fail = 0
         for mono in sample:
             delta = self.coproduct_monomial(mono)
             if delta.associate_left() != delta.associate_right():
                 coassoc_fail += 1
-            x = self.monomial_element(mono)
+            x = {mono: one}
             if delta.apply_counit_left() != x or delta.apply_counit_right() != x:
                 counit_fail += 1
-            target = one * self.counit(x)
+            eps = self.pbw_counit(x)
+            target = {} if eps.is_zero() else {unit: eps}
             if (delta.fold_antipode_left() != target
                     or delta.fold_antipode_right() != target):
                 antipode_fail += 1
         for mono in basis:
-            x = self.monomial_element(mono)
-            if self.antipode(self.antipode(x)) != g * x * ginv:
+            x = {mono: one}
+            if (self.pbw_antipode(self.antipode_monomial(mono))
+                    != self.pbw_product(self.pbw_product(g, x), ginv)):
                 square_fail += 1
 
         checks.append(Check("coassociativity", coassoc_fail == 0,
@@ -638,13 +752,14 @@ class Algebra:
         for _ in range(npairs):
             u = basis[rng.randrange(len(basis))]
             v = basis[rng.randrange(len(basis))]
-            xu, xv = self.monomial_element(u), self.monomial_element(v)
-            prod = xu * xv
-            if self.coproduct(prod) != self.coproduct_monomial(u) * self.coproduct_monomial(v):
+            prod = self.product_monomials(u, v)
+            if self.pbw_coproduct(prod) != self.coproduct_monomial(u) * self.coproduct_monomial(v):
                 pair_fail += 1
-            if self.antipode(prod) != self.antipode(xv) * self.antipode(xu):
+            if self.pbw_antipode(prod) != self.pbw_product(
+                    self.antipode_monomial(v), self.antipode_monomial(u)):
                 anti_fail += 1
-            if self.counit(prod) != self.counit(xu) * self.counit(xv):
+            if self.pbw_counit(prod) != (self.pbw_counit({u: one})
+                                         * self.pbw_counit({v: one})):
                 counit_mult_fail += 1
         checks.append(Check("coproduct is an algebra map", pair_fail == 0,
                             f"{npairs} random monomial pairs; failures: {pair_fail}",
@@ -669,22 +784,17 @@ def _same_algebra(x, y) -> None:
 
 
 class AlgebraElement:
-    """A sparse element: dict from PBWMonomial to nonzero CycloNumber."""
+    """A sparse element in the projector basis: dict from the word-projector
+    key (m1, m2, n1, n2, j) to the nonzero coefficient of w 1_j."""
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: Algebra, terms: dict[PBWMonomial, CycloNumber]):
+    def __init__(self, algebra: Algebra, terms: dict[tuple, CycloNumber]):
         self.algebra = algebra
         self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, mono: PBWMonomial) -> CycloNumber:
-        return self.terms.get(mono, self.algebra.params.zero)
-
-    def support(self) -> list[PBWMonomial]:
-        return sorted(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -692,18 +802,14 @@ class AlgebraElement:
     def __iter__(self):
         return iter(self.terms.items())
 
-    def by_word(self) -> dict[tuple, dict[int, CycloNumber]]:
-        """The element as {word: {ell: coeff}}, word = (m1, m2, n1, n2):
-        a sum of K-free words each times a K-polynomial."""
-        out: dict[tuple, dict[int, CycloNumber]] = {}
-        for mono, c in self.terms.items():
-            word = mono[:4]
-            poly = out.get(word)
-            if poly is None:
-                out[word] = {mono[4]: c}
-            else:
-                poly[mono[4]] = c
-        return out
+    def pbw_terms(self) -> Terms:
+        """The element in the PBW basis, {PBWMonomial: nonzero coeff}."""
+        polys: dict[tuple, dict[int, CycloNumber]] = {}
+        for (m1, m2, n1, n2, j), c in self.terms.items():
+            polys.setdefault((m1, m2, n1, n2), {})[j] = c
+        alg = self.algebra
+        return {PBWMonomial(*word, ell): c
+                for word, ell, c in alg._fourier(polys, -1, alg.korder)}
 
     def _scalar(self, other) -> CycloNumber | None:
         if isinstance(other, CycloNumber):
@@ -717,13 +823,13 @@ class AlgebraElement:
             return NotImplemented
         _same_algebra(self, other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            val = out.get(mono)
+        for key, coeff in other.terms.items():
+            val = out.get(key)
             tot = coeff if val is None else val + coeff
             if tot.is_zero():
-                out.pop(mono, None)
+                out.pop(key, None)
             else:
-                out[mono] = tot
+                out[key] = tot
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -731,13 +837,13 @@ class AlgebraElement:
             return NotImplemented
         _same_algebra(self, other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            val = out.get(mono)
+        for key, coeff in other.terms.items():
+            val = out.get(key)
             tot = -coeff if val is None else val - coeff
             if tot.is_zero():
-                out.pop(mono, None)
+                out.pop(key, None)
             else:
-                out[mono] = tot
+                out[key] = tot
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -755,40 +861,31 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         _same_algebra(self, other)
-        # word pair by word pair (see the module docstring): u P(K) * v Q(K)
-        # = (u v) P(zeta^w K) Q(K); zeros are pruned once at the end
+        # pointwise in j (see the module docstring): (w_u 1_a)(w_v 1_b) is
+        # (w_u w_v) 1_b at a = b + t_v/2 and zero elsewhere, with each K^s
+        # of the word product read as lambda_b^s = zeta^(2 b s)
         alg = self.algebra
         korder = alg.korder
         zeta = alg._zeta
         N = alg._N
-        ys = [(wv, alg.conjugation_weight_exponent(wv), Q)
-              for wv, Q in other.by_word().items()]
-        out: dict[PBWMonomial, CycloNumber] = {}
-        for wu, P in self.by_word().items():
-            twisted: dict[int, dict[int, CycloNumber]] = {0: P}
-            for wv, tw, Q in ys:
-                triples = alg._word_product(wu, wv)
-                if not triples:
-                    continue
-                Pt = twisted.get(tw)
-                if Pt is None:
-                    Pt = {l: c * zeta[(l * tw) % N] for l, c in P.items()}
-                    twisted[tw] = Pt
-                conv: dict[int, CycloNumber] = {}
-                for l, pl in Pt.items():
-                    for m, qm in Q.items():
-                        n = (l + m) % korder
-                        add = pl * qm
-                        val = conv.get(n)
-                        conv[n] = add if val is None else val + add
-                conv_items = [(n, r) for n, r in conv.items() if not r.is_zero()]
-                for row, shift, coef in triples:
-                    for n, r in conv_items:
-                        mono = row[(shift + n) % korder]
-                        add = coef * r
-                        val = out.get(mono)
-                        out[mono] = add if val is None else val + add
-        return AlgebraElement(alg, {m: c for m, c in out.items() if not c.is_zero()})
+        weight = alg.conjugation_weight_exponent
+        left: dict[int, list] = {}
+        for (m1, m2, n1, n2, a), cu in self.terms.items():
+            left.setdefault(a, []).append(((m1, m2, n1, n2), cu))
+        out: dict[tuple, CycloNumber] = {}
+        for (m1, m2, n1, n2, b), cv in other.terms.items():
+            wv = (m1, m2, n1, n2)
+            us = left.get((b + weight(wv) // 2) % korder)
+            if us is None:
+                continue
+            for wu, cu in us:
+                c = cu * cv
+                for keys, _, s, coef in alg._word_product(wu, wv):
+                    key = keys[b]
+                    add = c * (coef * zeta[(2 * b * s) % N])
+                    val = out.get(key)
+                    out[key] = add if val is None else val + add
+        return AlgebraElement(alg, _pruned(out))
 
     def __rmul__(self, other):
         scalar = self._scalar(other)
@@ -821,20 +918,21 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         bits = []
-        for mono in sorted(self.terms)[:6]:
-            c = self.terms[mono]
-            word = []
-            for sym, exp in zip(("e1", "e2", "f1", "f2", "K"), mono):
-                if exp:
-                    word.append(f"{sym}^{exp}" if exp != 1 else sym)
-            body = "*".join(word) if word else "1"
-            bits.append(f"({c})*{body}")
+        for key in sorted(self.terms)[:6]:
+            c = self.terms[key]
+            word = [f"{sym}^{exp}" if exp != 1 else sym
+                    for sym, exp in zip(("e1", "e2", "f1", "f2"), key) if exp]
+            word.append(f"1_{key[4]}")
+            bits.append(f"({c})*{'*'.join(word)}")
         more = "" if len(self.terms) <= 6 else f" + ... ({len(self.terms)} terms)"
         return " + ".join(bits) + more
 
 
 class TensorElement:
-    """A sparse element of the two-fold tensor square, used for coproducts."""
+    """A sparse element of the two-fold tensor square, used for coproducts.
+
+    Keys are pairs of PBW monomials.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -902,7 +1000,7 @@ class TensorElement:
             return self.terms == other.terms
         return NotImplemented
 
-    # -- Hopf-axiom helpers -------------------------------------------------
+    # -- Hopf-axiom helpers, on PBW terms -----------------------------------
 
     def associate_left(self) -> dict:
         """(Delta tensor id) applied to self, as a triple-keyed dict."""
@@ -936,39 +1034,41 @@ class TensorElement:
                     out[key] = tot
         return out
 
-    def apply_counit_left(self) -> "AlgebraElement":
-        alg = self.algebra
-        out = alg.zero()
+    def apply_counit_left(self) -> Terms:
+        """(counit tensor id) applied to self, as PBW terms."""
+        out: Terms = {}
         for (a, b), c in self.terms.items():
-            eps = alg.counit(alg.monomial_element(a))
-            if not eps.is_zero():
-                out = out + alg.monomial_element(b, c * eps)
-        return out
+            if a[:4] == _UNIT_WORD:
+                val = out.get(b)
+                out[b] = c if val is None else val + c
+        return _pruned(out)
 
-    def apply_counit_right(self) -> "AlgebraElement":
-        alg = self.algebra
-        out = alg.zero()
+    def apply_counit_right(self) -> Terms:
+        """(id tensor counit) applied to self, as PBW terms."""
+        out: Terms = {}
         for (a, b), c in self.terms.items():
-            eps = alg.counit(alg.monomial_element(b))
-            if not eps.is_zero():
-                out = out + alg.monomial_element(a, c * eps)
-        return out
+            if b[:4] == _UNIT_WORD:
+                val = out.get(a)
+                out[a] = c if val is None else val + c
+        return _pruned(out)
 
-    def fold_antipode_left(self) -> "AlgebraElement":
-        """m(S tensor id) applied to self."""
+    def fold_antipode_left(self) -> Terms:
+        """m(S tensor id) applied to self, as PBW terms."""
         alg = self.algebra
-        out = alg.zero()
+        one = alg.params.one
+        out: Terms = {}
         for (a, b), c in self.terms.items():
-            out = out + alg.antipode_monomial(a) * alg.monomial_element(b) * c
-        return out
+            _accumulate(out, alg.pbw_product(alg.antipode_monomial(a), {b: one}), c)
+        return _pruned(out)
 
-    def fold_antipode_right(self) -> "AlgebraElement":
-        """m(id tensor S) applied to self."""
+    def fold_antipode_right(self) -> Terms:
+        """m(id tensor S) applied to self, as PBW terms."""
         alg = self.algebra
-        out = alg.zero()
+        one = alg.params.one
+        out: Terms = {}
         for (a, b), c in self.terms.items():
-            out = out + alg.monomial_element(a) * alg.antipode_monomial(b) * c
-        return out
+            _accumulate(out, alg.pbw_product({a: one}, alg.antipode_monomial(b)), c)
+        return _pruned(out)
 
     def __repr__(self) -> str:
         return f"TensorElement({len(self.terms)} terms)"

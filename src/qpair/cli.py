@@ -258,16 +258,34 @@ def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
 
 
 def element_to_json(x: AlgebraElement) -> List[dict]:
+    """The element's PBW terms in basis order."""
     index = x.algebra.monomial_index
-    items = sorted(x.terms.items(), key=lambda kv: index(kv[0]))
+    items = sorted(x.pbw_terms().items(), key=lambda kv: index(kv[0]))
     return [{"monomial": [m.m1, m.m2, m.n1, m.n2, m.ell],
              "coefficient": cyclo_to_json(c)} for m, c in items]
 
 
 def element_from_json(algebra: Algebra, data: List[dict]) -> AlgebraElement:
+    """Parse the list `element_to_json` writes; refuse anything else.
+
+    Each monomial must be five ints (not bools) inside the ranges of the
+    algebra, ``ell`` in [0, 2*p1*p2) included, and no monomial may occur
+    twice; otherwise ValueError.
+    """
     field = algebra.params.field
-    terms = {algebra.monomial(*item["monomial"]):
-             cyclo_from_json(field, item["coefficient"]) for item in data}
+    highs = (algebra.p1, algebra.p2, algebra.p1, algebra.p2, algebra.korder)
+    terms = {}
+    for item in data:
+        mono = item["monomial"]
+        if (not isinstance(mono, list) or len(mono) != 5
+                or any(type(e) is not int for e in mono)
+                or not all(0 <= e < h for e, h in zip(mono, highs))):
+            raise ValueError(f"malformed monomial {mono!r}: expected five "
+                             f"ints below {list(highs)}")
+        key = tuple(mono)
+        if key in terms:
+            raise ValueError(f"monomial {mono} occurs twice")
+        terms[key] = cyclo_from_json(field, item["coefficient"])
     return algebra.element(terms)
 
 
@@ -296,6 +314,27 @@ def check_header(algebra: Algebra, header: dict) -> None:
     if wrong:
         raise ValueError("artifact header does not match this algebra: "
                          + ", ".join(wrong))
+
+
+def load_artifact(path: str, algebra: Algebra) -> dict:
+    """Read a dump written for ``algebra``: header first, then elements.
+
+    `check_header` runs before anything else is parsed, so a dump of
+    another pair is refused even when the two fields have the same
+    degree.  The elements of an ``idempotents`` or ``integrals`` dump are
+    returned parsed (`element_from_json`); matrix and functional arrays
+    are returned as written.
+    """
+    with open(path) as fh:
+        payload = json.load(fh)
+    check_header(algebra, payload.get("header"))
+    if payload.get("target") == "idempotents":
+        for item in payload["idempotents"]:
+            item["element"] = element_from_json(algebra, item["element"])
+    elif payload.get("target") == "integrals":
+        payload["two_sided_element"] = element_from_json(
+            algebra, payload["two_sided_element"])
+    return payload
 
 
 def _sparse_matrix_to_json(mat) -> Dict[str, Dict[str, List[str]]]:

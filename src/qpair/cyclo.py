@@ -107,10 +107,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
 # ---------------------------------------------------------------------------
 # The field.
 # ---------------------------------------------------------------------------
@@ -209,14 +205,23 @@ class CycloField:
         """
         fracs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        acc = [0] * self.degree
+        vec = [0] * self.order
         for k, f in enumerate(fracs):
-            c = f.numerator * (den // f.denominator)
+            vec[k % self.order] += f.numerator * (den // f.denominator)
+        return self.fold(vec, den)
+
+    def fold(self, vec: Sequence[int], den: int = 1) -> CycloNumber:
+        """sum(vec[k] * zeta^k) / den for an integer vector indexed by the
+        exponent k in [0, order), reduced modulo Phi_n in one sweep."""
+        d = self.degree
+        acc = list(vec[:d]) + [0] * (d - len(vec))
+        pows = self.zeta_pows
+        for k in range(d, len(vec)):
+            c = vec[k]
             if c:
-                pvec = self.zeta_pows[k % self.order].num
-                for i, p in enumerate(pvec):
-                    if p:
-                        acc[i] += c * p
+                p = pows[k].num
+                for i in compress(range(d), p):
+                    acc[i] += c * p[i]
         return self.make(acc, den)
 
     # -- arithmetic kernels (operate on CycloNumbers of this field) ---------
@@ -588,9 +593,6 @@ class Params:
         """The effective quantum parameter of copy i: q_i raised to the
         complementary exponent."""
         return self.qi_pow(i, self.other(i))
-
-    def sl2_base_pow(self, i: int, a: int) -> CycloNumber:
-        return self.qi_pow(i, self.other(i) * a)
 
     def _check_copy(self, i: int) -> None:
         if i not in (1, 2):

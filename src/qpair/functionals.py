@@ -7,7 +7,8 @@ so the solver settles ground truth and both printed variants are graded
 against it).  The symmetric-function basis is read off the block
 realizations: every member is a partial trace of the representing
 matrices over one or two family groups, so its value on a basis monomial
-is a handful of diagonal lookups in the cached monomial matrices.
+w K^ell is a handful of diagonal lookups in the cached matrix of the word
+w, each scaled by K's diagonal entry zeta^(s_c ell).
 
 The Radford transform x -> lambda(x * g^{-1}c) carries the solved central
 elements onto that basis; each displayed identity is evaluated on every
@@ -30,7 +31,8 @@ from .cyclo import CycloNumber
 from .ideals import BlockLabel
 from .linalg import IncrementalSpan, nullspace
 from .modules import SimpleModuleSpec, all_simple_specs, simple_action
-from .realization import GENERATOR_NAMES, Realization, pbw_matrices
+from .realization import (GENERATOR_NAMES, Realization, diagonal_exponents,
+                          pbw_matrices)
 from .report import Check
 
 
@@ -46,7 +48,7 @@ class LinearFunctional:
     def __call__(self, x: AlgebraElement) -> CycloNumber:
         acc = self.algebra.params.zero
         index = self.algebra.monomial_index
-        for mono, coeff in x.terms.items():
+        for mono, coeff in x.pbw_terms().items():
             val = self.values.get(index(mono))
             if val is not None:
                 acc = acc + coeff * val
@@ -252,19 +254,28 @@ class Functionals:
 
     def verify_integral_identities(self, pairs: int = 200,
                                    seed: int = 9041) -> Check:
-        """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a)."""
+        """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a), on the
+        PBW terms of basis monomials a, b."""
         A = self.algebra
-        lam = self.integral_functional("left")
-        mu = self.integral_functional("right")
+        monos = self._monos
+        lam, mu = ({monos[k]: v for k, v in
+                    self.integral_functional(side).values.items()}
+                   for side in ("left", "right"))
+        one = self.params.one
+        zero = self.params.zero
         rng = random.Random(seed)
         bad = 0
         for _ in range(pairs):
-            a = A.monomial_element(rng.choice(self._monos))
-            b = A.monomial_element(rng.choice(self._monos))
-            ab = a * b
-            if lam(ab) != lam(b * A.antipode(A.antipode(a))):
+            a = rng.choice(monos)
+            b = rng.choice(monos)
+            ab = A.product_monomials(a, b)
+            s2a = A.pbw_antipode(A.antipode_monomial(a))
+            s2b = A.pbw_antipode(A.antipode_monomial(b))
+            if not _opt_eq(_sparse_eval(lam, ab),
+                           _sparse_eval(lam, A.pbw_product({b: one}, s2a)), zero):
                 bad += 1
-            if mu(ab) != mu(A.antipode(A.antipode(b)) * a):
+            if not _opt_eq(_sparse_eval(mu, ab),
+                           _sparse_eval(mu, A.pbw_product(s2b, {a: one})), zero):
                 bad += 1
         return Check(
             "integrals.translation-identities", bad == 0,
@@ -284,9 +295,10 @@ class Functionals:
             return cached
         real = self.real.block_realization(label)
         summand = real.summands[s_idx]
-        mono = self.real.monomial_matrices(summand)
-        out = [self.real.group_trace(summand, mono[k], rowgroup, colgroup)
-               for k in range(len(self._monos))]
+        # basis order: word, then K-exponent fastest
+        out = [self.real.group_trace(summand, word, rowgroup, colgroup, ell)
+               for word in self.real.monomial_matrices(summand)
+               for ell in range(self.params.korder)]
         self._trace_vectors[key] = out
         return out
 
@@ -467,12 +479,12 @@ class Functionals:
         lam = self.integral_functional("left")
         lam_by_mono = {self._monos[k]: v for k, v in lam.values.items()}
         A = self.algebra
-        d = A.k_power(self.p2 - self.p1) * c
+        d = (A.k_power(self.p2 - self.p1) * c).pbw_terms()
         prod = A.product_monomials
         values = {}
         for k, m in enumerate(self._monos):
             acc = None
-            for t, ct in d.terms.items():
+            for t, ct in d.items():
                 for mono2, c2 in prod(m, t).items():
                     lv = lam_by_mono.get(mono2)
                     if lv is not None:
@@ -660,19 +672,21 @@ class Functionals:
             return cached
         P = self.params
         gens = {g: simple_action(P, spec, g) for g in GENERATOR_NAMES}
-        # g^{-1} = K^(p2-p1) acts diagonally, so the twisted trace only
-        # reads the diagonal of each monomial matrix.
-        ginv = gens["K"] ** ((self.p2 - self.p1) % P.korder)
-        ginv_diag = [ginv[d, d] for d in range(spec.dim)]
+        # K acts diagonally, as zeta^(s_d) on basis vector d, so the trace
+        # of g^{-1} w K^ell = K^(p2-p1) w K^ell reads the diagonal of the
+        # word matrix w, entry d scaled by zeta^(s_d (ell + p2 - p1)).
+        k_exp = diagonal_exponents(P.field, gens["K"], spec)
+        zeta = P.field.zeta_pows
+        gexp = self.p2 - self.p1
         values = {}
-        for k, M in enumerate(pbw_matrices(P, gens)):
-            acc = P.zero
-            for d, rows in M.items():
-                v = rows.get(d)
-                if v is not None:
-                    acc = acc + ginv_diag[d] * v
-            if not acc.is_zero():
-                values[k] = acc
+        for w, M in enumerate(pbw_matrices(P, gens)):
+            diag = [(rows[d], k_exp[d]) for d, rows in M.items() if d in rows]
+            for ell in range(P.korder):
+                acc = P.zero
+                for v, s in diag:
+                    acc = acc + v * zeta[(s * (ell + gexp)) % P.N]
+                if not acc.is_zero():
+                    values[w * P.korder + ell] = acc
         func = LinearFunctional(self.algebra, values)
         self._qchars[key] = func
         return func

@@ -6,12 +6,11 @@ the weight averager
     v = sum_l (alpha * q1^-(r1-2*s1+1) * q2^-(r2-2*s2+1))^l K^l,
 
 a K-polynomial that projects onto a single K-weight (up to the factor
-2*p1*p2) and kills the three mismatched weight patterns.  The builder
-therefore assembles and caches the v-free left factors -- where all the
-normal-ordering work happens on small elements -- and multiplies by v
-last; products of two constructed elements are evaluated averager-first,
-which makes the orthogonality sweep cheap because most pairs die at the
-averager stage.
+2*p1*p2) and kills the three mismatched weight patterns.  In the
+projector basis the elements are stored in, v is the single term
+2*p1*p2 * 1_j, so each named element is built right to left, averager
+first: every core word sum is multiplied by v before its prefix words,
+and every product along the way stays as small as the result.
 
 A block is labelled by a pair (r1, r2).  The two corner blocks carry the
 full-size simple modules (one per sign); an edge block (r1, p2) or
@@ -88,8 +87,6 @@ class BlockSystem:
         self.p2 = self.params.p2
         self._scalars: Dict[tuple, ScalarConstants] = {}
         self._memo: Dict[tuple, NamedElement] = {}
-        self._left_factors: Dict[tuple, AlgebraElement] = {}
-        self._averagers: Dict[tuple, AlgebraElement] = {}
         self._corpora: Dict[tuple, AlgebraElement] = {}
 
     # ------------------------------------------------------------------
@@ -106,12 +103,12 @@ class BlockSystem:
 
     def weight_averager(self, alpha: int, r1: int, r2: int,
                         s1: int, s2: int) -> AlgebraElement:
-        """The K-polynomial projecting onto weight slot (s1-1, s2-1)."""
+        """The K-polynomial projecting onto weight slot (s1-1, s2-1).
+
+        Built from its PBW terms ratio^l K^l; stored, it is one projector
+        term.
+        """
         self._check_family_labels(alpha, r1, r2, s1, s2)
-        key = (alpha, r1, r2, s1, s2)
-        cached = self._averagers.get(key)
-        if cached is not None:
-            return cached
         A = self.algebra
         ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
         terms: Dict[PBWMonomial, CycloNumber] = {}
@@ -119,9 +116,7 @@ class BlockSystem:
         for ell in range(self.params.korder):
             terms[A.monomial(0, 0, 0, 0, ell)] = coeff
             coeff = coeff * ratio
-        out = AlgebraElement(A, terms)
-        self._averagers[key] = out
-        return out
+        return A.element(terms)
 
     def _check_family_labels(self, alpha: int, r1: int, r2: int,
                              s1: int, s2: int) -> None:
@@ -252,7 +247,8 @@ class BlockSystem:
 
     def _corpus(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
                 sum1: Optional[int], sum2: Optional[int]) -> AlgebraElement:
-        """The v-free core word, optionally summed against gamma/delta tails.
+        """The core word, optionally summed against gamma/delta tails,
+        times the averager v.
 
         sum_i = None puts the plain top power e_i^(p_i - 1) in slot i;
         sum_i = offset (0 or 1) sums gamma_m * e_i^(p_i - offset - m) over
@@ -275,31 +271,28 @@ class BlockSystem:
         else:
             terms2 = [(consts.delta[m2 - 1], self.p2 - sum2 - m2, self.p2 - s2 - m2)
                       for m2 in range(1, self.p2 - r2 + 1)]
-        out = A.zero()
-        for c1, a1, b1 in terms1:
-            for c2, a2, b2 in terms2:
-                out = out + A.monomial_element(
-                    A.monomial(a1, a2, b1, b2, 0), c1 * c2)
+        words = {A.monomial(a1, a2, b1, b2, 0): c1 * c2
+                 for c1, a1, b1 in terms1 for c2, a2, b2 in terms2}
+        out = A.element(words) * self.weight_averager(alpha, r1, r2, s1, s2)
         self._corpora[key] = out
         return out
 
     def _prefix(self, m1: int, m2: int, n1: int, n2: int) -> AlgebraElement:
         return self.algebra.monomial_element(self.algebra.monomial(m1, m2, n1, n2, 0))
 
-    def _left_factor(self, family: str, arrow: str, alpha: int, r1: int,
-                     r2: int, s1: int, s2: int, i1: int, i2: int) -> AlgebraElement:
-        """The v-free left factor of a named element (cached)."""
-        key = (family, arrow, alpha, r1, r2, s1, s2, i1, i2)
-        cached = self._left_factors.get(key)
-        if cached is not None:
-            return cached
+    def _value(self, family: str, arrow: str, alpha: int, r1: int,
+               r2: int, s1: int, s2: int, i1: int, i2: int) -> AlgebraElement:
+        """The value of a named element: prefix words times corpora, each
+        corpus already carrying the averager."""
         kind = self._block_kind_of_labels(r1, r2)
         consts = self.scalar_constants(alpha, r1, r2)
         p1, p2 = self.p1, self.p2
-        lf = self._left_factor
+
+        def lf(*key) -> AlgebraElement:
+            return self.build_named_element(*key).value
 
         if family == "v":
-            out = self.algebra.one()
+            out = self.weight_averager(alpha, r1, r2, s1, s2)
         elif family == "b":
             out = self._prefix(0, 0, i1, i2) * self._corpus(
                 alpha, r1, r2, s1, s2, None, None)
@@ -383,8 +376,6 @@ class BlockSystem:
                 "T", arrow, alpha, r1, r2, s1, s2, inner_i1, 0)
         else:  # pragma: no cover - guarded by build_named_element
             raise ValueError(f"unknown family {family!r}")
-
-        self._left_factors[key] = out
         return out
 
     def build_named_element(self, family: str, arrow: str, alpha: int,
@@ -429,9 +420,8 @@ class BlockSystem:
                 raise ValueError(
                     f"second index out of range [0, {hi2}]: {idx2}")
 
-        left = self._left_factor(family, arrow, alpha, r1, r2, s1, s2,
-                                 idx1, idx2)
-        value = left * self.weight_averager(alpha, r1, r2, s1, s2)
+        value = self._value(family, arrow, alpha, r1, r2, s1, s2,
+                            idx1, idx2)
         out = NamedElement(family, arrow, alpha, r1, r2, s1, s2,
                            idx1, idx2, value)
         self._memo[key] = out
@@ -777,14 +767,13 @@ class BlockSystem:
                                r1: int, r2: int, s1: int, s2: int,
                                where: str) -> None:
         """Re-derivations of the bottom row/column of the unnormalized family."""
-        v = self.weight_averager(alpha, r1, r2, s1, s2)
         if self.p1 - r1 >= 1:
             hi2 = r2 - 1 if kind != "edge-1" else self.p2 - 1
             for n2 in range(hi2 + 1):
                 lhs = self.build_named_element(
                     "b", "down", alpha, r1, r2, s1, s2, 0, n2).value
                 rhs = (self._prefix(0, 0, 1, n2)
-                       * self._corpus(alpha, r1, r2, s1, s2, 0, None)) * v
+                       * self._corpus(alpha, r1, r2, s1, s2, 0, None))
                 tally.hit("alternate.bottom-row", lhs == rhs, where)
         if self.p2 - r2 >= 1:
             hi1 = r1 - 1 if kind != "edge-2" else self.p1 - 1
@@ -792,13 +781,13 @@ class BlockSystem:
                 lhs = self.build_named_element(
                     "b", "down", alpha, r1, r2, s1, s2, n1, 0).value
                 rhs = (self._prefix(0, 0, n1, 1)
-                       * self._corpus(alpha, r1, r2, s1, s2, None, 0)) * v
+                       * self._corpus(alpha, r1, r2, s1, s2, None, 0))
                 tally.hit("alternate.bottom-column", lhs == rhs, where)
         if self.p1 - r1 >= 1 and self.p2 - r2 >= 1:
             lhs = self.build_named_element(
                 "b", "down", alpha, r1, r2, s1, s2, 0, 0).value
             rhs = (self._prefix(0, 0, 1, 1)
-                   * self._corpus(alpha, r1, r2, s1, s2, 0, 0)) * v
+                   * self._corpus(alpha, r1, r2, s1, s2, 0, 0))
             tally.hit("alternate.bottom-corner", lhs == rhs, where)
 
     # ------------------------------------------------------------------
@@ -897,7 +886,6 @@ class BlockSystem:
                 True, "sign variants coincide at these parameters "
                 "(empty normalizer tail or even second parameter)",
                 anchor="misprint-adjudication")
-        v = self.weight_averager(alpha, r1, r2, s1, s2)
         consts = self.scalar_constants(alpha, r1, r2)
         f1 = self.algebra.f(1)
         corpus = self._corpus(alpha, r1, r2, s1, s2, 0, None)
@@ -905,7 +893,7 @@ class BlockSystem:
         def left_variant(k1, sign):
             tail = self._tail1(alpha, r1, r2, k1, sign=sign)
             return (self._prefix(p1 - r1 - 1 - k1, 0, 0, 0) * corpus
-                    / (consts.Phi * tail)) * v
+                    / (consts.Phi * tail))
 
         bottom0 = self.build_named_element(
             "B", "down", alpha, r1, r2, s1, s2, 0, 0).value
@@ -986,26 +974,6 @@ class BlockSystem:
     # Verification: block decomposition
     # ------------------------------------------------------------------
 
-    def _product_averager_first(self, left_key: tuple,
-                                right_value: AlgebraElement) -> AlgebraElement:
-        """Product (named element) * (element), averager applied first.
-
-        The named element is (left factor) * (averager); applying the
-        short averager to the right factor first keeps both products
-        small.  Measured at (2,3), `verify_block_decomposition` takes
-        5.7 s this way and 13.0 s with direct products of the named
-        elements, even with word-by-word element products.
-        """
-        before = self._left_factors[left_key]
-        v = self._averagers[left_key[2:7]]
-        return before * (v * right_value)
-
-    def _idempotent_key(self, entry: Tuple[str, int, int, int, int, int]) -> tuple:
-        kind, alpha, r1, r2, s1, s2 = entry
-        family, arrow = ("B", "down") if kind == "X-type" else (
-            ("B", "up") if kind == "P-boundary" else ("T", "up"))
-        return (family, arrow, alpha, r1, r2, s1, s2, s1 - 1, s2 - 1)
-
     def _block_annihilators(self, label: BlockLabel):
         """(scalar, power) pairs for the two central elements on a block."""
         P = self.params
@@ -1054,24 +1022,21 @@ class BlockSystem:
 
         catalog = [(label, entry) for label in labels
                    for entry in self.primitive_idempotent_catalog(label)]
-        idems = [(label, entry,
-                  self.primitive_idempotent(*entry),
-                  self._idempotent_key(entry))
+        idems = [(label, entry, self.primitive_idempotent(*entry))
                  for label, entry in catalog]
 
-        bad_square = [entry for _, entry, e, key in idems
-                      if self._product_averager_first(key, e) != e]
+        bad_square = [entry for _, entry, e in idems if e * e != e]
         checks.append(Check(
             "blocks.idempotent-squares", not bad_square,
             f"{len(idems)} idempotents; failures: {bad_square or 'none'}",
             anchor="idempotent-squares"))
 
         bad_pairs = 0
-        for i, (_, entry_a, ea, key_a) in enumerate(idems):
-            for _, entry_b, eb, key_b in idems[i + 1:]:
-                if not self._product_averager_first(key_a, eb).is_zero():
+        for i, (_, entry_a, ea) in enumerate(idems):
+            for _, entry_b, eb in idems[i + 1:]:
+                if not (ea * eb).is_zero():
                     bad_pairs += 1
-                if not self._product_averager_first(key_b, ea).is_zero():
+                if not (eb * ea).is_zero():
                     bad_pairs += 1
         checks.append(Check(
             "blocks.pairwise-orthogonal", bad_pairs == 0,
@@ -1079,7 +1044,7 @@ class BlockSystem:
             f"failures: {bad_pairs}", anchor="idempotent-orthogonality"))
 
         total = A.zero()
-        for _, _, e, _ in idems:
+        for _, _, e in idems:
             total = total + e
         checks.append(Check(
             "blocks.resolution-of-identity", total == A.one(),

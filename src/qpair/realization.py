@@ -10,14 +10,16 @@ B; within a family the first index varies fastest.
 
 All matrices are the package's one sparse `linalg.Matrix` type.
 Generator matrices are obtained by expanding honest algebra products
-over the ideal basis.  The matrix of a PBW monomial is the corresponding
-product of generator matrices (`pbw_matrices`, which the functional
-layer reuses for the characters of the simple modules).  Every ideal
-basis vector is a word times a weight averager, so K acts diagonally,
-as zeta^(s_j) on basis vector j.  `represent` therefore takes an element
-word by word, x = sum_w w * P_w(K): the matrix of each term is the
-word's matrix with column j scaled by P_w(zeta^(s_j)), accumulated in
-place.
+over the ideal basis.  The matrix of a K-free word e1^m1 e2^m2 f1^n1 f2^n2
+is the corresponding product of generator matrices (`pbw_matrices`,
+which the functional layer reuses for the characters of the simple
+modules).  Every ideal basis vector is a word times a weight averager,
+so K acts diagonally, as zeta^(s_c) on basis vector c, and the matrix of
+w K^ell is the word's matrix with column c scaled by zeta^(s_c ell).
+Elements are stored in the projector basis w 1_j (see `algebra`), and
+1_j is the identity on the columns with s_c = 2j and zero on the others,
+so `represent` reads the matrix straight off the element: for each term
+c * w 1_j it adds c times the columns of w's matrix with s_c = 2j.
 
 A single nine-cell occupancy template (applied once per ladder
 direction) predicts where each named element may act and with which
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .algebra import AlgebraElement, PBWMonomial
+from .algebra import AlgebraElement
 from .cyclo import CycloNumber, Params
 from .ideals import BlockLabel, BlockSystem, NamedElement
 from .linalg import IncrementalSpan, Matrix, nullspace
@@ -80,20 +82,19 @@ def _ladder_cells(sign: int, low: int, size: int):
 
 def pbw_matrices(params: Params,
                  gens: Mapping[str, Matrix]) -> Iterator[Matrix]:
-    """Matrices of all PBW basis monomials, in basis-index order.
+    """Matrices of the (p1 p2)^2 K-free words e1^m1 e2^m2 f1^n1 f2^n2, in
+    word order (`Algebra.word_index`).
 
-    ``gens`` maps e1, e2, f1, f2 and K to their matrices on any module.
-    A PBW monomial is literally the product of its generator powers, so
-    its matrix is the matching product of generator matrices; the loop
-    nest mirrors the basis enumeration and shares partial products.
-    Every power list starts with one shared identity matrix and stops
-    before the first power equal to the identity, so it is indexed
-    cyclically: on a module where K has order t < 2 p1 p2, K^t is never
-    multiplied.  A product with the identity is skipped, so a yielded
-    matrix may be the identity, a generator matrix or another yielded
-    matrix: callers only read them.
+    ``gens`` maps e1, e2, f1 and f2 to their matrices on any module.  A
+    word is literally the product of its generator powers, so its matrix
+    is the matching product of generator matrices; the loop nest mirrors
+    the basis enumeration and shares partial products.  Every power list
+    starts with one shared identity matrix, and a product with it is
+    skipped, so a yielded matrix may be the identity, a generator matrix
+    or another yielded matrix: callers only read them.  Callers that need
+    w K^ell scale the columns of w's matrix by K's diagonal.
     """
-    ident = Matrix.identity(params.field, gens["K"].nrows)
+    ident = Matrix.identity(params.field, gens["e1"].nrows)
 
     def times(a: Matrix, b: Matrix) -> Matrix:
         if a is ident:
@@ -105,10 +106,7 @@ def pbw_matrices(params: Params,
     def powers(mat: Matrix, count: int) -> List[Matrix]:
         out = [ident]
         for _ in range(count - 1):
-            nxt = times(out[-1], mat)
-            if nxt == ident:
-                break
-            out.append(nxt)
+            out.append(times(out[-1], mat))
         return out
 
     p1, p2 = params.p1, params.p2
@@ -116,16 +114,31 @@ def pbw_matrices(params: Params,
     e2 = powers(gens["e2"], p2)
     f1 = powers(gens["f1"], p1)
     f2 = powers(gens["f2"], p2)
-    kp = powers(gens["K"], params.korder)
     for m1 in range(p1):
         for m2 in range(p2):
-            left = times(e1[m1 % len(e1)], e2[m2 % len(e2)])
+            left = times(e1[m1], e2[m2])
             for n1 in range(p1):
-                mid = times(left, f1[n1 % len(f1)])
+                mid = times(left, f1[n1])
                 for n2 in range(p2):
-                    right = times(mid, f2[n2 % len(f2)])
-                    for ell in range(params.korder):
-                        yield times(right, kp[ell % len(kp)])
+                    yield times(mid, f2[n2])
+
+
+def diagonal_exponents(field, kmat: Matrix, where) -> List[int]:
+    """s_c with K e_c = zeta^(s_c) e_c; K must be a diagonal of roots of
+    unity, else ArithmeticError naming ``where``."""
+    log = {z: k for k, z in enumerate(field.zeta_pows)}
+    out = []
+    for c in range(kmat.ncols):
+        rows = kmat.get(c)
+        s = None
+        if rows is not None and len(rows) == 1 and c in rows:
+            s = log.get(rows[c])
+        if s is None:
+            raise ArithmeticError(
+                f"K is not diagonal with root-of-unity entries on "
+                f"{where} (column {c})")
+        out.append(s)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +195,7 @@ class Realization:
         self._gen_mats: Dict[ProjectiveSummand, Dict[str, Matrix]] = {}
         self._monomials: Dict[ProjectiveSummand, List[Matrix]] = {}
         self._k_exponents: Dict[ProjectiveSummand, List[int]] = {}
+        self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
         self._joint: Dict[BlockLabel, tuple] = {}
 
@@ -318,70 +332,52 @@ class Realization:
         return cols
 
     def monomial_matrices(self, summand: ProjectiveSummand) -> List[Matrix]:
-        """Matrices of all PBW basis monomials, in basis-index order.
-
-        Also records the exponents s_j of K's diagonal (K acts on basis
-        vector j as zeta^(s_j)), which `represent` reads.
-        """
+        """Matrices of the K-free words, in word order (`pbw_matrices`)."""
         cached = self._monomials.get(summand)
         if cached is not None:
             return cached
-        gens = {g: self.generator_matrix(summand, g) for g in GENERATOR_NAMES}
-        self._k_exponents[summand] = self._diagonal_exponents(summand, gens["K"])
+        gens = {g: self.generator_matrix(summand, g)
+                for g in ("e1", "e2", "f1", "f2")}
         out = list(pbw_matrices(self.params, gens))
         self._monomials[summand] = out
         return out
 
-    def _diagonal_exponents(self, summand: ProjectiveSummand,
-                            kmat: Matrix) -> List[int]:
-        """s_j with K e_j = zeta^(s_j) e_j; K must be a diagonal of roots of unity."""
-        pows = self.params.field.zeta_pows
-        log = {z: k for k, z in enumerate(pows)}
-        out = []
-        for j in range(kmat.ncols):
-            rows = kmat.get(j)
-            s = None
-            if rows is not None and len(rows) == 1 and j in rows:
-                s = log.get(rows[j])
-            if s is None:
-                raise ArithmeticError(
-                    f"K is not diagonal with root-of-unity entries on "
-                    f"{summand} (column {j})")
-            out.append(s)
-        return out
+    def k_exponents(self, summand: ProjectiveSummand) -> List[int]:
+        """s_c for each ideal basis vector c: K acts on it as zeta^(s_c).
+
+        Read off K's generator matrix, which must be a diagonal of roots
+        of unity.
+        """
+        cached = self._k_exponents.get(summand)
+        if cached is None:
+            cached = diagonal_exponents(
+                self.params.field, self.generator_matrix(summand, "K"),
+                summand)
+            self._k_exponents[summand] = cached
+        return cached
 
     def represent(self, x: AlgebraElement,
                   summand: ProjectiveSummand) -> Matrix:
         """Left-multiplication matrix of x on the summand's ideal.
 
-        x is taken word by word, x = sum_w w * P_w(K).  K is diagonal on
-        the ideal basis, so the matrix of w * P_w(K) is the matrix of w
-        with column j scaled by P_w(zeta^(s_j)); P_w is evaluated once per
-        distinct exponent s_j.
+        Each projector term c * w 1_j adds c times the columns of w's
+        matrix on which K acts as lambda_j = zeta^(2j); no polynomial is
+        evaluated.
         """
-        mono = self.monomial_matrices(summand)
-        k_exp = self._k_exponents[summand]
-        A = self.algebra
-        zeta = self.params.field.zeta_pows
-        N = len(zeta)
+        words = self.monomial_matrices(summand)
+        columns = self._k_columns.get(summand)
+        if columns is None:
+            columns = {}
+            for c, s in enumerate(self.k_exponents(summand)):
+                columns.setdefault(s, []).append(c)
+            self._k_columns[summand] = columns
+        word_index = self.algebra.word_index
         acc = Matrix(self.params.field, self.layout(summand).dim)
-        for word, poly in x.by_word().items():
-            base = mono[A.monomial_index(PBWMonomial(*word, 0))]
-            if not base:
-                continue
-            values: Dict[int, CycloNumber] = {}
-            scales: Dict[int, CycloNumber] = {}
-            for col in base:
-                s = k_exp[col]
-                val = values.get(s)
-                if val is None:
-                    for ell, c in poly.items():
-                        add = c * zeta[(s * ell) % N]
-                        val = add if val is None else val + add
-                    values[s] = val
-                if not val.is_zero():
-                    scales[col] = val
-            acc.add_column_scaled(base, scales)
+        for key, c in x.terms.items():
+            cols = columns.get(2 * key[4])
+            if cols:
+                acc.add_column_scaled(words[word_index(key)],
+                                      dict.fromkeys(cols, c))
         return acc
 
     def block_realization(self, label: BlockLabel) -> BlockRealization:
@@ -858,21 +854,26 @@ class Realization:
 
     def group_trace(self, summand: ProjectiveSummand, mat: Matrix,
                     rowgroup: Tuple[str, str],
-                    colgroup: Tuple[str, str]) -> CycloNumber:
-        """Sum of entries at (row family position t, col family position t)."""
+                    colgroup: Tuple[str, str], k_power: int = 0) -> CycloNumber:
+        """Sum of the entries of mat * K^k_power at (row family position t,
+        col family position t).  K^k_power scales column c by
+        zeta^(s_c k_power), with s_c from `k_exponents`."""
         lay = self.layout(summand)
         if lay.sizes[rowgroup] != lay.sizes[colgroup]:
             raise ValueError("trace between families of unequal shape")
         roff = lay.offsets[rowgroup]
         coff = lay.offsets[colgroup]
         h1, h2 = lay.sizes[rowgroup]
+        zeta = self.params.field.zeta_pows
+        k_exp = self.k_exponents(summand)
         total = self.params.field.zero
         for t in range(h1 * h2):
             rows = mat.get(coff + t)
             if rows:
                 val = rows.get(roff + t)
                 if val is not None:
-                    total = total + val
+                    scale = zeta[(k_exp[coff + t] * k_power) % len(zeta)]
+                    total = total + val * scale
         return total
 
     def full_trace(self, summand: ProjectiveSummand,

@@ -14,6 +14,7 @@ import pytest
 
 from qpair.algebra import Algebra, PBWMonomial, TensorElement
 from qpair.cyclo import Params
+from qpair.ideals import BlockSystem
 
 A23 = Algebra.for_pair(2, 3)
 
@@ -130,11 +131,12 @@ def test_random_element_products_distribute():
 
 
 def _termwise_product(x, y):
-    """Reference product: sum of cu * cv * product_monomials(u, v)."""
+    """Reference product in the PBW basis: sum of cu * cv *
+    product_monomials(u, v)."""
     A = x.algebra
     out = {}
-    for mu, cu in x.terms.items():
-        for mv, cv in y.terms.items():
+    for mu, cu in x.pbw_terms().items():
+        for mv, cv in y.pbw_terms().items():
             for mono, w in A.product_monomials(mu, mv).items():
                 add = cu * cv * w
                 out[mono] = add if mono not in out else out[mono] + add
@@ -156,6 +158,16 @@ def _multiword_element(A, rng, words, density):
     return A.element(terms)
 
 
+def _named_sample(B, rng, count):
+    """Random named elements of random ideals of B's algebra."""
+    catalog = B.primitive_idempotent_catalog()
+    out = []
+    for _ in range(count):
+        kind, alpha, r1, r2, s1, s2 = rng.choice(catalog)
+        out.append(rng.choice(B.ideal_basis(kind, alpha, r1, r2, s1, s2)).value)
+    return out
+
+
 def test_word_by_word_products_match_termwise_reference():
     rng = random.Random(2718)
     for _ in range(30):
@@ -167,6 +179,55 @@ def test_word_by_word_products_match_termwise_reference():
         x = _multiword_element(A34, rng, 3, 16)
         y = _multiword_element(A34, rng, 3, 16)
         assert x * y == _termwise_product(x, y)
+    # named x named and generator x named: the block layer's products,
+    # mostly zero, against the PBW reference
+    for A, count in ((A23, 12), (A34, 3)):
+        named = _named_sample(BlockSystem(A), rng, 2 * count)
+        for x, y in zip(named[::2], named[1::2]):
+            assert x * y == _termwise_product(x, y)
+            assert y * x == _termwise_product(y, x)
+        gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K", "Kinv")]
+        for y in named[:count]:
+            for g in gens:
+                assert g * y == _termwise_product(g, y)
+                assert y * g == _termwise_product(y, g)
+
+
+def _eigenvalue_sum(A, poly, j):
+    """P(lambda_j) = sum_l c_l zeta^(2 j l), by plain field arithmetic."""
+    acc = A.params.zero
+    for ell, c in poly.items():
+        acc = acc + c * A.params.zeta(2 * j * ell)
+    return acc
+
+
+def test_projector_basis_round_trip():
+    # PBW terms -> stored projector terms -> PBW terms is exact, and each
+    # stored coefficient is the word's K-polynomial at lambda_j
+    rng = random.Random(3141)
+    A34 = Algebra.for_pair(3, 4)
+    for A, count in ((A23, 20), (A34, 4)):
+        for _ in range(count):
+            x = _multiword_element(A, rng, rng.randint(1, 4),
+                                   rng.randint(1, A.korder))
+            terms = x.pbw_terms()
+            assert A.element(terms) == x
+            polys = {}
+            for m, c in terms.items():
+                polys.setdefault(m[:4], {})[m.ell] = c
+            want = {word + (j,): _eigenvalue_sum(A, poly, j)
+                    for word, poly in polys.items() for j in range(A.korder)}
+            assert x.terms == {k: c for k, c in want.items() if not c.is_zero()}
+    one = A23.params.one
+    for m in A23.basis_monomials():
+        x = A23.monomial_element(m)
+        assert len(x.terms) == A23.korder     # dense in projector form
+        assert x.pbw_terms() == {m: one}
+    B = BlockSystem(A23)
+    for entry in B.primitive_idempotent_catalog():
+        e = B.primitive_idempotent(*entry)
+        assert A23.element(e.pbw_terms()) == e
+    assert A23.zero().pbw_terms() == {}
 
 
 def test_word_by_word_product_edge_cases():

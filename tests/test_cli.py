@@ -14,8 +14,8 @@ from click.testing import CliRunner
 
 from qpair.algebra import Algebra
 from qpair.cli import (Session, check_header, cyclo_from_json, cyclo_to_json,
-                       dump_payload, element_from_json, element_to_json, main,
-                       run, validate_config)
+                       dump_payload, element_from_json, element_to_json,
+                       load_artifact, main, run, validate_config)
 from qpair.report import RunConfig
 
 A23 = Algebra.for_pair(2, 3)
@@ -214,3 +214,41 @@ def test_element_json_round_trip():
              for m in rng.sample(monos, 12)}
     x = A23.element(terms)
     assert element_from_json(A23, element_to_json(x)) == x
+
+
+def test_element_from_json_refuses_what_it_cannot_round_trip():
+    e1 = A23.e(1) * 3
+    data = element_to_json(e1)
+    assert element_from_json(A23, data) == e1
+    zero = cyclo_to_json(A23.params.zero)
+    # a second entry for the same monomial would overwrite the first
+    with pytest.raises(ValueError, match="twice"):
+        element_from_json(A23, data + [{"monomial": [1, 0, 0, 0, 0],
+                                         "coefficient": zero}])
+    one = cyclo_to_json(A23.params.one)
+    for mono in ([1.0, 0, 0, 0, 12.0],      # floats
+                 [True, 0, 0, 0, 0],         # bools
+                 [1, 0, 0, 0, 12],           # ell = korder would wrap to 0
+                 [1, 0, 0, 0, -1],
+                 [2, 0, 0, 0, 0],            # e1^2 at p1 = 2
+                 [1, 0, 0, 0],               # too short
+                 "e1"):
+        with pytest.raises(ValueError, match="malformed monomial"):
+            element_from_json(A23, [{"monomial": mono, "coefficient": one}])
+
+
+def test_load_artifact_checks_the_header_before_parsing(tmp_path):
+    # Q(zeta_40) and Q(zeta_48) both have degree 16, so without the header
+    # check a (2,5) dump would parse at (3,4)
+    session = Session(RunConfig(p1=2, p2=5, suites=("all",)))
+    path = tmp_path / "idempotents-2-5.json"
+    path.write_text(json.dumps(dump_payload(session, "idempotents")))
+    A34 = Algebra.for_pair(3, 4)
+    assert A34.params.field.degree == session.algebra.params.field.degree
+    with pytest.raises(ValueError, match="does not match"):
+        load_artifact(str(path), A34)
+    payload = load_artifact(str(path), session.algebra)
+    item = payload["idempotents"][-1]
+    entry = (item["kind"], item["alpha"], item["r1"], item["r2"],
+             item["s1"], item["s2"])
+    assert item["element"] == session.system.primitive_idempotent(*entry)

@@ -41,12 +41,35 @@ def test_idempotent_catalog_counts():
 
 def test_averager_is_right_k_eigenvector():
     v = B23.weight_averager(1, 2, 3, 1, 1)
-    assert len(v.terms) == 12
+    # twelve K powers in the PBW basis, one stored projector term
+    assert len(v.pbw_terms()) == 12
+    assert len(v.terms) == 1
     K = A23.generator("K")
     ratio = B23.averager_ratio(1, 2, 3, 1, 1)
     assert v * K == v * ratio.inverse()
     # and the projection normalization: v * v = 2 p1 p2 v
     assert v * v == v * 12
+
+
+def test_every_averager_is_one_term():
+    # sum_l ratio^l K^l = korder * 1_j with lambda_j = zeta^(2j) = ratio^-1
+    for B in (B23, BlockSystem(Algebra.for_pair(3, 4))):
+        A, P = B.algebra, B.params
+        count = 0
+        for alpha in (1, -1):
+            for r1 in range(1, A.p1 + 1):
+                for r2 in range(1, A.p2 + 1):
+                    for s1 in range(1, r1 + 1):
+                        for s2 in range(1, r2 + 1):
+                            v = B.weight_averager(alpha, r1, r2, s1, s2)
+                            ratio = B.averager_ratio(alpha, r1, r2, s1, s2)
+                            ((key, c),) = v.terms.items()
+                            assert key[:4] == (0, 0, 0, 0)
+                            assert c == P.rational(A.korder)
+                            assert P.zeta(2 * key[4]) * ratio == P.one
+                            count += 1
+        assert count == 2 * sum(r1 * r2 for r1 in range(1, A.p1 + 1)
+                                for r2 in range(1, A.p2 + 1))
 
 
 def test_label_validation():

@@ -86,20 +86,26 @@ def test_monomials_factor_into_generator_powers():
 
 def test_pbw_matrices_are_generator_products():
     # pbw_matrices skips products with the identity and shares partial
-    # products; an explicit left-to-right generator chain is the reference
+    # products; an explicit left-to-right generator chain is the reference.
+    # Every PBW monomial w K^ell is checked: the word's matrix with column
+    # c scaled by zeta^(s_c ell) against the chain times K's matrix power.
     summand = ProjectiveSummand(1, 1, 1)
     gens = {g: R23.generator_matrix(summand, g) for g in GENERATOR_NAMES}
     ident = Matrix.identity(FIELD, R23.layout(summand).dim)
     mats = list(pbw_matrices(A23.params, gens))
-    assert len(mats) == len(MONOS)
-    assert mats[A23.monomial_index(MONOS[0])] == ident      # monomial 1
-    for m, got in zip(MONOS, mats):
+    assert len(mats) == (A23.p1 * A23.p2) ** 2
+    assert mats[0] == ident                                 # word 1
+    assert R23.monomial_matrices(summand) == mats
+    k_exp = R23.k_exponents(summand)
+    for m in MONOS:
         want = ident
         for gen, power in zip(GENERATOR_NAMES, m):
             for _ in range(power):
                 want = want * gens[gen]
+        got = Matrix(FIELD, ident.nrows)
+        got.add_column_scaled(mats[A23.word_index(m)], {
+            c: A23.params.zeta(s * m.ell) for c, s in enumerate(k_exp)})
         assert got == want, m
-    assert R23.monomial_matrices(summand) == mats
 
 
 def test_represent_matches_columnwise_products():
@@ -118,9 +124,10 @@ def test_represent_matches_columnwise_products():
 
 
 def test_represent_equals_sum_of_monomial_matrices():
-    # represent scales each word's matrix by K's diagonal; the reference
-    # sums coefficient times monomial matrix, term by term, on every
-    # summand for named elements of every block
+    # represent reads each projector term off the word matrices; the
+    # reference sums coefficient times word matrix times K's matrix power
+    # over the PBW terms, on every summand for named elements of every
+    # block
     summands = sorted({S for lab in B23.block_labels()
                        for S in R23.summands_of(lab)})
     sample = []
@@ -130,11 +137,11 @@ def test_represent_equals_sum_of_monomial_matrices():
     for S in summands:
         kmat = R23.generator_matrix(S, "K")
         assert kmat.is_diagonal() and len(kmat) == R23.layout(S).dim
-        mono = R23.monomial_matrices(S)
+        words = R23.monomial_matrices(S)
         for el in sample:
             want = Matrix(FIELD, R23.layout(S).dim)
-            for m, c in el.value.terms.items():
-                want.add_scaled(mono[A23.monomial_index(m)], c)
+            for m, c in el.value.pbw_terms().items():
+                want.add_scaled(words[A23.word_index(m)] * kmat ** m.ell, c)
             assert R23.represent(el.value, S) == want, (S, el.family)
 
 
