@@ -327,6 +327,9 @@ def load_artifact(path: str, algebra: Algebra) -> dict:
     """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"artifact must be a JSON object, got "
+                         f"{type(payload).__name__}")
     check_header(algebra, payload.get("header"))
     if payload.get("target") == "idempotents":
         for item in payload["idempotents"]:

@@ -145,6 +145,11 @@ def _termwise_product(x, y):
 
 def _multiword_element(A, rng, words, density):
     """Random element over a few words, each with a dense K-polynomial."""
+    return A.element(_multiword_terms(A, rng, words, density))
+
+
+def _multiword_terms(A, rng, words, density):
+    """PBW terms of `_multiword_element`, zeros included."""
     P = A.params
     terms = {}
     for _ in range(words):
@@ -155,7 +160,7 @@ def _multiword_element(A, rng, words, density):
             if rng.random() < 0.3:
                 c = c / rng.randint(2, 5) + P.zeta(rng.randrange(P.N))
             terms[A.monomial(*word, ell)] = c
-    return A.element(terms)
+    return terms
 
 
 def _named_sample(B, rng, count):
@@ -208,10 +213,11 @@ def test_projector_basis_round_trip():
     A34 = Algebra.for_pair(3, 4)
     for A, count in ((A23, 20), (A34, 4)):
         for _ in range(count):
-            x = _multiword_element(A, rng, rng.randint(1, 4),
-                                   rng.randint(1, A.korder))
-            terms = x.pbw_terms()
-            assert A.element(terms) == x
+            terms = _multiword_terms(A, rng, rng.randint(1, 4),
+                                     rng.randint(1, A.korder))
+            terms = {m: c for m, c in terms.items() if not c.is_zero()}
+            x = A.element(terms)
+            assert x.pbw_terms() == terms
             polys = {}
             for m, c in terms.items():
                 polys.setdefault(m[:4], {})[m.ell] = c

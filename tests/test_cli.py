@@ -247,6 +247,10 @@ def test_load_artifact_checks_the_header_before_parsing(tmp_path):
     assert A34.params.field.degree == session.algebra.params.field.degree
     with pytest.raises(ValueError, match="does not match"):
         load_artifact(str(path), A34)
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    with pytest.raises(ValueError, match="JSON object"):
+        load_artifact(str(listed), A34)
     payload = load_artifact(str(path), session.algebra)
     item = payload["idempotents"][-1]
     entry = (item["kind"], item["alpha"], item["r1"], item["r2"],
