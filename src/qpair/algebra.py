@@ -63,7 +63,6 @@ index, so a generator times a block element costs O(support).
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -90,8 +89,18 @@ class PBWMonomial(NamedTuple):
     n2: int
     ell: int
 
+    def __str__(self) -> str:
+        """The monomial as a word, e.g. ``e1 f2^2 K^4``; ``1`` for the unit."""
+        parts = [f"{sym}^{exp}" if exp != 1 else sym
+                 for sym, exp in zip(("e1", "e2", "f1", "f2", "K"), self) if exp]
+        return " ".join(parts) or "1"
+
 
 GENERATOR_NAMES = ("e1", "e2", "f1", "f2", "K", "Kinv", "one")
+# e1, e2, f1, f2 and K generate the algebra as a monoid: K^-1 = K^(korder-1)
+GENERATOR_MONOMIALS = (PBWMonomial(1, 0, 0, 0, 0), PBWMonomial(0, 1, 0, 0, 0),
+                       PBWMonomial(0, 0, 1, 0, 0), PBWMonomial(0, 0, 0, 1, 0),
+                       PBWMonomial(0, 0, 0, 0, 1))
 _UNIT_WORD = (0, 0, 0, 0)
 
 
@@ -132,16 +141,6 @@ class Algebra:
     @classmethod
     def for_pair(cls, p1: int, p2: int) -> "Algebra":
         return cls(Params(p1, p2))
-
-    @property
-    def exhaustive_scans(self) -> bool:
-        """Whether basis-wide scans visit every monomial instead of a sample.
-
-        The one rule for every exhaustive-or-sampled choice: dimension at
-        most 1000.  Among valid pairs that is (2,3) alone (dimension 432);
-        the next product p1*p2 = 10 already gives dimension 2000.
-        """
-        return self.dimension <= 1000
 
     # ------------------------------------------------------------------
     # Basis bookkeeping
@@ -680,97 +679,84 @@ class Algebra:
             rel(f"[e{i}, f{i}] = weight line", ei * fi - fi * ei, rhs)
         return checks
 
-    def verify_hopf_axioms(self, sample_size: int = 0, seed: int = 0) -> list[Check]:
-        """Coassociativity, counit and antipode axioms, S anti-morphism and
-        S^2 = conjugation by K^(p1-p2).
+    def verify_hopf_axioms(self) -> list[Check]:
+        """The Hopf axioms, exhaustively, in O(dim) products.
 
-        Exhaustive over the whole monomial basis when `exhaustive_scans`
-        holds, otherwise over `sample_size` randomly chosen basis monomials
-        (seeded).  The
-        pair checks (coproduct/counit multiplicativity, anti-morphism) are
-        always sampled.  Everything runs on PBW terms through
-        `product_monomials`.
+        Coassociativity, counit, antipode and S^2 = conjugation by
+        K^(p1-p2) run on every basis monomial; each is linear, so the basis
+        covers the algebra.  The pair checks run on every (g, m) with g a
+        generator (`GENERATOR_MONOMIALS`) and m a basis monomial: if
+        Delta(gm) = Delta(g)Delta(m), S(gm) = S(m)S(g) and eps(gm) =
+        eps(g)eps(m) for all such pairs, then by induction on word length
+        Delta and eps are multiplicative and S anti-multiplicative on every
+        word in the generators, and the words span the algebra.  Everything
+        runs on PBW terms through `product_monomials`.  A failing check
+        names its first failing monomial or pair.
         """
-        P = self.params
-        rng = random.Random(seed)
-        checks: list[Check] = []
-        basis = list(self.basis_monomials())
-        if self.exhaustive_scans:
-            sample = basis
-            how = f"exhaustive on {len(basis)} basis monomials"
-        else:
-            size = sample_size if sample_size > 0 else 100
-            sample = [basis[rng.randrange(len(basis))] for _ in range(size)]
-            how = f"sampled {len(sample)} basis monomials (seed {seed})"
-
-        one = P.one
+        one = self.params.one
         unit = PBWMonomial(0, 0, 0, 0, 0)
         g = {PBWMonomial(0, 0, 0, 0, (self.p1 - self.p2) % self.korder): one}
         ginv = {PBWMonomial(0, 0, 0, 0, (self.p2 - self.p1) % self.korder): one}
-
-        coassoc_fail = counit_fail = antipode_fail = square_fail = 0
-        for mono in sample:
+        basis = list(self.basis_monomials())
+        fails: dict[str, list] = {name: [] for name in (
+            "coassoc", "counit", "antipode", "square", "coproduct",
+            "anti", "counit-mult")}
+        for mono in basis:
+            x = {mono: one}
             delta = self.coproduct_monomial(mono)
             if delta.associate_left() != delta.associate_right():
-                coassoc_fail += 1
-            x = {mono: one}
+                fails["coassoc"].append(str(mono))
             if delta.apply_counit_left() != x or delta.apply_counit_right() != x:
-                counit_fail += 1
+                fails["counit"].append(str(mono))
             eps = self.pbw_counit(x)
             target = {} if eps.is_zero() else {unit: eps}
             if (delta.fold_antipode_left() != target
                     or delta.fold_antipode_right() != target):
-                antipode_fail += 1
-        for mono in basis:
-            x = {mono: one}
+                fails["antipode"].append(str(mono))
             if (self.pbw_antipode(self.antipode_monomial(mono))
                     != self.pbw_product(self.pbw_product(g, x), ginv)):
-                square_fail += 1
+                fails["square"].append(str(mono))
+        for gen in GENERATOR_MONOMIALS:
+            delta_g = self.coproduct_monomial(gen)
+            s_g = self.antipode_monomial(gen)
+            eps_g = self.pbw_counit({gen: one})
+            for mono in basis:
+                prod = self.product_monomials(gen, mono)
+                if self.pbw_coproduct(prod) != delta_g * self.coproduct_monomial(mono):
+                    fails["coproduct"].append(f"({gen}, {mono})")
+                if self.pbw_antipode(prod) != self.pbw_product(
+                        self.antipode_monomial(mono), s_g):
+                    fails["anti"].append(f"({gen}, {mono})")
+                if self.pbw_counit(prod) != eps_g * self.pbw_counit({mono: one}):
+                    fails["counit-mult"].append(f"({gen}, {mono})")
 
-        checks.append(Check("coassociativity", coassoc_fail == 0,
-                            f"{how}; failures: {coassoc_fail}",
-                            anchor="hopf-coassociativity"))
-        checks.append(Check("counit axiom", counit_fail == 0,
-                            f"{how}; failures: {counit_fail}; "
-                            "counit fixed to send K to 1 (the group-like "
-                            "value; a unit-valued counit is forced by the axioms)",
-                            anchor="hopf-counit"))
-        checks.append(Check("antipode axiom", antipode_fail == 0,
-                            f"{how}; failures: {antipode_fail}",
-                            anchor="hopf-antipode"))
-        checks.append(Check("antipode square is conjugation by K^(p1-p2)",
-                            square_fail == 0,
-                            f"exhaustive on {len(basis)} basis monomials; "
-                            f"failures: {square_fail}",
-                            anchor="antipode-square-conjugation"))
+        on_basis = f"exhaustive on {len(basis)} basis monomials"
+        on_pairs = (f"exhaustive: {len(GENERATOR_MONOMIALS)} generators "
+                    f"× {len(basis)} monomials")
 
-        # sampled pair checks
-        pair_fail = 0
-        anti_fail = 0
-        counit_mult_fail = 0
-        npairs = max(40, sample_size)
-        for _ in range(npairs):
-            u = basis[rng.randrange(len(basis))]
-            v = basis[rng.randrange(len(basis))]
-            prod = self.product_monomials(u, v)
-            if self.pbw_coproduct(prod) != self.coproduct_monomial(u) * self.coproduct_monomial(v):
-                pair_fail += 1
-            if self.pbw_antipode(prod) != self.pbw_product(
-                    self.antipode_monomial(v), self.antipode_monomial(u)):
-                anti_fail += 1
-            if self.pbw_counit(prod) != (self.pbw_counit({u: one})
-                                         * self.pbw_counit({v: one})):
-                counit_mult_fail += 1
-        checks.append(Check("coproduct is an algebra map", pair_fail == 0,
-                            f"{npairs} random monomial pairs; failures: {pair_fail}",
-                            anchor="coproduct-multiplicative"))
-        checks.append(Check("antipode is an anti-morphism", anti_fail == 0,
-                            f"{npairs} random monomial pairs; failures: {anti_fail}",
-                            anchor="antipode-antimorphism"))
-        checks.append(Check("counit is multiplicative", counit_mult_fail == 0,
-                            f"{npairs} random monomial pairs; failures: {counit_mult_fail}",
-                            anchor="counit-multiplicative"))
-        return checks
+        def check(check_id, key, scope, anchor, note=""):
+            bad = fails[key]
+            detail = f"{scope}; failures: {len(bad)}"
+            if bad:
+                detail += f", first at {bad[0]}"
+            return Check(check_id, not bad, detail + note, anchor=anchor)
+
+        return [
+            check("coassociativity", "coassoc", on_basis,
+                  "hopf-coassociativity"),
+            check("counit axiom", "counit", on_basis, "hopf-counit",
+                  "; counit fixed to send K to 1 (the group-like value; a "
+                  "unit-valued counit is forced by the axioms)"),
+            check("antipode axiom", "antipode", on_basis, "hopf-antipode"),
+            check("antipode square is conjugation by K^(p1-p2)", "square",
+                  on_basis, "antipode-square-conjugation"),
+            check("coproduct is an algebra map", "coproduct", on_pairs,
+                  "coproduct-multiplicative"),
+            check("antipode is an anti-morphism", "anti", on_pairs,
+                  "antipode-antimorphism"),
+            check("counit is multiplicative", "counit-mult", on_pairs,
+                  "counit-multiplicative"),
+        ]
 
 
 def _same_algebra(x, y) -> None:

@@ -48,8 +48,6 @@ def validate_config(config: RunConfig) -> Optional[str]:
         return f"both exponents must be at least 2, got ({config.p1}, {config.p2})"
     if math.gcd(config.p1, config.p2) != 1:
         return f"exponents must be coprime, got ({config.p1}, {config.p2})"
-    if config.sample_size < 0:
-        return f"sample size must be non-negative, got {config.sample_size}"
     if config.output_format not in ("text", "json"):
         return f"unknown output format {config.output_format!r}"
     unknown = [s for s in config.suites if s != "all" and s not in SUITE_ORDER]
@@ -96,18 +94,11 @@ class Session:
 
     # -- suites ---------------------------------------------------------
 
-    def _scan_mode(self) -> Tuple[str, int]:
-        if self.config.sample_size == 0 and self.algebra.exhaustive_scans:
-            return "exhaustive", 0
-        return "sampled", self.config.sample_size or 2000
-
     def suite_relations(self) -> List[Check]:
         return self.algebra.verify_defining_relations()
 
     def suite_hopf(self) -> List[Check]:
-        return self.algebra.verify_hopf_axioms(
-            sample_size=self.config.sample_size or 200,
-            seed=self.config.seed)
+        return self.algebra.verify_hopf_axioms()
 
     def suite_modules(self) -> List[Check]:
         return verify_simple_family(self.algebra.params)
@@ -136,18 +127,14 @@ class Session:
     def suite_slf(self) -> List[Check]:
         F = self.functionals
         checks = F.slf_checks()
-        mode, size = self._scan_mode()
-        checks.extend(F.pairwise_scan(F.slf_basis(), mode=mode,
-                                      sample_size=size,
-                                      seed=self.config.seed))
+        checks.extend(F.pairwise_scan(F.slf_basis()))
         return checks
 
     def suite_integrals(self) -> List[Check]:
         F = self.functionals
         checks = F.integral_checks()
         checks.append(F.verify_integral_element())
-        checks.append(F.verify_integral_identities(
-            pairs=self.config.sample_size or 1000, seed=self.config.seed))
+        checks.append(F.verify_integral_identities())
         return checks
 
     def suite_radford(self) -> List[Check]:
@@ -161,12 +148,7 @@ class Session:
         checks = F.verify_character_bridge()
         twisted = {f"qchar.{s.label()}": F.q_character(s)
                    for s in all_simple_specs(self.algebra.params)}
-        mode, size = self._scan_mode()
-        if mode == "exhaustive":
-            mode, size = "sampled", 2000
-        checks.extend(F.pairwise_scan({}, twisted, mode=mode,
-                                      sample_size=size,
-                                      seed=self.config.seed))
+        checks.extend(F.pairwise_scan({}, twisted))
         for label in self.system.block_labels():
             if self.system.block_kind(label).startswith("corner"):
                 continue
@@ -430,18 +412,18 @@ def main() -> None:
 @click.option("--p2", type=int, required=True)
 @click.option("--suite", "suites", default="all",
               help="comma-separated suite names, or 'all'")
-@click.option("--sample", "sample_size", type=int, default=0,
-              help="0 = suite defaults (exhaustive where feasible)")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=0,
+              help="recorded in the report; every check is exhaustive and "
+                   "no check draws from it")
 @click.option("--format", "output_format",
               type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def verify(p1, p2, suites, sample_size, seed, output_format, out_path) -> None:
+def verify(p1, p2, suites, seed, output_format, out_path) -> None:
     """Run verification suites and print one row per check."""
     config = RunConfig(p1=p1, p2=p2,
                        suites=tuple(s.strip() for s in suites.split(",")
                                     if s.strip()),
-                       sample_size=sample_size, seed=seed,
+                       seed=seed,
                        output_format=output_format)
     code, report = run(config)
     rendered = (report.to_json() if output_format == "json"

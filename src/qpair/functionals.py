@@ -22,11 +22,11 @@ g-shift theta sends both families exactly onto the symmetric basis.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .algebra import Algebra, AlgebraElement, PBWMonomial
+from .algebra import (GENERATOR_MONOMIALS, Algebra, AlgebraElement,
+                      PBWMonomial, _same_algebra)
 from .cyclo import CycloNumber
 from .ideals import BlockLabel
 from .linalg import IncrementalSpan, nullspace
@@ -60,9 +60,11 @@ class LinearFunctional:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearFunctional):
             return NotImplemented
-        return self.algebra is other.algebra and self.values == other.values
+        _same_algebra(self, other)
+        return self.values == other.values
 
     def __add__(self, other: "LinearFunctional") -> "LinearFunctional":
+        _same_algebra(self, other)
         out = dict(self.values)
         for k, v in other.values.items():
             cur = out.get(k)
@@ -70,6 +72,7 @@ class LinearFunctional:
         return LinearFunctional(self.algebra, out)
 
     def __sub__(self, other: "LinearFunctional") -> "LinearFunctional":
+        _same_algebra(self, other)
         return self + (other * self.algebra.params.field.minus_one)
 
     def __mul__(self, scalar) -> "LinearFunctional":
@@ -148,7 +151,6 @@ class Functionals:
         if cached is not None:
             return cached
         A = self.algebra
-        zero = self.params.zero
         one = self.params.field.one
         one_idx = self._index[PBWMonomial(0, 0, 0, 0, 0)]
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
@@ -252,36 +254,38 @@ class Functionals:
             f"generator products match counit scaling; failures: "
             f"{bad or 'none'}", anchor="two-sided-integral")
 
-    def verify_integral_identities(self, pairs: int = 200,
-                                   seed: int = 9041) -> Check:
-        """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a), on the
-        PBW terms of basis monomials a, b."""
+    def verify_integral_identities(self) -> Check:
+        """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a) for all
+        a and b, through the honest double antipode.
+
+        Generators suffice.  If the left identity holds for a = a1 and
+        a = a2 and every b, then lambda(a1 a2 b) = lambda(a2 b S^2(a1)) =
+        lambda(b S^2(a1) S^2(a2)) = lambda(b S^2(a1 a2)), S^2 being an
+        algebra map; the right identity mirrors it.  So a (resp. b) runs
+        over `GENERATOR_MONOMIALS` and the other factor over the basis.
+        """
         A = self.algebra
         monos = self._monos
         lam, mu = ({monos[k]: v for k, v in
                     self.integral_functional(side).values.items()}
                    for side in ("left", "right"))
         one = self.params.one
-        zero = self.params.zero
-        rng = random.Random(seed)
-        bad = 0
-        for _ in range(pairs):
-            a = rng.choice(monos)
-            b = rng.choice(monos)
-            ab = A.product_monomials(a, b)
-            s2a = A.pbw_antipode(A.antipode_monomial(a))
-            s2b = A.pbw_antipode(A.antipode_monomial(b))
-            if not _opt_eq(_sparse_eval(lam, ab),
-                           _sparse_eval(lam, A.pbw_product({b: one}, s2a)), zero):
-                bad += 1
-            if not _opt_eq(_sparse_eval(mu, ab),
-                           _sparse_eval(mu, A.pbw_product(s2b, {a: one})), zero):
-                bad += 1
-        return Check(
-            "integrals.translation-identities", bad == 0,
-            f"{pairs} random monomial pairs through the honest double "
-            f"antipode; failures: {bad}",
-            anchor="integral-translation-identities")
+        bad = []
+        for g in GENERATOR_MONOMIALS:
+            s2g = A.pbw_antipode(A.antipode_monomial(g))
+            for x in monos:
+                if not _opt_eq(_sparse_eval(lam, A.product_monomials(g, x)),
+                               _sparse_eval(lam, A.pbw_product({x: one}, s2g))):
+                    bad.append(f"lambda at ({g}, {x})")
+                if not _opt_eq(_sparse_eval(mu, A.product_monomials(x, g)),
+                               _sparse_eval(mu, A.pbw_product(s2g, {x: one}))):
+                    bad.append(f"mu at ({x}, {g})")
+        detail = (f"exhaustive: {len(GENERATOR_MONOMIALS)} generators × "
+                  f"{len(monos)} monomials; failures: {len(bad)}")
+        if bad:
+            detail += f", first {bad[0]}"
+        return Check("integrals.translation-identities", not bad, detail,
+                     anchor="integral-translation-identities")
 
     # ------------------------------------------------------------------
     # The symmetric-function basis
@@ -363,104 +367,61 @@ class Functionals:
     # Symmetry scans
     # ------------------------------------------------------------------
 
-    def _pair_source(self, mode: str, sample_size: int, seed: int):
-        n = len(self._monos)
-        if mode == "exhaustive":
-            return ((i, j) for i in range(n) for j in range(i, n))
-        if mode != "sampled":
-            raise ValueError(f"unknown mode {mode!r}")
-        rng = random.Random(seed)
-        return ((rng.randrange(n), rng.randrange(n))
-                for _ in range(sample_size))
-
     def pairwise_scan(self, symmetric: Mapping[str, LinearFunctional],
                       twisted: Mapping[str, LinearFunctional] = None,
-                      mode: str = "exhaustive", sample_size: int = 2000,
-                      seed: int = 11) -> List[Check]:
-        """One sweep over basis pairs grading many functionals at once.
+                      partners=None) -> List[Check]:
+        """Grade many functionals at once on every pair (x, y), x a basis
+        monomial and y in ``partners`` (default `GENERATOR_MONOMIALS`).
 
-        Symmetric members must satisfy f(xy) = f(yx); twisted members the
-        weighted version f(xy) = w(y) f(yx) where w(y) is the eigenvalue of
-        the squared antipode on the basis monomial y -- its K-conjugation
-        weight raised to the balancing exponent.
+        Symmetric members must satisfy f(xy) = f(yx).  Twisted members
+        must satisfy f(xy) = f(sigma(y) x) with sigma = S^2, which on a
+        basis monomial y is w(y) f(yx): w(y) is y's K-conjugation weight
+        raised to the balancing exponent p1 - p2.
+
+        Generators suffice.  [ab, c] = [a, bc] + [b, ca], so by induction
+        on word length the commutators [g, m] (g a generator, m a basis
+        monomial) span [A, A], and f is symmetric iff f([g, m]) = 0.  If
+        the twisted identity holds for y = g1 and y = g2 and every x, then
+        f(x g1 g2) = f(sigma(g2) x g1) = f(sigma(g1 g2) x), so it holds for
+        every word y.  Passing the whole basis as ``partners`` gives the
+        every-pair scan, an independent reference.
         """
         twisted = twisted or {}
         A = self.algebra
         monos = self._monos
+        what = "generators" if partners is None else "monomials"
+        partners = GENERATOR_MONOMIALS if partners is None else tuple(partners)
         prod = A.product_monomials
         zeta = self.params.zeta
         gexp = self.p1 - self.p2
-        weights = [zeta(A.conjugation_weight_exponent(m) * gexp)
-                   for m in monos]
-        sym = [(name, {monos[k]: v for k, v in f.values.items()})
-               for name, f in symmetric.items()]
-        twi = [(name, {monos[k]: v for k, v in f.values.items()})
-               for name, f in twisted.items()]
-        sym_bad: Dict[str, tuple] = {}
-        twi_bad: Dict[str, tuple] = {}
-        zero = self.params.zero
-        count = 0
-        for i, j in self._pair_source(mode, sample_size, seed):
-            count += 1
-            pij = prod(monos[i], monos[j])
-            pji = pij if i == j else prod(monos[j], monos[i])
-            for name, vals in sym:
-                if i == j or name in sym_bad:
-                    continue
-                a = _sparse_eval(vals, pij)
-                b = _sparse_eval(vals, pji)
-                if not _opt_eq(a, b, zero):
-                    sym_bad[name] = (i, j)
-            for name, vals in twi:
-                if name in twi_bad:
-                    continue
-                a = _sparse_eval(vals, pij)
-                b = _sparse_eval(vals, pji)
-                wb = None if b is None else weights[j] * b
-                if not _opt_eq(a, wb, zero):
-                    twi_bad[name] = (i, j)
-                elif i != j:
-                    wa = None if a is None else weights[i] * a
-                    if not _opt_eq(b, wa, zero):
-                        twi_bad[name] = (j, i)
-        checks = []
-        for name, _ in sym:
-            witness = sym_bad.get(name)
-            checks.append(Check(
-                f"symmetry.{name}", witness is None,
-                f"{mode} scan over {count} pairs"
-                + (f"; violated at monomial pair {witness}" if witness else ""),
-                anchor="slf-symmetry"))
-        for name, _ in twi:
-            witness = twi_bad.get(name)
-            checks.append(Check(
-                f"twisted-symmetry.{name}", witness is None,
-                f"{mode} scan over {count} pairs"
-                + (f"; violated at monomial pair {witness}" if witness else ""),
-                anchor="character-twisted-symmetry"))
-        return checks
-
-    def is_symmetric(self, phi: LinearFunctional, mode: str = "exhaustive",
-                     sample_size: int = 2000, seed: int = 11) -> bool:
-        return self.symmetry_witness(phi, mode, sample_size, seed) is None
-
-    def symmetry_witness(self, phi: LinearFunctional,
-                         mode: str = "exhaustive", sample_size: int = 2000,
-                         seed: int = 11) -> Optional[Tuple[int, int]]:
-        """First basis pair with phi(xy) != phi(yx), or None."""
-        A = self.algebra
-        monos = self._monos
-        prod = A.product_monomials
-        vals = {monos[k]: v for k, v in phi.values.items()}
-        zero = self.params.zero
-        for i, j in self._pair_source(mode, sample_size, seed):
-            if i == j:
-                continue
-            a = _sparse_eval(vals, prod(monos[i], monos[j]))
-            b = _sparse_eval(vals, prod(monos[j], monos[i]))
-            if not _opt_eq(a, b, zero):
-                return (i, j)
-        return None
+        weights = {y: zeta(A.conjugation_weight_exponent(y) * gexp)
+                   for y in partners}
+        scans = [(f"{prefix}.{name}", anchor, twist,
+                  {monos[k]: v for k, v in f.values.items()})
+                 for members, prefix, anchor, twist in (
+                     (symmetric, "symmetry", "slf-symmetry", False),
+                     (twisted, "twisted-symmetry",
+                      "character-twisted-symmetry", True))
+                 for name, f in members.items()]
+        bad: Dict[str, str] = {}
+        for x in monos:
+            for y in partners:
+                pxy, pyx = prod(x, y), prod(y, x)
+                for check_id, _, twist, vals in scans:
+                    if check_id in bad:
+                        continue
+                    b = _sparse_eval(vals, pyx)
+                    if twist and b is not None:
+                        b = weights[y] * b
+                    if not _opt_eq(_sparse_eval(vals, pxy), b):
+                        bad[check_id] = f"({x}, {y})"
+        scope = (f"exhaustive: {len(partners)} {what} × {len(monos)} "
+                 f"monomials")
+        return [Check(check_id, check_id not in bad,
+                      scope + (f"; violated at (x, y) = {bad[check_id]}"
+                               if check_id in bad else ""),
+                      anchor=anchor)
+                for check_id, anchor, _, _ in scans]
 
     def counit_functional(self) -> LinearFunctional:
         values = {}
@@ -847,10 +808,9 @@ class Functionals:
                 anchor="character-bridge"))
         return checks
 
-    def exhibit_invalid_sigma(self, label: BlockLabel,
-                              max_pairs: int = 60000,
-                              seed: int = 4412) -> Check:
-        """An unconstrained record must fail the twisted-symmetry scan."""
+    def exhibit_invalid_sigma(self, label: BlockLabel) -> Check:
+        """An unconstrained record must fail strict mode and the
+        generator twisted scan, which names its witness."""
         tags = self.summand_tags(label)
         record = SigmaRecord(alpha_up={tags[0]: 1})
         try:
@@ -859,30 +819,12 @@ class Functionals:
         except ValueError:
             strict_rejects = True
         beta = self.sigma_character(label, record, strict=False)
-        A = self.algebra
-        monos = self._monos
-        prod = A.product_monomials
-        zeta = self.params.zeta
-        vals = {monos[k]: v for k, v in beta.values.items()}
-        zero = self.params.zero
-        rng = random.Random(seed)
-        n = len(monos)
-        witness = None
-        gexp = self.p1 - self.p2
-        for _ in range(max_pairs):
-            i, j = rng.randrange(n), rng.randrange(n)
-            a = _sparse_eval(vals, prod(monos[i], monos[j]))
-            b = _sparse_eval(vals, prod(monos[j], monos[i]))
-            w = zeta(A.conjugation_weight_exponent(monos[j]) * gexp)
-            wb = None if b is None else w * b
-            if not _opt_eq(a, wb, zero):
-                witness = (i, j)
-                break
+        scan, = self.pairwise_scan({}, {"invalid-record": beta})
         return Check(
             f"characters.invalid-record[{label.r1},{label.r2}]",
-            strict_rejects and witness is not None,
-            f"strict mode rejects the record; twisted symmetry violated at "
-            f"monomial pair {witness}",
+            strict_rejects and not scan.passed,
+            f"strict mode {'rejects' if strict_rejects else 'accepts'} the "
+            f"record; twisted scan {scan.detail}",
             anchor="character-constraints")
 
     # ------------------------------------------------------------------
@@ -903,7 +845,7 @@ def _sparse_eval(vals: Mapping[PBWMonomial, CycloNumber],
     return acc
 
 
-def _opt_eq(a, b, zero) -> bool:
+def _opt_eq(a, b) -> bool:
     if a is None and b is None:
         return True
     if a is None:

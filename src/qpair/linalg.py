@@ -110,13 +110,6 @@ class IncrementalSpan:
         return {i: c for i, c in combo.items() if not c.is_zero()}
 
 
-def rank_of(field: CycloField, vectors: Iterable[Vector]) -> int:
-    span = IncrementalSpan(field)
-    for vec in vectors:
-        span.add(vec)
-    return span.rank
-
-
 def nullspace(field: CycloField, equations: Iterable[Vector], dim: int) -> List[Vector]:
     """Basis of {x : row . x = 0 for every equation row} in dimension dim.
 

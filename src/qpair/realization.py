@@ -875,11 +875,3 @@ class Realization:
                     scale = zeta[(k_exp[coff + t] * k_power) % len(zeta)]
                     total = total + val * scale
         return total
-
-    def full_trace(self, summand: ProjectiveSummand,
-                   mat: Matrix) -> CycloNumber:
-        total = self.params.field.zero
-        lay = self.layout(summand)
-        for gkey in lay.families:
-            total = total + self.group_trace(summand, mat, gkey, gkey)
-        return total

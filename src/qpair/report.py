@@ -52,8 +52,7 @@ class RunConfig:
     p1: int
     p2: int
     suites: tuple[str, ...]
-    sample_size: int = 0
-    seed: int = 0
+    seed: int = 0  # accepted and echoed; no check draws from it
     output_format: str = "text"
 
 

@@ -7,12 +7,12 @@ and agreement with the explicit q-binomial commutator formula, which is
 derived without the engine.
 """
 
-import math
 import random
 
 import pytest
 
-from qpair.algebra import Algebra, PBWMonomial, TensorElement
+from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
+                           TensorElement)
 from qpair.cyclo import Params
 from qpair.ideals import BlockSystem
 
@@ -60,16 +60,6 @@ def test_elements_of_different_pairs_do_not_add():
     twin = Algebra.for_pair(2, 3)
     assert A23.e(1) + twin.f(1) == A23.e(1) + A23.f(1)
     assert (A23.e(1) - twin.e(1)).is_zero()
-
-
-def test_exhaustive_scans_only_at_2_3():
-    # the rule is dimension <= 1000; it selects exactly the pairs with
-    # p1*p2 <= 6, the bound the Hopf check used before
-    for p1 in range(2, 6):
-        for p2 in range(2, 6):
-            if math.gcd(p1, p2) == 1:
-                A = Algebra.for_pair(p1, p2)
-                assert A.exhaustive_scans == (p1 * p2 <= 6), (p1, p2)
 
 
 def test_generator_examples():
@@ -444,10 +434,33 @@ def test_coproduct_closed_form_printed_variant_fails_on_f1():
 
 
 def test_hopf_axiom_suite_passes():
-    checks = A23.verify_hopf_axioms(seed=5)
+    checks = A23.verify_hopf_axioms()
     assert [c.check_id for c in checks if not c.passed] == []
-    # exhaustive mode engaged at (2,3)
-    assert any("exhaustive on 432" in c.detail for c in checks)
+    scopes = [c.detail.split(";")[0] for c in checks]
+    assert scopes == (["exhaustive on 432 basis monomials"] * 4
+                      + ["exhaustive: 5 generators × 432 monomials"] * 3)
+
+
+def test_flipped_coproduct_sign_fails_the_algebra_map_check():
+    # Delta(e1) = e1 (x) 1 - K^p2 (x) e1: one sign flipped, before any
+    # coproduct is cached, so every monomial with an e1 inherits it
+    A = Algebra.for_pair(2, 3)
+    one = A.params.one
+    e1, unit = A.monomial(1, 0, 0, 0, 0), A.monomial(0, 0, 0, 0, 0)
+    kp2 = A.monomial(0, 0, 0, 0, A.p2)
+    A._generator_coproducts()["e1"] = TensorElement(
+        A, {(e1, unit): one, (kp2, e1): -one})
+    check = {c.check_id: c for c in A.verify_hopf_axioms()}[
+        "coproduct is an algebra map"]
+    assert not check.passed
+    # the first pair in scan order (generator outer, basis inner) on which
+    # an element product breaks multiplicativity is the one named
+    witness = next(
+        f"({g}, {m})" for g in GENERATOR_MONOMIALS
+        for m in A.basis_monomials()
+        if A.coproduct(A.monomial_element(g) * A.monomial_element(m))
+        != A.coproduct_monomial(g) * A.coproduct_monomial(m))
+    assert f"first at {witness}" in check.detail
 
 
 def test_weight_line_crossing_identity():

@@ -32,7 +32,6 @@ def _cfg(**kw):
 def test_validate_config_rejections():
     assert "coprime" in validate_config(_cfg(p1=2, p2=2))
     assert "at least 2" in validate_config(_cfg(p1=1, p2=3))
-    assert "sample size" in validate_config(_cfg(sample_size=-1))
     assert "unknown suites" in validate_config(_cfg(suites=("spectra",)))
     assert "no suites" in validate_config(_cfg(suites=()))
     assert "output format" in validate_config(_cfg(output_format="yaml"))
@@ -59,7 +58,7 @@ def test_run_relations_suite():
 def test_run_late_suite_builds_prerequisites():
     # integrals needs the algebra + functionals layers but nothing is
     # pre-built; the session constructs them on demand
-    code, report = run(_cfg(suites=("integrals",), sample_size=40))
+    code, report = run(_cfg(suites=("integrals",)))
     assert code == 0
     assert all(c.check_id.startswith("integrals.") for c in report.checks)
     statuses = {c.check_id: c.status for c in report.checks}
@@ -67,7 +66,7 @@ def test_run_late_suite_builds_prerequisites():
 
 
 def test_erratum_corrected_counts_as_passing():
-    code, report = run(_cfg(suites=("integrals",), sample_size=40))
+    code, report = run(_cfg(suites=("integrals",)))
     assert code == 0
     assert any(c.corrected for c in report.checks)
 

@@ -7,16 +7,34 @@ Psi (the other boundary block of that direction has Psi1 = Psi2, which is
 why the slip is invisible there).
 """
 
+import operator
 import random
 
 import pytest
 from conftest import A23, B23, F23, R23
 
-from qpair.algebra import PBWMonomial
-from qpair.functionals import SigmaRecord
+from qpair.algebra import GENERATOR_MONOMIALS, Algebra, PBWMonomial
+from qpair.functionals import LinearFunctional, SigmaRecord
 from qpair.modules import SimpleModuleSpec, all_simple_specs
 MONOS = list(A23.basis_monomials())
 rng = random.Random(90125)
+
+
+def _first_violation(func, sigma=lambda y: y):
+    """The first (x, y) in the scan's order (x over the basis, y over the
+    generators) with func(xy) != func(sigma(y) x), found by element
+    products, independently of `pairwise_scan`; None if there is none."""
+    gens = [(g, A23.monomial_element(g)) for g in GENERATOR_MONOMIALS]
+    for m in MONOS:
+        x = A23.monomial_element(m)
+        for g, y in gens:
+            if func(x * y) != func(sigma(y) * x):
+                return f"({m}, {g})"
+    return None
+
+
+def _s2(y):
+    return A23.antipode(A23.antipode(y))
 
 
 def _label(kind):
@@ -78,22 +96,51 @@ def test_integral_element_two_sided():
 
 
 def test_translation_identities():
-    assert F23.verify_integral_identities(pairs=120).passed
+    check = F23.verify_integral_identities()
+    assert check.passed
+    assert check.detail == ("exhaustive: 5 generators × 432 monomials; "
+                            "failures: 0")
 
 
 def test_lambda_is_not_symmetric():
     lam = F23.integral_functional("left")
-    witness = F23.symmetry_witness(lam, mode="exhaustive")
-    assert witness is not None
-    assert not F23.is_symmetric(lam)
-    i, j = witness
-    x, y = A23.monomial_element(MONOS[i]), A23.monomial_element(MONOS[j])
-    assert lam(x * y) != lam(y * x)
+    check, = F23.pairwise_scan({"lambda": lam})
+    witness = _first_violation(lam)
+    assert not check.passed and witness is not None
+    assert check.detail.endswith(f"violated at (x, y) = {witness}")
 
 
 def test_counit_is_symmetric():
     eps = F23.counit_functional()
-    assert F23.is_symmetric(eps, mode="sampled", sample_size=400, seed=3)
+    check, = F23.pairwise_scan({"counit": eps})
+    assert check.passed
+    assert _first_violation(eps) is None
+
+
+def test_generator_scan_catches_a_functional_perturbed_at_one_monomial():
+    name, func = next(iter(F23.slf_basis().items()))
+    k7 = A23.monomial_index(A23.monomial(0, 0, 0, 0, 7))
+    bad = func + LinearFunctional(A23, {k7: A23.params.field.one})
+    check, = F23.pairwise_scan({name: bad})
+    witness = _first_violation(bad)
+    assert not check.passed and witness is not None
+    assert check.detail.endswith(f"violated at (x, y) = {witness}")
+
+
+def test_generator_scan_catches_a_qchar_with_the_wrong_twist():
+    chi = F23.q_character(SimpleModuleSpec(1, 2, 3))
+    assert F23.pairwise_scan({}, {"chi": chi})[0].passed
+    # weight 1 instead of the S^2 weight: scanned as a symmetric functional
+    check, = F23.pairwise_scan({"chi": chi})
+    assert not check.passed
+    assert check.detail.endswith(
+        f"violated at (x, y) = {_first_violation(chi)}")
+    # x -> chi(g^2 x) = trace(g x) is twisted by S^-2, not S^2
+    shifted = F23.theta(F23.theta(chi))
+    check, = F23.pairwise_scan({}, {"chi-shifted": shifted})
+    assert not check.passed
+    assert check.detail.endswith(
+        f"violated at (x, y) = {_first_violation(shifted, _s2)}")
 
 
 def test_slf_count_and_rank():
@@ -102,9 +149,11 @@ def test_slf_count_and_rank():
 
 
 def test_slf_full_symmetry_scan():
-    checks = F23.pairwise_scan(F23.slf_basis(), mode="exhaustive")
+    checks = F23.pairwise_scan(F23.slf_basis())
     assert len(checks) == 20
     assert all(c.passed for c in checks)
+    assert {c.detail for c in checks} == {
+        "exhaustive: 5 generators × 432 monomials"}
 
 
 def test_qchar_of_trivial_module_is_counit():
@@ -135,11 +184,11 @@ def test_qchar_on_k_powers_is_shifted_weight_sum():
             assert got == want
 
 
-def test_qchar_twisted_symmetry_sampled():
+def test_qchar_twisted_symmetry_on_generators():
     twisted = {f"qchar.{s.label()}": F23.q_character(s)
                for s in all_simple_specs(A23.params)}
-    checks = F23.pairwise_scan({}, twisted, mode="sampled",
-                               sample_size=1200, seed=41)
+    checks = F23.pairwise_scan({}, twisted)
+    assert len(checks) == 12
     assert all(c.passed for c in checks)
 
 
@@ -168,8 +217,12 @@ def test_sigma_rejects_corner_blocks_and_bad_tags():
 
 
 def test_invalid_sigma_record_fails_twisted_symmetry():
-    check = F23.exhibit_invalid_sigma(_label("interior"), max_pairs=20000)
+    label = _label("interior")
+    check = F23.exhibit_invalid_sigma(label)
     assert check.passed
+    beta = F23.sigma_character(label, SigmaRecord(alpha_up={"up": 1}))
+    assert check.detail.endswith(
+        f"violated at (x, y) = {_first_violation(beta, _s2)}")
 
 
 def test_radford_identities_with_single_correction():
@@ -219,3 +272,20 @@ def test_functional_arithmetic():
     combo = lam * 3 + mu
     assert combo(F23.integral_element()) == A23.params.rational(4)
     assert (combo - combo).is_zero()
+
+
+def test_functional_arithmetic_stays_within_one_pair():
+    lam = F23.integral_functional("left")
+    # (2,5) has another field; (3,2) has the same field Q(zeta_24)
+    for pair in ((2, 5), (3, 2)):
+        other = Algebra.for_pair(*pair)
+        stranger = LinearFunctional(other, {0: other.params.field.one})
+        for op in (operator.add, operator.sub, operator.eq):
+            with pytest.raises(ValueError):
+                op(lam, stranger)
+    # a twin (2,3) algebra is the same pair: values are compared
+    twin = LinearFunctional(Algebra.for_pair(2, 3), lam.values)
+    assert twin == lam
+    assert (lam - twin).is_zero()
+    assert lam + twin == lam * 2
+    assert twin != lam * 2

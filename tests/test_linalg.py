@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qpair.cyclo import CycloField
-from qpair.linalg import IncrementalSpan, Matrix, nullspace, rank_of
+from qpair.linalg import IncrementalSpan, Matrix, nullspace
 
 FIELD = CycloField(24)
 
@@ -100,11 +100,6 @@ def test_coordinates_on_dependent_inputs():
         for i, x in (a, b, c)[pos].items():
             rebuilt[i] = rebuilt.get(i, FIELD.zero) + coeff * x
     assert {i: v for i, v in rebuilt.items() if not v.is_zero()} == c
-
-
-def test_rank_of_helper():
-    one = FIELD.one
-    assert rank_of(FIELD, [{0: one}, {0: one + one}, {1: one}]) == 2
 
 
 def test_nullspace_small_system():

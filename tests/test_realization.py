@@ -297,4 +297,3 @@ def test_group_trace_of_unit():
     unit = R23.represent(B23.block_idempotent(lab), summand)
     got = R23.group_trace(summand, unit, ("B", "up"), ("B", "up"))
     assert got == A23.params.rational(3)    # family size 1 x 3
-    assert R23.full_trace(summand, unit) == A23.params.rational(12)
