@@ -116,6 +116,15 @@ def _pruned(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
+def _peel(mono: PBWMonomial) -> tuple[str, PBWMonomial] | None:
+    """(g, rest) with mono = g * rest, g the leftmost generator (e1, else
+    e2, f1, f2); None for a power of K."""
+    for pos, name in enumerate(("e1", "e2", "f1", "f2")):
+        if mono[pos]:
+            return name, PBWMonomial(*mono[:pos], mono[pos] - 1, *mono[pos + 1:])
+    return None
+
+
 class Algebra:
     """The Hopf algebra for a parameter pair, with exact arithmetic."""
 
@@ -137,6 +146,7 @@ class Algebra:
         self._coproduct_cache: dict[PBWMonomial, TensorElement] = {}
         self._antipode_cache: dict[PBWMonomial, Terms] = {}
         self._gen_coproducts = None
+        self._gen_antipodes = None
 
     @classmethod
     def for_pair(cls, p1: int, p2: int) -> "Algebra":
@@ -515,20 +525,14 @@ class Algebra:
         cached = self._coproduct_cache.get(mono)
         if cached is not None:
             return cached
-        m1, m2, n1, n2, ell = mono
-        gens = self._generator_coproducts()
-        delta = self.coproduct_monomial
-        if m1:
-            acc = gens["e1"] * delta(PBWMonomial(m1 - 1, m2, n1, n2, ell))
-        elif m2:
-            acc = gens["e2"] * delta(PBWMonomial(0, m2 - 1, n1, n2, ell))
-        elif n1:
-            acc = gens["f1"] * delta(PBWMonomial(0, 0, n1 - 1, n2, ell))
-        elif n2:
-            acc = gens["f2"] * delta(PBWMonomial(0, 0, 0, n2 - 1, ell))
-        else:
-            kl = PBWMonomial(0, 0, 0, 0, ell)
+        peeled = _peel(mono)
+        if peeled is None:
+            kl = PBWMonomial(0, 0, 0, 0, mono[4])
             acc = TensorElement(self, {(kl, kl): self.params.one})
+        else:
+            gen, rest = peeled
+            acc = (self._generator_coproducts()[gen]
+                   * self.coproduct_monomial(rest))
         self._coproduct_cache[mono] = acc
         return acc
 
@@ -595,31 +599,43 @@ class Algebra:
                         terms[key] = scalar if val is None else val + scalar
         return TensorElement(self, {k: v for k, v in terms.items() if not v.is_zero()})
 
+    def _generator_antipodes(self):
+        if self._gen_antipodes is None:
+            korder = self.korder
+            plus, minus = self.params.one, self.field.minus_one
+
+            def k(t: int) -> PBWMonomial:
+                return PBWMonomial(0, 0, 0, 0, t % korder)
+
+            prod = self.pbw_product
+            self._gen_antipodes = {
+                "e1": prod({k(-self.p2): minus}, {PBWMonomial(1, 0, 0, 0, 0): plus}),
+                "e2": prod({PBWMonomial(0, 1, 0, 0, 0): minus}, {k(-self.p1): plus}),
+                "f1": prod({PBWMonomial(0, 0, 1, 0, 0): minus}, {k(self.p2): plus}),
+                "f2": prod({k(self.p1): minus}, {PBWMonomial(0, 0, 0, 1, 0): plus}),
+            }
+        return self._gen_antipodes
+
     def antipode_monomial(self, mono: PBWMonomial) -> Terms:
         """S of a basis monomial as PBW terms, cached per monomial; the
-        returned dict is shared, so callers only read it."""
+        returned dict is shared, so callers only read it.
+
+        S(K^ell) = K^-ell.  Any other monomial is g * rest, where g is its
+        leftmost generator (e1, else e2, f1, f2), and S reverses products,
+        so S(mono) = S(rest) * S(g) with S(rest) taken from the cache: one
+        product per monomial.
+        """
         cached = self._antipode_cache.get(mono)
         if cached is not None:
             return cached
-        p1, p2 = self.p1, self.p2
-        korder = self.korder
-        plus, minus = self.params.one, self.field.minus_one
-
-        def k(t: int) -> PBWMonomial:
-            return PBWMonomial(0, 0, 0, 0, t % korder)
-
-        # S reverses products: S(e1^m1 e2^m2 f1^n1 f2^n2 K^l)
-        #   = K^-l S(f2)^n2 S(f1)^n1 S(e2)^m2 S(e1)^m1
-        prod = self.pbw_product
-        s_e1 = prod({k(-p2): minus}, {PBWMonomial(1, 0, 0, 0, 0): plus})
-        s_e2 = prod({PBWMonomial(0, 1, 0, 0, 0): minus}, {k(-p1): plus})
-        s_f1 = prod({PBWMonomial(0, 0, 1, 0, 0): minus}, {k(p2): plus})
-        s_f2 = prod({k(p1): minus}, {PBWMonomial(0, 0, 0, 1, 0): plus})
-        acc = {k(-mono.ell): plus}
-        for img, count in ((s_f2, mono.n2), (s_f1, mono.n1),
-                           (s_e2, mono.m2), (s_e1, mono.m1)):
-            for _ in range(count):
-                acc = prod(acc, img)
+        peeled = _peel(mono)
+        if peeled is None:
+            acc = {PBWMonomial(0, 0, 0, 0, -mono[4] % self.korder):
+                   self.params.one}
+        else:
+            gen, rest = peeled
+            acc = self.pbw_product(self.antipode_monomial(rest),
+                                   self._generator_antipodes()[gen])
         self._antipode_cache[mono] = acc
         return acc
 
@@ -897,6 +913,7 @@ class AlgebraElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, AlgebraElement):
+            _same_algebra(self, other)
             return self.terms == other.terms
         return NotImplemented
 
@@ -983,6 +1000,7 @@ class TensorElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TensorElement):
+            _same_algebra(self, other)
             return self.terms == other.terms
         return NotImplemented
 

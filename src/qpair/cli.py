@@ -355,7 +355,7 @@ def dump_payload(session: Session, target: str) -> dict:
             "generators": {gen: _sparse_matrix_to_json(
                 session.realization.generator_matrix(s, gen))
                 for gen in GENERATOR_NAMES},
-        } for s in session.realization.summands_of(label)]
+        } for s in session.system.summands_of(label)]
         return payload
     if len(tokens) > 1:
         raise ValueError(f"target {tokens[0]!r} takes no arguments")

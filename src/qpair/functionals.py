@@ -124,8 +124,6 @@ class Functionals:
         self.p1 = realization.p1
         self.p2 = realization.p2
         self._monos: List[PBWMonomial] = list(self.algebra.basis_monomials())
-        self._index: Dict[PBWMonomial, int] = {
-            m: i for i, m in enumerate(self._monos)}
         self._integrals: Dict[str, LinearFunctional] = {}
         self._integral_meta: Dict[str, dict] = {}
         self._slf: Optional[Dict[str, LinearFunctional]] = None
@@ -152,26 +150,26 @@ class Functionals:
             return cached
         A = self.algebra
         one = self.params.field.one
-        one_idx = self._index[PBWMonomial(0, 0, 0, 0, 0)]
+        index = A.monomial_index
+        one_idx = index(PBWMonomial(0, 0, 0, 0, 0))
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for x_idx, x in enumerate(self._monos):
             for (u, v), c in A.coproduct_monomial(x).terms.items():
                 if side == "left":
-                    bucket, unknown = self._index[u], self._index[v]
+                    bucket, unknown = index(u), index(v)
                 else:
-                    bucket, unknown = self._index[v], self._index[u]
+                    bucket, unknown = index(v), index(u)
                 row = equations.setdefault((x_idx, bucket), {})
                 cur = row.get(unknown)
                 row[unknown] = c if cur is None else cur + c
             row = equations.setdefault((x_idx, one_idx), {})
             cur = row.get(x_idx)
             row[x_idx] = -one if cur is None else cur - one
-        rows = []
-        for row in equations.values():
-            clean = {k: v for k, v in row.items() if not v.is_zero()}
-            if clean:
-                rows.append(clean)
-        basis = nullspace(self.params.field, rows, len(self._monos))
+        # cleaned one row at a time, as the elimination consumes them
+        rows = ({k: v for k, v in row.items() if not v.is_zero()}
+                for row in equations.values())
+        basis = nullspace(self.params.field, filter(None, rows),
+                          len(self._monos))
         if len(basis) != 1:
             raise ArithmeticError(
                 f"{side} integral space has dimension {len(basis)}")
@@ -607,11 +605,12 @@ class Functionals:
         if cached is not None:
             return cached
         prod = self.algebra.product_monomials
+        index = self.algebra.monomial_index
         kmono = PBWMonomial(0, 0, 0, 0, t)
         out = []
         for m in self._monos:
             (mono2, c), = prod(kmono, m).items()
-            out.append((self._index[mono2], c))
+            out.append((index(mono2), c))
         self._shift_tables[t] = out
         return out
 
@@ -752,7 +751,7 @@ class Functionals:
 
     def _block_position(self, spec: SimpleModuleSpec):
         for label in self.system.block_labels():
-            for idx, S in enumerate(self.real.summands_of(label)):
+            for idx, S in enumerate(self.system.summands_of(label)):
                 if (S.alpha, S.r1, S.r2) == (spec.alpha, spec.r1, spec.r2):
                     return label, idx
         raise ValueError(f"no block carries the class {spec}")
@@ -826,13 +825,6 @@ class Functionals:
             f"strict mode {'rejects' if strict_rejects else 'accepts'} the "
             f"record; twisted scan {scan.detail}",
             anchor="character-constraints")
-
-    # ------------------------------------------------------------------
-    # Center (delegated; the dual layer is its natural consumer)
-    # ------------------------------------------------------------------
-
-    def center_dimension(self, label: BlockLabel) -> int:
-        return self.real.center_dimension(label)
 
 
 def _sparse_eval(vals: Mapping[PBWMonomial, CycloNumber],

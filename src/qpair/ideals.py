@@ -15,14 +15,24 @@ and every product along the way stays as small as the result.
 A block is labelled by a pair (r1, r2).  The two corner blocks carry the
 full-size simple modules (one per sign); an edge block (r1, p2) or
 (p1, r2) carries boundary ideals spanned by four arrow families of B
-elements; an interior block carries sixteen families (letters B, L, T, R
-for the second-copy ladder crossed with arrows down, left, up, right for
+elements; an interior block carries sixteen families (letters T, L, R, B
+for the second-copy ladder crossed with arrows up, left, right, down for
 the first-copy ladder).  The generator actions move elements along these
 ladders with phi-coefficients, and the displayed relations --
 normalization handoffs included -- are what verify_ladder_relations
-checks.  Known misprints in the source displays are adjudicated
-computationally: the checker verifies the corrected form and records
-what the printed variant would have done.
+checks.
+
+This module owns the left-ideal layout.  `BlockSystem.class_kind` sorts
+a projective class (alpha, r1, r2) into corner, edge or interior;
+`summands_of` lists a block's classes, and `primitive_idempotent_catalog`
+reads the same classes; `ladder_families` fixes each class's families,
+their order (`LETTERS` outside, `ARROWS` inside) and their index ranges.
+`ideal_basis` enumerates a left ideal in that order, and the matrix
+realization uses it as its coordinates.
+
+Known misprints in the source displays are adjudicated computationally:
+the checker verifies the corrected form and records what the printed
+variant would have done.
 """
 
 from __future__ import annotations
@@ -42,6 +52,35 @@ class BlockLabel(NamedTuple):
 
     r1: int
     r2: int
+
+
+class ProjectiveSummand(NamedTuple):
+    """Isomorphism-class label (sign, ladder sizes) of one projective
+    summand: the left ideal of a primitive idempotent with these labels."""
+
+    alpha: int
+    r1: int
+    r2: int
+
+
+class LadderFamily(NamedTuple):
+    """One family of a left ideal, with its rung on each copy's ladder.
+
+    ``roles[d-1]`` is 'bottom', 'left', 'top' or 'right' on copy d's
+    ladder.  A bottom or top index runs within the ladder (slot type 'n',
+    r_d values), a left or right one beyond it (slot type 'k', p_d - r_d
+    values); ``sizes`` holds the two ranges.
+    """
+
+    family: str
+    arrow: str
+    roles: Tuple[str, str]
+    sizes: Tuple[int, int]
+
+    @property
+    def slots(self) -> Tuple[str, str]:
+        return tuple("n" if role in ("bottom", "top") else "k"
+                     for role in self.roles)
 
 
 class ScalarConstants(NamedTuple):
@@ -70,11 +109,18 @@ class NamedElement:
     value: AlgebraElement
 
 
-_ARROWS = ("down", "left", "up", "right")
+# The one family order: letters outside, arrows inside, each index pair
+# with the first index fastest.  Realization layouts and block dumps
+# read their coordinates in this order.
+LETTERS = ("T", "L", "R", "B")
+ARROWS = ("up", "left", "right", "down")
+# the idempotent kind and (family, arrow) of each class kind
+_IDEMPOTENT_OF_CLASS = {"corner": ("X-type", "B", "down"),
+                        "edge-1": ("P-boundary", "B", "up"),
+                        "edge-2": ("P-boundary", "B", "up"),
+                        "interior": ("P-interior", "T", "up")}
 _ROLE_OF_ARROW = {"down": "bottom", "left": "left", "up": "top", "right": "right"}
 _ROLE_OF_LETTER = {"B": "bottom", "L": "left", "T": "top", "R": "right"}
-_ARROW_OF_ROLE = {"bottom": "down", "left": "left", "top": "up", "right": "right"}
-_LETTER_OF_ROLE = {"bottom": "B", "left": "L", "top": "T", "right": "R"}
 
 
 class BlockSystem:
@@ -88,6 +134,8 @@ class BlockSystem:
         self._scalars: Dict[tuple, ScalarConstants] = {}
         self._memo: Dict[tuple, NamedElement] = {}
         self._corpora: Dict[tuple, AlgebraElement] = {}
+        self._families: Dict[Tuple[int, int],
+                             Dict[Tuple[str, str], LadderFamily]] = {}
 
     # ------------------------------------------------------------------
     # Scalars
@@ -217,7 +265,9 @@ class BlockSystem:
     # Construction
     # ------------------------------------------------------------------
 
-    def _block_kind_of_labels(self, r1: int, r2: int) -> str:
+    def class_kind(self, r1: int, r2: int) -> str:
+        """'corner', 'edge-1', 'edge-2' or 'interior': which ladder sizes
+        r_i of the class (., r1, r2) are full (r_i = p_i)."""
         if r1 == self.p1 and r2 == self.p2:
             return "corner"
         if r2 == self.p2:
@@ -226,24 +276,39 @@ class BlockSystem:
             return "edge-2"
         return "interior"
 
-    def _slot_types(self, kind: str, family: str, arrow: str) -> Tuple[str, str]:
-        """Index semantics ('n' ladder-within or 'k' ladder-beyond) per slot."""
-        if kind == "corner":
-            return ("n", "n")
-        if kind == "edge-1":
-            return ("n" if arrow in ("down", "up") else "k", "n")
-        if kind == "edge-2":
-            return ("n", "n" if arrow in ("down", "up") else "k")
-        t1 = "n" if arrow in ("down", "up") else "k"
-        t2 = "n" if family in ("b", "B", "T") else "k"
-        return (t1, t2)
+    def ladder_families(self, r1: int, r2: int) -> Dict[Tuple[str, str],
+                                                         LadderFamily]:
+        """The families of a class (., r1, r2), keyed (family, arrow), in
+        the one family order (`LETTERS` outside, `ARROWS` inside).
 
-    def _families_for(self, kind: str) -> List[Tuple[str, str]]:
+        A corner ideal has the bottom family only.  A boundary ideal has
+        one ladder with room beyond it, walked by the four B arrows: the
+        first copy's on an edge-1 class, the second copy's on an edge-2
+        class.  An interior ideal walks the first copy's ladder by arrow
+        and the second copy's by letter.
+        """
+        cached = self._families.get((r1, r2))
+        if cached is not None:
+            return cached
+        kind = self.class_kind(r1, r2)
         if kind == "corner":
-            return [("B", "down")]
-        if kind in ("edge-1", "edge-2"):
-            return [("B", a) for a in _ARROWS]
-        return [(F, a) for F in ("B", "L", "T", "R") for a in _ARROWS]
+            names = [("B", "down")]
+        elif kind == "interior":
+            names = [(X, a) for X in LETTERS for a in ARROWS]
+        else:
+            names = [("B", a) for a in ARROWS]
+        out: Dict[Tuple[str, str], LadderFamily] = {}
+        for family, arrow in names:
+            if kind == "edge-2":
+                roles = ("bottom", _ROLE_OF_ARROW[arrow])
+            else:
+                roles = (_ROLE_OF_ARROW[arrow], _ROLE_OF_LETTER[family])
+            sizes = tuple(r if role in ("bottom", "top") else p - r
+                          for role, r, p in zip(roles, (r1, r2),
+                                                (self.p1, self.p2)))
+            out[(family, arrow)] = LadderFamily(family, arrow, roles, sizes)
+        self._families[(r1, r2)] = out
+        return out
 
     def _corpus(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
                 sum1: Optional[int], sum2: Optional[int]) -> AlgebraElement:
@@ -284,7 +349,7 @@ class BlockSystem:
                r2: int, s1: int, s2: int, i1: int, i2: int) -> AlgebraElement:
         """The value of a named element: prefix words times corpora, each
         corpus already carrying the averager."""
-        kind = self._block_kind_of_labels(r1, r2)
+        kind = self.class_kind(r1, r2)
         consts = self.scalar_constants(alpha, r1, r2)
         p1, p2 = self.p1, self.p2
 
@@ -381,9 +446,13 @@ class BlockSystem:
     def build_named_element(self, family: str, arrow: str, alpha: int,
                             r1: int, r2: int, s1: int, s2: int,
                             idx1: int = 0, idx2: int = 0) -> NamedElement:
-        """Assemble one named element; indices validated per family."""
+        """Assemble one named element; indices validated per family.
+
+        The families and index ranges are those of `ladder_families`;
+        the unnormalized family b exists with the down arrow only, on the
+        ranges of B/down.
+        """
         self._check_family_labels(alpha, r1, r2, s1, s2)
-        kind = self._block_kind_of_labels(r1, r2)
         key = (family, arrow, alpha, r1, r2, s1, s2, idx1, idx2)
         cached = self._memo.get(key)
         if cached is not None:
@@ -393,32 +462,18 @@ class BlockSystem:
             if arrow != "none" or (idx1, idx2) != (0, 0):
                 raise ValueError("the averager carries no arrow and no indices")
         else:
-            if arrow not in _ARROWS:
-                raise ValueError(f"unknown arrow {arrow!r}")
-            allowed = {"corner": (("b", "down"), ("B", "down")),
-                       "edge-1": (("b", "down"),) + tuple(
-                           ("B", a) for a in _ARROWS),
-                       "edge-2": (("b", "down"),) + tuple(
-                           ("B", a) for a in _ARROWS)}
-            if kind in allowed:
-                if (family, arrow) not in allowed[kind]:
+            name = ("B", "down") if (family, arrow) == ("b", "down") else (
+                family, arrow)
+            fam = self.ladder_families(r1, r2).get(name)
+            if fam is None:
+                raise ValueError(
+                    f"family {family}/{arrow} is not defined on a "
+                    f"{self.class_kind(r1, r2)} class ({r1}, {r2})")
+            for which, idx, size in (("first", idx1, fam.sizes[0]),
+                                     ("second", idx2, fam.sizes[1])):
+                if not 0 <= idx < size:
                     raise ValueError(
-                        f"family {family}/{arrow} is not defined on a "
-                        f"{kind} block")
-            elif family not in ("b", "B", "L", "T", "R") or (
-                    family == "b" and arrow != "down"):
-                raise ValueError(
-                    f"family {family}/{arrow} is not defined on an "
-                    f"interior block")
-            t1, t2 = self._slot_types(kind, family, arrow)
-            hi1 = (r1 - 1) if t1 == "n" else (self.p1 - r1 - 1)
-            hi2 = (r2 - 1) if t2 == "n" else (self.p2 - r2 - 1)
-            if not 0 <= idx1 <= hi1:
-                raise ValueError(
-                    f"first index out of range [0, {hi1}]: {idx1}")
-            if not 0 <= idx2 <= hi2:
-                raise ValueError(
-                    f"second index out of range [0, {hi2}]: {idx2}")
+                        f"{which} index out of range [0, {size - 1}]: {idx}")
 
         value = self._value(family, arrow, alpha, r1, r2, s1, s2,
                             idx1, idx2)
@@ -460,83 +515,80 @@ class BlockSystem:
 
     def primitive_idempotent(self, kind: str, alpha: int, r1: int, r2: int,
                              s1: int, s2: int) -> AlgebraElement:
-        """One primitive idempotent; kind selects the construction."""
-        if kind == "X-type":
-            if (r1, r2) != (self.p1, self.p2):
-                raise ValueError(
-                    "X-type idempotents require the full-size labels")
-            named = self.build_named_element(
-                "B", "down", alpha, r1, r2, s1, s2, s1 - 1, s2 - 1)
-        elif kind == "P-boundary":
-            on_edge = (r1 == self.p1) != (r2 == self.p2)
-            if not on_edge:
-                raise ValueError(
-                    "boundary idempotents require exactly one full-size label")
-            named = self.build_named_element(
-                "B", "up", alpha, r1, r2, s1, s2, s1 - 1, s2 - 1)
-        elif kind == "P-interior":
-            if r1 >= self.p1 or r2 >= self.p2:
-                raise ValueError(
-                    "interior idempotents require both labels below full size")
-            named = self.build_named_element(
-                "T", "up", alpha, r1, r2, s1, s2, s1 - 1, s2 - 1)
-        else:
+        """One primitive idempotent: the element of the class's top family
+        at index pair (s1 - 1, s2 - 1).  ``kind`` must be the class's own
+        idempotent kind (X-type on the corner, P-boundary on an edge,
+        P-interior inside)."""
+        self._check_family_labels(alpha, r1, r2, s1, s2)
+        own, family, arrow = _IDEMPOTENT_OF_CLASS[self.class_kind(r1, r2)]
+        if kind not in ("X-type", "P-boundary", "P-interior"):
             raise ValueError(f"unknown idempotent kind {kind!r}")
-        return named.value
+        if kind != own:
+            raise ValueError(
+                f"{kind} idempotents are not defined on the class "
+                f"({r1}, {r2}), whose idempotents are {own}")
+        return self.build_named_element(
+            family, arrow, alpha, r1, r2, s1, s2, s1 - 1, s2 - 1).value
+
+    def _reflections(self, label: BlockLabel
+                     ) -> List[Tuple[Tuple[int, int], ProjectiveSummand]]:
+        """The block's classes, each tagged with its reflection flags.
+
+        Reflecting copy i sends r_i to p_i - r_i and flips the sign; the
+        classes are the reflections of (+1, r1, r2) that keep both ladder
+        sizes in [1, p_i].  The corner-minus label (0, p2) thus has the
+        one class (-1, p1, p2).  Copy 1 varies fastest.
+        """
+        self.block_kind(label)  # validates the label
+        out = []
+        for f2 in (0, 1):
+            for f1 in (0, 1):
+                r1 = self.p1 - label.r1 if f1 else label.r1
+                r2 = self.p2 - label.r2 if f2 else label.r2
+                if 1 <= r1 <= self.p1 and 1 <= r2 <= self.p2:
+                    out.append(((f1, f2), ProjectiveSummand(
+                        (-1) ** (f1 + f2), r1, r2)))
+        return out
+
+    def summands_of(self, label: BlockLabel) -> Tuple[ProjectiveSummand, ...]:
+        """The block's distinct projective classes, copy 1 reflected
+        first: the order of realization summands and block dumps."""
+        return tuple(S for _, S in self._reflections(label))
 
     def primitive_idempotent_catalog(
             self, label: Optional[BlockLabel] = None
     ) -> List[Tuple[str, int, int, int, int, int]]:
-        """(kind, alpha, r1, r2, s1, s2) tuples, per block or for all."""
+        """(kind, alpha, r1, r2, s1, s2) tuples, per block or for all.
+
+        The classes of `summands_of`, read copy 2 fastest like the slots
+        (s1, s2) within each class: an interior block lists its copy-2
+        reflection before its copy-1 reflection.
+        """
         if label is None:
             out: List[Tuple[str, int, int, int, int, int]] = []
             for lab in self.block_labels():
                 out.extend(self.primitive_idempotent_catalog(lab))
             return out
-        p1, p2 = self.p1, self.p2
-        kind = self.block_kind(label)
         entries: List[Tuple[str, int, int, int, int, int]] = []
-
-        def sweep(kd, alpha, r1, r2):
-            for s1 in range(1, r1 + 1):
-                for s2 in range(1, r2 + 1):
-                    entries.append((kd, alpha, r1, r2, s1, s2))
-
-        if kind == "corner-plus":
-            sweep("X-type", 1, p1, p2)
-        elif kind == "corner-minus":
-            sweep("X-type", -1, p1, p2)
-        elif kind == "edge-1":
-            sweep("P-boundary", 1, label.r1, p2)
-            sweep("P-boundary", -1, p1 - label.r1, p2)
-        elif kind == "edge-2":
-            sweep("P-boundary", 1, p1, label.r2)
-            sweep("P-boundary", -1, p1, p2 - label.r2)
-        else:
-            r1, r2 = label.r1, label.r2
-            sweep("P-interior", 1, r1, r2)
-            sweep("P-interior", -1, r1, p2 - r2)
-            sweep("P-interior", -1, p1 - r1, r2)
-            sweep("P-interior", 1, p1 - r1, p2 - r2)
+        for _, (alpha, r1, r2) in sorted(self._reflections(label)):
+            kind = _IDEMPOTENT_OF_CLASS[self.class_kind(r1, r2)][0]
+            entries.extend((kind, alpha, r1, r2, s1, s2)
+                           for s1 in range(1, r1 + 1)
+                           for s2 in range(1, r2 + 1))
         return entries
 
-    def ideal_basis(self, kind: str, alpha: int, r1: int, r2: int,
+    def ideal_basis(self, alpha: int, r1: int, r2: int,
                     s1: int, s2: int) -> List[NamedElement]:
-        """Ordered basis of the left ideal attached to one idempotent."""
-        if kind == "X-type":
-            fams = [("B", "down")]
-        else:
-            fams = self._families_for(self._block_kind_of_labels(r1, r2))
+        """Basis of the left ideal of the idempotent (alpha, r1, r2; s1,
+        s2), family by family in the order of `ladder_families`, first
+        index fastest."""
         out: List[NamedElement] = []
-        for family, arrow in fams:
-            t1, t2 = self._slot_types(
-                self._block_kind_of_labels(r1, r2), family, arrow)
-            hi1 = (r1 - 1) if t1 == "n" else (self.p1 - r1 - 1)
-            hi2 = (r2 - 1) if t2 == "n" else (self.p2 - r2 - 1)
-            for i2 in range(hi2 + 1):
-                for i1 in range(hi1 + 1):
+        for fam in self.ladder_families(r1, r2).values():
+            h1, h2 = fam.sizes
+            for i2 in range(h2):
+                for i1 in range(h1):
                     out.append(self.build_named_element(
-                        family, arrow, alpha, r1, r2, s1, s2, i1, i2))
+                        fam.family, fam.arrow, alpha, r1, r2, s1, s2, i1, i2))
         return out
 
     def casimir(self, i: int) -> AlgebraElement:
@@ -562,28 +614,22 @@ class BlockSystem:
     # Verification: ladder relations
     # ------------------------------------------------------------------
 
-    def _ladder_ideals(self, label: BlockLabel) -> List[Tuple[str, int, int, int, int, int]]:
-        return self.primitive_idempotent_catalog(label)
+    def _family_weight(self, fam: LadderFamily, alpha: int,
+                       i1: int, i2: int) -> CycloNumber:
+        """K's eigenvalue on the family's element at (i1, i2): each slot
+        contributes q_d^(h_d - 1 - 2 i_d), and each beyond-ladder slot
+        flips the sign alpha."""
+        h1, h2 = fam.sizes
+        w = (self.params.q1_pow(h1 - 1 - 2 * i1)
+             * self.params.q2_pow(h2 - 1 - 2 * i2))
+        sign = alpha * (-1) ** fam.slots.count("k")
+        return w if sign == 1 else -w
 
-    def _family_weight(self, kind: str, family: str, arrow: str, alpha: int,
-                       r1: int, r2: int, i1: int, i2: int) -> CycloNumber:
-        t1, t2 = self._slot_types(kind, family, arrow)
-        if t1 == "n":
-            x1, sgn1 = r1 - 1 - 2 * i1, 1
-        else:
-            x1, sgn1 = self.p1 - r1 - 1 - 2 * i1, -1
-        if t2 == "n":
-            x2, sgn2 = r2 - 1 - 2 * i2, 1
-        else:
-            x2, sgn2 = self.p2 - r2 - 1 - 2 * i2, -1
-        w = self.params.q1_pow(x1) * self.params.q2_pow(x2)
-        return w if alpha * sgn1 * sgn2 == 1 else -w
-
-    def _elements_of_ideal(self, kind_label: str, alpha: int, r1: int, r2: int,
+    def _elements_of_ideal(self, alpha: int, r1: int, r2: int,
                            s1: int, s2: int) -> Dict[tuple, NamedElement]:
         return {
             (el.family, el.arrow, el.idx1, el.idx2): el
-            for el in self.ideal_basis(kind_label, alpha, r1, r2, s1, s2)
+            for el in self.ideal_basis(alpha, r1, r2, s1, s2)
         }
 
     class _Tally:
@@ -612,63 +658,41 @@ class BlockSystem:
 
     def verify_ladder_relations(self, label: BlockLabel) -> List[Check]:
         """Check every displayed generator-action relation on one block."""
-        self.block_kind(label)  # validates the label
         tally = self._Tally()
-        for entry in self._ladder_ideals(label):
-            id_kind, alpha, r1, r2, s1, s2 = entry
-            self._sweep_one_ideal(tally, id_kind, alpha, r1, r2, s1, s2)
+        for _, alpha, r1, r2, s1, s2 in self.primitive_idempotent_catalog(label):
+            self._sweep_one_ideal(tally, alpha, r1, r2, s1, s2)
         checks = tally.checks(f"ladder[{label.r1},{label.r2}]",
                               anchor="ladder-relations")
         checks.extend(self._adjudication_checks(label))
         return checks
 
-    def _sweep_one_ideal(self, tally: "_Tally", id_kind: str, alpha: int,
+    def _sweep_one_ideal(self, tally: "_Tally", alpha: int,
                          r1: int, r2: int, s1: int, s2: int) -> None:
-        kind = self._block_kind_of_labels(r1, r2)
-        elems = self._elements_of_ideal(id_kind, alpha, r1, r2, s1, s2)
+        families = self.ladder_families(r1, r2)
+        elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
         A = self.algebra
         K = A.generator("K")
         where = f"({alpha:+d},{r1},{r2};{s1},{s2})"
 
         # Weight of every element under left multiplication by K.
         for key, el in elems.items():
-            w = self._family_weight(kind, el.family, el.arrow, alpha,
-                                    r1, r2, el.idx1, el.idx2)
+            w = self._family_weight(families[(el.family, el.arrow)], alpha,
+                                    el.idx1, el.idx2)
             tally.hit("weight", K * el.value == el.value * w,
                       f"{key} in {where}")
 
         for d in (1, 2):
-            self._sweep_direction(tally, kind, d, alpha, r1, r2, elems, where)
+            self._sweep_direction(tally, families, d, alpha, r1, r2, elems,
+                                  where)
 
-        self._averager_cases(tally, kind, alpha, r1, r2, s1, s2, elems, where)
-        self._alternate_expressions(tally, kind, alpha, r1, r2, s1, s2, where)
+        self._averager_cases(tally, families, alpha, r1, r2, s1, s2, elems,
+                             where)
+        self._alternate_expressions(tally, alpha, r1, r2, s1, s2, where)
 
-    def _role_of(self, kind: str, d: int, family: str, arrow: str) -> str:
-        if d == 1:
-            if kind in ("edge-1", "interior"):
-                return _ROLE_OF_ARROW[arrow]
-            return "bottom"
-        if kind == "interior":
-            return _ROLE_OF_LETTER[family]
-        if kind == "edge-2":
-            return _ROLE_OF_ARROW[arrow]
-        return "bottom"
-
-    def _key_with_role(self, kind: str, d: int, family: str, arrow: str,
-                       i1: int, i2: int, role: str, j: int) -> tuple:
-        """Rebuild an element key after moving to (role, rung j) in dir d."""
-        if d == 1:
-            if kind in ("edge-1", "interior"):
-                arrow = _ARROW_OF_ROLE[role]
-            return (family, arrow, j, i2)
-        if kind == "interior":
-            family = _LETTER_OF_ROLE[role]
-        elif kind == "edge-2":
-            arrow = _ARROW_OF_ROLE[role]
-        return (family, arrow, i1, j)
-
-    def _sweep_direction(self, tally: "_Tally", kind: str, d: int, alpha: int,
-                         r1: int, r2: int, elems: Dict[tuple, NamedElement],
+    def _sweep_direction(self, tally: "_Tally",
+                         families: Dict[Tuple[str, str], LadderFamily],
+                         d: int, alpha: int, r1: int, r2: int,
+                         elems: Dict[tuple, NamedElement],
                          where: str) -> None:
         P = self.params
         rd = r1 if d == 1 else r2
@@ -686,16 +710,24 @@ class BlockSystem:
                 return phi(P, 1, -alpha, j, self.p1 - r1, r2)
             return phi(P, 2, -alpha, j, r1, self.p2 - r2)
 
+        name_of_roles = {fam.roles: name for name, fam in families.items()}
+
         def at(role, j, family, arrow, i1, i2) -> Optional[AlgebraElement]:
-            key = self._key_with_role(kind, d, family, arrow, i1, i2, role, j)
-            el = elems.get(key)
+            """The element one move away: rung j of ``role`` on copy d's
+            ladder, the other copy's rung and index kept."""
+            roles = list(families[(family, arrow)].roles)
+            roles[d - 1] = role
+            name = name_of_roles.get(tuple(roles))
+            if name is None:
+                return None
+            el = elems.get(name + ((j, i2) if d == 1 else (i1, j)))
             return None if el is None else el.value
 
         zero = self.algebra.zero()
         for (family, arrow, i1, i2), el in list(elems.items()):
             if el.family == "b":
                 continue
-            role = self._role_of(kind, d, family, arrow)
+            role = families[(family, arrow)].roles[d - 1]
             j = i1 if d == 1 else i2
             ctx = f"{(family, arrow, i1, i2)} in {where}"
 
@@ -735,8 +767,9 @@ class BlockSystem:
             if want_f is not None:
                 tally.hit(f"dir{d}.{f_slug}", lhs_f == want_f, ctx)
 
-    def _averager_cases(self, tally: "_Tally", kind: str, alpha: int,
-                        r1: int, r2: int, s1: int, s2: int,
+    def _averager_cases(self, tally: "_Tally",
+                        families: Dict[Tuple[str, str], LadderFamily],
+                        alpha: int, r1: int, r2: int, s1: int, s2: int,
                         elems: Dict[tuple, NamedElement], where: str) -> None:
         """The four projection cases of the averager against block vectors."""
         v = self.weight_averager(alpha, r1, r2, s1, s2)
@@ -744,7 +777,7 @@ class BlockSystem:
         for (family, arrow, i1, i2), el in elems.items():
             if el.family == "b":
                 continue
-            t1, t2 = self._slot_types(kind, family, arrow)
+            t1, t2 = families[(family, arrow)].slots
             product = v * el.value
             if t1 == "n" and t2 == "n":
                 if (i1, i2) == (s1 - 1, s2 - 1):
@@ -763,21 +796,19 @@ class BlockSystem:
                 tally.hit("averager.case4", product.is_zero(),
                           f"{(family, arrow, i1, i2)} {where}")
 
-    def _alternate_expressions(self, tally: "_Tally", kind: str, alpha: int,
+    def _alternate_expressions(self, tally: "_Tally", alpha: int,
                                r1: int, r2: int, s1: int, s2: int,
                                where: str) -> None:
         """Re-derivations of the bottom row/column of the unnormalized family."""
         if self.p1 - r1 >= 1:
-            hi2 = r2 - 1 if kind != "edge-1" else self.p2 - 1
-            for n2 in range(hi2 + 1):
+            for n2 in range(r2):
                 lhs = self.build_named_element(
                     "b", "down", alpha, r1, r2, s1, s2, 0, n2).value
                 rhs = (self._prefix(0, 0, 1, n2)
                        * self._corpus(alpha, r1, r2, s1, s2, 0, None))
                 tally.hit("alternate.bottom-row", lhs == rhs, where)
         if self.p2 - r2 >= 1:
-            hi1 = r1 - 1 if kind != "edge-2" else self.p1 - 1
-            for n1 in range(hi1 + 1):
+            for n1 in range(r1):
                 lhs = self.build_named_element(
                     "b", "down", alpha, r1, r2, s1, s2, n1, 0).value
                 rhs = (self._prefix(0, 0, n1, 1)
@@ -805,7 +836,7 @@ class BlockSystem:
 
         if kind in ("edge-1", "interior"):
             checks.append(self._adjudicate_top_exit(
-                kind, alpha, r1, r2, s1, s2, label))
+                alpha, r1, r2, s1, s2, label))
             checks.append(self._adjudicate_scalar_reflection(label, 1, r1, r2))
         if kind == "edge-2":
             checks.append(self._adjudicate_scalar_reflection(label, 2, r1, r2))
@@ -818,13 +849,11 @@ class BlockSystem:
                 alpha, r1, r2, label))
         return checks
 
-    def _adjudicate_top_exit(self, kind: str, alpha: int, r1: int, r2: int,
+    def _adjudicate_top_exit(self, alpha: int, r1: int, r2: int,
                              s1: int, s2: int, label: BlockLabel) -> Check:
         """At the bottom rung the top family exits into the left family,
         not into itself as one display suggests."""
-        elems = self._elements_of_ideal(
-            "P-boundary" if kind != "interior" else "P-interior",
-            alpha, r1, r2, s1, s2)
+        elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
         e1 = self.algebra.e(1)
         lhs = e1 * elems[("B", "up", 0, 0)].value
         corrected = elems[("B", "left", self.p1 - r1 - 1, 0)].value
@@ -922,7 +951,7 @@ class BlockSystem:
                                       label: BlockLabel) -> Check:
         """In the second-copy action on the top letter the extra summand
         keeps the first index and lowers the second one."""
-        elems = self._elements_of_ideal("P-interior", alpha, r1, r2, s1, s2)
+        elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
         e2 = self.algebra.e(2)
         P = self.params
         ok = True
@@ -1069,20 +1098,19 @@ class BlockSystem:
         for label in labels:
             for entry in self.primitive_idempotent_catalog(label):
                 kind, alpha, r1, r2, s1, s2 = entry
-                basis = self.ideal_basis(kind, alpha, r1, r2, s1, s2)
+                basis = self.ideal_basis(alpha, r1, r2, s1, s2)
                 expected = (r1 * r2 if kind == "X-type"
                             else 2 * p1 * p2 if kind == "P-boundary"
                             else 4 * p1 * p2)
                 local = IncrementalSpan(field)
-                block_kind_label = self._block_kind_of_labels(r1, r2)
+                families = self.ladder_families(r1, r2)
                 ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
                 right_eig = ratio.inverse()
                 for el in basis:
                     vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
                     local.add(vec)
-                    lw = self._family_weight(block_kind_label, el.family,
-                                             el.arrow, alpha, r1, r2,
-                                             el.idx1, el.idx2)
+                    lw = self._family_weight(families[(el.family, el.arrow)],
+                                             alpha, el.idx1, el.idx2)
                     key = (lw, right_eig)
                     slices.setdefault(key, IncrementalSpan(field)).add(vec)
                     total_vectors += 1
@@ -1116,8 +1144,8 @@ class BlockSystem:
             ann1 = (self.casimir(1) - A.one() * c1).power(m1)
             ann2 = (self.casimir(2) - A.one() * c2).power(m2)
             for entry in self.primitive_idempotent_catalog(label):
-                kind, alpha, r1, r2, s1, s2 = entry
-                for el in self.ideal_basis(kind, alpha, r1, r2, s1, s2):
+                _, alpha, r1, r2, s1, s2 = entry
+                for el in self.ideal_basis(alpha, r1, r2, s1, s2):
                     for ann in (ann1, ann2):
                         if not (ann * el.value).is_zero():
                             annihilation_bad.append((label, entry, el.family,

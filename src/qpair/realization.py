@@ -3,10 +3,9 @@
 Left multiplication by a block element preserves each left ideal, so a
 block acts on the direct sum of its representative projective ideals
 (slot (1, 1) of each isomorphism class).  This module computes those
-left-multiplication matrices exactly in a fixed flat basis: boundary
-ideals list their four arrow families in the order up, left, right,
-down; interior ideals nest that order inside the letter order T, L, R,
-B; within a family the first index varies fastest.
+left-multiplication matrices exactly in the flat basis `ideal_basis`
+enumerates; the classes, families, family order and index ranges are
+decided in `ideals`, and a `GroupLayout` only adds each family's offset.
 
 All matrices are the package's one sparse `linalg.Matrix` type.
 Generator matrices are obtained by expanding honest algebra products
@@ -33,16 +32,15 @@ central preimage solving, and block-center dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .algebra import AlgebraElement
 from .cyclo import CycloNumber, Params
-from .ideals import BlockLabel, BlockSystem, NamedElement
+from .ideals import (ARROWS, LETTERS, BlockLabel, BlockSystem, NamedElement,
+                     ProjectiveSummand)
 from .linalg import IncrementalSpan, Matrix, nullspace
 from .report import Check
 
-ARROWS = ("up", "left", "right", "down")
-LETTERS = ("T", "L", "R", "B")
 _LETTER_FOR = dict(zip(ARROWS, LETTERS))
 GENERATOR_NAMES = ("e1", "e2", "f1", "f2", "K")
 
@@ -142,16 +140,8 @@ def diagonal_exponents(field, kmat: Matrix, where) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Labels and layouts
+# Layouts
 # ----------------------------------------------------------------------
-
-class ProjectiveSummand(NamedTuple):
-    """Isomorphism-class label (sign, ladder sizes) of one summand."""
-
-    alpha: int
-    r1: int
-    r2: int
-
 
 @dataclass
 class GroupLayout:
@@ -200,84 +190,24 @@ class Realization:
         self._joint: Dict[BlockLabel, tuple] = {}
 
     # ------------------------------------------------------------------
-    # Summands and bases
+    # Layouts and bases
     # ------------------------------------------------------------------
 
-    def summand_kind(self, summand: ProjectiveSummand) -> str:
-        if summand.r1 == self.p1 and summand.r2 == self.p2:
-            return "corner"
-        if summand.r2 == self.p2:
-            return "edge-1"
-        if summand.r1 == self.p1:
-            return "edge-2"
-        return "interior"
-
-    def summands_of(self, label: BlockLabel) -> Tuple[ProjectiveSummand, ...]:
-        """The block's distinct projective classes, in reading order."""
-        kind = self.system.block_kind(label)
-        p1, p2 = self.p1, self.p2
-        if kind == "corner-plus":
-            return (ProjectiveSummand(1, p1, p2),)
-        if kind == "corner-minus":
-            return (ProjectiveSummand(-1, p1, p2),)
-        if kind == "edge-1":
-            return (ProjectiveSummand(1, label.r1, p2),
-                    ProjectiveSummand(-1, p1 - label.r1, p2))
-        if kind == "edge-2":
-            return (ProjectiveSummand(1, p1, label.r2),
-                    ProjectiveSummand(-1, p1, p2 - label.r2))
-        r1, r2 = label
-        return (ProjectiveSummand(1, r1, r2),
-                ProjectiveSummand(-1, p1 - r1, r2),
-                ProjectiveSummand(-1, r1, p2 - r2),
-                ProjectiveSummand(1, p1 - r1, p2 - r2))
-
     def layout(self, summand: ProjectiveSummand) -> GroupLayout:
+        """Flat offsets of the summand's families (`ladder_families`)."""
         cached = self._layouts.get(summand)
         if cached is not None:
             return cached
-        kind = self.summand_kind(summand)
-        p1, p2 = self.p1, self.p2
-        if kind == "corner":
-            families: Tuple[Tuple[str, str], ...] = (("B", "down"),)
-        elif kind in ("edge-1", "edge-2"):
-            families = tuple(("B", a) for a in ARROWS)
-        else:
-            families = tuple((X, a) for X in LETTERS for a in ARROWS)
         sizes = {}
         offsets = {}
         pos = 0
-        for family, arrow in families:
-            if kind == "corner":
-                h1, h2 = summand.r1, summand.r2
-            elif kind == "edge-1":
-                h1 = summand.r1 if arrow in ("up", "down") else p1 - summand.r1
-                h2 = p2
-            elif kind == "edge-2":
-                h1 = p1
-                h2 = summand.r2 if arrow in ("up", "down") else p2 - summand.r2
-            else:
-                h1 = summand.r1 if arrow in ("up", "down") else p1 - summand.r1
-                h2 = summand.r2 if family in ("T", "B") else p2 - summand.r2
-            sizes[(family, arrow)] = (h1, h2)
-            offsets[(family, arrow)] = pos
-            pos += h1 * h2
-        out = GroupLayout(families, sizes, offsets, pos)
+        for name, fam in self.system.ladder_families(summand.r1,
+                                                     summand.r2).items():
+            sizes[name] = fam.sizes
+            offsets[name] = pos
+            pos += fam.sizes[0] * fam.sizes[1]
+        out = GroupLayout(tuple(sizes), sizes, offsets, pos)
         self._layouts[summand] = out
-        return out
-
-    def ideal_elements(self, summand: ProjectiveSummand,
-                       s1: int, s2: int) -> List[NamedElement]:
-        """The left ideal at slot (s1, s2), enumerated in layout order."""
-        lay = self.layout(summand)
-        out = []
-        for family, arrow in lay.families:
-            h1, h2 = lay.sizes[(family, arrow)]
-            for i2 in range(h2):
-                for i1 in range(h1):
-                    out.append(self.system.build_named_element(
-                        family, arrow, summand.alpha, summand.r1,
-                        summand.r2, s1, s2, i1, i2))
         return out
 
     def _basis(self, summand: ProjectiveSummand):
@@ -285,7 +215,7 @@ class Realization:
         if cached is not None:
             return cached
         A = self.algebra
-        els = self.ideal_elements(summand, 1, 1)
+        els = self.system.ideal_basis(*summand, 1, 1)
         span = IncrementalSpan(self.params.field, track=True)
         for el in els:
             vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
@@ -384,12 +314,12 @@ class Realization:
         cached = self._blocks.get(label)
         if cached is not None:
             return cached
-        summands = self.summands_of(label)
+        summands = self.system.summands_of(label)
         elements: List[NamedElement] = []
         for S in summands:
             for s2 in range(1, S.r2 + 1):
                 for s1 in range(1, S.r1 + 1):
-                    elements.extend(self.ideal_elements(S, s1, s2))
+                    elements.extend(self.system.ideal_basis(*S, s1, s2))
         matrices = [tuple(self.represent(el.value, S) for S in summands)
                     for el in elements]
         out = BlockRealization(label, summands, elements, matrices)
@@ -410,7 +340,7 @@ class Realization:
         keeps the prediction correct when reflected labels coincide.
         """
         lay = self.layout(summand)
-        kind = self.summand_kind(summand)
+        kind = self.system.class_kind(summand.r1, summand.r2)
         one = self.params.field.one
         out = Matrix(self.params.field, lay.dim)
 
@@ -444,7 +374,7 @@ class Realization:
 
     def occupied_cells(self, summand: ProjectiveSummand) -> frozenset:
         """Group pairs allowed to carry entries on this summand."""
-        kind = self.summand_kind(summand)
+        kind = self.system.class_kind(summand.r1, summand.r2)
         if kind == "corner":
             return frozenset({(("B", "down"), ("B", "down"))})
         if kind in ("edge-1", "edge-2"):
@@ -570,7 +500,7 @@ class Realization:
         lays = [self.layout(S) for S in real.summands]
         groups = [self._group_of(lay) for lay in lays]
         occupied = [self.occupied_cells(S) for S in real.summands]
-        partners = [self._repeat_partners(self.summand_kind(S))
+        partners = [self._repeat_partners(self.system.class_kind(S.r1, S.r2))
                     for S in real.summands]
 
         zero_bad = 0
@@ -619,7 +549,7 @@ class Realization:
             for S, lay in zip(real.summands, lays))
         foreign_label = next(lab for lab in self.system.block_labels()
                              if lab != label)
-        foreign = self.summands_of(foreign_label)[0]
+        foreign = self.system.summands_of(foreign_label)[0]
         zero_ok = self.represent(unit, foreign).is_zero()
         checks.append(Check(
             f"{prefix}.unit-matrix", ident_ok and zero_ok,

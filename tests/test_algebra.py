@@ -158,8 +158,8 @@ def _named_sample(B, rng, count):
     catalog = B.primitive_idempotent_catalog()
     out = []
     for _ in range(count):
-        kind, alpha, r1, r2, s1, s2 = rng.choice(catalog)
-        out.append(rng.choice(B.ideal_basis(kind, alpha, r1, r2, s1, s2)).value)
+        _, alpha, r1, r2, s1, s2 = rng.choice(catalog)
+        out.append(rng.choice(B.ideal_basis(alpha, r1, r2, s1, s2)).value)
     return out
 
 
@@ -264,8 +264,19 @@ def test_elements_of_different_pairs_do_not_multiply():
         delta * foreign
     with pytest.raises(ValueError):
         delta + foreign
+    # equality refuses the mix too, on elements and on tensors
+    with pytest.raises(ValueError):
+        A23.e(1) == other.e(1)
+    with pytest.raises(ValueError):
+        A23.one() != other.one()
+    with pytest.raises(ValueError):
+        A23.coproduct(A23.one()) == other.coproduct(other.one())
+    with pytest.raises(ValueError):
+        delta == foreign
     twin = Algebra.for_pair(2, 3)
+    assert A23.e(1) == twin.e(1) and A23.e(1) != twin.f(1)
     assert A23.e(1) * twin.f(1) == A23.e(1) * A23.f(1)
+    assert twin.coproduct(twin.e(1)) == delta
     assert delta * twin.coproduct(twin.f(1)) == delta * A23.coproduct(A23.f(1))
 
 
@@ -402,6 +413,32 @@ def test_coproduct_recursion_matches_generator_chain():
             for _ in range(count):
                 chain = gens[name] * chain
         assert A.coproduct_monomial(mono) == chain, mono
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_antipode_recursion_matches_generator_chain(pair):
+    # S(e1^m1 e2^m2 f1^n1 f2^n2 K^ell) = K^-ell S(f2)^n2 S(f1)^n1 S(e2)^m2
+    # S(e1)^m1, accumulated from K^-ell by the generator images, one factor
+    # at a time, on every basis monomial
+    A = Algebra.for_pair(*pair)
+    one, minus = A.params.one, -A.params.one
+
+    def k(t):
+        return A.monomial(0, 0, 0, 0, t)
+
+    images = {
+        "e1": A.pbw_product({k(-A.p2): minus}, {A.monomial(1, 0, 0, 0, 0): one}),
+        "e2": A.pbw_product({A.monomial(0, 1, 0, 0, 0): minus}, {k(-A.p1): one}),
+        "f1": A.pbw_product({A.monomial(0, 0, 1, 0, 0): minus}, {k(A.p2): one}),
+        "f2": A.pbw_product({k(A.p1): minus}, {A.monomial(0, 0, 0, 1, 0): one}),
+    }
+    for mono in A.basis_monomials():
+        chain = {k(-mono.ell): one}
+        for name, count in (("f2", mono.n2), ("f1", mono.n1),
+                            ("e2", mono.m2), ("e1", mono.m1)):
+            for _ in range(count):
+                chain = A.pbw_product(chain, images[name])
+        assert A.antipode_monomial(mono) == chain, mono
 
 
 def test_coproduct_is_algebra_map_on_random_pairs():

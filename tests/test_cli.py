@@ -65,6 +65,14 @@ def test_run_late_suite_builds_prerequisites():
     assert statuses["integrals.left-k-exponent"] == "erratum-corrected"
 
 
+def test_run_whole_stack_at_3_2():
+    # p1 > p2: the balancing exponent p1 - p2 changes sign
+    code, report = run(RunConfig(p1=3, p2=2, suites=("all",)))
+    assert code == 0
+    assert report.passed
+    assert len(report.checks) == 515
+
+
 def test_erratum_corrected_counts_as_passing():
     code, report = run(_cfg(suites=("integrals",)))
     assert code == 0

@@ -260,7 +260,7 @@ def test_radford_injectivity_per_block():
 
 
 def test_center_dimension_matches_slf_share():
-    dims = {label: F23.center_dimension(label)
+    dims = {label: F23.real.center_dimension(label)
             for label in B23.block_labels()}
     assert sum(dims.values()) == 20
     assert dims[_label("interior")] == 9

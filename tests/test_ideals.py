@@ -12,8 +12,52 @@ from conftest import A23, B23, decomposition_checks
 
 from qpair.algebra import Algebra
 from qpair.cyclo import Params
-from qpair.ideals import BlockLabel, BlockSystem, NamedElement
+from qpair.ideals import BlockLabel, BlockSystem, NamedElement, ProjectiveSummand
 from qpair.modules import phi
+
+# The left-ideal layout written out here, independently of ideals.py:
+# letters T, L, R, B outside, arrows up, left, right, down inside; an
+# up/down arrow or a T/B letter runs within its ladder (r values), the
+# others beyond it (p - r values).
+ARROW_ORDER = ("up", "left", "right", "down")
+LETTER_ORDER = ("T", "L", "R", "B")
+
+
+def _reference_families(p1, p2, r1, r2):
+    """[(family, arrow, range of idx1, range of idx2)] of a class."""
+    along1 = {"up": r1, "down": r1, "left": p1 - r1, "right": p1 - r1}
+    along2 = {"up": r2, "down": r2, "left": p2 - r2, "right": p2 - r2}
+    by_letter = {"T": r2, "B": r2, "L": p2 - r2, "R": p2 - r2}
+    if (r1, r2) == (p1, p2):
+        return [("B", "down", p1, p2)]
+    if r2 == p2:    # edge-1: the arrows walk the first copy's ladder
+        return [("B", a, along1[a], p2) for a in ARROW_ORDER]
+    if r1 == p1:    # edge-2: the arrows walk the second copy's ladder
+        return [("B", a, p1, along2[a]) for a in ARROW_ORDER]
+    return [(X, a, along1[a], by_letter[X])
+            for X in LETTER_ORDER for a in ARROW_ORDER]
+
+
+def _reference_summands(B, label):
+    """A block's projective classes in reading order, per block kind."""
+    p1, p2 = B.p1, B.p2
+    S = ProjectiveSummand
+    kind = B.block_kind(label)
+    if kind == "corner-plus":
+        return (S(1, p1, p2),)
+    if kind == "corner-minus":
+        return (S(-1, p1, p2),)
+    if kind == "edge-1":
+        return (S(1, label.r1, p2), S(-1, p1 - label.r1, p2))
+    if kind == "edge-2":
+        return (S(1, p1, label.r2), S(-1, p1, p2 - label.r2))
+    r1, r2 = label
+    return (S(1, r1, r2), S(-1, p1 - r1, r2), S(-1, r1, p2 - r2),
+            S(1, p1 - r1, p2 - r2))
+
+
+def _system(pair):
+    return B23 if pair == (2, 3) else BlockSystem(Algebra.for_pair(*pair))
 
 
 def test_block_labels_and_kinds():
@@ -146,10 +190,54 @@ def test_boundary_top_exit_relation_spot():
     assert up.value != left.value
 
 
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_family_order_and_index_ranges(pair):
+    # every family accepts its last index pair and refuses one past it
+    # in either slot; b has the ranges of B/down
+    B = _system(pair)
+    for label in B.block_labels():
+        for alpha, r1, r2 in B.summands_of(label):
+            ref = _reference_families(B.p1, B.p2, r1, r2)
+            fams = B.ladder_families(r1, r2).values()
+            assert [(f.family, f.arrow) + f.sizes for f in fams] == ref
+            (bottom,) = [f for f in ref if f[:2] == ("B", "down")]
+            for family, arrow, h1, h2 in ref + [("b", "down") + bottom[2:]]:
+                def build(i1, i2):
+                    return B.build_named_element(family, arrow, alpha, r1,
+                                                 r2, 1, 1, i1, i2)
+                assert not build(h1 - 1, h2 - 1).value.is_zero()
+                with pytest.raises(ValueError):
+                    build(h1, 0)
+                with pytest.raises(ValueError):
+                    build(0, h2)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (2, 5), (3, 4)])
+def test_catalog_reads_the_classes_of_summands_of(pair):
+    # the catalog lists each class of summands_of as one run of slots
+    # (s1 outer, s2 inner); it reads an interior block's reflections copy
+    # 2 fastest, summands_of copy 1 fastest
+    B = _system(pair)
+    idempotent_kind = {"corner-plus": "X-type", "corner-minus": "X-type",
+                       "edge-1": "P-boundary", "edge-2": "P-boundary",
+                       "interior": "P-interior"}
+    for label in B.block_labels():
+        summands = B.summands_of(label)
+        assert summands == _reference_summands(B, label)
+        catalog = B.primitive_idempotent_catalog(label)
+        runs = [ProjectiveSummand(*e[1:4]) for e in catalog if e[4:] == (1, 1)]
+        order = (0, 2, 1, 3) if len(summands) == 4 else range(len(summands))
+        assert runs == [summands[i] for i in order]
+        assert catalog == [
+            (idempotent_kind[B.block_kind(label)], *S, s1, s2)
+            for S in runs for s1 in range(1, S.r1 + 1)
+            for s2 in range(1, S.r2 + 1)]
+
+
 def test_ideal_basis_sizes():
-    assert len(B23.ideal_basis("X-type", 1, 2, 3, 1, 1)) == 6
-    assert len(B23.ideal_basis("P-boundary", 1, 1, 3, 1, 1)) == 12
-    assert len(B23.ideal_basis("P-interior", 1, 1, 1, 1, 1)) == 24
+    assert len(B23.ideal_basis(1, 2, 3, 1, 1)) == 6
+    assert len(B23.ideal_basis(1, 1, 3, 1, 1)) == 12
+    assert len(B23.ideal_basis(1, 1, 1, 1, 1)) == 24
 
 
 def test_ladder_relations_all_blocks():
@@ -172,7 +260,7 @@ def test_interior_sweep_at_2_5():
     # one interior ideal with a second-copy ladder deeper than one rung
     B25 = BlockSystem(Algebra.for_pair(2, 5))
     tally = B25._Tally()
-    B25._sweep_one_ideal(tally, "P-interior", 1, 1, 2, 1, 1)
+    B25._sweep_one_ideal(tally, 1, 1, 2, 1, 1)
     checks = tally.checks("ladder[1,2]", anchor="ladder-relations")
     bad = [c for c in checks if not c.passed]
     assert not bad, [c.row() for c in bad]

@@ -14,7 +14,8 @@ import random
 import pytest
 from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
-from qpair.ideals import BlockLabel
+from qpair.algebra import Algebra
+from qpair.ideals import BlockLabel, BlockSystem
 from qpair.linalg import Matrix
 from qpair.realization import (GENERATOR_NAMES, ProjectiveSummand, Realization,
                                pbw_matrices)
@@ -54,12 +55,29 @@ def test_layout_flat_is_first_index_fastest():
         lay.flat("B", "up", 0, 0)   # corners have a single family
 
 
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_ideal_basis_sits_at_its_flat_position(pair):
+    R = R23 if pair == (2, 3) else Realization(
+        BlockSystem(Algebra.for_pair(*pair)))
+    B = R.system
+    for label in B.block_labels():
+        for S in B.summands_of(label):
+            lay = R.layout(S)
+            for s1 in range(1, S.r1 + 1):
+                for s2 in range(1, S.r2 + 1):
+                    basis = B.ideal_basis(*S, s1, s2)
+                    assert len(basis) == lay.dim
+                    for i, el in enumerate(basis):
+                        assert lay.flat(el.family, el.arrow,
+                                        el.idx1, el.idx2) == i
+
+
 def test_summands_in_reading_order():
-    assert R23.summands_of(BlockLabel(1, 3)) == (
+    assert B23.summands_of(BlockLabel(1, 3)) == (
         ProjectiveSummand(1, 1, 3), ProjectiveSummand(-1, 1, 3))
-    assert R23.summands_of(BlockLabel(2, 1)) == (
+    assert B23.summands_of(BlockLabel(2, 1)) == (
         ProjectiveSummand(1, 2, 1), ProjectiveSummand(-1, 2, 2))
-    assert R23.summands_of(BlockLabel(1, 1)) == (
+    assert B23.summands_of(BlockLabel(1, 1)) == (
         ProjectiveSummand(1, 1, 1), ProjectiveSummand(-1, 1, 1),
         ProjectiveSummand(-1, 1, 2), ProjectiveSummand(1, 1, 2))
 
@@ -129,7 +147,7 @@ def test_represent_equals_sum_of_monomial_matrices():
     # over the PBW terms, on every summand for named elements of every
     # block
     summands = sorted({S for lab in B23.block_labels()
-                       for S in R23.summands_of(lab)})
+                       for S in B23.summands_of(lab)})
     sample = []
     for lab in B23.block_labels():
         els = R23.block_realization(lab).elements
@@ -271,7 +289,7 @@ def test_center_dimensions():
 def test_preimage_round_trip():
     lab = BlockLabel(1, 3)
     prescriptions = R23.central_prescriptions(lab)
-    summands = R23.summands_of(lab)
+    summands = B23.summands_of(lab)
     for mats in prescriptions.values():
         z = R23.solve_central_preimage(lab, mats)
         for S, want in zip(summands, mats):
@@ -293,7 +311,7 @@ def test_preimage_rejects_bad_input():
 
 def test_group_trace_of_unit():
     lab = BlockLabel(1, 3)
-    summand = R23.summands_of(lab)[0]
+    summand = B23.summands_of(lab)[0]
     unit = R23.represent(B23.block_idempotent(lab), summand)
     got = R23.group_trace(summand, unit, ("B", "up"), ("B", "up"))
     assert got == A23.params.rational(3)    # family size 1 x 3
