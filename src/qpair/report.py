@@ -23,6 +23,8 @@ class Check:
     ``corrected`` marks checks whose passing form relies on an adjudicated
     misprint correction; they render with their own status so a reader can
     tell them apart from checks of material taken at face value.
+    ``scope`` says what the check ran on, for example "exhaustive: 5
+    generators × 432 monomials"; it goes into the JSON report only.
     """
 
     check_id: str
@@ -30,6 +32,7 @@ class Check:
     detail: str = ""
     anchor: str = ""
     corrected: bool = False
+    scope: str = ""
 
     @property
     def status(self) -> str:

@@ -50,6 +50,23 @@ def test_elements_are_normalized_sparse():
     assert x * A23.one() == x and A23.one() * x == x
 
 
+def test_element_rejects_a_coefficient_from_another_field():
+    # zeta_40 lives in the (2,5) field; (2,3) works over Q(zeta_24)
+    foreign = Algebra.for_pair(2, 5).params.zeta(1)
+    unit = (0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        A23.element({unit: foreign})
+    with pytest.raises(ValueError):
+        A23.monomial_element(A23.monomial(1, 0, 0, 0, 3), foreign)
+    # scalar products refuse the same coefficient
+    with pytest.raises(ValueError):
+        A23.one() * foreign
+    with pytest.raises(ValueError):
+        A23.coproduct(A23.one()) * foreign
+    own = A23.params.zeta(1)
+    assert A23.element({unit: own}) == A23.one() * own
+
+
 def test_elements_of_different_pairs_do_not_add():
     other = Algebra.for_pair(2, 5)
     with pytest.raises(ValueError):
@@ -474,8 +491,96 @@ def test_hopf_axiom_suite_passes():
     checks = A23.verify_hopf_axioms()
     assert [c.check_id for c in checks if not c.passed] == []
     scopes = [c.detail.split(";")[0] for c in checks]
-    assert scopes == (["exhaustive on 432 basis monomials"] * 4
+    assert scopes == ([("unit + 5 generators, extended to all 432 monomials "
+                        "by the pair checks")] * 4
                       + ["exhaustive: 5 generators × 432 monomials"] * 3)
+    assert [c.scope for c in checks] == scopes
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_hopf_axioms_hold_on_every_basis_monomial(pair):
+    # reference for the generator reduction of verify_hopf_axioms:
+    # coassociativity, counit, antipode and the conjugation form of S^2,
+    # each on every basis monomial
+    A = Algebra.for_pair(*pair)
+    one = A.params.one
+    unit = A.monomial(0, 0, 0, 0, 0)
+    g = {A.monomial(0, 0, 0, 0, A.p1 - A.p2): one}
+    ginv = {A.monomial(0, 0, 0, 0, A.p2 - A.p1): one}
+    for mono in A.basis_monomials():
+        x = {mono: one}
+        delta = A.coproduct_monomial(mono)
+        assert delta.associate_left() == delta.associate_right(), mono
+        assert delta.apply_counit_left() == x, mono
+        assert delta.apply_counit_right() == x, mono
+        eps = A.pbw_counit(x)
+        target = {} if eps.is_zero() else {unit: eps}
+        assert delta.fold_antipode_left() == target, mono
+        assert delta.fold_antipode_right() == target, mono
+        assert (A.pbw_antipode(A.antipode_monomial(mono))
+                == A.pbw_product(A.pbw_product(g, x), ginv)), mono
+
+
+def _hopf_checks(A):
+    return {c.check_id: c for c in A.verify_hopf_axioms()}
+
+
+def test_flipped_generator_antipode_fails_the_antipode_axiom():
+    # S(e1) = +K^-p2 e1: the antipode axiom breaks on e1 itself
+    A = Algebra.for_pair(2, 3)
+    images = A._generator_antipodes()
+    images["e1"] = {m: -c for m, c in images["e1"].items()}
+    checks = _hopf_checks(A)
+    check = checks["antipode axiom"]
+    assert not check.passed
+    assert "failures: 1, first at e1" in check.detail
+    # S is no longer anti-multiplicative, yet still squares to the
+    # conjugation on each generator: the S^2 check fails on its premise
+    assert not checks["antipode is an anti-morphism"].passed
+    check = checks["antipode square is conjugation by K^(p1-p2)"]
+    assert not check.passed
+    assert "failures: 0;" in check.detail
+    assert "premise failed: antipode is an anti-morphism" in check.detail
+
+
+def test_multiplicative_but_not_coassociative_coproduct_fails():
+    # Delta(e1) = (e1 + y) (x) 1 + K^p2 (x) e1 with y = f1 (K^p2 + K^(3 p2)):
+    # at p1 = 2, e1 -> e1 + y fixing e2, f1, f2 and K respects every
+    # defining relation, so this Delta is still an algebra map, but the
+    # extra y (x) 1 breaks coassociativity on e1
+    A = Algebra.for_pair(2, 3)
+    one = A.params.one
+    e1, unit = A.monomial(1, 0, 0, 0, 0), A.monomial(0, 0, 0, 0, 0)
+    A._generator_coproducts()["e1"] = TensorElement(A, {
+        (e1, unit): one, (A.monomial(0, 0, 0, 0, A.p2), e1): one,
+        (A.monomial(0, 0, 1, 0, A.p2), unit): one,
+        (A.monomial(0, 0, 1, 0, 3 * A.p2), unit): one})
+    checks = _hopf_checks(A)
+    assert checks["coproduct is an algebra map"].passed
+    check = checks["coassociativity"]
+    assert not check.passed
+    assert "failures: 1, first at e1" in check.detail
+    assert "premise" not in check.detail
+
+
+def test_failing_pair_check_fails_the_checks_it_extends():
+    # Delta(e1) = e1 (x) 1 + 1 (x) e1 is coassociative and counital on
+    # every generator, but not multiplicative: the two reductions that
+    # rely on multiplicativity must fail and say why
+    A = Algebra.for_pair(2, 3)
+    one = A.params.one
+    e1, unit = A.monomial(1, 0, 0, 0, 0), A.monomial(0, 0, 0, 0, 0)
+    A._generator_coproducts()["e1"] = TensorElement(
+        A, {(e1, unit): one, (unit, e1): one})
+    checks = _hopf_checks(A)
+    assert not checks["coproduct is an algebra map"].passed
+    for check_id in ("coassociativity", "counit axiom", "antipode axiom"):
+        check = checks[check_id]
+        assert not check.passed, check_id
+        assert ("premise failed: coproduct is an algebra map"
+                in check.detail), check_id
+    for check_id in ("coassociativity", "counit axiom"):
+        assert "failures: 0;" in checks[check_id].detail, check_id
 
 
 def test_flipped_coproduct_sign_fails_the_algebra_map_check():

@@ -99,6 +99,19 @@ def test_verify_command_json_is_deterministic():
     assert first["config"]["suites"] == ["relations"]
     assert all(c["status"] == "pass" for c in first["checks"])
     assert all("anchor" in c for c in first["checks"])
+    assert all(c["scope"] == "" for c in first["checks"])
+
+
+def test_verify_json_reports_the_hopf_scopes():
+    result = runner.invoke(main, ["verify", "--p1", "2", "--p2", "3",
+                                  "--suite", "hopf", "--format", "json"])
+    assert result.exit_code == 0
+    scopes = {c["check_id"]: c["scope"]
+              for c in json.loads(result.output)["checks"]}
+    assert scopes["coassociativity"] == (
+        "unit + 5 generators, extended to all 432 monomials by the pair checks")
+    assert scopes["coproduct is an algebra map"] == (
+        "exhaustive: 5 generators × 432 monomials")
 
 
 def test_verify_command_writes_out_file(tmp_path):
