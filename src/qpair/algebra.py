@@ -35,7 +35,9 @@ commutator and coproduct oracles.  A basis monomial w K^ell is dense in
 projector form (korder terms), so the Hopf operations on basis monomials
 (antipode, counit and the axiom checks) work on PBW term dicts
 (`pbw_product`, `pbw_antipode`, `pbw_counit`, `pbw_coproduct`) and never
-multiply monomial elements.
+multiply monomial elements.  Tensor products build the coproducts of the
+K-free words only, one per word; Delta(w K^ell) is Delta(w) with both
+K-exponents of every term raised by ell (`coproduct_monomial`).
 
 Normal ordering.  Products are normal-ordered through per-copy rewrite
 tables: for each copy i and exponents (b, c) the table expands
@@ -538,22 +540,41 @@ class Algebra:
     def coproduct_monomial(self, mono: PBWMonomial) -> "TensorElement":
         """The coproduct of a basis monomial, cached per monomial.
 
-        Delta(K^ell) = K^ell (x) K^ell.  Any other monomial is g * rest,
-        where g is its leftmost generator (e1, else e2, f1, f2), so
-        Delta(mono) = Delta(g) * Delta(rest) with Delta(rest) taken from the
-        cache: one tensor product per monomial.
+        A K-free word w other than 1 is g * rest, where g is its leftmost
+        generator (e1, else e2, f1, f2), so Delta(w) = Delta(g) * Delta(rest)
+        with Delta(rest) taken from the cache: one tensor product per K-free
+        word, (p1 p2)^2 - 1 in all.  A monomial w K^ell with ell != 0 takes
+        no product: Delta is multiplicative and Delta(K^ell) = K^ell (x)
+        K^ell, so
+
+            Delta(w K^ell) = sum c u K^(a + ell) (x) v K^(b + ell)
+            over the terms c u K^a (x) v K^b of Delta(w),
+
+        K^ell multiplying each factor on the right, where it meets a K-power
+        and no e/f word to twist past.  The integral solve
+        (`Functionals.integral_functional`) shifts equation indices by the
+        same identity.
         """
         cached = self._coproduct_cache.get(mono)
         if cached is not None:
             return cached
-        peeled = _peel(mono)
-        if peeled is None:
-            kl = PBWMonomial(0, 0, 0, 0, mono[4])
-            acc = TensorElement(self, {(kl, kl): self.params.one})
+        ell = mono[4]
+        if ell:
+            korder = self.korder
+            row = self._word_row
+            acc = TensorElement(self, {
+                (row(u[:4])[1][(u[4] + ell) % korder],
+                 row(v[:4])[1][(v[4] + ell) % korder]): c
+                for (u, v), c in self.coproduct_monomial(
+                    PBWMonomial(*mono[:4], 0)).terms.items()})
         else:
-            gen, rest = peeled
-            acc = (self._generator_coproducts()[gen]
-                   * self.coproduct_monomial(rest))
+            peeled = _peel(mono)
+            if peeled is None:
+                acc = TensorElement(self, {(mono, mono): self.params.one})
+            else:
+                gen, rest = peeled
+                acc = (self._generator_coproducts()[gen]
+                       * self.coproduct_monomial(rest))
         self._coproduct_cache[mono] = acc
         return acc
 

@@ -149,27 +149,48 @@ class Functionals:
         if cached is not None:
             return cached
         A = self.algebra
-        one = self.params.field.one
-        index = A.monomial_index
-        one_idx = index(PBWMonomial(0, 0, 0, 0, 0))
-        equations: Dict[tuple, Dict[int, CycloNumber]] = {}
-        for x_idx, x in enumerate(self._monos):
-            for (u, v), c in A.coproduct_monomial(x).terms.items():
-                if side == "left":
-                    bucket, unknown = index(u), index(v)
-                else:
-                    bucket, unknown = index(v), index(u)
-                row = equations.setdefault((x_idx, bucket), {})
-                cur = row.get(unknown)
-                row[unknown] = c if cur is None else cur + c
-            row = equations.setdefault((x_idx, one_idx), {})
-            cur = row.get(x_idx)
-            row[x_idx] = -one if cur is None else cur - one
-        # cleaned one row at a time, as the elimination consumes them
-        rows = ({k: v for k, v in row.items() if not v.is_zero()}
-                for row in equations.values())
-        basis = nullspace(self.params.field, filter(None, rows),
-                          len(self._monos))
+        korder = self.params.korder
+        word_index = A.word_index
+        minus_one = self.params.field.minus_one
+        n_equations = 0
+
+        def equations():
+            nonlocal n_equations
+            # The coefficient of u in (id (x) f)(Delta x) - f(x) 1 (left;
+            # right swaps the factors): one row per bucket u.  Delta(w K^ell)
+            # is Delta(w) with both K-exponents raised by ell (the identity
+            # in `Algebra.coproduct_monomial`), so each K-free word's terms
+            # are split once into (word offset, K-exponent) and every
+            # x = w K^ell gets its rows by shifting the exponents.  Unknowns
+            # within a bucket are distinct, so only the f(x) entry can cancel.
+            for base in range(0, len(self._monos), korder):
+                buckets: Dict[Tuple[int, int], list] = {}
+                for (u, v), c in A.coproduct_monomial(
+                        self._monos[base]).terms.items():
+                    if side == "right":
+                        u, v = v, u
+                    key = (word_index(u) * korder, u.ell)
+                    buckets.setdefault(key, []).append(
+                        (word_index(v) * korder, v.ell, c))
+                for ell in range(korder):
+                    rows = {key: {vb + (vl + ell) % korder: c
+                                  for vb, vl, c in terms}
+                            for key, terms in buckets.items()}
+                    unit = (0, -ell % korder)      # u K^ell = 1
+                    row = rows.setdefault(unit, {})
+                    x_idx = base + ell
+                    cur = row.get(x_idx)
+                    tot = minus_one if cur is None else cur + minus_one
+                    if tot.is_zero():
+                        del row[x_idx]
+                    else:
+                        row[x_idx] = tot
+                    if not row:
+                        del rows[unit]
+                    n_equations += len(rows)
+                    yield from rows.values()
+
+        basis = nullspace(self.params.field, equations(), len(self._monos))
         if len(basis) != 1:
             raise ArithmeticError(
                 f"{side} integral space has dimension {len(basis)}")
@@ -184,6 +205,7 @@ class Functionals:
             "support": support,
             "top_only": len(top) == len(support),
             "k_exponents": sorted({self._monos[k].ell for k in support}),
+            "equations": n_equations,
         }
         return func
 
@@ -207,7 +229,9 @@ class Functionals:
             checks.append(Check(
                 f"integrals.{side}-solved", True,
                 "defining system has a one-dimensional solution space",
-                anchor="dual-integrals"))
+                anchor="dual-integrals",
+                scope=(f"exhaustive: {meta['equations']} coproduct equations "
+                       f"over {len(self._monos)} unknowns")))
             checks.append(Check(
                 f"integrals.{side}-support",
                 meta["top_only"] and len(meta["k_exponents"]) == 1,

@@ -45,10 +45,14 @@ class IncrementalSpan:
 
     Rows are kept keyed by their leading (smallest) index with leading
     coefficient one, so reduction of a new vector is a straight sweep.
-    With ``track=True`` every row also remembers how it was formed from
-    the raw input vectors, which turns span membership into an exact
-    coordinate solve: ``coordinates(x)`` returns ``{input position:
-    coefficient}`` with ``x == sum(c_i * input_i)``.
+    A row with one entry is the unit row ``{lead: 1}``: it reduces a
+    vector by deleting that coordinate, and a one-entry residual is stored
+    as it without inverting its pivot, so equations of the form
+    "x_i = 0" cost no field arithmetic.  With ``track=True`` every row
+    also remembers how it was formed from the raw input vectors, which
+    turns span membership into an exact coordinate solve:
+    ``coordinates(x)`` returns ``{input position: coefficient}`` with
+    ``x == sum(c_i * input_i)``.
     """
 
     def __init__(self, field: CycloField, track: bool = False):
@@ -72,7 +76,10 @@ class IncrementalSpan:
             if row is None:
                 break
             factor = residual[lead]
-            scale_into(residual, row, factor)
+            if len(row) == 1:
+                del residual[lead]
+            else:
+                scale_into(residual, row, factor)
             if self.track:
                 scale_into(combo, self._row_combos[lead], -factor)
         return residual, combo
@@ -85,8 +92,10 @@ class IncrementalSpan:
         if not residual:
             return False
         lead = min(residual)
-        pivot = residual[lead]
-        inv = pivot.inverse()
+        if len(residual) == 1 and not self.track:
+            self.rows[lead] = {lead: self.field.one}
+            return True
+        inv = residual[lead].inverse()
         self.rows[lead] = {i: c * inv for i, c in residual.items()}
         if self.track:
             # residual = input_position - sum(combo[i] * input_i), so the
@@ -114,7 +123,10 @@ def nullspace(field: CycloField, equations: Iterable[Vector], dim: int) -> List[
     """Basis of {x : row . x = 0 for every equation row} in dimension dim.
 
     The equations are eliminated incrementally (at most ``dim`` survive,
-    in echelon form with unit leads).  Each free coordinate f contributes
+    in echelon form with unit leads); an equation that reduces to a single
+    coordinate, "x_i = 0", is stored as the unit row {i: 1} with no field
+    arithmetic, and it then eliminates x_i from later equations by
+    deletion (`IncrementalSpan`).  Each free coordinate f contributes
     the one solution with x_f = 1 and every other free coordinate 0, found
     by back-substitution: pivot rows are walked by descending lead, with
     x_lead = -sum(row[j] * x_j).  Leads above f are skipped, since their

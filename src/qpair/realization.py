@@ -38,7 +38,7 @@ from .algebra import AlgebraElement
 from .cyclo import CycloNumber, Params
 from .ideals import (ARROWS, LETTERS, BlockLabel, BlockSystem, NamedElement,
                      ProjectiveSummand)
-from .linalg import IncrementalSpan, Matrix, nullspace
+from .linalg import IncrementalSpan, Matrix, Vector, nullspace
 from .report import Check
 
 _LETTER_FOR = dict(zip(ARROWS, LETTERS))
@@ -187,6 +187,8 @@ class Realization:
         self._k_exponents: Dict[ProjectiveSummand, List[int]] = {}
         self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
+        # label -> (center basis, number of commutator equations)
+        self._centers: Dict[BlockLabel, Tuple[List[Vector], int]] = {}
         self._joint: Dict[BlockLabel, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -709,7 +711,12 @@ class Realization:
                 for name, mats in self.central_prescriptions(label).items()}
 
     def center_basis(self, label: BlockLabel):
-        """Nullspace basis of the commutator system over the block span."""
+        """Nullspace basis of the commutator system over the block span,
+        memoised per block like `block_realization`; the returned list is
+        shared, so callers only read it."""
+        cached = self._centers.get(label)
+        if cached is not None:
+            return cached[0]
         real = self.block_realization(label)
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for s_idx, S in enumerate(real.summands):
@@ -722,8 +729,10 @@ class Realization:
                         for row, val in rows.items():
                             equations.setdefault(
                                 (s_idx, g_idx, row, col), {})[k] = val
-        return nullspace(self.params.field, equations.values(),
-                         len(real.elements))
+        basis = nullspace(self.params.field, equations.values(),
+                          len(real.elements))
+        self._centers[label] = (basis, len(equations))
+        return basis
 
     def center_dimension(self, label: BlockLabel) -> int:
         return len(self.center_basis(label))
@@ -770,12 +779,16 @@ class Realization:
         want = {"corner-plus": 1, "corner-minus": 1,
                 "edge-1": 3, "edge-2": 3, "interior": 9}[kind]
         dim = self.center_dimension(label)
+        n_equations = self._centers[label][1]
         checks.append(Check(
             f"{prefix}.center-dimension",
             dim == want and span.rank == dim,
             f"commutator nullspace dimension {dim} (expected {want}); "
             f"the solved central family spans {span.rank}",
-            anchor="block-center-dimension"))
+            anchor="block-center-dimension",
+            scope=(f"exhaustive: {n_equations} commutator equations over "
+                   f"{len(self.block_realization(label).elements)} block "
+                   f"elements")))
         return checks
 
     # ------------------------------------------------------------------

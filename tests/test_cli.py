@@ -114,6 +114,22 @@ def test_verify_json_reports_the_hopf_scopes():
         "exhaustive: 5 generators × 432 monomials")
 
 
+def test_verify_json_reports_the_solve_scopes():
+    result = runner.invoke(main, ["verify", "--p1", "2", "--p2", "3",
+                                  "--suite", "integrals,center",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    scopes = {c["check_id"]: c["scope"]
+              for c in json.loads(result.output)["checks"]}
+    for side in ("left", "right"):
+        assert scopes[f"integrals.{side}-solved"] == (
+            "exhaustive: 4248 coproduct equations over 432 unknowns")
+    assert scopes["realization[1,1].center-dimension"] == (
+        "exhaustive: 2124 commutator equations over 144 block elements")
+    assert scopes["realization[2,3].center-dimension"] == (
+        "exhaustive: 148 commutator equations over 36 block elements")
+
+
 def test_verify_command_writes_out_file(tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["verify", "--p1", "2", "--p2", "3",

@@ -174,6 +174,67 @@ def test_nullspace_matches_reduced_echelon_reference():
     assert nullspace(FIELD, cases[2][0], 5) == []
 
 
+def _sweep_rows(vectors):
+    """Reference: the incremental echelon rows with every reduction done by
+    field arithmetic, unit rows included."""
+    rows = {}
+    for vec in vectors:
+        residual = dict(vec)
+        while residual and min(residual) in rows:
+            lead = min(residual)
+            factor = residual[lead]
+            for i, c in rows[lead].items():
+                tot = residual.get(i, FIELD.zero) - factor * c
+                if tot.is_zero():
+                    residual.pop(i, None)
+                else:
+                    residual[i] = tot
+        if residual:
+            inv = residual[min(residual)].inverse()
+            rows[min(residual)] = {i: c * inv for i, c in residual.items()}
+    return rows
+
+
+def test_unit_rows_match_the_arithmetic_sweep():
+    # single-entry rows ("x_i = 0") mixed with dense ones: a stored unit row
+    # reduces by deletion and a one-entry residual is stored as {lead: 1}
+    # without inverting; rows, nullspace and coordinates must not notice
+    rng = random.Random(77)
+    unit_rows = dense_rows = 0
+    for _ in range(30):
+        dim = rng.randint(2, 9)
+        vectors = []
+        for _ in range(rng.randint(1, dim + 3)):
+            if rng.random() < 0.5:
+                c = _random_scalar(rng)
+                vectors.append({} if c.is_zero() else {rng.randrange(dim): c})
+            else:
+                vectors.append(_random_vector(
+                    rng, dim, rng.sample(range(dim), rng.randint(2, dim))))
+        want = _sweep_rows(vectors)
+        for track in (False, True):
+            span = IncrementalSpan(FIELD, track=track)
+            for v in vectors:
+                span.add(v)
+            assert span.rows == want
+        unit_rows += sum(len(r) == 1 for r in want.values())
+        dense_rows += sum(len(r) > 1 for r in want.values())
+        assert nullspace(FIELD, vectors, dim) == _rref_nullspace(vectors, dim)
+        coeffs = [_random_scalar(rng) for _ in vectors]
+        target = {}
+        for c, v in zip(coeffs, vectors):
+            for i, x in v.items():
+                target[i] = target.get(i, FIELD.zero) + c * x
+        target = {i: x for i, x in target.items() if not x.is_zero()}
+        coords = span.coordinates(target)
+        rebuilt = {}
+        for pos, c in coords.items():
+            for i, x in vectors[pos].items():
+                rebuilt[i] = rebuilt.get(i, FIELD.zero) + c * x
+        assert {i: x for i, x in rebuilt.items() if not x.is_zero()} == target
+    assert unit_rows > 30 and dense_rows > 30
+
+
 def test_matrix_arithmetic_round_trip():
     one = FIELD.one
     m = Matrix.zeros(FIELD, 2, 2)
