@@ -489,14 +489,65 @@ def test_coproduct_closed_form_printed_variant_fails_on_f1():
         A23.coproduct_closed_form(f1, "fixed")
 
 
+def _hopf_checks(A):
+    return {c.check_id: c for c in A.verify_hopf_axioms()}
+
+
 def test_hopf_axiom_suite_passes():
     checks = A23.verify_hopf_axioms()
     assert [c.check_id for c in checks if not c.passed] == []
     scopes = [c.detail.split(";")[0] for c in checks]
+    on_images = "presentation: 17 defining relations on the generator images in "
     assert scopes == ([("unit + 5 generators, extended to all 432 monomials "
-                        "by the pair checks")] * 4
-                      + ["exhaustive: 5 generators × 432 monomials"] * 3)
+                        "by the defining relations")] * 4
+                      + [on_images + "A ⊗ A", on_images + "A^op",
+                         on_images + "Q(zeta_24)"])
     assert [c.scope for c in checks] == scopes
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_hopf_maps_respect_every_generator_pair_product(pair):
+    # reference for the presentation premises of verify_hopf_axioms:
+    # Delta(gm) = Delta(g)Delta(m), S(gm) = S(m)S(g) and eps(gm) =
+    # eps(g)eps(m) for every generator g and basis monomial m
+    A = Algebra.for_pair(*pair)
+    one = A.params.one
+    for g in GENERATOR_MONOMIALS:
+        delta_g = A.coproduct_monomial(g)
+        s_g = A.antipode_monomial(g)
+        eps_g = A.pbw_counit({g: one})
+        for m in A.basis_monomials():
+            gm = A.product_monomials(g, m)
+            assert A.pbw_coproduct(gm) == delta_g * A.coproduct_monomial(m), (g, m)
+            assert (A.pbw_antipode(gm)
+                    == A.pbw_product(A.antipode_monomial(m), s_g)), (g, m)
+            assert A.pbw_counit(gm) == eps_g * A.pbw_counit({m: one}), (g, m)
+
+
+PREMISES = ("coproduct is an algebra map", "antipode is an anti-morphism",
+            "counit is multiplicative")
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (2, 5)])
+def test_relations_suite_and_hopf_premises_read_one_relation_list(pair):
+    A = Algebra.for_pair(*pair)
+    names = [c.check_id for c in A.verify_defining_relations()]
+    assert len(names) == 17
+    seen = []
+    evaluate = A.defining_relations
+
+    def spy(target):
+        out = evaluate(target)
+        seen.append([name for name, _ in out])
+        return out
+
+    A.defining_relations = spy
+    checks = _hopf_checks(A)
+    # A itself, then the images of Delta, S and eps
+    assert seen == [names] * 4
+    for check_id in PREMISES:
+        assert checks[check_id].scope.startswith(
+            "presentation: 17 defining relations"), check_id
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
@@ -521,10 +572,6 @@ def test_hopf_axioms_hold_on_every_basis_monomial(pair):
         assert delta.fold_antipode_right() == target, mono
         assert (A.pbw_antipode(A.antipode_monomial(mono))
                 == A.pbw_product(A.pbw_product(g, x), ginv)), mono
-
-
-def _hopf_checks(A):
-    return {c.check_id: c for c in A.verify_hopf_axioms()}
 
 
 def test_flipped_generator_antipode_fails_the_antipode_axiom():
@@ -567,15 +614,18 @@ def test_multiplicative_but_not_coassociative_coproduct_fails():
 
 def test_failing_pair_check_fails_the_checks_it_extends():
     # Delta(e1) = e1 (x) 1 + 1 (x) e1 is coassociative and counital on
-    # every generator, but not multiplicative: the two reductions that
-    # rely on multiplicativity must fail and say why
+    # every generator, but not multiplicative: its square 2 e1 (x) e1
+    # breaks e1^2 = 0, and the reductions that rely on multiplicativity
+    # must fail and say why
     A = Algebra.for_pair(2, 3)
     one = A.params.one
     e1, unit = A.monomial(1, 0, 0, 0, 0), A.monomial(0, 0, 0, 0, 0)
     A._generator_coproducts()["e1"] = TensorElement(
         A, {(e1, unit): one, (unit, e1): one})
     checks = _hopf_checks(A)
-    assert not checks["coproduct is an algebra map"].passed
+    check = checks["coproduct is an algebra map"]
+    assert not check.passed
+    assert "first at e1^2 = 0;" in check.detail + ";"
     for check_id in ("coassociativity", "counit axiom", "antipode axiom"):
         check = checks[check_id]
         assert not check.passed, check_id
@@ -583,6 +633,48 @@ def test_failing_pair_check_fails_the_checks_it_extends():
                 in check.detail), check_id
     for check_id in ("coassociativity", "counit axiom"):
         assert "failures: 0;" in checks[check_id].detail, check_id
+
+
+def _relations_on_tensor_images(A, images):
+    """The defining relations in report order, as (name, lhs, rhs) in
+    A (x) A, on the tensor images of e1, e2, f1, f2 with K -> K (x) K."""
+    P = A.params
+    minus = -P.one
+
+    def kk(t):
+        k = A.monomial(0, 0, 0, 0, t)
+        return TensorElement(A, {(k, k): P.one})
+
+    def power(x, n):
+        out = kk(0)
+        for _ in range(n):
+            out = out * x
+        return out
+
+    def bracket(x, y):
+        return x * y + (y * x) * minus
+
+    unit, zero, K, Kinv = kk(0), TensorElement(A, {}), kk(1), kk(-1)
+    rels = [("K*Kinv = 1", K * Kinv, unit), ("Kinv*K = 1", Kinv * K, unit),
+            (f"K^{A.korder} = 1", power(K, A.korder), unit)]
+    for i in (1, 2):
+        e, f, p = images[f"e{i}"], images[f"f{i}"], P.p(i)
+        rels += [(f"K e{i} Kinv = q{i}^2 e{i}", K * e * Kinv, e * P.qi_pow(i, 2)),
+                 (f"K f{i} Kinv = q{i}^-2 f{i}", K * f * Kinv, f * P.qi_pow(i, -2)),
+                 (f"e{i}^{p} = 0", power(e, p), zero),
+                 (f"f{i}^{p} = 0", power(f, p), zero)]
+    e1, e2, f1, f2 = (images[name] for name in ("e1", "e2", "f1", "f2"))
+    rels += [("e1 e2 = e2 e1", e1 * e2, e2 * e1),
+             ("f1 f2 = f2 f1", f1 * f2, f2 * f1),
+             ("[e1, f2] = 0", bracket(e1, f2), zero),
+             ("[e2, f1] = 0", bracket(e2, f1), zero)]
+    for i in (1, 2):
+        pj = P.other(i)
+        line = (kk(pj) + kk(-pj) * minus) * (P.qi_pow(i, pj)
+                                             - P.qi_pow(i, -pj)).inverse()
+        rels.append((f"[e{i}, f{i}] = weight line",
+                     bracket(images[f"e{i}"], images[f"f{i}"]), line))
+    return rels
 
 
 def test_flipped_coproduct_sign_fails_the_algebra_map_check():
@@ -594,17 +686,37 @@ def test_flipped_coproduct_sign_fails_the_algebra_map_check():
     kp2 = A.monomial(0, 0, 0, 0, A.p2)
     A._generator_coproducts()["e1"] = TensorElement(
         A, {(e1, unit): one, (kp2, e1): -one})
-    check = {c.check_id: c for c in A.verify_hopf_axioms()}[
-        "coproduct is an algebra map"]
+    check = _hopf_checks(A)["coproduct is an algebra map"]
     assert not check.passed
-    # the first pair in scan order (generator outer, basis inner) on which
-    # an element product breaks multiplicativity is the one named
-    witness = next(
-        f"({g}, {m})" for g in GENERATOR_MONOMIALS
-        for m in A.basis_monomials()
-        if A.coproduct(A.monomial_element(g) * A.monomial_element(m))
-        != A.coproduct_monomial(g) * A.coproduct_monomial(m))
-    assert f"first at {witness}" in check.detail
+    # the first relation, in report order, that the mutated images break
+    # in A (x) A is the one named
+    rels = _relations_on_tensor_images(A, A._generator_coproducts())
+    assert [name for name, _, _ in rels] == [
+        c.check_id for c in A.verify_defining_relations()]
+    witness = next(name for name, lhs, rhs in rels if lhs != rhs)
+    assert f"first at {witness};" in check.detail + ";"
+
+
+def test_relation_failing_in_the_algebra_fails_every_premise():
+    # double the weight line W in the copy-1 rewrite f1 e1 = e1 f1 - W:
+    # [e1, f1] = weight line now fails in A itself, although eps, which
+    # never multiplies in A, still respects every relation on its images
+    A = Algebra.for_pair(2, 3)
+    table = A._fe1[(1, 1)]
+    table[1] = {t: w + w for t, w in table[1].items()}
+    A._fuse = A._fuse_tables()
+    assert [c.check_id for c in A.verify_defining_relations()
+            if not c.passed] == ["[e1, f1] = weight line"]
+    checks = _hopf_checks(A)
+    for check_id in PREMISES:
+        check = checks[check_id]
+        assert not check.passed, check_id
+        assert ("relations failing in A itself: [e1, f1] = weight line"
+                in check.detail), check_id
+    assert "failures: 0;" in checks["counit is multiplicative"].detail
+    for check_id in ("coassociativity", "counit axiom", "antipode axiom"):
+        assert ("premise failed: coproduct is an algebra map"
+                in checks[check_id].detail), check_id
 
 
 def test_weight_line_crossing_identity():

@@ -99,7 +99,9 @@ def test_verify_command_json_is_deterministic():
     assert first["config"]["suites"] == ["relations"]
     assert all(c["status"] == "pass" for c in first["checks"])
     assert all("anchor" in c for c in first["checks"])
-    assert all(c["scope"] == "" for c in first["checks"])
+    assert all(c["scope"] == ("in A: both sides normal-ordered over the "
+                              "432 basis monomials")
+               for c in first["checks"])
 
 
 def test_verify_json_reports_the_hopf_scopes():
@@ -109,9 +111,10 @@ def test_verify_json_reports_the_hopf_scopes():
     scopes = {c["check_id"]: c["scope"]
               for c in json.loads(result.output)["checks"]}
     assert scopes["coassociativity"] == (
-        "unit + 5 generators, extended to all 432 monomials by the pair checks")
+        "unit + 5 generators, extended to all 432 monomials by the defining "
+        "relations")
     assert scopes["coproduct is an algebra map"] == (
-        "exhaustive: 5 generators × 432 monomials")
+        "presentation: 17 defining relations on the generator images in A ⊗ A")
 
 
 def test_verify_json_reports_the_solve_scopes():
