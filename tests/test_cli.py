@@ -4,6 +4,7 @@ Command-level tests go through click's CliRunner; the serialization
 helpers are also exercised directly on random exact values.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -189,6 +190,74 @@ def test_dump_integrals_support():
     assert payload["dual"]["right"]["support"] == [[1, 2, 1, 2, 11]]
     back = element_from_json(session.algebra, payload["two_sided_element"])
     assert back == session.functionals.integral_element()
+
+
+# SHA-256 of every `qpair dump` output (block, idempotents and slf
+# targets) at (2,3) and (3,2), recorded before the per-copy ladder
+# rewrite of the layout; the dumps must stay byte-identical.
+DUMP_DIGESTS = {
+    (2, 3): {
+        "block 1 1":
+            "ef0f3af1502cfa67460fce4e07267b169c16f465dfae6a25a26a6f37f62a9828",
+        "block 1 3":
+            "cf004b5347c45e6d4d9b09b2cc0cce386d0875490c4a5b659d15d6349fa2d654",
+        "block 2 1":
+            "c9752c9f878fb072a946060e4e6d6dcec5fa1629a0c13225efbb8540ec1eda2c",
+        "block 2 2":
+            "39c79f8f2e7b64193e75f4731b048a16352318a6426aeb5399dbeec419c2c463",
+        "block 2 3":
+            "60f03f2583a636191c850cb5d5dcbf694113262cea79fbaced19a0a86f147a48",
+        "block 0 3":
+            "c7b208f8e54b81450fd9cab11ee06338aa7c81845d56b73b764dba6776670926",
+        "idempotents":
+            "812e3caf4f0e902f31358304e0d8966ab1554f17f78f9ab09e64079079de68b3",
+        "slf":
+            "37776d673d0bcc53e5fefed64766907a889fc4697147624c9bcb711e2bf54e90",
+    },
+    (3, 2): {
+        "block 1 1":
+            "8f9c1be636feac9effce6d1eb984e597b83c3ac22fc3ba39c6749ddb3059b2b9",
+        "block 1 2":
+            "83d2995e0394d6f12f8d45501bd36aca252fda0e85fc7a7917feb161ac484479",
+        "block 2 2":
+            "b1db4d261194cbc57ccaf4464ee4a19300b6c048926c95760815eda8fe67db69",
+        "block 3 1":
+            "3a76d94fef3cd380319b0c4fa768d7cf84152534d51e06da7f4ed49927dc9e3f",
+        "block 3 2":
+            "5136d0148a321ee70b3023903d90f15c9599eb9f86bfbe470da0854ebf5c3a73",
+        "block 0 2":
+            "e3214968f7c063398312f96411d1a948511516eb034ff9beab1741b5a50f351d",
+        "idempotents":
+            "eb24f6dfd4ffc238680d08e683dbcf5f2dfafc1a42fe9f0506809ab7f59f3205",
+        "slf":
+            "3b7de7efe8a6d841cd5f3e174f31a2374539e0199255750ffb35ffff766fe34c",
+    },
+}
+
+
+def _rendered_dump(session, target):
+    """The bytes `qpair dump --out` writes for one target."""
+    return json.dumps(dump_payload(session, target), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("pair", sorted(DUMP_DIGESTS))
+def test_dump_bytes_are_pinned(pair):
+    session = Session(RunConfig(p1=pair[0], p2=pair[1], suites=("all",)))
+    targets = [f"block {l.r1} {l.r2}" for l in session.system.block_labels()]
+    assert sorted(DUMP_DIGESTS[pair]) == sorted(targets + ["idempotents",
+                                                           "slf"])
+    for target, digest in DUMP_DIGESTS[pair].items():
+        rendered = _rendered_dump(session, target).encode()
+        assert hashlib.sha256(rendered).hexdigest() == digest, target
+
+
+def test_dump_out_file_is_the_rendered_payload(tmp_path):
+    out = tmp_path / "block.json"
+    result = runner.invoke(main, ["dump", "--p1", "3", "--p2", "2",
+                                  "--target", "block 3 1", "--out", str(out)])
+    assert result.exit_code == 0
+    session = Session(RunConfig(p1=3, p2=2, suites=("all",)))
+    assert out.read_text() == _rendered_dump(session, "block 3 1")
 
 
 def test_cyclo_json_round_trip():
