@@ -150,7 +150,7 @@ class Session:
                    for s in all_simple_specs(self.algebra.params)}
         checks.extend(F.pairwise_scan({}, twisted))
         for label in self.system.block_labels():
-            if self.system.block_kind(label).startswith("corner"):
+            if not self.system.block_ladders(label):
                 continue
             checks.append(F.exhibit_invalid_sigma(label))
         return checks

@@ -23,6 +23,7 @@ g-shift theta sends both families exactly onto the symmetric basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import product
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import (GENERATOR_MONOMIALS, Algebra, AlgebraElement,
@@ -105,6 +106,10 @@ class SigmaRecord:
         return (("alpha_up", self.alpha_up), ("alpha_down", self.alpha_down),
                 ("beta_up", self.beta_up), ("beta_down", self.beta_down))
 
+
+# summand tags by reflection flags (f1, f2)
+_TAG_OF_FLAGS = {(0, 0): "up", (1, 0): "right", (0, 1): "left",
+                 (1, 1): "down"}
 
 _TARGET_GROUP = {
     "alpha_up": ("B", "up"),
@@ -328,26 +333,54 @@ class Functionals:
         self._trace_vectors[key] = out
         return out
 
+    def _recipe(self, label: BlockLabel, picks: Tuple[Optional[int], ...]):
+        """(name, cells) of one partial-trace functional of a block.
+
+        ``picks`` holds one entry per ladder copy: a reflection flag
+        reads that copy's head (top row against top column) on the
+        summands with that flag, None its cross (bottom row against top
+        column) summed over both flags.  A full copy reads its bottom
+        family.  A block without ladders has the one trace; the others
+        name their members head (every copy a head), cross (every copy a
+        cross), mid (cross on the first ladder copy) or side (cross on
+        the second), with the summand positions read.
+        """
+        ladders = self.system.block_ladders(label)
+        reflections = self.system.reflections(label)
+        positions = [pos for pos, (flags, _) in enumerate(reflections)
+                     if all(f is None or flags[d - 1] == f
+                            for d, f in zip(ladders, picks))]
+        S = reflections[0][1]
+        row_roles = {d: "bottom" if pick is None else "top"
+                     for d, pick in zip(ladders, picks)}
+        rowgroup = self.system.family_name(
+            S.r1, S.r2, tuple(row_roles.get(d, "bottom") for d in (1, 2)))
+        colgroup = self.system.family_name(
+            S.r1, S.r2, tuple("top" if d in ladders else "bottom"
+                              for d in (1, 2)))
+        crosses = [pick is None for pick in picks]
+        where = "".join(map(str, positions))
+        if not picks:
+            name = "trace"
+        elif all(crosses):
+            name = "cross"
+        elif not any(crosses):
+            name = (("head-plus", "head-minus")[positions[0]]
+                    if len(picks) == 1 else f"head-{where}")
+        else:
+            name = ("mid-" if crosses[0] else "side-") + where
+        return name, [(pos, rowgroup, colgroup) for pos in positions]
+
     def _block_recipes(self, label: BlockLabel) -> Dict[str, list]:
-        kind = self.system.block_kind(label)
+        """The block's partial-trace functionals: one head per reflection
+        flag or one cross per ladder copy, multiplied out over the ladder
+        copies; heads first, the full cross last."""
+        ladders = self.system.block_ladders(label)
+        choices = sorted((picks[::-1] for picks in product(
+            (0, 1, None), repeat=len(ladders))), key=lambda p: p.count(None))
         tag = f"[{label.r1},{label.r2}]"
-        B_up, B_down = ("B", "up"), ("B", "down")
-        T_up, T_down = ("T", "up"), ("T", "down")
-        if kind.startswith("corner"):
-            return {f"trace{tag}": [(0, B_down, B_down)]}
-        if kind in ("edge-1", "edge-2"):
-            return {
-                f"head-plus{tag}": [(0, B_up, B_up)],
-                f"head-minus{tag}": [(1, B_up, B_up)],
-                f"cross{tag}": [(0, B_down, B_up), (1, B_down, B_up)],
-            }
-        out = {f"head-{i}{tag}": [(i, T_up, T_up)] for i in range(4)}
-        out[f"mid-01{tag}"] = [(0, T_down, T_up), (1, T_down, T_up)]
-        out[f"mid-23{tag}"] = [(2, T_down, T_up), (3, T_down, T_up)]
-        out[f"side-02{tag}"] = [(0, B_up, T_up), (2, B_up, T_up)]
-        out[f"side-13{tag}"] = [(1, B_up, T_up), (3, B_up, T_up)]
-        out[f"cross{tag}"] = [(i, B_down, T_up) for i in range(4)]
-        return out
+        return {name + tag: cells for name, cells in
+                (self._recipe(label, picks) for picks in choices)}
 
     def slf_basis(self) -> Dict[str, LinearFunctional]:
         """All partial-trace functionals, keyed by recipe and block."""
@@ -495,77 +528,54 @@ class Functionals:
     def _radford_identity_table(self, label: BlockLabel):
         """Per central element: the printed combination, then corrections.
 
-        Boundary blocks in the second direction print the first-direction
-        Psi in their cross identity; the structural mirror suggests the
-        second, so both variants are graded.  All other identities are
-        taken as printed.
+        The element that drops the ladder copies D at the flags f_D
+        (`Realization.central_drops`) maps to Phi^-1 times the product of
+        head_d(f_d) over d in D and of (cross_d - Psi_d head_d) over the
+        other ladder copies, head_d summed over both flags.  Boundary
+        blocks whose ladder is the second copy print the first-direction
+        Psi in their unit identity; the structural mirror suggests the
+        second, so both variants are graded, printed first.  All other
+        identities are taken as printed.
         """
-        kind = self.system.block_kind(label)
-        r1, r2 = label
-        p1, p2 = self.p1, self.p2
-        tag = f"[{r1},{r2}]"
-        sc = self.system.scalar_constants
-        if kind == "corner-plus":
-            phi_inv = sc(1, p1, p2).Phi.inverse()
-            return [("unit", "unit",
-                     [("printed", {f"trace{tag}": phi_inv})])]
-        if kind == "corner-minus":
-            phi_inv = sc(-1, p1, p2).Phi.inverse()
-            return [("unit", "unit",
-                     [("printed", {f"trace{tag}": phi_inv})])]
-        if kind in ("edge-1", "edge-2"):
-            consts = sc(1, r1, p2) if kind == "edge-1" else sc(1, p1, r2)
-            phi_inv = consts.Phi.inverse()
-            heads = {f"head-plus{tag}", f"head-minus{tag}"}
-
-            def cross_combo(psi):
-                combo = {f"cross{tag}": phi_inv}
-                for h in heads:
-                    combo[h] = -(phi_inv * psi)
-                return combo
-
-            if kind == "edge-1":
-                cross_variants = [("printed", cross_combo(consts.Psi1))]
-            else:
-                cross_variants = [
-                    ("printed first-direction Psi", cross_combo(consts.Psi1)),
-                    ("corrected second-direction Psi",
-                     cross_combo(consts.Psi2)),
-                ]
-            return [
-                ("unit", "unit", cross_variants),
-                ("drop-plus", "arrow-drop-0",
-                 [("printed", {f"head-plus{tag}": phi_inv})]),
-                ("drop-minus", "arrow-drop-1",
-                 [("printed", {f"head-minus{tag}": phi_inv})]),
-            ]
-        consts = sc(1, r1, r2)
+        ladders = self.system.block_ladders(label)
+        reflections = self.system.reflections(label)
+        consts = self.system.scalar_constants(*reflections[0][1])
         phi_inv = consts.Phi.inverse()
-        psi1, psi2 = consts.Psi1, consts.Psi2
-        unit_combo = {f"cross{tag}": phi_inv}
-        for i in range(4):
-            unit_combo[f"head-{i}{tag}"] = phi_inv * psi1 * psi2
-        unit_combo[f"mid-01{tag}"] = -(phi_inv * psi2)
-        unit_combo[f"mid-23{tag}"] = -(phi_inv * psi2)
-        unit_combo[f"side-02{tag}"] = -(phi_inv * psi1)
-        unit_combo[f"side-13{tag}"] = -(phi_inv * psi1)
-        table = [("unit", "unit", [("printed", unit_combo)])]
-        for slug, head_pair in (("mid-01", (0, 1)), ("mid-23", (2, 3))):
-            combo = {f"{slug}{tag}": phi_inv}
-            for i in head_pair:
-                combo[f"head-{i}{tag}"] = -(phi_inv * psi1)
-            table.append((slug, f"top-drop-{slug[-2:]}",
-                          [("printed", combo)]))
-        for slug, drop_key, head_pair in (
-                ("side-02", "arrow-drop-02", (0, 2)),
-                ("side-13", "arrow-drop-13", (1, 3))):
-            combo = {f"{slug}{tag}": phi_inv}
-            for i in head_pair:
-                combo[f"head-{i}{tag}"] = -(phi_inv * psi2)
-            table.append((slug, drop_key, [("printed", combo)]))
-        for i in range(4):
-            table.append((f"corner-{i}", f"corner-drop-{i}",
-                          [("printed", {f"head-{i}{tag}": phi_inv})]))
+        one = self.params.one
+        tag = f"[{label.r1},{label.r2}]"
+
+        def combo(flags, psi):
+            options = [((flags[d], one),) if d in flags else
+                       ((None, one), (0, -psi[d]), (1, -psi[d]))
+                       for d in ladders]
+            out = {}
+            for picks in product(*options):
+                coeff = phi_inv
+                for _, c in picks:
+                    coeff = coeff * c
+                name, _ = self._recipe(label, tuple(f for f, _ in picks))
+                out[name + tag] = coeff
+            return out
+
+        psi = {1: consts.Psi1, 2: consts.Psi2}
+        table = []
+        for key, dropped, positions in self.real.central_drops(label):
+            flags = {d: reflections[positions[0]][0][d - 1] for d in dropped}
+            if not dropped:
+                slug = "unit"
+            elif len(dropped) < len(ladders):
+                slug, _ = self._recipe(label, tuple(flags.get(d)
+                                                    for d in ladders))
+            elif len(ladders) == 1:
+                slug = ("drop-plus", "drop-minus")[positions[0]]
+            else:
+                slug = f"corner-{positions[0]}"
+            variants = [("printed", combo(flags, psi))]
+            if ladders == (2,) and not dropped:
+                variants = [("printed first-direction Psi",
+                             combo(flags, {2: consts.Psi1})),
+                            ("corrected second-direction Psi", variants[0][1])]
+            table.append((slug, key, variants))
         return table
 
     def verify_radford_identities(self) -> List[Check]:
@@ -582,13 +592,17 @@ class Functionals:
                         chosen = (v_idx, vname)
                         break
                 check_id = f"radford[{r1},{r2}].{slug}"
+                tried = len(variants) if chosen is None else chosen[0] + 1
+                scope = (f"exhaustive: {len(self._monos)} basis monomials, "
+                         f"{tried} of {len(variants)} combinations compared")
                 if chosen is not None:
                     v_idx, vname = chosen
                     checks.append(Check(
                         check_id, True,
                         f"exact on all {len(self._monos)} basis monomials "
                         f"({vname})",
-                        anchor="radford-map-identities", corrected=v_idx > 0))
+                        anchor="radford-map-identities", corrected=v_idx > 0,
+                        scope=scope))
                     continue
                 rhs = self._combine(slf, variants[0][1])
                 ratio = _proportionality(lhs, rhs, self.params)
@@ -597,7 +611,8 @@ class Functionals:
                           "fails as printed and is not proportional to the "
                           "printed combination")
                 checks.append(Check(check_id, False, detail,
-                                    anchor="radford-map-identities"))
+                                    anchor="radford-map-identities",
+                                    scope=scope))
         return checks
 
     def verify_radford_injectivity(self) -> List[Check]:
@@ -676,18 +691,16 @@ class Functionals:
         return func
 
     def summand_tags(self, label: BlockLabel) -> Tuple[str, ...]:
-        kind = self.system.block_kind(label)
-        if kind == "edge-1":
-            return ("up", "right")
-        if kind == "edge-2":
-            return ("up", "left")
-        if kind == "interior":
-            return ("up", "right", "left", "down")
-        raise ValueError(f"no insertion characters on {kind} blocks")
+        """Each summand's tag, read off its reflection flags."""
+        tags = tuple(_TAG_OF_FLAGS[flags]
+                     for flags, _ in self.system.reflections(label))
+        if len(tags) == 1:
+            raise ValueError("no insertion characters on corner blocks")
+        return tags
 
     def _validate_sigma(self, label: BlockLabel, record: SigmaRecord) -> None:
         tags = self.summand_tags(label)
-        kind = self.system.block_kind(label)
+        interior = len(tags) == 4
         P = self.params
 
         def coeff(mapping, tag):
@@ -699,13 +712,12 @@ class Functionals:
                 if tag not in tags:
                     raise ValueError(
                         f"{fname} names tag {tag!r}; block has {tags}")
-            if kind != "interior" and fname.startswith("beta") and any(
+            if not interior and fname.startswith("beta") and any(
                     not coeff(mapping, t).is_zero() for t in tags):
                 raise ValueError(
                     "beta families need the top letter row; boundary "
                     "blocks do not have one")
-        pairs = []
-        if kind == "interior":
+        if interior:
             pairs = [("alpha_up", "up", "right"), ("alpha_up", "down", "left"),
                      ("beta_down", "up", "left"), ("beta_down", "down", "right"),
                      ("beta_up", "up", "right"), ("beta_up", "up", "left"),
@@ -760,9 +772,8 @@ class Functionals:
 
     def sigma_patterns(self, label: BlockLabel) -> Dict[str, SigmaRecord]:
         """The records whose theta-images are the non-head basis members."""
-        kind = self.system.block_kind(label)
-        if kind != "interior":
-            tags = self.summand_tags(label)
+        tags = self.summand_tags(label)
+        if len(tags) < 4:
             return {"cross": SigmaRecord(alpha_up={t: 1 for t in tags})}
         return {
             "mid-01": SigmaRecord(alpha_up={"up": 1, "right": 1}),
@@ -781,13 +792,12 @@ class Functionals:
         raise ValueError(f"no block carries the class {spec}")
 
     def _head_name(self, label: BlockLabel, idx: int) -> str:
-        kind = self.system.block_kind(label)
-        tag = f"[{label.r1},{label.r2}]"
-        if kind.startswith("corner"):
-            return f"trace{tag}"
-        if kind in ("edge-1", "edge-2"):
-            return (f"head-plus{tag}", f"head-minus{tag}")[idx]
-        return f"head-{idx}{tag}"
+        """The head functional of summand ``idx``: a head on every ladder
+        copy, at that summand's flags."""
+        flags, _ = self.system.reflections(label)[idx]
+        name, _ = self._recipe(label, tuple(
+            flags[d - 1] for d in self.system.block_ladders(label)))
+        return f"{name}[{label.r1},{label.r2}]"
 
     def verify_character_bridge(self) -> List[Check]:
         """theta carries every computed character onto the trace basis."""
@@ -815,7 +825,7 @@ class Functionals:
         checks.append(Check("characters.simple-bridge", not bad and not ratios,
                             detail, anchor="character-bridge"))
         for label in self.system.block_labels():
-            if self.system.block_kind(label).startswith("corner"):
+            if not self.system.block_ladders(label):
                 continue
             tag = f"[{label.r1},{label.r2}]"
             misses = []

@@ -12,23 +12,34 @@ projector basis the elements are stored in, v is the single term
 first: every core word sum is multiplied by v before its prefix words,
 and every product along the way stays as small as the result.
 
-A block is labelled by a pair (r1, r2).  The two corner blocks carry the
-full-size simple modules (one per sign); an edge block (r1, p2) or
-(p1, r2) carries boundary ideals spanned by four arrow families of B
-elements; an interior block carries sixteen families (letters T, L, R, B
-for the second-copy ladder crossed with arrows up, left, right, down for
-the first-copy ladder).  The generator actions move elements along these
-ladders with phi-coefficients, and the displayed relations --
-normalization handoffs included -- are what verify_ladder_relations
-checks.
+A block is labelled by a pair (r1, r2).  The two copies commute and
+share only K, so the left ideal of a primitive idempotent (alpha, r1, r2;
+s1, s2) is a product of one ladder per copy.  A copy with r_d = p_d is
+full and contributes its bottom rung family only; any other copy is a
+ladder with top, left, right and bottom families (bottom and top run
+within the ladder, r_d rungs; left and right beyond it, p_d - r_d rungs).
+A family is a pair of roles, one per copy, and its element is a product
+of one factor per copy: a prefix word times a corpus (the core word,
+summed against the gamma/delta tails where a role asks for it, times the
+averager), divided by Phi and the left normalizer tails.  The generator
+actions move elements along these ladders with phi-coefficients, and the
+displayed relations -- normalization handoffs included -- are what
+verify_ladder_relations checks.
 
-This module owns the left-ideal layout.  `BlockSystem.class_kind` sorts
-a projective class (alpha, r1, r2) into corner, edge or interior;
-`summands_of` lists a block's classes, and `primitive_idempotent_catalog`
-reads the same classes; `ladder_families` fixes each class's families,
-their order (`LETTERS` outside, `ARROWS` inside) and their index ranges.
-`ideal_basis` enumerates a left ideal in that order, and the matrix
-realization uses it as its coordinates.
+Names come from a naming view of the roles: the first ladder copy's role
+gives the arrow (up, left, right, down), the second ladder copy's role
+gives the letter (T, L, R, B), and a missing ladder copy reads as down or
+B.  So a corner ideal has the one family B/down, a boundary ideal four B
+arrows, an interior ideal sixteen letter/arrow families.
+
+This module owns the left-ideal layout.  `ladder_copies` says which
+copies of a class are ladders; `ladder_families` is the product of the
+two copies' roles, second copy outside, first copy inside, each role
+list in the one order top, left, right, bottom; `summands_of` lists a
+block's classes, `slots` a class's idempotent slots, and
+`primitive_idempotent_catalog` reads both.  `ideal_basis` enumerates a
+left ideal in family order, and the matrix realization uses it as its
+coordinates.
 
 Known misprints in the source displays are adjudicated computationally:
 the checker verifies the corrected form and records what the printed
@@ -109,18 +120,15 @@ class NamedElement:
     value: AlgebraElement
 
 
-# The one family order: letters outside, arrows inside, each index pair
-# with the first index fastest.  Realization layouts and block dumps
-# read their coordinates in this order.
-LETTERS = ("T", "L", "R", "B")
-ARROWS = ("up", "left", "right", "down")
-# the idempotent kind and (family, arrow) of each class kind
-_IDEMPOTENT_OF_CLASS = {"corner": ("X-type", "B", "down"),
-                        "edge-1": ("P-boundary", "B", "up"),
-                        "edge-2": ("P-boundary", "B", "up"),
-                        "interior": ("P-interior", "T", "up")}
-_ROLE_OF_ARROW = {"down": "bottom", "left": "left", "up": "top", "right": "right"}
-_ROLE_OF_LETTER = {"B": "bottom", "L": "left", "T": "top", "R": "right"}
+# The roles of one copy's ladder, in the one family order.  A full copy
+# has the bottom role only.
+ROLES = ("top", "left", "right", "bottom")
+# The naming view: the first ladder copy's role names the arrow, the
+# second ladder copy's role names the letter.
+_ARROW_OF_ROLE = dict(zip(ROLES, ("up", "left", "right", "down")))
+_LETTER_OF_ROLE = dict(zip(ROLES, ("T", "L", "R", "B")))
+# the idempotent kind of a class, by its number of ladder copies
+_IDEMPOTENT_KINDS = ("X-type", "P-boundary", "P-interior")
 
 
 class BlockSystem:
@@ -197,147 +205,135 @@ class BlockSystem:
         if cached is not None:
             return cached
         P = self.params
-        p1, p2 = self.p1, self.p2
-        one = P.field.one
-        zero = P.field.zero
+        phi_total = P.rational(2 * self.p1 * self.p2)
+        psis: List[CycloNumber] = []
+        tails: List[Tuple[CycloNumber, ...]] = []
+        for d, r, p in ((1, r1, self.p1), (2, r2, self.p2)):
+            reflected = self._reflected(d, r1, r2)
+            psi = P.field.zero
+            steps = [(i, alpha, (r1, r2)) for i in range(1, r)]
+            steps += [(k, -alpha, reflected) for k in range(1, p - r)]
+            for i, sign, labels in steps:
+                val = self._phi_checked(d, sign, i, *labels, "Phi")
+                phi_total = phi_total * val
+                psi = psi + val.inverse()
+            psis.append(psi)
+            # the m-th tail coefficient (gamma on copy 1, delta on copy 2)
+            # is the product of the (-alpha)-phi factors with ladder
+            # positions p-r-m+1 .. p-r-1; growing m extends the product
+            # downward one factor at a time.
+            tail: List[CycloNumber] = []
+            acc = P.field.one
+            for m in range(1, p - r + 1):
+                if m >= 2:
+                    acc = acc * self._phi_checked(
+                        d, -alpha, p - r - (m - 1), *reflected,
+                        ("gamma", "delta")[d - 1])
+                tail.append(acc)
+            tails.append(tuple(tail))
 
-        phi_total = P.rational(2 * p1 * p2)
-        psi1 = zero
-        psi2 = zero
-        for i1 in range(1, r1):
-            val = self._phi_checked(1, alpha, i1, r1, r2, "Phi")
-            phi_total = phi_total * val
-            psi1 = psi1 + val.inverse()
-        for i2 in range(1, r2):
-            val = self._phi_checked(2, alpha, i2, r1, r2, "Phi")
-            phi_total = phi_total * val
-            psi2 = psi2 + val.inverse()
-        for k1 in range(1, p1 - r1):
-            val = self._phi_checked(1, -alpha, k1, p1 - r1, r2, "Phi")
-            phi_total = phi_total * val
-            psi1 = psi1 + val.inverse()
-        for k2 in range(1, p2 - r2):
-            val = self._phi_checked(2, -alpha, k2, r1, p2 - r2, "Phi")
-            phi_total = phi_total * val
-            psi2 = psi2 + val.inverse()
-
-        gamma: List[CycloNumber] = []
-        acc = one
-        # gamma_m is the product of the (-alpha)-phi factors with ladder
-        # positions p1-r1-m+1 .. p1-r1-1; growing m extends the product
-        # downward one factor at a time.
-        for m1 in range(1, p1 - r1 + 1):
-            if m1 >= 2:
-                acc = acc * self._phi_checked(
-                    1, -alpha, p1 - r1 - (m1 - 1), p1 - r1, r2, "gamma")
-            gamma.append(acc)
-        delta: List[CycloNumber] = []
-        acc = one
-        for m2 in range(1, p2 - r2 + 1):
-            if m2 >= 2:
-                acc = acc * self._phi_checked(
-                    2, -alpha, p2 - r2 - (m2 - 1), r1, p2 - r2, "delta")
-            delta.append(acc)
-
-        out = ScalarConstants(phi_total, psi1, psi2, tuple(gamma), tuple(delta))
+        out = ScalarConstants(phi_total, *psis, *tails)
         self._scalars[key] = out
         return out
 
-    def _tail1(self, alpha: int, r1: int, r2: int, k1: int,
-               sign: int = -1) -> CycloNumber:
-        """Product of first-copy phi normalizers above rung k1."""
-        out = self.params.field.one
-        for j1 in range(k1 + 1, self.p1 - r1):
-            out = out * self._phi_checked(
-                1, sign * alpha, j1, self.p1 - r1, r2, "left normalizer")
-        return out
+    def _reflected(self, d: int, r1: int, r2: int) -> Tuple[int, int]:
+        """(r1, r2) with copy d's ladder reflected to p_d - r_d: the labels
+        of the phi normalizers beyond copy d's ladder."""
+        return (self.p1 - r1, r2) if d == 1 else (r1, self.p2 - r2)
 
-    def _tail2(self, alpha: int, r1: int, r2: int, k2: int,
-               sign: int = -1) -> CycloNumber:
-        """Product of second-copy phi normalizers above rung k2."""
+    def _tail(self, d: int, alpha: int, r1: int, r2: int, k: int,
+              sign: int = -1) -> CycloNumber:
+        """Product of copy-d phi normalizers above rung k beyond the
+        ladder (the reflected ladder of p_d - r_d rungs)."""
+        reflected = self._reflected(d, r1, r2)
         out = self.params.field.one
-        for j2 in range(k2 + 1, self.p2 - r2):
+        for j in range(k + 1, reflected[d - 1]):
             out = out * self._phi_checked(
-                2, sign * alpha, j2, r1, self.p2 - r2, "left normalizer")
+                d, sign * alpha, j, *reflected, "left normalizer")
         return out
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def class_kind(self, r1: int, r2: int) -> str:
-        """'corner', 'edge-1', 'edge-2' or 'interior': which ladder sizes
-        r_i of the class (., r1, r2) are full (r_i = p_i)."""
-        if r1 == self.p1 and r2 == self.p2:
-            return "corner"
-        if r2 == self.p2:
-            return "edge-1"
-        if r1 == self.p1:
-            return "edge-2"
-        return "interior"
+    def ladder_copies(self, r1: int, r2: int) -> Tuple[int, ...]:
+        """The copies d of the class (., r1, r2) that are ladders
+        (r_d < p_d); the others are full."""
+        return tuple(d for d, r, p in ((1, r1, self.p1), (2, r2, self.p2))
+                     if r < p)
+
+    def block_ladders(self, label: BlockLabel) -> Tuple[int, ...]:
+        """The ladder copies of a block's classes (reflection keeps them)."""
+        S = self.summands_of(label)[0]
+        return self.ladder_copies(S.r1, S.r2)
+
+    def copy_roles(self, d: int, r: int) -> Tuple[str, ...]:
+        """Copy d's roles at ladder size r: all four on a ladder, bottom
+        on a full copy."""
+        return ROLES if r < (self.p1 if d == 1 else self.p2) else ("bottom",)
+
+    def family_name(self, r1: int, r2: int,
+                    roles: Tuple[str, str]) -> Tuple[str, str]:
+        """(letter, arrow) of the family with these per-copy roles: the
+        first ladder copy's role gives the arrow, the second's the
+        letter, and a missing ladder copy reads as down or B."""
+        ladder = [roles[d - 1] for d in self.ladder_copies(r1, r2)]
+        ladder += ["bottom", "bottom"]
+        return _LETTER_OF_ROLE[ladder[1]], _ARROW_OF_ROLE[ladder[0]]
 
     def ladder_families(self, r1: int, r2: int) -> Dict[Tuple[str, str],
                                                          LadderFamily]:
-        """The families of a class (., r1, r2), keyed (family, arrow), in
-        the one family order (`LETTERS` outside, `ARROWS` inside).
-
-        A corner ideal has the bottom family only.  A boundary ideal has
-        one ladder with room beyond it, walked by the four B arrows: the
-        first copy's on an edge-1 class, the second copy's on an edge-2
-        class.  An interior ideal walks the first copy's ladder by arrow
-        and the second copy's by letter.
-        """
+        """The families of a class (., r1, r2), keyed (family, arrow): the
+        product of the two copies' roles, second copy outside."""
         cached = self._families.get((r1, r2))
         if cached is not None:
             return cached
-        kind = self.class_kind(r1, r2)
-        if kind == "corner":
-            names = [("B", "down")]
-        elif kind == "interior":
-            names = [(X, a) for X in LETTERS for a in ARROWS]
-        else:
-            names = [("B", a) for a in ARROWS]
         out: Dict[Tuple[str, str], LadderFamily] = {}
-        for family, arrow in names:
-            if kind == "edge-2":
-                roles = ("bottom", _ROLE_OF_ARROW[arrow])
-            else:
-                roles = (_ROLE_OF_ARROW[arrow], _ROLE_OF_LETTER[family])
-            sizes = tuple(r if role in ("bottom", "top") else p - r
-                          for role, r, p in zip(roles, (r1, r2),
-                                                (self.p1, self.p2)))
-            out[(family, arrow)] = LadderFamily(family, arrow, roles, sizes)
+        for role2 in self.copy_roles(2, r2):
+            for role1 in self.copy_roles(1, r1):
+                roles = (role1, role2)
+                sizes = tuple(r if role in ("bottom", "top") else p - r
+                              for role, r, p in zip(roles, (r1, r2),
+                                                    (self.p1, self.p2)))
+                name = self.family_name(r1, r2, roles)
+                out[name] = LadderFamily(*name, roles, sizes)
         self._families[(r1, r2)] = out
         return out
 
-    def _corpus(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
-                sum1: Optional[int], sum2: Optional[int]) -> AlgebraElement:
-        """The core word, optionally summed against gamma/delta tails,
-        times the averager v.
+    def _copy_words(self, d: int, role: str, alpha: int, r1: int, r2: int,
+                    s: int) -> List[Tuple[CycloNumber, int, int]]:
+        """Copy d's factor of a corpus, as (coefficient, e_d exponent,
+        f_d exponent) terms.
 
-        sum_i = None puts the plain top power e_i^(p_i - 1) in slot i;
-        sum_i = offset (0 or 1) sums gamma_m * e_i^(p_i - offset - m) over
-        the tail, with the f-exponent p_i - s_i - m tracking m.
+        bottom is the plain top power e_d^(p_d - 1); left sums gamma_m *
+        e_d^(p_d - m) (delta on copy 2) over the tail; top sums gamma_m *
+        e_d^(p_d - 1 - m) and subtracts Psi_d times the plain top power.
+        The f-exponent p_d - s - m tracks m.
         """
-        key = (alpha, r1, r2, s1, s2, sum1, sum2)
+        p = self.p1 if d == 1 else self.p2
+        consts = self.scalar_constants(alpha, r1, r2)
+        if role == "bottom":
+            return [(self.params.field.one, p - 1, p - s)]
+        offset = 1 if role == "top" else 0
+        tail = consts.gamma if d == 1 else consts.delta
+        words = [(c, p - offset - m, p - s - m) for m, c in enumerate(tail, 1)]
+        if role == "top":
+            psi = consts.Psi1 if d == 1 else consts.Psi2
+            words.append((-psi, p - 1, p - s))
+        return words
+
+    def _corpus(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
+                role1: str, role2: str) -> AlgebraElement:
+        """The product of the two copies' corpus factors times the
+        averager v, unnormalised; cached by the two factor kinds."""
+        key = (alpha, r1, r2, s1, s2, role1, role2)
         cached = self._corpora.get(key)
         if cached is not None:
             return cached
         A = self.algebra
-        consts = self.scalar_constants(alpha, r1, r2)
-        one = self.params.field.one
-        if sum1 is None:
-            terms1 = [(one, self.p1 - 1, self.p1 - s1)]
-        else:
-            terms1 = [(consts.gamma[m1 - 1], self.p1 - sum1 - m1, self.p1 - s1 - m1)
-                      for m1 in range(1, self.p1 - r1 + 1)]
-        if sum2 is None:
-            terms2 = [(one, self.p2 - 1, self.p2 - s2)]
-        else:
-            terms2 = [(consts.delta[m2 - 1], self.p2 - sum2 - m2, self.p2 - s2 - m2)
-                      for m2 in range(1, self.p2 - r2 + 1)]
         words = {A.monomial(a1, a2, b1, b2, 0): c1 * c2
-                 for c1, a1, b1 in terms1 for c2, a2, b2 in terms2}
+                 for c1, a1, b1 in self._copy_words(1, role1, alpha, r1, r2, s1)
+                 for c2, a2, b2 in self._copy_words(2, role2, alpha, r1, r2, s2)}
         out = A.element(words) * self.weight_averager(alpha, r1, r2, s1, s2)
         self._corpora[key] = out
         return out
@@ -347,101 +343,44 @@ class BlockSystem:
 
     def _value(self, family: str, arrow: str, alpha: int, r1: int,
                r2: int, s1: int, s2: int, i1: int, i2: int) -> AlgebraElement:
-        """The value of a named element: prefix words times corpora, each
-        corpus already carrying the averager."""
-        kind = self.class_kind(r1, r2)
-        consts = self.scalar_constants(alpha, r1, r2)
-        p1, p2 = self.p1, self.p2
+        """The value of a named element, one factor per copy.
 
-        def lf(*key) -> AlgebraElement:
-            return self.build_named_element(*key).value
-
+        A right role on copy d is f_d^(r_d + i_d) times the element whose
+        copy-d role is top, at index 0 (copy 2 first).  Otherwise the
+        prefix word is e_d^(p_d - r_d - 1 - i_d) on a left copy and
+        f_d^(i_d) on any other, times the corpus of the two roles, divided
+        by Phi and the left copies' tails (b is B/down undivided).
+        """
         if family == "v":
-            out = self.weight_averager(alpha, r1, r2, s1, s2)
-        elif family == "b":
-            out = self._prefix(0, 0, i1, i2) * self._corpus(
-                alpha, r1, r2, s1, s2, None, None)
-        elif (family, arrow) == ("B", "down"):
-            out = lf("b", "down", alpha, r1, r2, s1, s2, i1, i2) / consts.Phi
-        elif kind in ("edge-1", "interior") and family == "B":
-            if arrow == "left":
-                out = (self._prefix(p1 - r1 - 1 - i1, 0, 0, i2)
-                       * self._corpus(alpha, r1, r2, s1, s2, 0, None)
-                       / (consts.Phi * self._tail1(alpha, r1, r2, i1)))
-            elif arrow == "up":
-                out = (self._prefix(0, 0, i1, i2)
-                       * self._corpus(alpha, r1, r2, s1, s2, 1, None)
-                       / consts.Phi
-                       - lf("B", "down", alpha, r1, r2, s1, s2, i1, i2)
-                       * consts.Psi1)
-            else:  # right
-                out = self._prefix(0, 0, r1 + i1, 0) * lf(
-                    "B", "up", alpha, r1, r2, s1, s2, 0, i2)
-        elif kind == "edge-2":
-            if arrow == "left":
-                out = (self._prefix(0, p2 - r2 - 1 - i2, i1, 0)
-                       * self._corpus(alpha, r1, r2, s1, s2, None, 0)
-                       / (consts.Phi * self._tail2(alpha, r1, r2, i2)))
-            elif arrow == "up":
-                out = (self._prefix(0, 0, i1, i2)
-                       * self._corpus(alpha, r1, r2, s1, s2, None, 1)
-                       / consts.Phi
-                       - lf("B", "down", alpha, r1, r2, s1, s2, i1, i2)
-                       * consts.Psi2)
-            else:  # right
-                out = self._prefix(0, 0, 0, r2 + i2) * lf(
-                    "B", "up", alpha, r1, r2, s1, s2, i1, 0)
-        elif family == "L":
-            if arrow == "down":
-                out = (self._prefix(0, p2 - r2 - 1 - i2, i1, 0)
-                       * self._corpus(alpha, r1, r2, s1, s2, None, 0)
-                       / (consts.Phi * self._tail2(alpha, r1, r2, i2)))
-            elif arrow == "left":
-                out = (self._prefix(p1 - r1 - 1 - i1, p2 - r2 - 1 - i2, 0, 0)
-                       * self._corpus(alpha, r1, r2, s1, s2, 0, 0)
-                       / (consts.Phi * self._tail1(alpha, r1, r2, i1)
-                          * self._tail2(alpha, r1, r2, i2)))
-            elif arrow == "up":
-                out = (self._prefix(0, p2 - r2 - 1 - i2, i1, 0)
-                       * self._corpus(alpha, r1, r2, s1, s2, 1, 0)
-                       / (consts.Phi * self._tail2(alpha, r1, r2, i2))
-                       - lf("L", "down", alpha, r1, r2, s1, s2, i1, i2)
-                       * consts.Psi1)
-            else:  # right
-                out = self._prefix(0, 0, r1 + i1, 0) * lf(
-                    "L", "up", alpha, r1, r2, s1, s2, 0, i2)
-        elif family == "T":
-            if arrow == "down":
-                out = (self._prefix(0, 0, i1, i2)
-                       * self._corpus(alpha, r1, r2, s1, s2, None, 1)
-                       / consts.Phi
-                       - lf("B", "down", alpha, r1, r2, s1, s2, i1, i2)
-                       * consts.Psi2)
-            elif arrow == "left":
-                out = (self._prefix(p1 - r1 - 1 - i1, 0, 0, i2)
-                       * self._corpus(alpha, r1, r2, s1, s2, 0, 1)
-                       / (consts.Phi * self._tail1(alpha, r1, r2, i1))
-                       - lf("B", "left", alpha, r1, r2, s1, s2, i1, i2)
-                       * consts.Psi2)
-            elif arrow == "up":
-                combined = (self._corpus(alpha, r1, r2, s1, s2, 1, 1)
-                            - self._corpus(alpha, r1, r2, s1, s2, None, 1)
-                            * consts.Psi1
-                            - self._corpus(alpha, r1, r2, s1, s2, 1, None)
-                            * consts.Psi2
-                            + self._corpus(alpha, r1, r2, s1, s2, None, None)
-                            * (consts.Psi1 * consts.Psi2))
-                out = self._prefix(0, 0, i1, i2) * combined / consts.Phi
-            else:  # right
-                out = self._prefix(0, 0, r1 + i1, 0) * lf(
-                    "T", "up", alpha, r1, r2, s1, s2, 0, i2)
-        elif family == "R":
-            inner_i1 = i1
-            out = self._prefix(0, 0, 0, r2 + i2) * lf(
-                "T", arrow, alpha, r1, r2, s1, s2, inner_i1, 0)
-        else:  # pragma: no cover - guarded by build_named_element
-            raise ValueError(f"unknown family {family!r}")
-        return out
+            return self.weight_averager(alpha, r1, r2, s1, s2)
+        name = ("B", "down") if family == "b" else (family, arrow)
+        roles = self.ladder_families(r1, r2)[name].roles
+        index = (i1, i2)
+        for d in (2, 1):
+            if roles[d - 1] == "right":
+                copies = tuple(zip((1, 2), roles, (r1, r2), index))
+                inner = tuple("top" if c == d else role
+                              for c, role, _, _ in copies)
+                at = tuple(0 if c == d else i for c, _, _, i in copies)
+                rungs = tuple(r + i if c == d else 0
+                              for c, _, r, i in copies)
+                top = self.build_named_element(
+                    *self.family_name(r1, r2, inner), alpha, r1, r2, s1, s2,
+                    *at)
+                return self._prefix(0, 0, *rungs) * top.value
+        lowers = [p - r - 1 - i if role == "left" else 0
+                  for role, r, p, i in zip(roles, (r1, r2),
+                                           (self.p1, self.p2), index)]
+        raises = [0 if role == "left" else i for role, i in zip(roles, index)]
+        out = (self._prefix(*lowers, *raises)
+               * self._corpus(alpha, r1, r2, s1, s2, *roles))
+        if family == "b":
+            return out
+        scale = self.scalar_constants(alpha, r1, r2).Phi
+        for d, role, i in zip((1, 2), roles, index):
+            if role == "left":
+                scale = scale * self._tail(d, alpha, r1, r2, i)
+        return out / scale
 
     def build_named_element(self, family: str, arrow: str, alpha: int,
                             r1: int, r2: int, s1: int, s2: int,
@@ -467,8 +406,8 @@ class BlockSystem:
             fam = self.ladder_families(r1, r2).get(name)
             if fam is None:
                 raise ValueError(
-                    f"family {family}/{arrow} is not defined on a "
-                    f"{self.class_kind(r1, r2)} class ({r1}, {r2})")
+                    f"family {family}/{arrow} is not defined on the "
+                    f"class ({r1}, {r2})")
             for which, idx, size in (("first", idx1, fam.sizes[0]),
                                      ("second", idx2, fam.sizes[1])):
                 if not 0 <= idx < size:
@@ -515,23 +454,26 @@ class BlockSystem:
 
     def primitive_idempotent(self, kind: str, alpha: int, r1: int, r2: int,
                              s1: int, s2: int) -> AlgebraElement:
-        """One primitive idempotent: the element of the class's top family
-        at index pair (s1 - 1, s2 - 1).  ``kind`` must be the class's own
-        idempotent kind (X-type on the corner, P-boundary on an edge,
-        P-interior inside)."""
+        """One primitive idempotent: the element whose role is top on each
+        ladder copy (bottom on a full one), at index pair (s1 - 1, s2 - 1).
+        ``kind`` must be the class's own idempotent kind (X-type with no
+        ladder copy, P-boundary with one, P-interior with two)."""
         self._check_family_labels(alpha, r1, r2, s1, s2)
-        own, family, arrow = _IDEMPOTENT_OF_CLASS[self.class_kind(r1, r2)]
-        if kind not in ("X-type", "P-boundary", "P-interior"):
+        if kind not in _IDEMPOTENT_KINDS:
             raise ValueError(f"unknown idempotent kind {kind!r}")
+        ladders = self.ladder_copies(r1, r2)
+        own = _IDEMPOTENT_KINDS[len(ladders)]
         if kind != own:
             raise ValueError(
                 f"{kind} idempotents are not defined on the class "
                 f"({r1}, {r2}), whose idempotents are {own}")
+        roles = tuple("top" if d in ladders else "bottom" for d in (1, 2))
         return self.build_named_element(
-            family, arrow, alpha, r1, r2, s1, s2, s1 - 1, s2 - 1).value
+            *self.family_name(r1, r2, roles), alpha, r1, r2, s1, s2,
+            s1 - 1, s2 - 1).value
 
-    def _reflections(self, label: BlockLabel
-                     ) -> List[Tuple[Tuple[int, int], ProjectiveSummand]]:
+    def reflections(self, label: BlockLabel
+                    ) -> List[Tuple[Tuple[int, int], ProjectiveSummand]]:
         """The block's classes, each tagged with its reflection flags.
 
         Reflecting copy i sends r_i to p_i - r_i and flips the sign; the
@@ -553,7 +495,13 @@ class BlockSystem:
     def summands_of(self, label: BlockLabel) -> Tuple[ProjectiveSummand, ...]:
         """The block's distinct projective classes, copy 1 reflected
         first: the order of realization summands and block dumps."""
-        return tuple(S for _, S in self._reflections(label))
+        return tuple(S for _, S in self.reflections(label))
+
+    @staticmethod
+    def slots(r1: int, r2: int) -> List[Tuple[int, int]]:
+        """The idempotent slots (s1, s2) of a class, s1 outer and s2
+        fastest: the order of the catalog and of block realizations."""
+        return [(s1, s2) for s1 in range(1, r1 + 1) for s2 in range(1, r2 + 1)]
 
     def primitive_idempotent_catalog(
             self, label: Optional[BlockLabel] = None
@@ -569,13 +517,10 @@ class BlockSystem:
             for lab in self.block_labels():
                 out.extend(self.primitive_idempotent_catalog(lab))
             return out
-        entries: List[Tuple[str, int, int, int, int, int]] = []
-        for _, (alpha, r1, r2) in sorted(self._reflections(label)):
-            kind = _IDEMPOTENT_OF_CLASS[self.class_kind(r1, r2)][0]
-            entries.extend((kind, alpha, r1, r2, s1, s2)
-                           for s1 in range(1, r1 + 1)
-                           for s2 in range(1, r2 + 1))
-        return entries
+        kind = _IDEMPOTENT_KINDS[len(self.block_ladders(label))]
+        return [(kind, alpha, r1, r2, s1, s2)
+                for _, (alpha, r1, r2) in sorted(self.reflections(label))
+                for s1, s2 in self.slots(r1, r2)]
 
     def ideal_basis(self, alpha: int, r1: int, r2: int,
                     s1: int, s2: int) -> List[NamedElement]:
@@ -706,9 +651,7 @@ class BlockSystem:
             return phi(P, d, alpha, j, r1, r2)
 
         def scalar_k(j):
-            if d == 1:
-                return phi(P, 1, -alpha, j, self.p1 - r1, r2)
-            return phi(P, 2, -alpha, j, r1, self.p2 - r2)
+            return phi(P, d, -alpha, j, *self._reflected(d, r1, r2))
 
         name_of_roles = {fam.roles: name for name, fam in families.items()}
 
@@ -805,20 +748,20 @@ class BlockSystem:
                 lhs = self.build_named_element(
                     "b", "down", alpha, r1, r2, s1, s2, 0, n2).value
                 rhs = (self._prefix(0, 0, 1, n2)
-                       * self._corpus(alpha, r1, r2, s1, s2, 0, None))
+                       * self._corpus(alpha, r1, r2, s1, s2, "left", "bottom"))
                 tally.hit("alternate.bottom-row", lhs == rhs, where)
         if self.p2 - r2 >= 1:
             for n1 in range(r1):
                 lhs = self.build_named_element(
                     "b", "down", alpha, r1, r2, s1, s2, n1, 0).value
                 rhs = (self._prefix(0, 0, n1, 1)
-                       * self._corpus(alpha, r1, r2, s1, s2, None, 0))
+                       * self._corpus(alpha, r1, r2, s1, s2, "bottom", "left"))
                 tally.hit("alternate.bottom-column", lhs == rhs, where)
         if self.p1 - r1 >= 1 and self.p2 - r2 >= 1:
             lhs = self.build_named_element(
                 "b", "down", alpha, r1, r2, s1, s2, 0, 0).value
             rhs = (self._prefix(0, 0, 1, 1)
-                   * self._corpus(alpha, r1, r2, s1, s2, 0, 0))
+                   * self._corpus(alpha, r1, r2, s1, s2, "left", "left"))
             tally.hit("alternate.bottom-corner", lhs == rhs, where)
 
     # ------------------------------------------------------------------
@@ -885,10 +828,8 @@ class BlockSystem:
             for k in range(0, pd - rd):
                 total += 1
                 lhs = _phi_formula(P, d, alpha, rd + k, r1, r2)
-                if d == 1:
-                    rhs = _phi_formula(P, 1, -alpha, k, P.p1 - r1, r2)
-                else:
-                    rhs = _phi_formula(P, 2, -alpha, k, r1, P.p2 - r2)
+                rhs = _phi_formula(P, d, -alpha, k,
+                                   *self._reflected(d, r1, r2))
                 if lhs != rhs:
                     bad += 1
         return Check(
@@ -917,10 +858,10 @@ class BlockSystem:
                 anchor="misprint-adjudication")
         consts = self.scalar_constants(alpha, r1, r2)
         f1 = self.algebra.f(1)
-        corpus = self._corpus(alpha, r1, r2, s1, s2, 0, None)
+        corpus = self._corpus(alpha, r1, r2, s1, s2, "left", "bottom")
 
         def left_variant(k1, sign):
-            tail = self._tail1(alpha, r1, r2, k1, sign=sign)
+            tail = self._tail(1, alpha, r1, r2, k1, sign=sign)
             return (self._prefix(p1 - r1 - 1 - k1, 0, 0, 0) * corpus
                     / (consts.Phi * tail))
 
@@ -1097,11 +1038,12 @@ class BlockSystem:
         total_vectors = 0
         for label in labels:
             for entry in self.primitive_idempotent_catalog(label):
-                kind, alpha, r1, r2, s1, s2 = entry
+                _, alpha, r1, r2, s1, s2 = entry
                 basis = self.ideal_basis(alpha, r1, r2, s1, s2)
-                expected = (r1 * r2 if kind == "X-type"
-                            else 2 * p1 * p2 if kind == "P-boundary"
-                            else 4 * p1 * p2)
+                # p_d rungs per full copy, 2 p_d per ladder copy
+                ladders = self.ladder_copies(r1, r2)
+                expected = ((2 if 1 in ladders else 1) * p1
+                            * (2 if 2 in ladders else 1) * p2)
                 local = IncrementalSpan(field)
                 families = self.ladder_families(r1, r2)
                 ratio = self.averager_ratio(alpha, r1, r2, s1, s2)

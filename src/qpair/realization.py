@@ -20,58 +20,68 @@ Elements are stored in the projector basis w 1_j (see `algebra`), and
 so `represent` reads the matrix straight off the element: for each term
 c * w 1_j it adds c times the columns of w's matrix with s_c = 2j.
 
-A single nine-cell occupancy template (applied once per ladder
-direction) predicts where each named element may act and with which
-unit entries; comparing predicted against realized matrices verifies
-the displayed action tables, the block shapes with their forced zeros
-and repeated diagonal sub-blocks, and the misprint adjudication at the
-re-entry cell.  The same matrices drive exact rank (faithfulness),
-central preimage solving, and block-center dimensions.
+Each copy contributes one shape template (`_ladder_cells`): nine cells
+on a ladder copy, one pass-through bottom cell on a full copy.  The
+product of the two copies' templates predicts where each named element
+may act and with which unit entries, and the per-copy repeated cells
+multiply out to the repeated diagonal sub-blocks; the central elements
+are products of one drop (top to bottom) or pass-through per copy.
+Comparing predicted against realized matrices verifies the displayed
+action tables, the block shapes with their forced zeros and repeated
+diagonal sub-blocks, and the misprint adjudication at the re-entry cell.
+The same matrices drive exact rank (faithfulness), central preimage
+solving, and block-center dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .algebra import AlgebraElement
 from .cyclo import CycloNumber, Params
-from .ideals import (ARROWS, LETTERS, BlockLabel, BlockSystem, NamedElement,
-                     ProjectiveSummand)
+from .ideals import BlockLabel, BlockSystem, NamedElement, ProjectiveSummand
 from .linalg import IncrementalSpan, Matrix, Vector, nullspace
 from .report import Check
 
-_LETTER_FOR = dict(zip(ARROWS, LETTERS))
 GENERATOR_NAMES = ("e1", "e2", "f1", "f2", "K")
 
-# Row/column group positions of the one-direction shape template, in the
-# family order up, left, right, down.  The same nine cells describe a
-# boundary ideal directly and an interior ideal twice (letters outside,
-# arrows inside).
-_SHAPE_CELLS = (
-    (0, 0), (3, 3),
-    (1, 0), (2, 0), (3, 0),
-    (1, 1), (2, 2),
-    (3, 1), (3, 2),
+# One ladder copy's shape template: (row role, column role, element role,
+# reflected).  An element whose role on this copy is the element role acts
+# at the (row, column) cell; a reflected element comes from the other
+# class of the copy (sign flipped, ladder size p - r).
+_LADDER_TEMPLATE = (
+    ("top", "top", "top", 0), ("bottom", "bottom", "top", 0),
+    ("left", "top", "left", 0), ("right", "top", "right", 0),
+    ("bottom", "top", "bottom", 0),
+    ("left", "left", "top", 1), ("right", "right", "top", 1),
+    ("bottom", "left", "right", 1), ("bottom", "right", "left", 1),
 )
+# Template cells with equal tags: the repeated diagonal sub-blocks.
+_LADDER_REPEATS = ((("top", "top"), ("bottom", "bottom")),
+                   (("left", "left"), ("right", "right")))
 
 
-def _ladder_cells(sign: int, low: int, size: int):
-    """Tag each template cell with (arrow, sign, ladder label).
-
-    ``low`` is the ladder size of the same-sign family and ``size - low``
-    the size of the reflected one; the diagonal pairs (0,0)/(3,3) and
-    (1,1)/(2,2) carry identical tags, which is where the repeated
-    sub-block constraints come from.
+def _ladder_cells(r: int, p: int):
+    """Copy template at ladder size r of p: (row role, column role,
+    element role, element ladder size, reflected) per cell.  A full copy
+    (r = p) contributes one pass-through bottom cell that keeps the sign.
     """
-    high = size - low
-    tags = (
-        ("up", sign, low), ("up", sign, low),
-        ("left", sign, low), ("right", sign, low), ("down", sign, low),
-        ("up", -sign, high), ("up", -sign, high),
-        ("right", -sign, high), ("left", -sign, high),
-    )
-    return tuple((rc[0], rc[1]) + tag for rc, tag in zip(_SHAPE_CELLS, tags))
+    if r == p:
+        return (("bottom", "bottom", "bottom", p, 0),)
+    return tuple((row, col, role, p - r if flip else r, flip)
+                 for row, col, role, flip in _LADDER_TEMPLATE)
+
+
+# central element names by the ladder positions (first, second) dropped
+_DROP_NAMES = {(): "unit", (0,): "arrow-drop", (1,): "top-drop",
+               (0, 1): "corner-drop"}
+
+
+def _per_copy(d: int, mine, other) -> tuple:
+    """The pair with ``mine`` on copy d and ``other`` on the other copy."""
+    return (mine, other) if d == 1 else (other, mine)
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +197,7 @@ class Realization:
         self._k_exponents: Dict[ProjectiveSummand, List[int]] = {}
         self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
+        self._cells: Dict[ProjectiveSummand, Dict[tuple, list]] = {}
         # label -> (center basis, number of commutator equations)
         self._centers: Dict[BlockLabel, Tuple[List[Vector], int]] = {}
         self._joint: Dict[BlockLabel, tuple] = {}
@@ -319,9 +330,8 @@ class Realization:
         summands = self.system.summands_of(label)
         elements: List[NamedElement] = []
         for S in summands:
-            for s2 in range(1, S.r2 + 1):
-                for s1 in range(1, S.r1 + 1):
-                    elements.extend(self.system.ideal_basis(*S, s1, s2))
+            for s1, s2 in self.system.slots(S.r1, S.r2):
+                elements.extend(self.system.ideal_basis(*S, s1, s2))
         matrices = [tuple(self.represent(el.value, S) for S in summands)
                     for el in elements]
         out = BlockRealization(label, summands, elements, matrices)
@@ -332,60 +342,68 @@ class Realization:
     # Predicted matrices
     # ------------------------------------------------------------------
 
+    def _cell_table(self, summand: ProjectiveSummand) -> Dict[tuple, list]:
+        """The product of the two copies' templates on one summand:
+        (element roles, element ladder sizes, element sign) -> the (row
+        family, column family) cells where such an element acts.
+
+        Matching the full tag keeps the prediction correct when reflected
+        ladder sizes coincide.
+        """
+        cached = self._cells.get(summand)
+        if cached is not None:
+            return cached
+        r1, r2 = summand.r1, summand.r2
+        name = self.system.family_name
+        out: Dict[tuple, list] = {}
+        for row1, col1, role1, h1, flip1 in _ladder_cells(r1, self.p1):
+            for row2, col2, role2, h2, flip2 in _ladder_cells(r2, self.p2):
+                tag = ((role1, role2), (h1, h2),
+                       summand.alpha * (-1) ** (flip1 + flip2))
+                out.setdefault(tag, []).append(
+                    (name(r1, r2, (row1, row2)), name(r1, r2, (col1, col2))))
+        self._cells[summand] = out
+        return out
+
     def expected_matrix(self, el: NamedElement,
                         summand: ProjectiveSummand) -> Matrix:
         """The 0/1 matrix the action displays predict for one element.
 
         An element contributes a unit entry at (its own index pair, the
-        slot pair of the column family) for every template cell whose
-        arrow, sign, and ladder labels all match; matching the full tag
-        keeps the prediction correct when reflected labels coincide.
+        slot pair of the column family) for every product cell whose
+        roles, ladder sizes and sign all match its own.
         """
         lay = self.layout(summand)
-        kind = self.system.class_kind(summand.r1, summand.r2)
         one = self.params.field.one
         out = Matrix(self.params.field, lay.dim)
-
-        def put(rfam, rarrow, cfam, carrow):
-            out.put(lay.flat(rfam, rarrow, el.idx1, el.idx2),
-                    lay.flat(cfam, carrow, el.s1 - 1, el.s2 - 1), one)
-
-        if kind == "corner":
-            if el.alpha == summand.alpha:
-                put("B", "down", "B", "down")
-        elif kind == "edge-1":
-            for ri, ci, arrow, sg, lab in _ladder_cells(
-                    summand.alpha, summand.r1, self.p1):
-                if el.arrow == arrow and el.alpha == sg and el.r1 == lab:
-                    put("B", ARROWS[ri], "B", ARROWS[ci])
-        elif kind == "edge-2":
-            for ri, ci, arrow, sg, lab in _ladder_cells(
-                    summand.alpha, summand.r2, self.p2):
-                if el.arrow == arrow and el.alpha == sg and el.r2 == lab:
-                    put("B", ARROWS[ri], "B", ARROWS[ci])
-        else:
-            for RI, CI, larrow, sg2, lab2 in _ladder_cells(
-                    summand.alpha, summand.r2, self.p2):
-                if el.family != _LETTER_FOR[larrow] or el.r2 != lab2:
-                    continue
-                for ri, ci, arrow, sg1, lab1 in _ladder_cells(
-                        sg2, summand.r1, self.p1):
-                    if el.arrow == arrow and el.alpha == sg1 and el.r1 == lab1:
-                        put(LETTERS[RI], ARROWS[ri], LETTERS[CI], ARROWS[ci])
+        roles = self.system.ladder_families(el.r1, el.r2)[
+            (el.family, el.arrow)].roles
+        for row, col in self._cell_table(summand).get(
+                (roles, (el.r1, el.r2), el.alpha), ()):
+            out.put(lay.flat(*row, el.idx1, el.idx2),
+                    lay.flat(*col, el.s1 - 1, el.s2 - 1), one)
         return out
 
     def occupied_cells(self, summand: ProjectiveSummand) -> frozenset:
         """Group pairs allowed to carry entries on this summand."""
-        kind = self.system.class_kind(summand.r1, summand.r2)
-        if kind == "corner":
-            return frozenset({(("B", "down"), ("B", "down"))})
-        if kind in ("edge-1", "edge-2"):
-            return frozenset(
-                (("B", ARROWS[ri]), ("B", ARROWS[ci]))
-                for ri, ci in _SHAPE_CELLS)
-        return frozenset(
-            ((LETTERS[RI], ARROWS[ri]), (LETTERS[CI], ARROWS[ci]))
-            for RI, CI in _SHAPE_CELLS for ri, ci in _SHAPE_CELLS)
+        return frozenset(cell for cells in self._cell_table(summand).values()
+                         for cell in cells)
+
+    def _repeat_partners(self, summand: ProjectiveSummand):
+        """Pairs of sub-blocks that must coincide: each ladder copy's
+        repeated cells, at every row and column role of the other copy."""
+        r1, r2 = summand.r1, summand.r2
+        roles = (self.system.copy_roles(1, r1), self.system.copy_roles(2, r2))
+        pairs = []
+        for d in self.system.ladder_copies(r1, r2):
+            other = roles[2 - d]
+            for repeat in _LADDER_REPEATS:
+                for x, y in product(other, other):
+                    pairs.append(tuple(
+                        (self.system.family_name(r1, r2, _per_copy(d, row, x)),
+                         self.system.family_name(r1, r2, _per_copy(d, col, y)))
+                        for row, col in repeat))
+        return tuple(pairs)
 
     def _group_of(self, lay: GroupLayout) -> List[Tuple[str, str]]:
         out: List[Tuple[str, str]] = [("", "")] * lay.dim
@@ -438,8 +456,11 @@ class Realization:
         if mismatches:
             detail += f"; first failure {mismatches[0]}"
         checks = [Check(f"realization[{r1},{r2}].action-table",
-                        not mismatches, detail, anchor="block-action-tables")]
-        if self.system.block_kind(label).startswith("corner"):
+                        not mismatches, detail, anchor="block-action-tables",
+                        scope=(f"exhaustive: {len(real.elements)} elements × "
+                               f"{len(real.summands)} summands, full "
+                               f"matrices"))]
+        if not self.system.block_ladders(label):
             checks.append(self._verify_matrix_units(real))
         return checks
 
@@ -449,14 +470,14 @@ class Realization:
         zero = self.algebra.zero()
         for x in real.elements:
             for y in real.elements:
-                product = x.value * y.value
+                xy = x.value * y.value
                 if (x.s1 - 1, x.s2 - 1) == (y.idx1, y.idx2):
                     want = self.system.build_named_element(
                         "B", "down", x.alpha, x.r1, x.r2,
                         y.s1, y.s2, x.idx1, x.idx2).value
                 else:
                     want = zero
-                if product != want:
+                if xy != want:
                     bad += 1
         n = len(real.elements)
         return Check(
@@ -469,32 +490,10 @@ class Realization:
     # Verification: shapes
     # ------------------------------------------------------------------
 
-    def _repeat_partners(self, kind: str):
-        if kind == "corner":
-            return ()
-        if kind in ("edge-1", "edge-2"):
-            return (
-                ((("B", "up"), ("B", "up")), (("B", "down"), ("B", "down"))),
-                ((("B", "left"), ("B", "left")),
-                 (("B", "right"), ("B", "right"))),
-            )
-        pairs = []
-        for a in ARROWS:            # outer-level repeats, all inner positions
-            for b in ARROWS:
-                pairs.append(((("T", a), ("T", b)), (("B", a), ("B", b))))
-                pairs.append(((("L", a), ("L", b)), (("R", a), ("R", b))))
-        for X in LETTERS:           # inner-level repeats, all outer positions
-            for Y in LETTERS:
-                pairs.append((((X, "up"), (Y, "up")),
-                              ((X, "down"), (Y, "down"))))
-                pairs.append((((X, "left"), (Y, "left")),
-                              ((X, "right"), (Y, "right"))))
-        return tuple(pairs)
-
     def verify_block_shape(self, label: BlockLabel) -> List[Check]:
         """Forced zeros, repeated diagonals, faithfulness, dimension."""
         real = self.block_realization(label)
-        kind = self.system.block_kind(label)
+        ladders = self.system.block_ladders(label)
         r1, r2 = label
         prefix = f"realization[{r1},{r2}]"
         checks: List[Check] = []
@@ -502,8 +501,10 @@ class Realization:
         lays = [self.layout(S) for S in real.summands]
         groups = [self._group_of(lay) for lay in lays]
         occupied = [self.occupied_cells(S) for S in real.summands]
-        partners = [self._repeat_partners(self.system.class_kind(S.r1, S.r2))
-                    for S in real.summands]
+        partners = [self._repeat_partners(S) for S in real.summands]
+        n = len(real.elements)
+        per_element = (f"exhaustive: {n} elements × {len(real.summands)} "
+                       f"summands")
 
         zero_bad = 0
         repeat_bad = 0
@@ -519,26 +520,24 @@ class Realization:
         checks.append(Check(
             f"{prefix}.forced-zeros", zero_bad == 0,
             f"support of every element matrix confined to the shape "
-            f"template; violations: {zero_bad}", anchor="block-shape-zeros"))
+            f"template; violations: {zero_bad}", anchor="block-shape-zeros",
+            scope=(f"{per_element}, full matrices against "
+                   f"{sum(map(len, occupied))} template cells")))
         checks.append(Check(
             f"{prefix}.repeated-diagonals", repeat_bad == 0,
             f"diagonal sub-block pairs coincide entry for entry; "
-            f"violations: {repeat_bad}", anchor="block-shape-repeats"))
+            f"violations: {repeat_bad}", anchor="block-shape-repeats",
+            scope=(f"{per_element}, {sum(map(len, partners))} sub-block "
+                   f"pairs per element")))
 
         span, _, _ = self._joint_span(label)
-        n = len(real.elements)
         checks.append(Check(
             f"{prefix}.faithful", span.rank == n,
             f"joint matrix tuples of the {n} block basis elements have "
             f"rank {span.rank}", anchor="block-realization-rank"))
 
-        p1p2 = self.p1 * self.p2
-        if kind.startswith("corner"):
-            want = p1p2 * p1p2
-        elif kind in ("edge-1", "edge-2"):
-            want = 2 * p1p2 * p1p2
-        else:
-            want = 4 * p1p2 * p1p2
+        # p_d^2 per full copy, 2 p_d^2 per ladder copy
+        want = (self.p1 * self.p2) ** 2 * 2 ** len(ladders)
         checks.append(Check(
             f"{prefix}.dimension", n == want and span.rank == want,
             f"realized subalgebra dimension {span.rank}, block dimension "
@@ -549,16 +548,19 @@ class Realization:
         ident_ok = all(
             self.represent(unit, S) == Matrix.identity(field, lay.dim)
             for S, lay in zip(real.summands, lays))
-        foreign_label = next(lab for lab in self.system.block_labels()
-                             if lab != label)
-        foreign = self.system.summands_of(foreign_label)[0]
-        zero_ok = self.represent(unit, foreign).is_zero()
+        foreign = [S for lab in self.system.block_labels() if lab != label
+                   for S in self.system.summands_of(lab)]
+        zero_ok = all(self.represent(unit, S).is_zero() for S in foreign)
         checks.append(Check(
             f"{prefix}.unit-matrix", ident_ok and zero_ok,
-            "block idempotent acts as the identity on its own summands "
-            "and as zero elsewhere", anchor="block-unit-matrix"))
+            f"block idempotent acts as the identity on its "
+            f"{len(real.summands)} own summands and as zero on the "
+            f"{len(foreign)} summands of the other blocks",
+            anchor="block-unit-matrix",
+            scope=(f"exhaustive: {len(real.summands)} own + {len(foreign)} "
+                   f"other summands, full matrices")))
 
-        if kind in ("edge-1", "edge-2"):
+        if len(ladders) == 1:
             checks.append(self._verify_reentry_cell(label, real))
         return checks
 
@@ -667,43 +669,57 @@ class Realization:
                     out[col] = {lay.flat(dfam, darrow, i1, i2): one}
         return out
 
+    def central_drops(self, label: BlockLabel
+                      ) -> List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]]:
+        """(name, dropped copies, summand positions) of each central
+        element, in a fixed order.
+
+        Dropping a set of ladder copies sends the top role to the bottom
+        role on each of them and keeps every role of the other copy; it
+        acts on the summands that share their reflection flags on the
+        dropped copies.  Dropping no copy is the unit.  The names are
+        unit, then top-drop (second ladder copy), arrow-drop (first) and
+        corner-drop (both), each followed by its summand positions.
+        """
+        ladders = self.system.block_ladders(label)
+        flags = [f for f, _ in self.system.reflections(label)]
+        drop_sets = sorted(
+            (tuple(d for d, drop in zip(ladders, pick) if drop)
+             for pick in product((0, 1), repeat=len(ladders))), key=len)
+        out = []
+        for dropped in drop_sets:
+            groups: Dict[tuple, List[int]] = {}
+            for pos, f in enumerate(flags):
+                groups.setdefault(tuple(f[d - 1] for d in dropped),
+                                  []).append(pos)
+            kind = _DROP_NAMES[tuple(ladders.index(d) for d in dropped)]
+            for positions in groups.values():
+                name = (f"{kind}-{''.join(map(str, positions))}" if dropped
+                        else kind)
+                out.append((name, dropped, tuple(positions)))
+        return out
+
     def central_prescriptions(self, label: BlockLabel
                               ) -> Dict[str, List[Matrix]]:
-        """Matrix prescriptions of the block's central elements.
-
-        Beyond the unit, boundary blocks carry one nilpotent per summand
-        (top arrow family to bottom arrow family) and interior blocks
-        carry the four letter drops t->b, the four arrow drops up->down
-        (each supported on a summand pair), and one corner drop per
-        summand.
-        """
-        kind = self.system.block_kind(label)
-        real = self.block_realization(label)
-        lays = [self.layout(S) for S in real.summands]
+        """Matrix prescriptions of the block's central elements: each
+        drop of `central_drops` as an index-preserving unit map on its
+        summands, zero on the others."""
+        summands = self.system.summands_of(label)
+        lays = [self.layout(S) for S in summands]
         field = self.params.field
-        out: Dict[str, List[Matrix]] = {
-            "unit": [Matrix.identity(field, lay.dim) for lay in lays]}
-
-        def place(name, positions, pairs):
+        out: Dict[str, List[Matrix]] = {}
+        for name, dropped, positions in self.central_drops(label):
             mats = [Matrix(field, lay.dim) for lay in lays]
             for pos in positions:
+                S = summands[pos]
+                moves = [[("bottom", "top")] if d in dropped else
+                         [(role, role) for role in self.system.copy_roles(d, r)]
+                         for d, r in ((1, S.r1), (2, S.r2))]
+                pairs = [(self.system.family_name(S.r1, S.r2, (dst1, dst2)),
+                          self.system.family_name(S.r1, S.r2, (src1, src2)))
+                         for dst1, src1 in moves[0] for dst2, src2 in moves[1]]
                 mats[pos] = self._shift_matrix(lays[pos], pairs)
             out[name] = mats
-
-        if kind in ("edge-1", "edge-2"):
-            drop = ((("B", "down"), ("B", "up")),)
-            place("arrow-drop-0", (0,), drop)
-            place("arrow-drop-1", (1,), drop)
-        elif kind == "interior":
-            tops = tuple((("B", a), ("T", a)) for a in ARROWS)
-            downs = tuple(((X, "down"), (X, "up")) for X in LETTERS)
-            corner = ((("B", "down"), ("T", "up")),)
-            place("top-drop-01", (0, 1), tops)
-            place("top-drop-23", (2, 3), tops)
-            place("arrow-drop-02", (0, 2), downs)
-            place("arrow-drop-13", (1, 3), downs)
-            for pos in range(4):
-                place(f"corner-drop-{pos}", (pos,), corner)
         return out
 
     def central_elements(self, label: BlockLabel) -> Dict[str, AlgebraElement]:
@@ -739,7 +755,6 @@ class Realization:
 
     def verify_central_elements(self, label: BlockLabel) -> List[Check]:
         """Preimages exist, commute with everything, and square right."""
-        kind = self.system.block_kind(label)
         r1, r2 = label
         prefix = f"realization[{r1},{r2}]"
         checks: List[Check] = []
@@ -776,8 +791,8 @@ class Realization:
         span = IncrementalSpan(self.params.field)
         for z in named.values():
             span.add({A.monomial_index(m): c for m, c in z.terms.items()})
-        want = {"corner-plus": 1, "corner-minus": 1,
-                "edge-1": 3, "edge-2": 3, "interior": 9}[kind]
+        # per ladder copy, keep or drop at either reflection flag
+        want = 3 ** len(self.system.block_ladders(label))
         dim = self.center_dimension(label)
         n_equations = self._centers[label][1]
         checks.append(Check(

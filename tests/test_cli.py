@@ -134,6 +134,35 @@ def test_verify_json_reports_the_solve_scopes():
         "exhaustive: 148 commutator equations over 36 block elements")
 
 
+def test_verify_json_reports_the_shape_and_radford_scopes():
+    result = runner.invoke(main, ["verify", "--p1", "2", "--p2", "3",
+                                  "--suite", "shapes,radford",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    scopes = {c["check_id"]: c["scope"]
+              for c in json.loads(result.output)["checks"]}
+    interior = "exhaustive: 144 elements × 4 summands"
+    assert scopes["realization[1,1].action-table"] == (
+        f"{interior}, full matrices")
+    assert scopes["realization[1,1].forced-zeros"] == (
+        f"{interior}, full matrices against 324 template cells")
+    assert scopes["realization[1,1].repeated-diagonals"] == (
+        f"{interior}, 256 sub-block pairs per element")
+    assert scopes["realization[1,1].unit-matrix"] == (
+        "exhaustive: 4 own + 8 other summands, full matrices")
+    assert scopes["realization[2,1].repeated-diagonals"] == (
+        "exhaustive: 72 elements × 2 summands, 4 sub-block pairs per element")
+    assert scopes["realization[0,3].unit-matrix"] == (
+        "exhaustive: 1 own + 11 other summands, full matrices")
+    assert scopes["radford[1,1].side-13"] == (
+        "exhaustive: 432 basis monomials, 1 of 1 combinations compared")
+    # the edge-2 unit identity matches its second, corrected variant
+    assert scopes["radford[2,1].unit"] == (
+        "exhaustive: 432 basis monomials, 2 of 2 combinations compared")
+    assert scopes["radford[2,2].unit"] == (
+        "exhaustive: 432 basis monomials, 1 of 2 combinations compared")
+
+
 def test_verify_command_writes_out_file(tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["verify", "--p1", "2", "--p2", "3",

@@ -263,6 +263,34 @@ def test_block_shapes_all_blocks():
             assert check.passed, check.row()
 
 
+def test_unit_matrix_check_reads_every_other_summand(monkeypatch):
+    # each block's unit carries the last block's idempotent too: it is
+    # still the identity on its own summands, but not zero on the last
+    # block's summands, which the check must read
+    labels = B23.block_labels()
+    block_idempotent = B23.block_idempotent
+    monkeypatch.setattr(B23, "block_idempotent", lambda label: (
+        block_idempotent(label) + block_idempotent(labels[-1])))
+    for label in labels[:-1]:
+        checks = {c.check_id: c for c in R23.verify_block_shape(label)}
+        check = checks[f"realization[{label.r1},{label.r2}].unit-matrix"]
+        assert not check.passed, check.row()
+
+
+def test_unit_matrix_detail_counts_the_other_summands():
+    counts = {}
+    for lab in B23.block_labels():
+        (check,) = [c for c in block_shape_checks(lab)
+                    if c.check_id.endswith(".unit-matrix")]
+        own = len(B23.summands_of(lab))
+        counts[lab] = 12 - own
+        assert check.detail == (
+            f"block idempotent acts as the identity on its {own} own "
+            f"summands and as zero on the {12 - own} summands of the other "
+            f"blocks")
+    assert sum(counts.values()) == 60
+
+
 def test_reentry_check_is_marked_corrected():
     checks = block_shape_checks(BlockLabel(1, 3))
     statuses = {c.check_id: c.status for c in checks}
