@@ -714,55 +714,45 @@ class BlockSystem:
                         families: Dict[Tuple[str, str], LadderFamily],
                         alpha: int, r1: int, r2: int, s1: int, s2: int,
                         elems: Dict[tuple, NamedElement], where: str) -> None:
-        """The four projection cases of the averager against block vectors."""
+        """The four projection cases of the averager against block vectors:
+        case 1 + (copy 1 beyond its ladder) + 2 (copy 2 beyond its
+        ladder), case 1 split into the matching slot and the others."""
         v = self.weight_averager(alpha, r1, r2, s1, s2)
         factor = 2 * self.p1 * self.p2
         for (family, arrow, i1, i2), el in elems.items():
             if el.family == "b":
                 continue
             t1, t2 = families[(family, arrow)].slots
+            case = 1 + (t1 == "k") + 2 * (t2 == "k")
             product = v * el.value
-            if t1 == "n" and t2 == "n":
-                if (i1, i2) == (s1 - 1, s2 - 1):
-                    ok = product == el.value * factor
-                    tally.hit("averager.match", ok, f"{(family, arrow)} {where}")
-                else:
-                    tally.hit("averager.case1-off-slot", product.is_zero(),
-                              f"{(family, arrow, i1, i2)} {where}")
-            elif t1 == "k" and t2 == "n":
-                tally.hit("averager.case2", product.is_zero(),
-                          f"{(family, arrow, i1, i2)} {where}")
-            elif t1 == "n" and t2 == "k":
-                tally.hit("averager.case3", product.is_zero(),
-                          f"{(family, arrow, i1, i2)} {where}")
+            if case == 1 and (i1, i2) == (s1 - 1, s2 - 1):
+                tally.hit("averager.match", product == el.value * factor,
+                          f"{(family, arrow)} {where}")
             else:
-                tally.hit("averager.case4", product.is_zero(),
+                slug = "case1-off-slot" if case == 1 else f"case{case}"
+                tally.hit(f"averager.{slug}", product.is_zero(),
                           f"{(family, arrow, i1, i2)} {where}")
 
     def _alternate_expressions(self, tally: "_Tally", alpha: int,
                                r1: int, r2: int, s1: int, s2: int,
                                where: str) -> None:
-        """Re-derivations of the bottom row/column of the unnormalized family."""
-        if self.p1 - r1 >= 1:
-            for n2 in range(r2):
-                lhs = self.build_named_element(
-                    "b", "down", alpha, r1, r2, s1, s2, 0, n2).value
-                rhs = (self._prefix(0, 0, 1, n2)
-                       * self._corpus(alpha, r1, r2, s1, s2, "left", "bottom"))
-                tally.hit("alternate.bottom-row", lhs == rhs, where)
-        if self.p2 - r2 >= 1:
-            for n1 in range(r1):
-                lhs = self.build_named_element(
-                    "b", "down", alpha, r1, r2, s1, s2, n1, 0).value
-                rhs = (self._prefix(0, 0, n1, 1)
-                       * self._corpus(alpha, r1, r2, s1, s2, "bottom", "left"))
-                tally.hit("alternate.bottom-column", lhs == rhs, where)
-        if self.p1 - r1 >= 1 and self.p2 - r2 >= 1:
-            lhs = self.build_named_element(
-                "b", "down", alpha, r1, r2, s1, s2, 0, 0).value
-            rhs = (self._prefix(0, 0, 1, 1)
-                   * self._corpus(alpha, r1, r2, s1, s2, "left", "left"))
-            tally.hit("alternate.bottom-corner", lhs == rhs, where)
+        """Re-derivations of the bottom row/column of the unnormalized
+        family: at index 0 on each copy of a set of ladder copies, b is
+        f_d times the corpus whose role there is left."""
+        ladders = self.ladder_copies(r1, r2)
+        for copies, slug in (((1,), "bottom-row"), ((2,), "bottom-column"),
+                             ((1, 2), "bottom-corner")):
+            if not set(copies) <= set(ladders):
+                continue
+            roles = tuple("left" if d in copies else "bottom" for d in (1, 2))
+            corpus = self._corpus(alpha, r1, r2, s1, s2, *roles)
+            for n1 in (range(1) if 1 in copies else range(r1)):
+                for n2 in (range(1) if 2 in copies else range(r2)):
+                    lhs = self.build_named_element(
+                        "b", "down", alpha, r1, r2, s1, s2, n1, n2).value
+                    rhs = self._prefix(0, 0, n1 + (1 in copies),
+                                       n2 + (2 in copies)) * corpus
+                    tally.hit(f"alternate.{slug}", lhs == rhs, where)
 
     # ------------------------------------------------------------------
     # Verification: misprint adjudications

@@ -79,11 +79,6 @@ _DROP_NAMES = {(): "unit", (0,): "arrow-drop", (1,): "top-drop",
                (0, 1): "corner-drop"}
 
 
-def _per_copy(d: int, mine, other) -> tuple:
-    """The pair with ``mine`` on copy d and ``other`` on the other copy."""
-    return (mine, other) if d == 1 else (other, mine)
-
-
 # ----------------------------------------------------------------------
 # Monomial matrices
 # ----------------------------------------------------------------------
@@ -394,15 +389,18 @@ class Realization:
         repeated cells, at every row and column role of the other copy."""
         r1, r2 = summand.r1, summand.r2
         roles = (self.system.copy_roles(1, r1), self.system.copy_roles(2, r2))
+
+        def name(d, mine, other):
+            pair = (mine, other) if d == 1 else (other, mine)
+            return self.system.family_name(r1, r2, pair)
+
         pairs = []
         for d in self.system.ladder_copies(r1, r2):
             other = roles[2 - d]
             for repeat in _LADDER_REPEATS:
                 for x, y in product(other, other):
-                    pairs.append(tuple(
-                        (self.system.family_name(r1, r2, _per_copy(d, row, x)),
-                         self.system.family_name(r1, r2, _per_copy(d, col, y)))
-                        for row, col in repeat))
+                    pairs.append(tuple((name(d, row, x), name(d, col, y))
+                                       for row, col in repeat))
         return tuple(pairs)
 
     def _group_of(self, lay: GroupLayout) -> List[Tuple[str, str]]:
@@ -692,10 +690,10 @@ class Realization:
             for pos, f in enumerate(flags):
                 groups.setdefault(tuple(f[d - 1] for d in dropped),
                                   []).append(pos)
-            kind = _DROP_NAMES[tuple(ladders.index(d) for d in dropped)]
+            stem = _DROP_NAMES[tuple(ladders.index(d) for d in dropped)]
             for positions in groups.values():
-                name = (f"{kind}-{''.join(map(str, positions))}" if dropped
-                        else kind)
+                name = (f"{stem}-{''.join(map(str, positions))}" if dropped
+                        else stem)
                 out.append((name, dropped, tuple(positions)))
         return out
 
