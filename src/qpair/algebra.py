@@ -253,8 +253,15 @@ class Algebra:
         sign -1, scale korder maps them back.  Each value is summed as an
         integer exponent vector over a common denominator and reduced mod
         Phi_N once, so the transform is exact and costs no field products.
+
+        zeta^(2st) depends on t only through st mod korder, so a word's
+        values repeat with period korder / gcd(korder, its exponents s):
+        they are folded for t below the period and then repeated.  A
+        K-free word (s = 0 only) folds once.  An s with a zero coefficient
+        still counts, which can only lengthen the period to a multiple.
         """
         N = self._N
+        korder = self.korder
         fold = self.field.fold
         for word, poly in polys.items():
             den = math.lcm(*(c.den for c in poly.values()))
@@ -264,14 +271,19 @@ class Algebra:
             if not parts:
                 continue
             den *= scale
-            for t in range(self.korder):
+            period = korder // math.gcd(korder, *poly)
+            values = []
+            for t in range(period):
                 vec = [0] * N
                 for step, nonzero in parts:
                     shift = step * t
                     for i, a in nonzero:
                         vec[(i + shift) % N] += a
                 value = fold(vec, den)
-                if not value.is_zero():
+                values.append(None if value.is_zero() else value)
+            for t in range(korder):
+                value = values[t % period]
+                if value is not None:
                     yield word, t, value
 
     def zero(self) -> "AlgebraElement":
@@ -307,10 +319,6 @@ class Algebra:
     def k_power(self, t: int) -> "AlgebraElement":
         """K^t for any integer t."""
         return self.monomial_element(PBWMonomial(0, 0, 0, 0, t % self.korder))
-
-    def balancing_element(self) -> "AlgebraElement":
-        """The group-like implementing the square of the antipode: K^(p1-p2)."""
-        return self.k_power(self.p1 - self.p2)
 
     def conjugation_weight_exponent(self, mono: tuple) -> int:
         """zeta-exponent of the scalar in K x K^-1 = zeta^w x for a monomial

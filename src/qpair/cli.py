@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -207,36 +206,57 @@ def cyclo_to_json(x: CycloNumber) -> List[str]:
     den = x.den
     out = []
     for c in x.num:
+        if not c:
+            out.append("0")
+            continue
         g = math.gcd(c, den)
         out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
     return out
 
 
-_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+def _ascii_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
+def _coefficient_from_json(c) -> tuple[int, int]:
+    """(numerator, denominator) of one string ``-?[0-9]+(/[0-9]+)?`` with
+    a positive denominator; ValueError for anything else."""
+    if isinstance(c, str):
+        num, slash, den = c.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        if _ascii_digits(digits) and (not slash or _ascii_digits(den)):
+            d = int(den) if slash else 1
+            if d == 0:
+                raise ValueError(f"zero denominator in coefficient {c!r}")
+            return int(num), d
+    raise ValueError(f"malformed coefficient {c!r}: expected an "
+                     f"integer or n/d as a string")
+
+
+def _cyclo_from_json(field: CycloField, coeffs: List[str],
+                     parsed: Dict[str, tuple[int, int]]) -> CycloNumber:
+    """`cyclo_from_json`, reading each distinct string once through the
+    ``parsed`` memo; a value is type-checked before it is looked up."""
+    if len(coeffs) != field.degree:
+        raise ValueError(f"expected {field.degree} coefficients for "
+                         f"Q(zeta_{field.order}), got {len(coeffs)}")
+    pairs = []
+    for c in coeffs:
+        pair = parsed.get(c) if isinstance(c, str) else None
+        if pair is None:
+            pair = parsed[c] = _coefficient_from_json(c)
+        pairs.append(pair)
+    den = math.lcm(*(d for _, d in pairs))
+    return field.make([n * (den // d) for n, d in pairs], den)
 
 
 def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
     """Parse the array `cyclo_to_json` writes; refuse anything else.
 
-    Each coefficient must be a string ``-?[0-9]+(/[0-9]+)?`` with a
-    positive denominator; it need not be in lowest terms.
+    Each coefficient must be a string ``-?[0-9]+(/[0-9]+)?`` of ASCII
+    digits with a positive denominator; it need not be in lowest terms.
     """
-    if len(coeffs) != field.degree:
-        raise ValueError(f"expected {field.degree} coefficients for "
-                         f"Q(zeta_{field.order}), got {len(coeffs)}")
-    nums, dens = [], []
-    for c in coeffs:
-        m = _COEFFICIENT.fullmatch(c) if isinstance(c, str) else None
-        if m is None:
-            raise ValueError(f"malformed coefficient {c!r}: expected an "
-                             f"integer or n/d as a string")
-        den = int(m[2]) if m[2] else 1
-        if den == 0:
-            raise ValueError(f"zero denominator in coefficient {c!r}")
-        nums.append(int(m[1]))
-        dens.append(den)
-    den = math.lcm(*dens)
-    return field.make([n * (den // d) for n, d in zip(nums, dens)], den)
+    return _cyclo_from_json(field, coeffs, {})
 
 
 def element_to_json(x: AlgebraElement) -> List[dict]:
@@ -257,6 +277,7 @@ def element_from_json(algebra: Algebra, data: List[dict]) -> AlgebraElement:
     field = algebra.params.field
     highs = (algebra.p1, algebra.p2, algebra.p1, algebra.p2, algebra.korder)
     terms = {}
+    parsed: Dict[str, tuple[int, int]] = {}
     for item in data:
         mono = item["monomial"]
         if (not isinstance(mono, list) or len(mono) != 5
@@ -267,7 +288,7 @@ def element_from_json(algebra: Algebra, data: List[dict]) -> AlgebraElement:
         key = tuple(mono)
         if key in terms:
             raise ValueError(f"monomial {mono} occurs twice")
-        terms[key] = cyclo_from_json(field, item["coefficient"])
+        terms[key] = _cyclo_from_json(field, item["coefficient"], parsed)
     return algebra.element(terms)
 
 

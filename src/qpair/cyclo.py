@@ -195,21 +195,6 @@ class CycloField:
         """zeta_n^k for any integer k (exponent taken mod n)."""
         return self.zeta_pows[k % self.order]
 
-    def canonicalize(self, coeffs: Sequence[Rational]) -> CycloNumber:
-        """Canonical form of sum(coeffs[k] * zeta^k) for a vector of any length.
-
-        Exponents at or above the field order wrap around (zeta^n = 1); the
-        rest is reduced modulo Phi_n.  This is the general entry point for
-        building elements from arbitrary power expansions; internal arithmetic
-        uses the faster fixed-length paths.
-        """
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        vec = [0] * self.order
-        for k, f in enumerate(fracs):
-            vec[k % self.order] += f.numerator * (den // f.denominator)
-        return self.fold(vec, den)
-
     def fold(self, vec: Sequence[int], den: int = 1) -> CycloNumber:
         """sum(vec[k] * zeta^k) / den for an integer vector indexed by the
         exponent k in [0, order), reduced modulo Phi_n in one sweep."""

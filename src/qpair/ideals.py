@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import Algebra, AlgebraElement, PBWMonomial
+from .algebra import Algebra, AlgebraElement
 from .cyclo import CycloNumber, Params
 from .linalg import IncrementalSpan
 from .modules import SimpleModuleSpec, _phi_formula, casimir_eigenvalue, phi, simple_action
@@ -161,18 +161,23 @@ class BlockSystem:
                         s1: int, s2: int) -> AlgebraElement:
         """The K-polynomial projecting onto weight slot (s1-1, s2-1).
 
-        Built from its PBW terms ratio^l K^l; stored, it is one projector
-        term.
+        In PBW terms it is sum_l ratio^l K^l over 0 <= l < korder.  Its
+        coefficient at 1_j is sum_l (ratio zeta^(2j))^l, which is korder
+        where zeta^(2j) ratio = 1 and 0 at every other j, so it is stored
+        as the one projector term korder 1_j.  ratio = zeta^k has such a j
+        only for even k; an odd k raises ArithmeticError.
         """
         self._check_family_labels(alpha, r1, r2, s1, s2)
-        A = self.algebra
+        P = self.params
         ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
-        terms: Dict[PBWMonomial, CycloNumber] = {}
-        coeff = self.params.field.one
-        for ell in range(self.params.korder):
-            terms[A.monomial(0, 0, 0, 0, ell)] = coeff
-            coeff = coeff * ratio
-        return A.element(terms)
+        k = P.field.zeta_pows.index(ratio)
+        if k % 2:
+            raise ArithmeticError(
+                f"averager ratio zeta^{k} of {(alpha, r1, r2, s1, s2)} is "
+                f"not an even power of zeta: no K-eigenvalue inverts it")
+        j = (-k // 2) % P.korder
+        return AlgebraElement(self.algebra,
+                              {(0, 0, 0, 0, j): P.rational(P.korder)})
 
     def _check_family_labels(self, alpha: int, r1: int, r2: int,
                              s1: int, s2: int) -> None:

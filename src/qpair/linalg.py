@@ -226,11 +226,6 @@ class Matrix(dict):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    def add_scaled(self, other: "Matrix", coeff: CycloNumber) -> None:
-        """self += coeff * other, in place."""
-        self.add_column_scaled(
-            other, {} if coeff.is_zero() else dict.fromkeys(other, coeff))
-
     def add_column_scaled(self, other: "Matrix",
                           scales: Mapping[int, CycloNumber]) -> None:
         """self += other * diag(scales), in place: column j of other is

@@ -7,6 +7,7 @@ and agreement with the explicit q-binomial commutator formula, which is
 derived without the engine.
 """
 
+import math
 import random
 
 import pytest
@@ -243,6 +244,80 @@ def test_projector_basis_round_trip():
     assert A23.zero().pbw_terms() == {}
 
 
+def _reference_fourier(A, polys, sign, scale):
+    """The PBW <-> projector transform folding every word at every t:
+    (word, t, sum_s poly[s] zeta^(2 sign s t) / scale), zeros skipped."""
+    N, fold = A.params.N, A.field.fold
+    for word, poly in polys.items():
+        den = math.lcm(*(c.den for c in poly.values()))
+        parts = [(2 * sign * s,
+                  [(i, a * (den // c.den)) for i, a in enumerate(c.num) if a])
+                 for s, c in poly.items() if not c.is_zero()]
+        if not parts:
+            continue
+        for t in range(A.korder):
+            vec = [0] * N
+            for step, nonzero in parts:
+                for i, a in nonzero:
+                    vec[(i + step * t) % N] += a
+            value = fold(vec, den * scale)
+            if not value.is_zero():
+                yield word, t, value
+
+
+def _assert_fourier_matches_reference(A, terms):
+    """`A.element(terms)` and its `pbw_terms` against the reference, in
+    value and in term order."""
+    polys = {}
+    for m, c in terms.items():
+        polys.setdefault(m[:4], {})[m[4]] = c
+    x = A.element(terms)
+    assert list(x.terms.items()) == [
+        (word + (j,), c) for word, j, c in _reference_fourier(A, polys, 1, 1)]
+    back = {}
+    for (m1, m2, n1, n2, j), c in x.terms.items():
+        back.setdefault((m1, m2, n1, n2), {})[j] = c
+    assert list(x.pbw_terms().items()) == [
+        (PBWMonomial(*word, ell), c)
+        for word, ell, c in _reference_fourier(A, back, -1, A.korder)]
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (2, 5)])
+def test_fourier_transform_matches_the_fold_every_t_reference(pair):
+    # the transform folds each word once per period of its exponents; the
+    # reference folds it at every t
+    A = A23 if pair == (2, 3) else Algebra.for_pair(*pair)
+    B = BlockSystem(A)
+    P = A.params
+    rng = random.Random(97 * pair[0] + pair[1])
+    words = sorted({m[:4] for m in A.basis_monomials()})
+    # K-free words, each alone and all together
+    for w in words:
+        _assert_fourier_matches_reference(A, {PBWMonomial(*w, 0): P.one})
+    _assert_fourier_matches_reference(
+        A, {PBWMonomial(*w, 0): P.zeta(rng.randrange(P.N)) for w in words})
+    # w K^ell at every ell
+    for w in rng.sample(words, 6):
+        for ell in range(A.korder):
+            _assert_fourier_matches_reference(A, {PBWMonomial(*w, ell): P.one})
+    # every averager's PBW sum
+    for alpha in (1, -1):
+        for r1 in range(1, A.p1 + 1):
+            for r2 in range(1, A.p2 + 1):
+                for s1 in range(1, r1 + 1):
+                    for s2 in range(1, r2 + 1):
+                        ratio = B.averager_ratio(alpha, r1, r2, s1, s2)
+                        _assert_fourier_matches_reference(
+                            A, {PBWMonomial(0, 0, 0, 0, ell): ratio ** ell
+                                for ell in range(A.korder)})
+    # seeded dense words
+    for _ in range(6):
+        terms = _multiword_terms(A, rng, rng.randint(1, 4),
+                                 rng.randint(1, A.korder))
+        _assert_fourier_matches_reference(
+            A, {m: c for m, c in terms.items() if not c.is_zero()})
+
+
 def test_word_by_word_product_edge_cases():
     P = A23.params
     rng = random.Random(5)
@@ -381,9 +456,11 @@ def test_antipode_is_antimorphism_on_random_pairs():
 
 
 def test_antipode_square_is_conjugation_exhaustive():
-    g = A23.balancing_element()
+    g = A23.k_power(A23.p1 - A23.p2)
     ginv = A23.k_power(-(A23.p1 - A23.p2))
     assert g * ginv == A23.one()
+    assert g.pbw_terms() == {A23.monomial(0, 0, 0, 0, A23.p1 - A23.p2):
+                             A23.params.one}
     for mono in A23.basis_monomials():
         x = A23.monomial_element(mono)
         assert A23.antipode(A23.antipode(x)) == g * x * ginv

@@ -315,9 +315,14 @@ def test_cyclo_from_json_accepts_only_the_written_grammar():
     field = A23.params.field
     zeros = ["0"] * 7
     for bad in ("1.5", "1e3", " 1", "1 ", "+1", "1/0", "-1/-2", "1/+2", "/2",
-                "1/", "--1", "", "0x10", "1_000", "\u0661", "1/2/3", 1):
+                "1/", "--1", "", "0x10", "1_000", "\u0661", "1/2/3", 1,
+                [1], {}, None, True, "\u00b2", "\uff11", "-\uff11", "1/\u00b2"):
+        # ValueError, not TypeError: no value is hashed before its type
+        # is checked
         with pytest.raises(ValueError):
             cyclo_from_json(field, [bad] + zeros)
+        with pytest.raises(ValueError):
+            cyclo_from_json(field, zeros + [bad])
     # non-reduced input is accepted and normalised
     assert cyclo_from_json(field, ["2/4"] + zeros) == field.from_rational(
         Fraction(1, 2))
@@ -363,6 +368,16 @@ def test_element_from_json_refuses_what_it_cannot_round_trip():
         element_from_json(A23, data + [{"monomial": [1, 0, 0, 0, 0],
                                          "coefficient": zero}])
     one = cyclo_to_json(A23.params.one)
+    # a coefficient string is parsed once per element, and a malformed one
+    # is refused wherever it recurs
+    for bad in ("1.5", "\uff11", "1/0"):
+        coeff = [bad] + one[1:]
+        for items in ([{"monomial": [1, 0, 0, 0, 0], "coefficient": one},
+                       {"monomial": [0, 0, 1, 0, 0], "coefficient": coeff}],
+                      [{"monomial": [1, 0, 0, 0, 0], "coefficient": coeff},
+                       {"monomial": [0, 0, 1, 0, 0], "coefficient": coeff}]):
+            with pytest.raises(ValueError, match="coefficient"):
+                element_from_json(A23, items)
     for mono in ([1.0, 0, 0, 0, 12.0],      # floats
                  [True, 0, 0, 0, 0],         # bools
                  [1, 0, 0, 0, 12],           # ell = korder would wrap to 0

@@ -46,17 +46,26 @@ def _random_element(field, rng, height=9):
     return field.make(num, den)
 
 
-def test_canonicalize_wraps_and_kills_phi():
+def test_fold_wraps_and_kills_phi():
+    rng = random.Random(49)
     for p1, p2 in [(2, 3), (2, 5), (3, 4)]:
         P = Params(p1, p2)
         F = P.field
         n = P.N
         # zeta^N -> 1
-        assert F.canonicalize([0] * n + [1]) == 1
+        assert F.zeta(n) == F.fold([1]) == 1
+        assert F.zeta(n + 5) == F.fold([0] * 5 + [1])
         # zeta^(N/2) -> -1 (K has order N/2 and q^(N/2) = -1)
-        assert F.canonicalize([0] * (n // 2) + [1]) == -1
+        assert F.fold([0] * (n // 2) + [1]) == -1
         # Phi_N(zeta) -> 0
-        assert F.canonicalize(list(F.phi)).is_zero()
+        assert F.fold(list(F.phi)).is_zero()
+        # a full exponent vector over a denominator, against the embedding
+        root = cmath.exp(2j * cmath.pi / n)
+        for _ in range(20):
+            vec = [rng.randint(-9, 9) for _ in range(n)]
+            den = rng.randint(1, 9)
+            want = sum(c * root ** k for k, c in enumerate(vec)) / den
+            assert abs(F.fold(vec, den).evaluate() - want) < 1e-9
 
 
 def test_canonical_form_is_sound_against_float_oracle():
@@ -68,7 +77,9 @@ def test_canonical_form_is_sound_against_float_oracle():
             v = x.evaluate()
             assert x.is_zero() == (abs(v) < 1e-9)
             # rebuilding from the reported coefficients is the identity
-            assert F.canonicalize(x.coefficients()) == x
+            coeffs = x.coefficients()
+            den = math.lcm(*(c.denominator for c in coeffs))
+            assert F.fold([int(c * den) for c in coeffs], den) == x
 
 
 def test_field_axioms_on_random_triples():

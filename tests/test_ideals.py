@@ -96,8 +96,10 @@ def test_averager_is_right_k_eigenvector():
 
 
 def test_every_averager_is_one_term():
-    # sum_l ratio^l K^l = korder * 1_j with lambda_j = zeta^(2j) = ratio^-1
-    for B in (B23, BlockSystem(Algebra.for_pair(3, 4))):
+    # sum_l ratio^l K^l = korder * 1_j with lambda_j = zeta^(2j) = ratio^-1;
+    # the closed form must equal the transform of its korder PBW terms
+    for B in (B23, BlockSystem(Algebra.for_pair(3, 2)),
+              BlockSystem(Algebra.for_pair(3, 4))):
         A, P = B.algebra, B.params
         count = 0
         for alpha in (1, -1):
@@ -111,9 +113,26 @@ def test_every_averager_is_one_term():
                             assert key[:4] == (0, 0, 0, 0)
                             assert c == P.rational(A.korder)
                             assert P.zeta(2 * key[4]) * ratio == P.one
+                            assert v == A.element(
+                                {A.monomial(0, 0, 0, 0, ell): ratio ** ell
+                                 for ell in range(A.korder)})
                             count += 1
         assert count == 2 * sum(r1 * r2 for r1 in range(1, A.p1 + 1)
                                 for r2 in range(1, A.p2 + 1))
+
+
+def test_averager_refuses_an_odd_ratio(monkeypatch):
+    # zeta^k with k odd is no K-eigenvalue's inverse: the averager would
+    # be dense in the projector basis, not one term
+    B = BlockSystem(Algebra.for_pair(2, 3))
+    P = B.params
+    for k in (1, 7, P.N - 1):
+        monkeypatch.setattr(B, "averager_ratio", lambda *labels: P.zeta(k))
+        with pytest.raises(ArithmeticError, match=f"zeta\\^{k} "):
+            B.weight_averager(1, 2, 3, 1, 1)
+    monkeypatch.setattr(B, "averager_ratio", lambda *labels: P.zeta(6))
+    assert B.weight_averager(1, 2, 3, 1, 1).terms == {
+        (0, 0, 0, 0, 9): P.rational(12)}
 
 
 def test_label_validation():

@@ -283,16 +283,24 @@ def test_matrix_stores_no_zeros_and_keeps_its_shape():
     assert not (nil + (-nil))
 
 
-def test_matrix_add_scaled_accumulates_in_place():
+def test_matrix_scaled_sums_accumulate():
     one = FIELD.one
     z = FIELD.zeta(1)
     a = Matrix(FIELD, 2, columns={0: {0: one}, 1: {0: z}})
-    acc = Matrix.zeros(FIELD, 2)
-    acc.add_scaled(a, z)
-    assert acc == a * z
-    acc.add_scaled(a, -z)
+    acc = Matrix.zeros(FIELD, 2) + a * z
+    assert acc == a * z and acc[0, 1] == z * z
+    acc = acc + a * (-z)
     assert acc.is_zero() and dict(acc) == {}
-    acc.add_scaled(a, FIELD.zero)
-    assert acc.is_zero()
+    acc = acc + a * FIELD.zero
+    assert acc.is_zero() and dict(acc) == {}
+    # the same sums in place, one scale per column
+    acc.add_column_scaled(a, dict.fromkeys(a, z))
+    assert acc == a * z
+    acc.add_column_scaled(a, {0: -z, 1: -z})
+    assert acc.is_zero() and dict(acc) == {}
+    acc.add_column_scaled(a, {1: one})
+    assert acc == Matrix(FIELD, 2, columns={1: {0: z}})
     with pytest.raises(ValueError):
-        acc.add_scaled(Matrix.identity(FIELD, 3), one)
+        acc + Matrix.identity(FIELD, 3)
+    with pytest.raises(ValueError):
+        acc.add_column_scaled(Matrix.identity(FIELD, 3), {0: one})

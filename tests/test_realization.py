@@ -159,7 +159,7 @@ def test_represent_equals_sum_of_monomial_matrices():
         for el in sample:
             want = Matrix(FIELD, R23.layout(S).dim)
             for m, c in el.value.pbw_terms().items():
-                want.add_scaled(words[A23.word_index(m)] * kmat ** m.ell, c)
+                want = want + words[A23.word_index(m)] * kmat ** m.ell * c
             assert R23.represent(el.value, S) == want, (S, el.family)
 
 
