@@ -28,7 +28,8 @@ rank and coordinates.
 The PBW boundary.  `Algebra.element` takes PBW terms and
 `AlgebraElement.pbw_terms` gives them back: one exact discrete Fourier
 transform per word, accumulated on integer exponent vectors and reduced
-mod Phi_N once per coefficient (`CycloField.fold`).  The PBW basis stays
+mod Phi_N once per coefficient within the period of the word's
+K-exponents (`CycloField.fold`; a K-free word folds once).  The PBW basis stays
 the external one: `monomial_index` of the functionals, the JSON dumps,
 `product_monomials`, `TensorElement` (coproducts) and the closed-form
 commutator and coproduct oracles.  A basis monomial w K^ell is dense in
