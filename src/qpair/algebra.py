@@ -131,7 +131,6 @@ class RelationTarget(NamedTuple):
     scale: Callable[[Any, CycloNumber], Any] = operator.mul
 
 
-GENERATOR_NAMES = ("e1", "e2", "f1", "f2", "K", "Kinv", "one")
 # e1, e2, f1, f2 and K generate the algebra as a monoid: K^-1 = K^(korder-1)
 GENERATOR_MONOMIALS = (PBWMonomial(1, 0, 0, 0, 0), PBWMonomial(0, 1, 0, 0, 0),
                        PBWMonomial(0, 0, 1, 0, 0), PBWMonomial(0, 0, 0, 1, 0),
@@ -308,7 +307,7 @@ class Algebra:
             "one": (0, 0, 0, 0, 0),
         }
         if name not in shapes:
-            raise ValueError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
+            raise ValueError(f"unknown generator {name!r}; expected one of {tuple(shapes)}")
         return self.monomial_element(PBWMonomial(*shapes[name]))
 
     def e(self, i: int) -> "AlgebraElement":

@@ -724,27 +724,68 @@ class Realization:
         return {name: self.solve_central_preimage(label, mats)
                 for name, mats in self.central_prescriptions(label).items()}
 
-    def center_basis(self, label: BlockLabel):
-        """Nullspace basis of the commutator system over the block span,
-        memoised per block like `block_realization`; the returned list is
-        shared, so callers only read it."""
-        cached = self._centers.get(label)
-        if cached is not None:
-            return cached[0]
+    def commutator_equations(self, label: BlockLabel
+                             ) -> Dict[tuple, Dict[int, CycloNumber]]:
+        """The center's linear system: {(summand, generator, row, col):
+        {element k: [M_k, G][row, col]}}, nonzero entries only.
+
+        Each commutator M G - G M is built entry by entry, with no matrix
+        product: an entry M[r, c] = v of the element adds v G[c, c'] at
+        (r, c') for each entry of G's row c (read off G's transpose,
+        indexed once per summand) and subtracts G[r', r] v at (r', c) for
+        each entry of G's column r.  Entries that cancel within one
+        commutator (K's diagonal ones wherever s_r = s_c) are dropped, so
+        the keys and values are exactly the nonzero entries of M G - G M.
+        """
         real = self.block_realization(label)
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for s_idx, S in enumerate(real.summands):
-            gens = [self.generator_matrix(S, g) for g in GENERATOR_NAMES]
+            gens = []
+            for g in GENERATOR_NAMES:
+                G = self.generator_matrix(S, g)
+                rows_of: Dict[int, Dict[int, CycloNumber]] = {}
+                for col, rows in G.items():
+                    for row, val in rows.items():
+                        rows_of.setdefault(row, {})[col] = val
+                gens.append((G, rows_of))
             for k, mats in enumerate(real.matrices):
-                M = mats[s_idx]
-                for g_idx, G in enumerate(gens):
-                    D = M * G - G * M
-                    for col, rows in D.items():
-                        for row, val in rows.items():
+                entries = [(r, c, v, -v) for c, rows in mats[s_idx].items()
+                           for r, v in rows.items()]
+                for g_idx, (G, rows_of) in enumerate(gens):
+                    acc: Dict[Tuple[int, int], CycloNumber] = {}
+                    for r, c, v, neg_v in entries:
+                        for c2, gv in rows_of.get(c, {}).items():
+                            add = v * gv
+                            cur = acc.get((r, c2))
+                            acc[(r, c2)] = add if cur is None else cur + add
+                        for r2, gv in G.get(r, {}).items():
+                            add = gv * neg_v
+                            cur = acc.get((r2, c))
+                            acc[(r2, c)] = add if cur is None else cur + add
+                    for (row, col), val in acc.items():
+                        if not val.is_zero():
                             equations.setdefault(
                                 (s_idx, g_idx, row, col), {})[k] = val
+        return equations
+
+    def center_basis(self, label: BlockLabel):
+        """Nullspace basis of the commutator system over the block span,
+        memoised per block like `block_realization`; the returned list is
+        shared, so callers only read it.
+
+        The system is `commutator_equations`: the same equation set,
+        count and values as the nonzero entries of M G - G M, only
+        gathered in another order.  Elimination keeps leads at the
+        smallest index, so its pivot columns depend on the row space
+        alone, not on the row order, and the basis (x_f = 1 at one free
+        coordinate, 0 at the others) is unchanged.
+        """
+        cached = self._centers.get(label)
+        if cached is not None:
+            return cached[0]
+        equations = self.commutator_equations(label)
         basis = nullspace(self.params.field, equations.values(),
-                          len(real.elements))
+                          len(self.block_realization(label).elements))
         self._centers[label] = (basis, len(equations))
         return basis
 
@@ -769,13 +810,18 @@ class Realization:
             f"{prefix}.central-preimages", not not_central,
             f"{len(named)} prescriptions solved inside the block and "
             f"checked against five generators; failures: "
-            f"{not_central or 'none'}", anchor="central-element-preimages"))
+            f"{not_central or 'none'}", anchor="central-element-preimages",
+            scope=(f"exhaustive: {len(named)} central elements × "
+                   f"{len(gens)} generators, commutators in the algebra")))
 
         unit_ok = named["unit"] == self.system.block_idempotent(label)
+        n_summands = len(self.system.summands_of(label))
         checks.append(Check(
             f"{prefix}.unit-preimage", unit_ok,
             "identity prescription solves to the block idempotent",
-            anchor="central-element-preimages"))
+            anchor="central-element-preimages",
+            scope=(f"exhaustive: identity on {n_summands} summands solved, "
+                   f"compared with the block idempotent in the algebra")))
 
         drops = {n: z for n, z in named.items() if n != "unit"}
         not_nilpotent = [n for n, z in drops.items()
@@ -784,7 +830,9 @@ class Realization:
             f"{prefix}.drop-squares", not not_nilpotent,
             f"{len(drops)} drop elements square to zero in the algebra; "
             f"failures: {not_nilpotent or 'none'}",
-            anchor="central-element-preimages"))
+            anchor="central-element-preimages",
+            scope=f"exhaustive: {len(drops)} drop elements squared in the "
+                  f"algebra"))
 
         span = IncrementalSpan(self.params.field)
         for z in named.values():

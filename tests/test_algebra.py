@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import qpair.algebra as algebra_module
 from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
                            TensorElement)
 from qpair.cyclo import Params
@@ -89,6 +90,16 @@ def test_generator_examples():
     assert (e1.power(A23.p1 - 1) * e1).is_zero()
     f2 = A23.f(2)
     assert (f2.power(A23.p2 - 1) * f2).is_zero()
+
+
+def test_generator_refuses_an_unknown_name():
+    # the seven accepted names live in `generator` alone; the five
+    # generators every check iterates are `realization.GENERATOR_NAMES`
+    with pytest.raises(ValueError, match=r"unknown generator 'E1'; expected "
+                       r"one of \('e1', 'e2', 'f1', 'f2', 'K', 'Kinv', "
+                       r"'one'\)"):
+        A23.generator("E1")
+    assert not hasattr(algebra_module, "GENERATOR_NAMES")
 
 
 def test_defining_relations_all_pass():

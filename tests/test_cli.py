@@ -132,6 +132,22 @@ def test_verify_json_reports_the_solve_scopes():
         "exhaustive: 2124 commutator equations over 144 block elements")
     assert scopes["realization[2,3].center-dimension"] == (
         "exhaustive: 148 commutator equations over 36 block elements")
+    assert scopes["realization[1,1].central-preimages"] == (
+        "exhaustive: 9 central elements × 5 generators, commutators in the "
+        "algebra")
+    assert scopes["realization[1,1].unit-preimage"] == (
+        "exhaustive: identity on 4 summands solved, compared with the block "
+        "idempotent in the algebra")
+    assert scopes["realization[1,1].drop-squares"] == (
+        "exhaustive: 8 drop elements squared in the algebra")
+    assert scopes["realization[1,3].central-preimages"] == (
+        "exhaustive: 3 central elements × 5 generators, commutators in the "
+        "algebra")
+    assert scopes["realization[1,3].unit-preimage"] == (
+        "exhaustive: identity on 2 summands solved, compared with the block "
+        "idempotent in the algebra")
+    assert scopes["realization[2,3].drop-squares"] == (
+        "exhaustive: 0 drop elements squared in the algebra")
 
 
 def test_verify_json_reports_the_shape_and_radford_scopes():

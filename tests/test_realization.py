@@ -5,11 +5,13 @@ generator column is a coordinate solve over the ideal span), so most
 tests here compare an independent route against the matrix route:
 algebra products versus matrix products, predicted unit-entry patterns
 versus realized support, commutator nullspaces versus the solved
-central family.  Everything runs at (2,3); the larger pairs are covered
-by the acceptance smoke test.
+central family.  Most tests run at (2,3); the commutator equations of
+the block centers are also compared at (3,2) and on the (3,4) edge-1
+block, and the larger pairs are covered by the acceptance smoke test.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 from conftest import A23, B23, R23, action_table_checks, block_shape_checks
@@ -312,6 +314,74 @@ def test_center_dimensions():
     assert dims == {(1, 1): 9, (1, 3): 3, (2, 1): 3, (2, 2): 3,
                     (2, 3): 1, (0, 3): 1}
     assert sum(dims.values()) == 20
+
+
+@lru_cache(maxsize=None)
+def _realization(pair):
+    if pair == (2, 3):
+        return R23
+    return Realization(BlockSystem(Algebra.for_pair(*pair)))
+
+
+def _reference_commutator_equations(R, label):
+    """The center's equations as the nonzero entries of M * G - G * M,
+    computed with two full Matrix products per (element, summand,
+    generator)."""
+    real = R.block_realization(label)
+    equations = {}
+    for s_idx, S in enumerate(real.summands):
+        gens = [R.generator_matrix(S, g) for g in GENERATOR_NAMES]
+        for k, mats in enumerate(real.matrices):
+            M = mats[s_idx]
+            for g_idx, G in enumerate(gens):
+                for col, rows in (M * G - G * M).items():
+                    for row, val in rows.items():
+                        equations.setdefault(
+                            (s_idx, g_idx, row, col), {})[k] = val
+    return equations
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_commutator_equations_match_the_matrix_product_reference(pair):
+    R = _realization(pair)
+    total = 0
+    for lab in R.system.block_labels():
+        got = R.commutator_equations(lab)
+        assert got == _reference_commutator_equations(R, lab), lab
+        R.center_basis(lab)
+        assert R._centers[lab][1] == len(got)
+        total += len(got)
+    assert total == 4172
+
+
+def test_commutator_equations_match_the_reference_on_the_34_boundary():
+    R = _realization((3, 4))
+    label = BlockLabel(1, 4)
+    assert R.system.block_kind(label) == "edge-1"
+    got = R.commutator_equations(label)
+    assert len(got) == 2754
+    assert got == _reference_commutator_equations(R, label)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_center_basis_vectors_are_central_in_the_algebra(pair):
+    # independent of the matrices: each basis vector's combination of the
+    # block elements commutes with every generator in the algebra itself,
+    # and there are 3 per ladder copy of the block, as the paper counts
+    R = _realization(pair)
+    A = R.algebra
+    gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K")]
+    for lab in R.system.block_labels():
+        elements = R.block_realization(lab).elements
+        basis = R.center_basis(lab)
+        assert len(basis) == 3 ** len(R.system.block_ladders(lab)), lab
+        for vec in basis:
+            z = A.zero()
+            for k, c in vec.items():
+                z = z + elements[k].value * c
+            assert not z.is_zero(), lab
+            for g in gens:
+                assert z * g == g * z, (lab, vec)
 
 
 def test_preimage_round_trip():
