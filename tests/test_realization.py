@@ -367,7 +367,8 @@ def test_commutator_equations_match_the_reference_on_the_34_boundary():
 def test_center_basis_vectors_are_central_in_the_algebra(pair):
     # independent of the matrices: each basis vector's combination of the
     # block elements commutes with every generator in the algebra itself,
-    # and there are 3 per ladder copy of the block, as the paper counts
+    # and there are 3^(ladder copies of the block) of them, as the paper
+    # counts
     R = _realization(pair)
     A = R.algebra
     gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K")]
