@@ -221,6 +221,16 @@ class CycloField:
             a.den * b.den,
         )
 
+    def _sub(self, a: "CycloNumber", b: "CycloNumber") -> "CycloNumber":
+        if a.field.order != b.field.order:
+            raise ValueError(_mixed(a.field, b.field))
+        if a.den == b.den:
+            return self.make([x - y for x, y in zip(a.num, b.num)], a.den)
+        return self.make(
+            [x * b.den - y * a.den for x, y in zip(a.num, b.num)],
+            a.den * b.den,
+        )
+
     def _mul(self, a: "CycloNumber", b: "CycloNumber") -> "CycloNumber":
         if a.field.order != b.field.order:
             raise ValueError(_mixed(a.field, b.field))
@@ -395,13 +405,13 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field._add(self, -other)
+        return self.field._sub(self, other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field._add(other, -self)
+        return self.field._sub(other, self)
 
     def __mul__(self, other):
         if isinstance(other, CycloNumber):

@@ -564,7 +564,7 @@ class BlockSystem:
     # Verification: ladder relations
     # ------------------------------------------------------------------
 
-    def _family_weight(self, fam: LadderFamily, alpha: int,
+    def family_weight(self, fam: LadderFamily, alpha: int,
                        i1: int, i2: int) -> CycloNumber:
         """K's eigenvalue on the family's element at (i1, i2): each slot
         contributes q_d^(h_d - 1 - 2 i_d), and each beyond-ladder slot
@@ -626,7 +626,7 @@ class BlockSystem:
 
         # Weight of every element under left multiplication by K.
         for key, el in elems.items():
-            w = self._family_weight(families[(el.family, el.arrow)], alpha,
+            w = self.family_weight(families[(el.family, el.arrow)], alpha,
                                     el.idx1, el.idx2)
             tally.hit("weight", K * el.value == el.value * w,
                       f"{key} in {where}")
@@ -1046,7 +1046,7 @@ class BlockSystem:
                 for el in basis:
                     vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
                     local.add(vec)
-                    lw = self._family_weight(families[(el.family, el.arrow)],
+                    lw = self.family_weight(families[(el.family, el.arrow)],
                                              alpha, el.idx1, el.idx2)
                     key = (lw, right_eig)
                     slices.setdefault(key, IncrementalSpan(field)).add(vec)

@@ -29,8 +29,12 @@ are products of one drop (top to bottom) or pass-through per copy.
 Comparing predicted against realized matrices verifies the displayed
 action tables, the block shapes with their forced zeros and repeated
 diagonal sub-blocks, and the misprint adjudication at the re-entry cell.
-The same matrices drive exact rank (faithfulness), central preimage
-solving, and block-center dimensions.
+The same matrices drive exact rank (faithfulness) and central preimage
+solving.  A block center is solved over the block's elements of
+Z^2-degree zero only: they are picked by K-weight before any element is
+built (`degree_zero_elements`), and only they are represented, so the
+center never builds the block realization (the proof that nothing is
+lost is in `center_basis`).
 """
 
 from __future__ import annotations
@@ -193,6 +197,7 @@ class Realization:
         self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
         self._cells: Dict[ProjectiveSummand, Dict[tuple, list]] = {}
+        self._degree_zero: Dict[BlockLabel, tuple] = {}
         # label -> (center basis, number of commutator equations)
         self._centers: Dict[BlockLabel, Tuple[List[Vector], int]] = {}
         self._joint: Dict[BlockLabel, tuple] = {}
@@ -724,32 +729,73 @@ class Realization:
         return {name: self.solve_central_preimage(label, mats)
                 for name, mats in self.central_prescriptions(label).items()}
 
+    def degree_zero_elements(self, label: BlockLabel
+                             ) -> Tuple[List[Tuple[int, NamedElement]], int]:
+        """The block's elements of Z^2-degree (0, 0), each with its index
+        in `block_realization(label).elements`, and the number of block
+        elements; memoised per block.
+
+        The walk follows the order of `block_realization` (summands,
+        their slots, the keys of `ideal_basis`) and builds an element only
+        when its left K-weight (`family_weight`) equals its slot's right
+        eigenvalue, the inverse of `averager_ratio`: the two-sided
+        slicing of `blocks.total-rank`.  `center_basis` proves that this
+        picks out degree zero.
+        """
+        cached = self._degree_zero.get(label)
+        if cached is not None:
+            return cached
+        system = self.system
+        selected: List[Tuple[int, NamedElement]] = []
+        k = 0
+        for S in system.summands_of(label):
+            families = system.ladder_families(S.r1, S.r2).values()
+            for s1, s2 in system.slots(S.r1, S.r2):
+                right = system.averager_ratio(*S, s1, s2).inverse()
+                for fam in families:
+                    h1, h2 = fam.sizes
+                    for i2, i1 in product(range(h2), range(h1)):
+                        if system.family_weight(fam, S.alpha, i1, i2) == right:
+                            selected.append((k, system.build_named_element(
+                                fam.family, fam.arrow, *S, s1, s2, i1, i2)))
+                        k += 1
+        out = (selected, k)
+        self._degree_zero[label] = out
+        return out
+
     def commutator_equations(self, label: BlockLabel
                              ) -> Dict[tuple, Dict[int, CycloNumber]]:
-        """The center's linear system: {(summand, generator, row, col):
-        {element k: [M_k, G][row, col]}}, nonzero entries only.
+        """The center's linear system over the degree-zero elements:
+        {(summand, generator, row, col): {element k: [M_k, G][row, col]}},
+        nonzero entries only, with k the index in
+        `block_realization(label).elements` and the generator's index in
+        `GENERATOR_NAMES`.  K is left out: it commutes with every
+        degree-zero element, so its rows would be empty.
 
         Each commutator M G - G M is built entry by entry, with no matrix
         product: an entry M[r, c] = v of the element adds v G[c, c'] at
         (r, c') for each entry of G's row c (read off G's transpose,
         indexed once per summand) and subtracts G[r', r] v at (r', c) for
         each entry of G's column r.  Entries that cancel within one
-        commutator (K's diagonal ones wherever s_r = s_c) are dropped, so
-        the keys and values are exactly the nonzero entries of M G - G M.
+        commutator are dropped, so the keys and values are exactly the
+        nonzero entries of M G - G M.
         """
-        real = self.block_realization(label)
+        selected, _ = self.degree_zero_elements(label)
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
-        for s_idx, S in enumerate(real.summands):
+        for s_idx, S in enumerate(self.system.summands_of(label)):
             gens = []
             for g in GENERATOR_NAMES:
+                if g == "K":
+                    continue
                 G = self.generator_matrix(S, g)
                 rows_of: Dict[int, Dict[int, CycloNumber]] = {}
                 for col, rows in G.items():
                     for row, val in rows.items():
                         rows_of.setdefault(row, {})[col] = val
                 gens.append((G, rows_of))
-            for k, mats in enumerate(real.matrices):
-                entries = [(r, c, v, -v) for c, rows in mats[s_idx].items()
+            for k, el in selected:
+                entries = [(r, c, v, -v)
+                           for c, rows in self.represent(el.value, S).items()
                            for r, v in rows.items()]
                 for g_idx, (G, rows_of) in enumerate(gens):
                     acc: Dict[Tuple[int, int], CycloNumber] = {}
@@ -769,23 +815,48 @@ class Realization:
         return equations
 
     def center_basis(self, label: BlockLabel):
-        """Nullspace basis of the commutator system over the block span,
-        memoised per block like `block_realization`; the returned list is
-        shared, so callers only read it.
+        """Basis of the block's center, as coordinate vectors over
+        `block_realization(label).elements`, memoised per block; the
+        returned list is shared, so callers only read it.
 
-        The system is `commutator_equations`: the same equation set,
-        count and values as the nonzero entries of M G - G M, only
-        gathered in another order.  Elimination keeps leads at the
-        smallest index, so its pivot columns depend on the row space
-        alone, not on the row order, and the basis (x_f = 1 at one free
-        coordinate, 0 at the others) is unchanged.
+        It is the nullspace of `commutator_equations`, which has a column
+        for each degree-zero element only and no K rows; the block
+        realization itself is never built.  This is the nullspace of the
+        full system (every element, all five generators), vector for
+        vector:
+
+        * Every relation is homogeneous for deg e_i = +eps_i, deg f_i =
+          -eps_i, deg K = 0, and a block element x = sum w 1_j is
+          homogeneous of degree d = (a, b), |a| < p1, |b| < p2.  K x K^-1
+          = zeta^(4 p2 a + 4 p1 b) x, and that factor is 1 only at d =
+          (0, 0): p1 | p2 a forces a = 0 and p2 | p1 b forces b = 0, as
+          p1 and p2 are coprime.
+        * Every element of the ideal of slot (s1, s2) is x = x v with v
+          the slot's averager, and v K = ratio^-1 v, so x K = ratio^-1 x;
+          K x = w x with w the left weight.  So x has degree zero exactly
+          when w = ratio^-1, and then K's commutator rows vanish on x.
+        * The block acts faithfully on its summands (the exact rank of
+          `faithful`), so the matrices M_k are independent.  K's rows
+          read sum_k c_k (1 - lambda_k) M_k rho(K) = 0, with K x_k K^-1 =
+          lambda_k x_k, so c_k = 0 wherever lambda_k != 1: the full
+          nullspace holds no vector with a nonzero-degree coordinate, and
+          it equals this one with the other columns set to zero.
+        * Elimination keeps leads at the smallest index, so a free
+          coordinate f is the largest index of a nullspace vector, and
+          its basis vector (x_f = 1, 0 at the other free coordinates) is
+          fixed by the nullspace and the column order alone.  Dropping
+          columns that every nullspace vector leaves at zero keeps both.
         """
         cached = self._centers.get(label)
         if cached is not None:
             return cached[0]
+        selected, _ = self.degree_zero_elements(label)
+        position = {k: i for i, (k, _) in enumerate(selected)}
         equations = self.commutator_equations(label)
-        basis = nullspace(self.params.field, equations.values(),
-                          len(self.block_realization(label).elements))
+        rows = ({position[k]: v for k, v in row.items()}
+                for row in equations.values())
+        basis = [{selected[i][0]: c for i, c in vec.items()}
+                 for vec in nullspace(self.params.field, rows, len(selected))]
         self._centers[label] = (basis, len(equations))
         return basis
 
@@ -841,6 +912,7 @@ class Realization:
         want = 3 ** len(self.system.block_ladders(label))
         dim = self.center_dimension(label)
         n_equations = self._centers[label][1]
+        selected, n_elements = self.degree_zero_elements(label)
         checks.append(Check(
             f"{prefix}.center-dimension",
             dim == want and span.rank == dim,
@@ -848,7 +920,7 @@ class Realization:
             f"the solved central family spans {span.rank}",
             anchor="block-center-dimension",
             scope=(f"exhaustive: {n_equations} commutator equations over "
-                   f"{len(self.block_realization(label).elements)} block "
+                   f"the {len(selected)} degree-zero of {n_elements} block "
                    f"elements")))
         return checks
 

@@ -129,9 +129,11 @@ def test_verify_json_reports_the_solve_scopes():
         assert scopes[f"integrals.{side}-solved"] == (
             "exhaustive: 4248 coproduct equations over 432 unknowns")
     assert scopes["realization[1,1].center-dimension"] == (
-        "exhaustive: 2124 commutator equations over 144 block elements")
+        "exhaustive: 300 commutator equations over the 24 degree-zero of "
+        "144 block elements")
     assert scopes["realization[2,3].center-dimension"] == (
-        "exhaustive: 148 commutator equations over 36 block elements")
+        "exhaustive: 14 commutator equations over the 6 degree-zero of 36 "
+        "block elements")
     assert scopes["realization[1,1].central-preimages"] == (
         "exhaustive: 9 central elements × 5 generators, commutators in the "
         "algebra")

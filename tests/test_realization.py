@@ -5,9 +5,12 @@ generator column is a coordinate solve over the ideal span), so most
 tests here compare an independent route against the matrix route:
 algebra products versus matrix products, predicted unit-entry patterns
 versus realized support, commutator nullspaces versus the solved
-central family.  Most tests run at (2,3); the commutator equations of
-the block centers are also compared at (3,2) and on the (3,4) edge-1
-block, and the larger pairs are covered by the acceptance smoke test.
+central family, the degree-zero commutator system of a block center
+versus the full one over every element and generator.  Most tests run
+at (2,3); the block centers are also compared at (3,2) and on the (3,4)
+edge-1 block, the K-weight selection of their degree-zero elements is
+checked at (2,3), (3,2), (2,5) and (3,4), and the larger pairs are
+covered by the acceptance smoke test.
 """
 
 import random
@@ -18,7 +21,7 @@ from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
 from qpair.algebra import Algebra
 from qpair.ideals import BlockLabel, BlockSystem
-from qpair.linalg import Matrix
+from qpair.linalg import Matrix, nullspace
 from qpair.realization import (GENERATOR_NAMES, ProjectiveSummand, Realization,
                                pbw_matrices)
 
@@ -341,26 +344,99 @@ def _reference_commutator_equations(R, label):
     return equations
 
 
+def _degree_zero_columns(R, label):
+    return {k for k, _ in R.degree_zero_elements(label)[0]}
+
+
+def _restricted(equations, columns):
+    """The equations with every column outside ``columns`` dropped, and
+    the equations left empty dropped with them."""
+    out = {}
+    for key, row in equations.items():
+        kept = {k: v for k, v in row.items() if k in columns}
+        if kept:
+            out[key] = kept
+    return out
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (2, 5), (3, 4)])
+def test_degree_zero_selection_is_the_degree_of_every_element(pair):
+    # the K-weight selection, made before any element is built, picks
+    # exactly the block elements whose terms w 1_j all have degree (0, 0)
+    R = _realization(pair)
+    for lab in R.system.block_labels():
+        elements = R.block_realization(lab).elements
+        selected, count = R.degree_zero_elements(lab)
+        assert count == len(elements), lab
+        degree_zero = set()
+        for k, el in enumerate(elements):
+            degrees = {(m1 - n1, m2 - n2)
+                       for m1, m2, n1, n2, _ in el.value.terms}
+            assert len(degrees) == 1, (lab, k)
+            if degrees == {(0, 0)}:
+                degree_zero.add(k)
+        assert [k for k, _ in selected] == sorted(degree_zero), lab
+        assert all(el is elements[k] for k, el in selected), lab
+
+
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
 def test_commutator_equations_match_the_matrix_product_reference(pair):
+    # the reference has every block element and all five generators; on
+    # the degree-zero columns it is the solved system, and K's rows are
+    # empty there
     R = _realization(pair)
-    total = 0
+    k_idx = GENERATOR_NAMES.index("K")
+    total = full = 0
     for lab in R.system.block_labels():
         got = R.commutator_equations(lab)
-        assert got == _reference_commutator_equations(R, lab), lab
+        reference = _reference_commutator_equations(R, lab)
+        restricted = _restricted(reference, _degree_zero_columns(R, lab))
+        assert got == restricted, lab
+        assert not any(key[1] == k_idx for key in restricted), lab
         R.center_basis(lab)
         assert R._centers[lab][1] == len(got)
         total += len(got)
-    assert total == 4172
+        full += len(reference)
+    assert full == 4172
+    assert total == 524
 
 
 def test_commutator_equations_match_the_reference_on_the_34_boundary():
     R = _realization((3, 4))
     label = BlockLabel(1, 4)
     assert R.system.block_kind(label) == "edge-1"
+    reference = _reference_commutator_equations(R, label)
+    assert len(reference) == 2754
     got = R.commutator_equations(label)
-    assert len(got) == 2754
-    assert got == _reference_commutator_equations(R, label)
+    assert len(got) == 162
+    assert got == _restricted(reference, _degree_zero_columns(R, label))
+
+
+@pytest.mark.parametrize("pair, labels", [
+    ((2, 3), None), ((3, 2), None), ((3, 4), (BlockLabel(1, 4),))])
+def test_center_basis_is_the_full_system_nullspace(pair, labels):
+    # vector for vector, against the nullspace of every block element
+    # under all five generators
+    R = _realization(pair)
+    for lab in labels or R.system.block_labels():
+        reference = nullspace(R.params.field,
+                              _reference_commutator_equations(R, lab).values(),
+                              len(R.block_realization(lab).elements))
+        assert R.center_basis(lab) == reference, lab
+
+
+def test_center_dimension_builds_no_block_realization():
+    # the (3,4) edge-1 center reads its 24 degree-zero elements of 288;
+    # the generator matrices need the slot-(1, 1) ideal basis of each of
+    # the two summands (24 elements each), so at most 72 named elements
+    # are built, where the full block has 288
+    R = Realization(BlockSystem(Algebra.for_pair(3, 4)))
+    label = BlockLabel(1, 4)
+    assert R.center_dimension(label) == 3
+    assert R._blocks == {}
+    selected, count = R.degree_zero_elements(label)
+    assert (len(selected), count) == (24, 288)
+    assert len(R.system._memo) <= 72
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
