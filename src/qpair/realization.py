@@ -841,11 +841,13 @@ class Realization:
           lambda_k x_k, so c_k = 0 wherever lambda_k != 1: the full
           nullspace holds no vector with a nonzero-degree coordinate, and
           it equals this one with the other columns set to zero.
-        * Elimination keeps leads at the smallest index, so a free
-          coordinate f is the largest index of a nullspace vector, and
-          its basis vector (x_f = 1, 0 at the other free coordinates) is
-          fixed by the nullspace and the column order alone.  Dropping
-          columns that every nullspace vector leaves at zero keeps both.
+        * Elimination keeps leads at the smallest index, so the basis
+          vector of a free coordinate f (x_f = 1, 0 at the other free
+          coordinates) is nonzero only at f and at pivots below f.  The
+          free coordinates are then the largest indices that nullspace
+          vectors reach, and each basis vector is fixed by the nullspace
+          and the column order alone.  Dropping columns that every
+          nullspace vector leaves at zero changes neither.
         """
         cached = self._centers.get(label)
         if cached is not None:
