@@ -4,11 +4,16 @@ A linear functional is stored by its values on the PBW basis.  The dual
 integrals are solved from their defining linear systems (the printed
 closed forms disagree about the K-exponent between their two appearances,
 so the solver settles ground truth and both printed variants are graded
-against it).  The symmetric-function basis is read off the block
-realizations: every member is a partial trace of the representing
-matrices over one or two family groups, so its value on a basis monomial
-w K^ell is a handful of diagonal lookups in the cached matrix of the word
-w, each scaled by K's diagonal entry zeta^(s_c ell).
+against it); each equation of a PBW word's coproduct holds one unknown
+and sets it to zero (`integral_functional`).  Both integrals live on one
+monomial of Z^2-degree (0, 0), so a value phi(u v) is read off the word
+product of u and v at its entries on that support, and only for u and v
+of opposite degree (`_product_row`): the translation identities and the
+Radford transform build no product.  The symmetric-function basis is read
+off the block realizations: every member is a partial trace of the
+representing matrices over one or two family groups, so its value on a
+basis monomial w K^ell is a handful of diagonal lookups in the cached
+matrix of the word w, each scaled by K's diagonal entry zeta^(s_c ell).
 
 The Radford transform x -> lambda(x * g^{-1}c) carries the solved central
 elements onto that basis; each displayed identity is evaluated on every
@@ -136,6 +141,11 @@ class Functionals:
         self._shift_tables: Dict[int, List[Tuple[int, CycloNumber]]] = {}
         self._qchars: Dict[tuple, LinearFunctional] = {}
         self._radford: Dict[tuple, LinearFunctional] = {}
+        # Z^2-degree -> index of w K^0 for each K-free word w of it
+        self._words_of_degree: Dict[Tuple[int, int], List[int]] = {}
+        for k in range(0, len(self._monos), self.params.korder):
+            self._words_of_degree.setdefault(
+                _degree(self._monos[k]), []).append(k)
 
     # ------------------------------------------------------------------
     # Integrals on the dual
@@ -147,6 +157,20 @@ class Functionals:
         Left means (id (x) f) o coproduct = f(.) 1, right mirrors it.  The
         space is required to be one-dimensional; anything else is a hard
         failure.
+
+        The system has one equation per x and per left factor u of
+        Delta(x) (right: per right factor), the coefficient of u in
+        (id (x) f)(Delta x) - f(x) 1.  In a PBW word's coproduct the left
+        factor fixes the split, so that bucket holds one term c u (x) v:
+        the equation is c f(v) = 0, or, for u = 1, the term 1 (x) x
+        cancels f(x) (and -f(x) = 0 is left when Delta(x) has no term
+        1 (x) v).  The unknowns that one-unknown equations zero go to
+        `nullspace` as deduplicated unit rows, beside any equation on two
+        or more unknowns, so a bucket of several terms is solved as
+        exactly.  Delta(w K^ell) is Delta(w) with both K-exponents raised
+        by ell (`Algebra.coproduct_monomial`), so a one-term bucket whose
+        left word is not a power of K zeroes all korder K-shifts of its
+        right word at once; the other buckets are shifted ell by ell.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be left or right, got {side!r}")
@@ -154,48 +178,52 @@ class Functionals:
         if cached is not None:
             return cached
         A = self.algebra
+        field = self.params.field
         korder = self.params.korder
         word_index = A.word_index
-        minus_one = self.params.field.minus_one
-        n_equations = 0
-
-        def equations():
-            nonlocal n_equations
-            # The coefficient of u in (id (x) f)(Delta x) - f(x) 1 (left;
-            # right swaps the factors): one row per bucket u.  Delta(w K^ell)
-            # is Delta(w) with both K-exponents raised by ell (the identity
-            # in `Algebra.coproduct_monomial`), so each K-free word's terms
-            # are split once into (word offset, K-exponent) and every
-            # x = w K^ell gets its rows by shifting the exponents.  Unknowns
-            # within a bucket are distinct, so only the f(x) entry can cancel.
-            for base in range(0, len(self._monos), korder):
-                buckets: Dict[Tuple[int, int], list] = {}
-                for (u, v), c in A.coproduct_monomial(
-                        self._monos[base]).terms.items():
-                    if side == "right":
-                        u, v = v, u
-                    key = (word_index(u) * korder, u.ell)
-                    buckets.setdefault(key, []).append(
-                        (word_index(v) * korder, v.ell, c))
-                for ell in range(korder):
-                    rows = {key: {vb + (vl + ell) % korder: c
-                                  for vb, vl, c in terms}
-                            for key, terms in buckets.items()}
-                    unit = (0, -ell % korder)      # u K^ell = 1
-                    row = rows.setdefault(unit, {})
-                    x_idx = base + ell
-                    cur = row.get(x_idx)
-                    tot = minus_one if cur is None else cur + minus_one
-                    if tot.is_zero():
-                        del row[x_idx]
-                    else:
-                        row[x_idx] = tot
-                    if not row:
-                        del rows[unit]
-                    n_equations += len(rows)
-                    yield from rows.values()
-
-        basis = nullspace(self.params.field, equations(), len(self._monos))
+        minus_one = field.minus_one
+        zeroed = set()
+        rows: List[Dict[int, CycloNumber]] = []
+        n_equations = n_single = 0
+        for base in range(0, len(self._monos), korder):
+            buckets: Dict[Tuple[int, int], list] = {}
+            for (u, v), c in A.coproduct_monomial(
+                    self._monos[base]).terms.items():
+                if side == "right":
+                    u, v = v, u
+                key = (word_index(u) * korder, u.ell)
+                buckets.setdefault(key, []).append(
+                    (word_index(v) * korder, v.ell, c))
+            shifted = []
+            for key, terms in buckets.items():
+                if key[0] and len(terms) == 1:
+                    vb = terms[0][0]
+                    zeroed.update(range(vb, vb + korder))
+                    n_equations += korder
+                    n_single += korder
+                else:
+                    shifted.append((key, terms))
+            for ell in range(korder):
+                by_key = {key: {vb + (vl + ell) % korder: c
+                                for vb, vl, c in terms}
+                          for key, terms in shifted}
+                row = by_key.setdefault((0, -ell % korder), {})  # u K^ell = 1
+                x_idx = base + ell
+                cur = row.get(x_idx)
+                tot = minus_one if cur is None else cur + minus_one
+                if tot.is_zero():
+                    del row[x_idx]
+                else:
+                    row[x_idx] = tot
+                for eq in by_key.values():
+                    if len(eq) == 1:
+                        zeroed.update(eq)
+                        n_single += 1
+                    elif eq:
+                        rows.append(eq)
+                    n_equations += bool(eq)
+        units = [{k: field.one} for k in sorted(zeroed)]
+        basis = nullspace(field, units + rows, len(self._monos))
         if len(basis) != 1:
             raise ArithmeticError(
                 f"{side} integral space has dimension {len(basis)}")
@@ -211,6 +239,7 @@ class Functionals:
             "top_only": len(top) == len(support),
             "k_exponents": sorted({self._monos[k].ell for k in support}),
             "equations": n_equations,
+            "single": n_single,
         }
         return func
 
@@ -236,7 +265,8 @@ class Functionals:
                 "defining system has a one-dimensional solution space",
                 anchor="dual-integrals",
                 scope=(f"exhaustive: {meta['equations']} coproduct equations "
-                       f"over {len(self._monos)} unknowns")))
+                       f"over {len(self._monos)} unknowns, {meta['single']} "
+                       f"of them on a single unknown")))
             checks.append(Check(
                 f"integrals.{side}-support",
                 meta["top_only"] and len(meta["k_exponents"]) == 1,
@@ -281,34 +311,109 @@ class Functionals:
             f"generator products match counit scaling; failures: "
             f"{bad or 'none'}", anchor="two-sided-integral")
 
+    def _integral_support(self, side: str):
+        """The integral's values as {K-free word: [(K-exponent, value)]},
+        and None when its whole support has Z^2-degree (0, 0), else the
+        failed premise, named after the check that states it."""
+        support: Dict[tuple, list] = {}
+        off = None
+        for k, v in sorted(self.integral_functional(side).values.items()):
+            m = self._monos[k]
+            support.setdefault(m[:4], []).append((m[4], v))
+            if off is None and _degree(m) != (0, 0):
+                off = m
+        if off is None:
+            return support, None
+        name = "lambda" if side == "left" else "mu"
+        return support, (f"premise integrals.{side}-support fails: {name} "
+                         f"takes a value off Z²-degree (0, 0), at {off}")
+
+    def _product_row(self, support, wu: tuple, wv: tuple
+                     ) -> Dict[int, CycloNumber]:
+        """phi on the products of two K-free words, phi given by its
+        `_integral_support`: {r: R_r} with
+
+            phi(wu K^l * wv K^m) = zeta^(l t) R_((l + m) mod korder),
+
+        t the weight of wv (K wv = zeta^t wv K), zeros left out.
+
+        wu wv = sum coef word K^shift (`Algebra._word_product`), so R_r =
+        sum coef phi(word K^(shift + r)).  The entries whose word carries
+        no value of phi are skipped, and no product is built.
+
+        The callers pair only words of opposite degree, by this grading.
+        Every defining relation is homogeneous for deg e_i = +eps_i, deg
+        f_i = -eps_i, deg K = 0, so u v is homogeneous of degree deg u +
+        deg v (deg m = (m1 - n1, m2 - n2) on a basis monomial).  The
+        integrals are supported on the one monomial w_top K^l0 (checks
+        `integrals.*-support`), of degree (0, 0), so phi(u v) vanishes
+        unless deg v = -deg u.  The antipode sends each generator to a
+        K-power times a multiple of it, so S^2 preserves degree too.
+        """
+        korder = self.params.korder
+        row: Dict[int, CycloNumber] = {}
+        for _, monos, shift, coef in self.algebra._word_product(wu, wv):
+            for ell, val in support.get(monos[0][:4], ()):
+                r = (ell - shift) % korder
+                add = coef * val
+                cur = row.get(r)
+                row[r] = add if cur is None else cur + add
+        return {r: v for r, v in row.items() if not v.is_zero()}
+
+    def _on_product(self, support, u: PBWMonomial,
+                    v: PBWMonomial) -> Optional[CycloNumber]:
+        """phi(u v) for basis monomials u and v (`_product_row`); None
+        when it vanishes."""
+        l = u[4]
+        val = self._product_row(support, u[:4], v[:4]).get(
+            (l + v[4]) % self.params.korder)
+        if val is None or not l:
+            return val
+        return val * self.params.zeta(
+            l * self.algebra.conjugation_weight_exponent(v))
+
     def verify_integral_identities(self) -> Check:
         """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a) for all
-        a and b, through the honest double antipode.
+        a and b, with S^2 of each generator from the antipode.
 
         Generators suffice.  If the left identity holds for a = a1 and
         a = a2 and every b, then lambda(a1 a2 b) = lambda(a2 b S^2(a1)) =
         lambda(b S^2(a1) S^2(a2)) = lambda(b S^2(a1 a2)), S^2 being an
         algebra map; the right identity mirrors it.  So a (resp. b) runs
         over `GENERATOR_MONOMIALS` and the other factor over the basis.
+        Both sides vanish by Z^2-degree unless the basis monomial has the
+        generator's opposite degree (`_product_row`), so only those pairs
+        are evaluated; the scan rests on the integrals' degree-zero
+        support and fails, naming it, if that premise fails.
         """
         A = self.algebra
         monos = self._monos
-        lam, mu = ({monos[k]: v for k, v in
-                    self.integral_functional(side).values.items()}
-                   for side in ("left", "right"))
-        one = self.params.one
+        korder = self.params.korder
+        (lam, lam_off), (mu, mu_off) = (self._integral_support(side)
+                                        for side in ("left", "right"))
+        total = f"{len(GENERATOR_MONOMIALS)} × {len(monos)} generator pairs"
+        premise = lam_off or mu_off
+        if premise:
+            return Check("integrals.translation-identities", False,
+                         f"{premise}; the degree-matched scan over {total} "
+                         f"rests on it and was not run",
+                         anchor="integral-translation-identities")
+        on = self._on_product
         bad = []
+        pairs = 0
         for g in GENERATOR_MONOMIALS:
             s2g = A.pbw_antipode(A.antipode_monomial(g))
-            for x in monos:
-                if not _opt_eq(_sparse_eval(lam, A.product_monomials(g, x)),
-                               _sparse_eval(lam, A.pbw_product({x: one}, s2g))):
-                    bad.append(f"lambda at ({g}, {x})")
-                if not _opt_eq(_sparse_eval(mu, A.product_monomials(x, g)),
-                               _sparse_eval(mu, A.pbw_product(s2g, {x: one}))):
-                    bad.append(f"mu at ({x}, {g})")
-        detail = (f"exhaustive: {len(GENERATOR_MONOMIALS)} generators × "
-                  f"{len(monos)} monomials; failures: {len(bad)}")
+            for base in self._words_of_degree.get(_opposite(g), ()):
+                for x in monos[base:base + korder]:
+                    pairs += 1
+                    if not _opt_eq(on(lam, g, x), _weighted_sum(
+                            (c, on(lam, x, t)) for t, c in s2g.items())):
+                        bad.append(f"lambda at ({g}, {x})")
+                    if not _opt_eq(on(mu, x, g), _weighted_sum(
+                            (c, on(mu, t, x)) for t, c in s2g.items())):
+                        bad.append(f"mu at ({x}, {g})")
+        detail = (f"degree-matched: {pairs} of {total}; the rest vanish by "
+                  f"Z²-degree; failures: {len(bad)}")
         if bad:
             detail += f", first {bad[0]}"
         return Check("integrals.translation-identities", not bad, detail,
@@ -491,23 +596,43 @@ class Functionals:
     # ------------------------------------------------------------------
 
     def radford_transform(self, c: AlgebraElement) -> LinearFunctional:
-        """x -> lambda(x * g^{-1}c), expanded by honest products."""
-        lam = self.integral_functional("left")
-        lam_by_mono = {self._monos[k]: v for k, v in lam.values.items()}
+        """x -> lambda(x * g^{-1}c), read off lambda's support.
+
+        With d = K^(p2-p1) c = sum_t c_t t in PBW terms, the value at a
+        basis monomial m = w K^l is sum_t c_t lambda(m t).  Only the words
+        of t with deg t = -deg w are paired with w (`_product_row`, which
+        proves that the others give zero), and d need not be homogeneous.
+        For t = w_t K^s the row R of (w, w_t) gives lambda(m t) = zeta^(l
+        t_t) R_((l + s) mod korder), with t_t the weight of w_t; so each
+        entry R_r meets every term of w_t once, at l = r - s.  The weight
+        is linear in the degree, so t_t = -(weight of w) for every paired
+        word, and the twist is applied once per m at the end.  Raises
+        ArithmeticError if lambda is not supported in degree zero.
+        """
+        lam, premise = self._integral_support("left")
+        if premise:
+            raise ArithmeticError(premise)
         A = self.algebra
-        d = (A.k_power(self.p2 - self.p1) * c).pbw_terms()
-        prod = A.product_monomials
+        monos = self._monos
+        korder = self.params.korder
+        by_word: Dict[tuple, list] = {}
+        for t, ct in (A.k_power(self.p2 - self.p1) * c).pbw_terms().items():
+            by_word.setdefault(t[:4], []).append((t[4], ct))
+        acc: Dict[int, CycloNumber] = {}
+        for wt, terms in by_word.items():
+            for base in self._words_of_degree.get(_opposite(wt), ()):
+                row = self._product_row(lam, monos[base][:4], wt)
+                for r, val in row.items():
+                    for s, ct in terms:
+                        k = base + (r - s) % korder
+                        add = ct * val
+                        cur = acc.get(k)
+                        acc[k] = add if cur is None else cur + add
         values = {}
-        for k, m in enumerate(self._monos):
-            acc = None
-            for t, ct in d.items():
-                for mono2, c2 in prod(m, t).items():
-                    lv = lam_by_mono.get(mono2)
-                    if lv is not None:
-                        term = ct * c2 * lv
-                        acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                values[k] = acc
+        for k, v in acc.items():
+            m = monos[k]
+            twist = (-m[4] * A.conjugation_weight_exponent(m)) % self.params.N
+            values[k] = v * self.params.zeta(twist) if twist else v
         return LinearFunctional(A, values)
 
     def _radford_of_central(self, label: BlockLabel, key: str,
@@ -579,12 +704,21 @@ class Functionals:
         return table
 
     def verify_radford_identities(self) -> List[Check]:
+        """Each transform against its printed combination, then the
+        corrections; every identity fails, naming the premise, when the
+        transform cannot be read off lambda's degree-zero support."""
         checks = []
+        _, premise = self._integral_support("left")
         slf = self.slf_basis()
         for label in self.system.block_labels():
             central = self.real.central_elements(label)
             r1, r2 = label
             for slug, key, variants in self._radford_identity_table(label):
+                if premise:
+                    checks.append(Check(f"radford[{r1},{r2}].{slug}", False,
+                                        premise,
+                                        anchor="radford-map-identities"))
+                    continue
                 lhs = self._radford_of_central(label, key, central[key])
                 chosen = None
                 for v_idx, (vname, combo) in enumerate(variants):
@@ -616,9 +750,16 @@ class Functionals:
         return checks
 
     def verify_radford_injectivity(self) -> List[Check]:
-        """Central elements map to independent functionals, block by block."""
+        """Central elements map to independent functionals, block by block;
+        each block fails, naming the premise, as the identities do."""
         checks = []
+        _, premise = self._integral_support("left")
         for label in self.system.block_labels():
+            if premise:
+                checks.append(Check(
+                    f"radford[{label.r1},{label.r2}].injective", False,
+                    premise, anchor="radford-injectivity"))
+                continue
             central = self.real.central_elements(label)
             span = IncrementalSpan(self.params.field)
             for key, element in central.items():
@@ -859,6 +1000,25 @@ class Functionals:
             f"strict mode {'rejects' if strict_rejects else 'accepts'} the "
             f"record; twisted scan {scan.detail}",
             anchor="character-constraints")
+
+
+def _degree(m: tuple) -> Tuple[int, int]:
+    """Z^2-degree of a basis monomial: e_i counts +1, f_i -1, K 0."""
+    return (m[0] - m[2], m[1] - m[3])
+
+
+def _opposite(m: tuple) -> Tuple[int, int]:
+    """The degree a monomial must have to pair with m into degree zero."""
+    return (m[2] - m[0], m[3] - m[1])
+
+
+def _weighted_sum(terms) -> Optional[CycloNumber]:
+    """sum c * v over (c, v) pairs, skipping v = None; None if all are."""
+    acc = None
+    for c, v in terms:
+        if v is not None:
+            acc = c * v if acc is None else acc + c * v
+    return acc
 
 
 def _sparse_eval(vals: Mapping[PBWMonomial, CycloNumber],

@@ -770,7 +770,9 @@ class Realization:
         nonzero entries only, with k the index in
         `block_realization(label).elements` and the generator's index in
         `GENERATOR_NAMES`.  K is left out: it commutes with every
-        degree-zero element, so its rows would be empty.
+        degree-zero element, so its rows would be empty.  The matrices M_k
+        are read from the block realization when it is already built and
+        represented afresh otherwise.
 
         Each commutator M G - G M is built entry by entry, with no matrix
         product: an entry M[r, c] = v of the element adds v G[c, c'] at
@@ -781,6 +783,7 @@ class Realization:
         nonzero entries of M G - G M.
         """
         selected, _ = self.degree_zero_elements(label)
+        built = self._blocks.get(label)
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for s_idx, S in enumerate(self.system.summands_of(label)):
             gens = []
@@ -794,8 +797,9 @@ class Realization:
                         rows_of.setdefault(row, {})[col] = val
                 gens.append((G, rows_of))
             for k, el in selected:
-                entries = [(r, c, v, -v)
-                           for c, rows in self.represent(el.value, S).items()
+                M = (built.matrices[k][s_idx] if built is not None
+                     else self.represent(el.value, S))
+                entries = [(r, c, v, -v) for c, rows in M.items()
                            for r, v in rows.items()]
                 for g_idx, (G, rows_of) in enumerate(gens):
                     acc: Dict[Tuple[int, int], CycloNumber] = {}
@@ -821,9 +825,9 @@ class Realization:
 
         It is the nullspace of `commutator_equations`, which has a column
         for each degree-zero element only and no K rows; the block
-        realization itself is never built.  This is the nullspace of the
-        full system (every element, all five generators), vector for
-        vector:
+        realization is read if built, never built for it.  This is the
+        nullspace of the full system (every element, all five
+        generators), vector for vector:
 
         * Every relation is homogeneous for deg e_i = +eps_i, deg f_i =
           -eps_i, deg K = 0, and a block element x = sum w 1_j is

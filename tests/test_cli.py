@@ -127,7 +127,8 @@ def test_verify_json_reports_the_solve_scopes():
               for c in json.loads(result.output)["checks"]}
     for side in ("left", "right"):
         assert scopes[f"integrals.{side}-solved"] == (
-            "exhaustive: 4248 coproduct equations over 432 unknowns")
+            "exhaustive: 4248 coproduct equations over 432 unknowns, 4248 "
+            "of them on a single unknown")
     assert scopes["realization[1,1].center-dimension"] == (
         "exhaustive: 300 commutator equations over the 24 degree-zero of "
         "144 block elements")

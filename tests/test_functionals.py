@@ -4,20 +4,37 @@ The dual integrals are solved from scratch here and pinned to their known
 support; the Radford identities are graded exactly, including the one
 boundary block whose printed cross-identity needs the second-direction
 Psi (the other boundary block of that direction has Psi1 = Psi2, which is
-why the slip is invisible there).
+why the slip is invisible there).  The integral solve, the translation
+identities and the Radford transform read the integrals through their
+degree-zero support; at (2,3) and (3,2) each is compared with the loop it
+replaced, kept here: the whole coproduct system handed to `nullspace`,
+the 5 × dim generator scan and the pair loop over full products.
 """
 
 import operator
 import random
+from functools import lru_cache
 
 import pytest
 from conftest import A23, B23, F23, R23
 
-from qpair.algebra import GENERATOR_MONOMIALS, Algebra, PBWMonomial
-from qpair.functionals import LinearFunctional, SigmaRecord
+import qpair.functionals
+from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
+                           TensorElement)
+from qpair.functionals import Functionals, LinearFunctional, SigmaRecord
+from qpair.ideals import BlockSystem
+from qpair.linalg import nullspace
 from qpair.modules import SimpleModuleSpec, all_simple_specs
+from qpair.realization import Realization
 MONOS = list(A23.basis_monomials())
 rng = random.Random(90125)
+
+
+@lru_cache(maxsize=None)
+def _functionals(pair):
+    if pair == (2, 3):
+        return F23
+    return Functionals(Realization(BlockSystem(Algebra.for_pair(*pair))))
 
 
 def _first_violation(func, sigma=lambda y: y):
@@ -95,11 +112,181 @@ def test_integral_element_two_sided():
     assert F23.verify_integral_element().passed
 
 
+def _reference_integral(F, side):
+    """The integral solve the degree-zero reading replaced: every equation
+    row built whole and the system handed to `nullspace` as it is.  The
+    values, the support metadata, the equation count and the number of
+    one-unknown rows."""
+    A = F.algebra
+    korder = A.korder
+    monos = list(A.basis_monomials())
+    minus_one = A.params.field.minus_one
+    rows = []
+    for base in range(0, len(monos), korder):
+        buckets = {}
+        for (u, v), c in A.coproduct_monomial(monos[base]).terms.items():
+            if side == "right":
+                u, v = v, u
+            buckets.setdefault((A.word_index(u) * korder, u.ell), []).append(
+                (A.word_index(v) * korder, v.ell, c))
+        for ell in range(korder):
+            by_key = {key: {vb + (vl + ell) % korder: c
+                            for vb, vl, c in terms}
+                      for key, terms in buckets.items()}
+            row = by_key.setdefault((0, -ell % korder), {})
+            x_idx = base + ell
+            tot = row.get(x_idx, A.params.zero) + minus_one
+            if tot.is_zero():
+                del row[x_idx]
+            else:
+                row[x_idx] = tot
+            rows.extend(r for r in by_key.values() if r)
+    vec, = nullspace(A.params.field, rows, len(monos))
+    support = sorted(vec)
+    top = [k for k in support if F._is_top_word(monos[k])]
+    scale = vec[(top or support)[0]].inverse()
+    meta = {"support": support, "top_only": len(top) == len(support),
+            "k_exponents": sorted({monos[k].ell for k in support}),
+            "equations": len(rows),
+            "single": sum(len(r) == 1 for r in rows)}
+    return {k: v * scale for k, v in vec.items()}, meta
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_integral_solve_matches_the_whole_system_reference(pair):
+    F = _functionals(pair)
+    for side in ("left", "right"):
+        values, meta = _reference_integral(F, side)
+        assert F.integral_functional(side).values == values, side
+        assert F._integral_meta[side] == meta, side
+        assert meta["single"] == meta["equations"], side
+
+
+def test_a_multi_term_equation_still_goes_to_nullspace(monkeypatch):
+    # Delta(e1) gains the term e1 (x) f1 beside e1 (x) 1: the bucket of e1
+    # then holds two terms, and its korder equations lambda(K^ell) +
+    # lambda(f1 K^ell) = 0 reach `nullspace` whole; the other equations
+    # already zero both unknowns, so the integral does not move
+    A = A23
+    want = F23.integral_functional("left")
+    e1, f1 = PBWMonomial(1, 0, 0, 0, 0), PBWMonomial(0, 0, 1, 0, 0)
+    true = A.coproduct_monomial
+
+    def coproduct(mono):
+        out = true(mono)
+        if mono == e1:
+            out = TensorElement(A, {**out.terms, (e1, f1): A.params.one})
+        return out
+
+    seen = []
+
+    def spy(field, rows, dim):
+        rows = list(rows)
+        seen.extend(r for r in rows if len(r) > 1)
+        return nullspace(field, rows, dim)
+
+    monkeypatch.setattr(A, "coproduct_monomial", coproduct)
+    monkeypatch.setattr(qpair.functionals, "nullspace", spy)
+    F = Functionals(R23)
+    assert F.integral_functional("left") == want
+    one = A.params.field.one
+    assert seen == [{A.monomial_index(PBWMonomial(0, 0, 0, 0, ell)): one,
+                     A.monomial_index(PBWMonomial(0, 0, 1, 0, ell)): one}
+                    for ell in range(A.korder)]
+    meta = F._integral_meta["left"]
+    assert meta["equations"] == F23._integral_meta["left"]["equations"]
+    assert meta["single"] == meta["equations"] - A.korder
+
+
 def test_translation_identities():
     check = F23.verify_integral_identities()
     assert check.passed
-    assert check.detail == ("exhaustive: 5 generators × 432 monomials; "
+    assert check.detail == ("degree-matched: 240 of 5 × 432 generator "
+                            "pairs; the rest vanish by Z²-degree; "
                             "failures: 0")
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_translation_identities_match_the_full_generator_scan(pair):
+    # the scan the degree-matched check replaced: every generator against
+    # every basis monomial, through full products; each pair it leaves
+    # out vanishes on both sides, and each pair it reads agrees
+    F = _functionals(pair)
+    A = F.algebra
+    one, zero = A.params.one, A.params.zero
+    lam, mu = (_by_monomial(F, side) for side in ("left", "right"))
+    lam_words, mu_words = (F._integral_support(side)[0]
+                           for side in ("left", "right"))
+    read = 0
+    for g in GENERATOR_MONOMIALS:
+        s2g = A.pbw_antipode(A.antipode_monomial(g))
+        for x in A.basis_monomials():
+            sides = (
+                (_evaluate(lam, A.product_monomials(g, x), zero),
+                 _evaluate(lam, A.pbw_product({x: one}, s2g), zero)),
+                (_evaluate(mu, A.product_monomials(x, g), zero),
+                 _evaluate(mu, A.pbw_product(s2g, {x: one}), zero)))
+            assert sides[0][0] == sides[0][1], (g, x)
+            assert sides[1][0] == sides[1][1], (g, x)
+            if (x[0] - x[2], x[1] - x[3]) != (g[2] - g[0], g[3] - g[1]):
+                assert all(v.is_zero() for pair_ in sides for v in pair_)
+                continue
+            read += 1
+            assert F._on_product(lam_words, g, x) == _or_none(sides[0][0])
+            assert F._on_product(mu_words, x, g) == _or_none(sides[1][0])
+    check = F.verify_integral_identities()
+    assert check.passed
+    assert check.detail.startswith(f"degree-matched: {read} of 5 × ")
+
+
+def _by_monomial(F, side):
+    return {F._monos[k]: v
+            for k, v in F.integral_functional(side).values.items()}
+
+
+def _evaluate(vals, terms, zero):
+    """sum c * vals[m] over the PBW terms c m."""
+    acc = zero
+    for m, c in terms.items():
+        if m in vals:
+            acc = acc + c * vals[m]
+    return acc
+
+
+def _or_none(value):
+    return None if value.is_zero() else value
+
+
+def test_a_degree_zero_perturbation_fails_a_degree_matched_pair():
+    # lambda with an extra value at e1 f1 K^2, of degree (0, 0): the
+    # premise holds, so the reduced scan runs and must find the break
+    F = Functionals(R23)
+    bump = A23.monomial_index(PBWMonomial(1, 0, 1, 0, 2))
+    F._integrals["left"] = F23.integral_functional("left") + LinearFunctional(
+        A23, {bump: A23.params.field.one})
+    check = F.verify_integral_identities()
+    assert not check.passed
+    assert check.detail.startswith("degree-matched: 240 of 5 × 432")
+    assert ", first lambda at (" in check.detail
+
+
+def test_off_degree_integral_fails_the_reduced_checks_by_their_premise():
+    # lambda with an extra value at e1, of degree (1, 0): the reduced
+    # checks rest on the degree-zero support and name it
+    F = Functionals(R23)
+    e1 = A23.monomial_index(PBWMonomial(1, 0, 0, 0, 0))
+    F._integrals["left"] = F23.integral_functional("left") + LinearFunctional(
+        A23, {e1: A23.params.field.one})
+    premise = ("premise integrals.left-support fails: lambda takes a value "
+               "off Z²-degree (0, 0), at e1")
+    check = F.verify_integral_identities()
+    assert not check.passed
+    assert check.detail.startswith(premise)
+    with pytest.raises(ArithmeticError, match="integrals.left-support"):
+        F.radford_transform(A23.one())
+    injective = F.verify_radford_injectivity()
+    assert injective and all(not c.passed and c.detail == premise
+                             for c in injective)
 
 
 def test_lambda_is_not_symmetric():
@@ -243,16 +430,44 @@ def test_edge2_psi_coincidence_hides_the_slip():
         1, 2, 1).Psi2
 
 
-def test_radford_transform_matches_direct_products():
-    lam = F23.integral_functional("left")
-    central = R23.central_elements(_label("interior"))
-    c = central["unit"]
-    func = F23.radford_transform(c)
-    d = A23.k_power(A23.params.p2 - A23.params.p1) * c
-    for m in rng.sample(MONOS, 12):
-        direct = lam(A23.monomial_element(m) * d)
-        got = func.values.get(A23.monomial_index(m), A23.params.zero)
-        assert got == direct
+def _reference_radford(F, c):
+    """The Radford transform as the pair loop it replaced: every basis
+    monomial against every PBW term of K^(p2-p1) c, by full products."""
+    A = F.algebra
+    lam = _by_monomial(F, "left")
+    d = (A.k_power(A.params.p2 - A.params.p1) * c).pbw_terms()
+    values = {}
+    for k, m in enumerate(A.basis_monomials()):
+        acc = A.params.zero
+        for t, ct in d.items():
+            acc = acc + ct * _evaluate(lam, A.product_monomials(m, t),
+                                       A.params.zero)
+        values[k] = acc
+    return LinearFunctional(A, values)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_radford_transform_matches_the_pair_loop(pair):
+    # every central element of one block of each kind, on every monomial;
+    # then two elements of mixed degree, where the K twist of the pairs
+    # of nonzero degree matters
+    F = _functionals(pair)
+    system = F.system
+    kinds = {}
+    for label in system.block_labels():
+        kinds.setdefault(system.block_kind(label), label)
+    assert len(kinds) == 5
+    for label in kinds.values():
+        for key, c in F.real.central_elements(label).items():
+            assert F.radford_transform(c) == _reference_radford(F, c), (
+                label, key)
+    A = F.algebra
+    for terms in ({(1, 0, 0, 0, 3): 1, (0, 1, 1, 0, 5): 2},
+                  {(0, 0, 1, 1, 1): 1, (1, 1, 0, 0, 0): -3, (0, 0, 0, 0, 7): 1}):
+        c = A.element(terms)
+        func = F.radford_transform(c)
+        assert not func.is_zero()
+        assert func == _reference_radford(F, c), terms
 
 
 def test_radford_injectivity_per_block():

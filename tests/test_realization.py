@@ -439,6 +439,21 @@ def test_center_dimension_builds_no_block_realization():
     assert len(R.system._memo) <= 72
 
 
+def test_commutator_equations_read_the_built_block_matrices(monkeypatch):
+    # a built block realization supplies the degree-zero matrices: no
+    # element is represented again, and the equations are those of a
+    # realization that represents every element afresh
+    label = BlockLabel(1, 1)
+    fresh = Realization(BlockSystem(Algebra.for_pair(2, 3)))
+    want = fresh.commutator_equations(label)
+    assert fresh._blocks == {}
+    R23.block_realization(label)
+    calls = []
+    monkeypatch.setattr(R23, "represent", lambda *args: calls.append(args))
+    assert R23.commutator_equations(label) == want
+    assert calls == []
+
+
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
 def test_center_basis_vectors_are_central_in_the_algebra(pair):
     # independent of the matrices: each basis vector's combination of the
