@@ -42,12 +42,16 @@ K-exponents of every term raised by ell (`coproduct_monomial`).
 
 Hopf structure by presentation.  Delta, S and eps are given on the
 generators and extended letter by letter (`coproduct_monomial`,
-`antipode_monomial`, `pbw_counit`).  `Algebra.defining_relations` states
-the 17 relations above once, over a `RelationTarget` (generator images,
-K^t and the target's arithmetic).  The relations suite evaluates it in A;
-`verify_hopf_axioms` evaluates it on the images of Delta in A (x) A, of S
-in A^op and of eps in Q(zeta_N), which proves that the extensions are
-(anti-)algebra maps on all of A (the proof is in its docstring).
+`antipode_monomial`, `pbw_counit`).  `defining_relations` states the 17
+relations above once, and `casimir` the central quadratic element of
+each copy, over a `RelationTarget` (generator images, K^t and the
+target's arithmetic).  The relations suite evaluates the relations in A;
+`verify_hopf_axioms` evaluates them on the images of Delta in A (x) A, of
+S in A^op and of eps in Q(zeta_N), which proves that the extensions are
+(anti-)algebra maps on all of A (the proof is in its docstring).  The
+simple modules evaluate both on their generator matrices
+(`modules.verify_simple_module`), and the blocks suite reads the Casimirs
+in A.
 
 Normal ordering.  Products are normal-ordered through per-copy rewrite
 tables: for each copy i and exponents (b, c) the table expands
@@ -88,7 +92,7 @@ from .cyclo import CycloNumber, Params
 from .report import Check
 
 __all__ = ["Algebra", "AlgebraElement", "PBWMonomial", "RelationTarget",
-           "TensorElement"]
+           "TensorElement", "casimir", "defining_relations"]
 
 Scalar = Union[int, Fraction, CycloNumber]
 Terms = dict  # PBW terms: {PBWMonomial: nonzero CycloNumber}
@@ -116,7 +120,7 @@ class PBWMonomial(NamedTuple):
 
 
 class RelationTarget(NamedTuple):
-    """An algebra in which `Algebra.defining_relations` evaluates the
+    """An algebra in which `defining_relations` and `casimir` evaluate the
     presentation: the images of e1, e2, f1 and f2, the image of K^t for
     every integer t, the target's one and zero, and its product, sum and
     scalar multiple (Python's ``*``, ``+`` and ``*`` unless given).
@@ -129,6 +133,82 @@ class RelationTarget(NamedTuple):
     mul: Callable[[Any, Any], Any] = operator.mul
     add: Callable[[Any, Any], Any] = operator.add
     scale: Callable[[Any, CycloNumber], Any] = operator.mul
+
+
+def defining_relations(params: Params,
+                       target: RelationTarget) -> list[tuple[str, bool]]:
+    """(name, holds) for each of the 17 defining relations, evaluated
+    on the generator images of ``target`` with its arithmetic.
+
+    The one list of the presentation: the relations suite reads it in A,
+    the premises of `Algebra.verify_hopf_axioms` read it on the images of
+    Delta, S and eps, and `modules.verify_simple_module` reads it on the
+    generator matrices of each simple module.  The generator K^-1 is read
+    as ``target.k_power(-1)``.
+    """
+    mul, add, scale = target.mul, target.add, target.scale
+    one, zero, k_power = target.one, target.zero, target.k_power
+    minus = params.field.minus_one
+    K, Kinv = k_power(1), k_power(-1)
+    e = {i: target.images[f"e{i}"] for i in (1, 2)}
+    f = {i: target.images[f"f{i}"] for i in (1, 2)}
+    out: list[tuple[str, bool]] = []
+
+    def rel(name: str, lhs, rhs) -> None:
+        out.append((name, lhs == rhs))
+
+    def bracket(x, y):
+        return add(mul(x, y), scale(mul(y, x), minus))
+
+    rel("K*Kinv = 1", mul(K, Kinv), one)
+    rel("Kinv*K = 1", mul(Kinv, K), one)
+    kpow = one
+    for _ in range(params.korder):
+        kpow = mul(kpow, K)
+    rel(f"K^{params.korder} = 1", kpow, one)
+    for i in (1, 2):
+        ei, fi = e[i], f[i]
+        rel(f"K e{i} Kinv = q{i}^2 e{i}", mul(mul(K, ei), Kinv),
+            scale(ei, params.qi_pow(i, 2)))
+        rel(f"K f{i} Kinv = q{i}^-2 f{i}", mul(mul(K, fi), Kinv),
+            scale(fi, params.qi_pow(i, -2)))
+        p = params.p(i)
+        ei_top, fi_top = ei, fi
+        for _ in range(p - 1):
+            ei_top = mul(ei_top, ei)
+            fi_top = mul(fi_top, fi)
+        rel(f"e{i}^{p} = 0", ei_top, zero)
+        rel(f"f{i}^{p} = 0", fi_top, zero)
+    rel("e1 e2 = e2 e1", mul(e[1], e[2]), mul(e[2], e[1]))
+    rel("f1 f2 = f2 f1", mul(f[1], f[2]), mul(f[2], f[1]))
+    rel("[e1, f2] = 0", bracket(e[1], f[2]), zero)
+    rel("[e2, f1] = 0", bracket(e[2], f[1]), zero)
+    for i in (1, 2):
+        pj = params.other(i)
+        denom = params.qi_pow(i, pj) - params.qi_pow(i, -pj)
+        line = add(k_power(pj), scale(k_power(-pj), minus))
+        rel(f"[e{i}, f{i}] = weight line", bracket(e[i], f[i]),
+            scale(line, denom.inverse()))
+    return out
+
+
+def casimir(params: Params, i: int, target: RelationTarget):
+    """The central quadratic element of copy i, evaluated in ``target``:
+
+        C_i = -a K^-p_j - a^-1 K^p_j - (a - a^-1)^2 e_i f_i,   a = q_i^p_j,
+
+    with p_j the complementary exponent.  The one Casimir formula: the
+    blocks suite reads it in A, and `modules.verify_simple_module` reads
+    it on each simple module's generator matrices.
+    """
+    pj = params.other(i)
+    a = params.qi_pow(i, pj)
+    gap = a - a.inverse()
+    ef = target.mul(target.images[f"e{i}"], target.images[f"f{i}"])
+    return target.add(
+        target.add(target.scale(target.k_power(-pj), -a),
+                   target.scale(target.k_power(pj), -a.inverse())),
+        target.scale(ef, -(gap * gap)))
 
 
 # e1, e2, f1, f2 and K generate the algebra as a monoid: K^-1 = K^(korder-1)
@@ -729,62 +809,7 @@ class Algebra:
     # Verification suites
     # ------------------------------------------------------------------
 
-    def defining_relations(self, target: "RelationTarget") -> list[tuple[str, bool]]:
-        """(name, holds) for each of the 17 defining relations, evaluated
-        on the generator images of ``target`` with its arithmetic.
-
-        The one list of the presentation: `verify_defining_relations`
-        reads it in A, and the premises of `verify_hopf_axioms` read it on
-        the images of Delta, S and eps.  The generator K^-1 is read as
-        ``target.k_power(-1)``.
-        """
-        P = self.params
-        mul, add, scale = target.mul, target.add, target.scale
-        one, zero, k_power = target.one, target.zero, target.k_power
-        minus = self.field.minus_one
-        K, Kinv = k_power(1), k_power(-1)
-        e = {i: target.images[f"e{i}"] for i in (1, 2)}
-        f = {i: target.images[f"f{i}"] for i in (1, 2)}
-        out: list[tuple[str, bool]] = []
-
-        def rel(name: str, lhs, rhs) -> None:
-            out.append((name, lhs == rhs))
-
-        def bracket(x, y):
-            return add(mul(x, y), scale(mul(y, x), minus))
-
-        rel("K*Kinv = 1", mul(K, Kinv), one)
-        rel("Kinv*K = 1", mul(Kinv, K), one)
-        kpow = one
-        for _ in range(self.korder):
-            kpow = mul(kpow, K)
-        rel(f"K^{self.korder} = 1", kpow, one)
-        for i in (1, 2):
-            ei, fi = e[i], f[i]
-            rel(f"K e{i} Kinv = q{i}^2 e{i}", mul(mul(K, ei), Kinv),
-                scale(ei, P.qi_pow(i, 2)))
-            rel(f"K f{i} Kinv = q{i}^-2 f{i}", mul(mul(K, fi), Kinv),
-                scale(fi, P.qi_pow(i, -2)))
-            p = P.p(i)
-            ei_top, fi_top = ei, fi
-            for _ in range(p - 1):
-                ei_top = mul(ei_top, ei)
-                fi_top = mul(fi_top, fi)
-            rel(f"e{i}^{p} = 0", ei_top, zero)
-            rel(f"f{i}^{p} = 0", fi_top, zero)
-        rel("e1 e2 = e2 e1", mul(e[1], e[2]), mul(e[2], e[1]))
-        rel("f1 f2 = f2 f1", mul(f[1], f[2]), mul(f[2], f[1]))
-        rel("[e1, f2] = 0", bracket(e[1], f[2]), zero)
-        rel("[e2, f1] = 0", bracket(e[2], f[1]), zero)
-        for i in (1, 2):
-            pj = P.other(i)
-            denom = P.qi_pow(i, pj) - P.qi_pow(i, -pj)
-            line = add(k_power(pj), scale(k_power(-pj), minus))
-            rel(f"[e{i}, f{i}] = weight line", bracket(e[i], f[i]),
-                scale(line, denom.inverse()))
-        return out
-
-    def _algebra_target(self) -> "RelationTarget":
+    def relation_target(self) -> "RelationTarget":
         """A itself: the generators and element arithmetic."""
         return RelationTarget(
             images={name: self.generator(name) for name in ("e1", "e2", "f1", "f2")},
@@ -829,7 +854,8 @@ class Algebra:
         scope = (f"in A: both sides normal-ordered over the "
                  f"{self.dimension} basis monomials")
         return [Check(name, holds, anchor="defining-relation", scope=scope)
-                for name, holds in self.defining_relations(self._algebra_target())]
+                for name, holds
+                in defining_relations(self.params, self.relation_target())]
 
     def verify_hopf_axioms(self) -> list[Check]:
         """The Hopf axioms on the whole algebra, from the presentation.
@@ -885,12 +911,12 @@ class Algebra:
         ginv = {PBWMonomial(0, 0, 0, 0, (self.p2 - self.p1) % self.korder): one}
         fails: dict[str, list] = {name: [] for name in (
             "coassoc", "counit", "antipode", "square")}
-        on_A = self.defining_relations(self._algebra_target())
+        on_A = defining_relations(self.params, self.relation_target())
         in_A = [name for name, holds in on_A if not holds]
         where: dict[str, str] = {}
         for key, (target, space) in self._hopf_targets().items():
             fails[key] = [name for name, holds
-                          in self.defining_relations(target) if not holds]
+                          in defining_relations(self.params, target) if not holds]
             where[key] = space
         for mono in (unit,) + GENERATOR_MONOMIALS:
             x = {mono: one}

@@ -31,14 +31,8 @@ from .realization import GENERATOR_NAMES, Realization
 from .report import Check, RunConfig, VerificationReport
 
 SUITE_ORDER = ("relations", "hopf", "modules", "ideals", "idempotents",
-               "blocks", "shapes", "slf", "integrals", "radford", "qchar",
-               "center")
-
-_IDEMPOTENT_CHECK_IDS = frozenset({
-    "blocks.idempotent-squares",
-    "blocks.pairwise-orthogonal",
-    "blocks.resolution-of-identity",
-})
+               "blocks", "shapes", "slf", "integrals", "center", "radford",
+               "qchar")
 
 
 def validate_config(config: RunConfig) -> Optional[str]:
@@ -66,7 +60,6 @@ class Session:
         self._system: Optional[BlockSystem] = None
         self._realization: Optional[Realization] = None
         self._functionals: Optional[Functionals] = None
-        self._decomposition: Optional[List[Check]] = None
 
     @property
     def system(self) -> BlockSystem:
@@ -86,11 +79,6 @@ class Session:
             self._functionals = Functionals(self.realization)
         return self._functionals
 
-    def decomposition_checks(self) -> List[Check]:
-        if self._decomposition is None:
-            self._decomposition = self.system.verify_block_decomposition()
-        return self._decomposition
-
     # -- suites ---------------------------------------------------------
 
     def suite_relations(self) -> List[Check]:
@@ -109,12 +97,10 @@ class Session:
         return checks
 
     def suite_idempotents(self) -> List[Check]:
-        return [c for c in self.decomposition_checks()
-                if c.check_id in _IDEMPOTENT_CHECK_IDS]
+        return self.system.verify_idempotents()
 
     def suite_blocks(self) -> List[Check]:
-        return [c for c in self.decomposition_checks()
-                if c.check_id not in _IDEMPOTENT_CHECK_IDS]
+        return self.system.verify_blocks()
 
     def suite_shapes(self) -> List[Check]:
         checks: List[Check] = []
@@ -462,13 +448,10 @@ def verify(p1, p2, suites, seed, output_format, out_path) -> None:
 @click.option("--p2", type=int, required=True)
 @click.option("--target", required=True,
               help="'block R1 R2', 'slf', 'idempotents', or 'integrals'")
-@click.option("--format", "output_format", type=click.Choice(["json"]),
-              default="json")
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def dump(p1, p2, target, output_format, out_path) -> None:
-    """Serialize one computed artifact with exact coefficients."""
-    config = RunConfig(p1=p1, p2=p2, suites=("all",),
-                       output_format=output_format)
+def dump(p1, p2, target, out_path) -> None:
+    """Serialize one computed artifact with exact coefficients as JSON."""
+    config = RunConfig(p1=p1, p2=p2, suites=("all",))
     problem = validate_config(config)
     if problem is not None:
         click.echo(f"error: {problem}", err=True)

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra, AlgebraElement, casimir
 from .cyclo import CycloNumber, Params
 from .linalg import IncrementalSpan
 from .modules import SimpleModuleSpec, _phi_formula, casimir_eigenvalue, phi, simple_action
@@ -541,18 +541,6 @@ class BlockSystem:
                         fam.family, fam.arrow, alpha, r1, r2, s1, s2, i1, i2))
         return out
 
-    def casimir(self, i: int) -> AlgebraElement:
-        """The central quadratic element of copy i."""
-        A = self.algebra
-        P = self.params
-        pj = P.other(i)
-        a = P.qi_pow(i, pj)
-        gap = a - a.inverse()
-        ef = A.monomial(1, 0, 1, 0, 0) if i == 1 else A.monomial(0, 1, 0, 1, 0)
-        return (A.k_power(-pj) * (-a)
-                + A.k_power(pj) * (-a.inverse())
-                + A.monomial_element(ef, -(gap * gap)))
-
     def block_idempotent(self, label: BlockLabel) -> AlgebraElement:
         """Sum of the block's primitive idempotents (a central idempotent)."""
         total = self.algebra.zero()
@@ -965,8 +953,44 @@ class BlockSystem:
         beta2 = casimir_eigenvalue(P, 2, SimpleModuleSpec(1, label.r1, label.r2))
         return ((beta1, 2), (beta2, 2))
 
-    def verify_block_decomposition(self) -> List[Check]:
-        """Idempotents, orthogonality, ranks, central annihilators."""
+    def verify_idempotents(self) -> List[Check]:
+        """The primitive idempotents square to themselves, annihilate
+        each other in both orders, and sum to 1."""
+        A = self.algebra
+        idems = [(entry, self.primitive_idempotent(*entry))
+                 for label in self.block_labels()
+                 for entry in self.primitive_idempotent_catalog(label)]
+        checks: List[Check] = []
+
+        bad_square = [entry for entry, e in idems if e * e != e]
+        checks.append(Check(
+            "blocks.idempotent-squares", not bad_square,
+            f"{len(idems)} idempotents; failures: {bad_square or 'none'}",
+            anchor="idempotent-squares"))
+
+        bad_pairs = 0
+        for i, (_, ea) in enumerate(idems):
+            for _, eb in idems[i + 1:]:
+                if not (ea * eb).is_zero():
+                    bad_pairs += 1
+                if not (eb * ea).is_zero():
+                    bad_pairs += 1
+        checks.append(Check(
+            "blocks.pairwise-orthogonal", bad_pairs == 0,
+            f"{len(idems) * (len(idems) - 1)} ordered pairs; "
+            f"failures: {bad_pairs}", anchor="idempotent-orthogonality"))
+
+        total = A.zero()
+        for _, e in idems:
+            total = total + e
+        checks.append(Check(
+            "blocks.resolution-of-identity", total == A.one(),
+            f"sum over {len(idems)} idempotents", anchor="identity-resolution"))
+        return checks
+
+    def verify_blocks(self) -> List[Check]:
+        """Block count and dimensions, central block idempotents, ideal
+        ranks, the Casimirs' centrality and annihilators, and the socles."""
         checks: List[Check] = []
         P = self.params
         p1, p2 = self.p1, self.p2
@@ -985,36 +1009,6 @@ class BlockSystem:
             "blocks.count", len(labels) == expected_blocks,
             f"{len(labels)} labels: {sorted(labels)}", anchor="block-count"))
 
-        catalog = [(label, entry) for label in labels
-                   for entry in self.primitive_idempotent_catalog(label)]
-        idems = [(label, entry, self.primitive_idempotent(*entry))
-                 for label, entry in catalog]
-
-        bad_square = [entry for _, entry, e in idems if e * e != e]
-        checks.append(Check(
-            "blocks.idempotent-squares", not bad_square,
-            f"{len(idems)} idempotents; failures: {bad_square or 'none'}",
-            anchor="idempotent-squares"))
-
-        bad_pairs = 0
-        for i, (_, entry_a, ea) in enumerate(idems):
-            for _, entry_b, eb in idems[i + 1:]:
-                if not (ea * eb).is_zero():
-                    bad_pairs += 1
-                if not (eb * ea).is_zero():
-                    bad_pairs += 1
-        checks.append(Check(
-            "blocks.pairwise-orthogonal", bad_pairs == 0,
-            f"{len(idems) * (len(idems) - 1)} ordered pairs; "
-            f"failures: {bad_pairs}", anchor="idempotent-orthogonality"))
-
-        total = A.zero()
-        for _, _, e in idems:
-            total = total + e
-        checks.append(Check(
-            "blocks.resolution-of-identity", total == A.one(),
-            f"sum over {len(idems)} idempotents", anchor="identity-resolution"))
-
         block_idems = {label: self.block_idempotent(label) for label in labels}
         gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K")]
         central_bad = [
@@ -1031,29 +1025,30 @@ class BlockSystem:
         dims_ok = True
         dim_detail = []
         total_vectors = 0
-        for label in labels:
-            for entry in self.primitive_idempotent_catalog(label):
-                _, alpha, r1, r2, s1, s2 = entry
-                basis = self.ideal_basis(alpha, r1, r2, s1, s2)
-                # p_d rungs per full copy, 2 p_d per ladder copy
-                ladders = self.ladder_copies(r1, r2)
-                expected = ((2 if 1 in ladders else 1) * p1
-                            * (2 if 2 in ladders else 1) * p2)
-                local = IncrementalSpan(field)
-                families = self.ladder_families(r1, r2)
-                ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
-                right_eig = ratio.inverse()
-                for el in basis:
-                    vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
-                    local.add(vec)
-                    lw = self.family_weight(families[(el.family, el.arrow)],
-                                             alpha, el.idx1, el.idx2)
-                    key = (lw, right_eig)
-                    slices.setdefault(key, IncrementalSpan(field)).add(vec)
-                    total_vectors += 1
-                if local.rank != expected:
-                    dims_ok = False
-                    dim_detail.append(f"{entry}: rank {local.rank} != {expected}")
+        catalog = [entry for label in labels
+                   for entry in self.primitive_idempotent_catalog(label)]
+        for entry in catalog:
+            _, alpha, r1, r2, s1, s2 = entry
+            basis = self.ideal_basis(alpha, r1, r2, s1, s2)
+            # p_d rungs per full copy, 2 p_d per ladder copy
+            ladders = self.ladder_copies(r1, r2)
+            expected = ((2 if 1 in ladders else 1) * p1
+                        * (2 if 2 in ladders else 1) * p2)
+            local = IncrementalSpan(field)
+            families = self.ladder_families(r1, r2)
+            ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
+            right_eig = ratio.inverse()
+            for el in basis:
+                vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
+                local.add(vec)
+                lw = self.family_weight(families[(el.family, el.arrow)],
+                                         alpha, el.idx1, el.idx2)
+                key = (lw, right_eig)
+                slices.setdefault(key, IncrementalSpan(field)).add(vec)
+                total_vectors += 1
+            if local.rank != expected:
+                dims_ok = False
+                dim_detail.append(f"{entry}: rank {local.rank} != {expected}")
         checks.append(Check(
             "blocks.ideal-dimensions", dims_ok,
             "; ".join(dim_detail) if dim_detail else
@@ -1067,8 +1062,9 @@ class BlockSystem:
             f"slices; algebra dimension {A.dimension}",
             anchor="decomposition-rank"))
 
-        for i in (1, 2):
-            C = self.casimir(i)
+        target = A.relation_target()
+        casimirs = {i: casimir(P, i, target) for i in (1, 2)}
+        for i, C in casimirs.items():
             commute_bad = sum(1 for g in gens if C * g != g * C)
             checks.append(Check(
                 f"blocks.casimir-{i}-central", commute_bad == 0,
@@ -1078,8 +1074,8 @@ class BlockSystem:
         annihilation_bad = []
         for label in labels:
             (c1, m1), (c2, m2) = self._block_annihilators(label)
-            ann1 = (self.casimir(1) - A.one() * c1).power(m1)
-            ann2 = (self.casimir(2) - A.one() * c2).power(m2)
+            ann1 = (casimirs[1] - A.one() * c1).power(m1)
+            ann2 = (casimirs[2] - A.one() * c2).power(m2)
             for entry in self.primitive_idempotent_catalog(label):
                 _, alpha, r1, r2, s1, s2 = entry
                 for el in self.ideal_basis(alpha, r1, r2, s1, s2):

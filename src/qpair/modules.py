@@ -19,6 +19,11 @@ actions only ever evaluate them strictly inside a rung ladder) and raw
 
 Matrices act on column vectors: entry (i, j) is the coefficient of
 basis vector i in the image of basis vector j.
+
+The checks hold no relation and no Casimir formula of their own: each
+module's matrices form a `RelationTarget`, on which the one presentation
+of `algebra` (`defining_relations`, `casimir`) is evaluated, as it is in
+A and on the images of the Hopf maps.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from collections import Counter
 from typing import Iterator, List
 
+from .algebra import RelationTarget, casimir, defining_relations
 from .cyclo import CycloNumber, Params
 from .linalg import Matrix
 from .report import Check
@@ -116,7 +122,8 @@ def weight(params: Params, spec: SimpleModuleSpec, n1: int, n2: int) -> CycloNum
 
 
 def simple_action(params: Params, spec: SimpleModuleSpec, gen: str) -> Matrix:
-    """Matrix of a generator on the simple module, in the flat basis."""
+    """Matrix of a generator (e1, e2, f1, f2 or K) on the simple module,
+    in the flat basis."""
     spec.validate(params)
     field = params.field
     dim = spec.dim
@@ -127,10 +134,6 @@ def simple_action(params: Params, spec: SimpleModuleSpec, gen: str) -> Matrix:
             src = spec.index(n1, n2)
             if gen == "K":
                 out.put(src, src, weight(params, spec, n1, n2))
-            elif gen == "Kinv":
-                out.put(src, src, weight(params, spec, n1, n2).inverse())
-            elif gen == "one":
-                out.put(src, src, field.one)
             elif gen == "e1":
                 if n1 >= 1:
                     coeff = phi(params, 1, spec.alpha, n1, r1, r2)
@@ -148,18 +151,6 @@ def simple_action(params: Params, spec: SimpleModuleSpec, gen: str) -> Matrix:
             else:
                 raise ValueError(f"unknown generator {gen!r}")
     return out
-
-
-def casimir_matrix(params: Params, i: int, spec: SimpleModuleSpec) -> Matrix:
-    """The central quadratic element of copy i evaluated on the module."""
-    pj = params.other(i)
-    K = simple_action(params, spec, "K")
-    Kinv = simple_action(params, spec, "Kinv")
-    E = simple_action(params, spec, "e1" if i == 1 else "e2")
-    F = simple_action(params, spec, "f1" if i == 1 else "f2")
-    a = params.qi_pow(i, pj)
-    gap = a - a.inverse()
-    return (-(Kinv ** pj) * a) + (-(K ** pj) * a.inverse()) + (-(E * F) * (gap * gap))
 
 
 def casimir_eigenvalue(params: Params, i: int, spec: SimpleModuleSpec) -> CycloNumber:
@@ -189,87 +180,72 @@ def k_spectrum(params: Params, spec: SimpleModuleSpec) -> Counter:
     )
 
 
-def _matrix_rel(name: str, lhs: Matrix, rhs: Matrix, label: str) -> Check:
-    return Check(f"{label}: {name}", lhs == rhs, anchor="simple-module-relations")
+def relation_target(params: Params, spec: SimpleModuleSpec) -> RelationTarget:
+    """The module as a `RelationTarget`: the matrices of e1, e2, f1 and
+    f2, and K^t the diagonal of the rung weights raised to the power t."""
+    field, dim = params.field, spec.dim
+    weights = [weight(params, spec, n1, n2)
+               for n2 in range(spec.r2) for n1 in range(spec.r1)]
+    return RelationTarget(
+        images={g: simple_action(params, spec, g)
+                for g in ("e1", "e2", "f1", "f2")},
+        k_power=lambda t: Matrix(field, dim, columns={
+            j: {j: w ** t} for j, w in enumerate(weights)}),
+        one=Matrix.identity(field, dim), zero=Matrix.zeros(field, dim))
 
 
 def verify_simple_module(params: Params, spec: SimpleModuleSpec) -> List[Check]:
-    """Every defining relation as a matrix identity, plus the scalar facts."""
+    """The presentation and the two Casimirs on the module's matrices.
+
+    The 17 relations of `defining_relations` and the Casimirs of `casimir`
+    are evaluated on `relation_target`, as they are in A.  K's matrix is
+    checked against the rung weights that target reads K^t from, and the
+    printed double-step f2 is adjudicated on the same relation list.
+    """
     spec.validate(params)
     field = params.field
     label = spec.label()
     dim = spec.dim
-    ident = Matrix.identity(field, dim)
-    zero = Matrix.zeros(field, dim, dim)
-    act = {g: simple_action(params, spec, g) for g in
-           ("K", "Kinv", "e1", "e2", "f1", "f2")}
-    checks: List[Check] = []
-
-    checks.append(_matrix_rel("K*Kinv = 1", act["K"] * act["Kinv"], ident, label))
-    checks.append(_matrix_rel(f"K^{params.korder} = 1", act["K"] ** params.korder,
-                              ident, label))
-    for i in (1, 2):
-        E = act[f"e{i}"]
-        F = act[f"f{i}"]
-        p = params.p(i)
-        checks.append(_matrix_rel(f"e{i}^{p} = 0", E ** p, zero, label))
-        checks.append(_matrix_rel(f"f{i}^{p} = 0", F ** p, zero, label))
-        checks.append(_matrix_rel(
-            f"K e{i} Kinv = q{i}^2 e{i}",
-            act["K"] * E * act["Kinv"], E * params.qi_pow(i, 2), label))
-        checks.append(_matrix_rel(
-            f"K f{i} Kinv = q{i}^-2 f{i}",
-            act["K"] * F * act["Kinv"], F * params.qi_pow(i, -2), label))
-        pj = params.other(i)
-        gap = params.qi_pow(i, pj) - params.qi_pow(i, -pj)
-        rhs = ((act["K"] ** pj) - (act["Kinv"] ** pj)) * gap.inverse()
-        checks.append(_matrix_rel(
-            f"[e{i}, f{i}] = weight line", E * F - F * E, rhs, label))
-    checks.append(_matrix_rel("e1 e2 = e2 e1", act["e1"] * act["e2"],
-                              act["e2"] * act["e1"], label))
-    checks.append(_matrix_rel("f1 f2 = f2 f1", act["f1"] * act["f2"],
-                              act["f2"] * act["f1"], label))
-    checks.append(_matrix_rel("[e1, f2] = 0",
-                              act["e1"] * act["f2"] - act["f2"] * act["e1"],
-                              zero, label))
-    checks.append(_matrix_rel("[e2, f1] = 0",
-                              act["e2"] * act["f1"] - act["f1"] * act["e2"],
-                              zero, label))
+    target = relation_target(params, spec)
+    on = f"the generator matrices of {label}, dim {dim}"
+    relations = defining_relations(params, target)
+    scope = f"presentation: {len(relations)} defining relations on {on}"
+    checks = [Check(f"{label}: {name}", holds,
+                    anchor="simple-module-relations", scope=scope)
+              for name, holds in relations]
 
     checks.append(Check(
         f"{label}: K acts diagonally with the rung weights",
-        act["K"].is_diagonal() and all(
-            act["K"][spec.index(n1, n2), spec.index(n1, n2)]
-            == weight(params, spec, n1, n2)
-            for n2 in range(spec.r2) for n1 in range(spec.r1)),
-        anchor="simple-module-weights"))
+        simple_action(params, spec, "K") == target.k_power(1),
+        anchor="simple-module-weights",
+        scope=f"K's matrix on {label}: {dim} diagonal entries against the "
+              f"rung weights"))
 
     for i in (1, 2):
-        got = casimir_matrix(params, i, spec).scalar_of_identity()
+        got = casimir(params, i, target).scalar_of_identity()
         want = casimir_eigenvalue(params, i, spec)
         checks.append(Check(
             f"{label}: central element {i} acts by its stated scalar",
             got is not None and got == want,
-            anchor="simple-module-casimir"))
+            anchor="simple-module-casimir",
+            scope=f"central element {i} of the presentation on {on}"))
 
     if spec.r2 >= 2:
         # Misprint adjudication: a raising step of two in the second index
         # (instead of one) must break the copy-2 commutator relation.
-        bad_f2 = Matrix.zeros(field, dim, dim)
-        for n2 in range(spec.r2):
-            for n1 in range(spec.r1):
-                if n2 + 2 <= spec.r2 - 1:
-                    bad_f2.put(spec.index(n1, n2 + 2), spec.index(n1, n2), field.one)
-        pj = params.p1
-        gap = params.q2_pow(pj) - params.q2_pow(-pj)
-        rhs = ((act["K"] ** pj) - (act["Kinv"] ** pj)) * gap.inverse()
-        broken = (act["e2"] * bad_f2 - bad_f2 * act["e2"]) != rhs
+        double_f2 = Matrix(field, dim, columns={
+            spec.index(n1, n2): {spec.index(n1, n2 + 2): field.one}
+            for n2 in range(spec.r2 - 2) for n1 in range(spec.r1)})
+        printed = dict(defining_relations(params, target._replace(
+            images={**target.images, "f2": double_f2})))
         checks.append(Check(
             f"{label}: raising the second index by two breaks the commutator",
-            broken,
+            not printed["[e2, f2] = weight line"],
             "the printed double-step raising action fails the copy-2 "
             "commutator; the single-step action passes",
-            anchor="simple-module-f2-step"))
+            anchor="simple-module-f2-step",
+            scope=f"presentation: {len(printed)} defining relations on {on}, "
+                  f"f2 raising n2 by two; read at [e2, f2] = weight line"))
     return checks
 
 
@@ -313,7 +289,8 @@ def _phi_identity_checks(params: Params) -> Iterator[Check]:
     )
     for name, bad, total in zip(names, failures, counts):
         yield Check(name, bad == 0, f"{total} argument tuples; failures: {bad}",
-                    anchor="phi-reflection-identities")
+                    anchor="phi-reflection-identities",
+                    scope=f"exhaustive: {total} in-range argument tuples")
 
 
 def verify_simple_family(params: Params) -> List[Check]:
@@ -323,7 +300,8 @@ def verify_simple_family(params: Params) -> List[Check]:
     checks.append(Check(
         "simple-module count is 2*p1*p2",
         len(specs) == 2 * params.p1 * params.p2,
-        f"{len(specs)} labels", anchor="simple-module-count"))
+        f"{len(specs)} labels", anchor="simple-module-count",
+        scope="labels (alpha, r1, r2) with alpha = +-1, 1 <= r_i <= p_i"))
     for spec in specs:
         checks.extend(verify_simple_module(params, spec))
     # Pairwise non-isomorphy certificate.  K-spectra separate almost all
@@ -352,6 +330,8 @@ def verify_simple_family(params: Params) -> List[Check]:
         f"{len(specs)} modules; K-spectrum ties broken by the central "
         f"scalars for {len(spectrum_clashes)} pairs "
         f"({spectrum_clashes or 'none'}); unresolved: {full_clashes or 'none'}",
-        anchor="simple-module-distinct"))
+        anchor="simple-module-distinct",
+        scope=f"exhaustive: {len(specs) * (len(specs) - 1) // 2} module "
+              f"pairs by (K-spectrum, beta_1, beta_2)"))
     checks.extend(_phi_identity_checks(params))
     return checks

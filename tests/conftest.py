@@ -4,7 +4,7 @@ The (2,3) algebra, its block system, realization and functional layer
 are built once per session and imported by the test modules that need
 them, so their caches (ideal bases, monomial matrices, block
 realizations) are filled once.  The two heaviest check sweeps are
-memoised here too: the block decomposition and the per-block
+memoised here too: the idempotent and block checks and the per-block
 action-table and block-shape checks each run once, whichever test asks
 first.  A test that times its work builds fresh objects for it instead.
 """
@@ -26,8 +26,8 @@ F23 = Functionals(R23)
 
 @lru_cache(maxsize=None)
 def decomposition_checks() -> tuple:
-    """`B23.verify_block_decomposition()`, computed once."""
-    return tuple(B23.verify_block_decomposition())
+    """`B23.verify_idempotents()` then `B23.verify_blocks()`, computed once."""
+    return tuple(B23.verify_idempotents() + B23.verify_blocks())
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,12 @@ import random
 import pytest
 
 import qpair.algebra as algebra_module
+import qpair.modules as modules_module
 from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
-                           TensorElement)
+                           TensorElement, casimir)
 from qpair.cyclo import Params
 from qpair.ideals import BlockSystem
+from qpair.modules import all_simple_specs, verify_simple_family
 
 A23 = Algebra.for_pair(2, 3)
 
@@ -617,25 +619,52 @@ PREMISES = ("coproduct is an algebra map", "antipode is an anti-morphism",
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2), (2, 5)])
-def test_relations_suite_and_hopf_premises_read_one_relation_list(pair):
+def test_relations_suite_and_hopf_premises_read_one_relation_list(
+        pair, monkeypatch):
     A = Algebra.for_pair(*pair)
     names = [c.check_id for c in A.verify_defining_relations()]
     assert len(names) == 17
     seen = []
-    evaluate = A.defining_relations
+    evaluate = algebra_module.defining_relations
 
-    def spy(target):
-        out = evaluate(target)
+    def spy(params, target):
+        out = evaluate(params, target)
         seen.append([name for name, _ in out])
         return out
 
-    A.defining_relations = spy
+    monkeypatch.setattr(algebra_module, "defining_relations", spy)
+    monkeypatch.setattr(modules_module, "defining_relations", spy)
     checks = _hopf_checks(A)
     # A itself, then the images of Delta, S and eps
     assert seen == [names] * 4
     for check_id in PREMISES:
         assert checks[check_id].scope.startswith(
             "presentation: 17 defining relations"), check_id
+    # each simple module, then each module's double-step f2 variant
+    seen.clear()
+    module_checks = verify_simple_family(A.params)
+    specs = all_simple_specs(A.params)
+    assert seen == [names] * (len(specs)
+                              + sum(1 for s in specs if s.r2 >= 2))
+    ids = {c.check_id for c in module_checks}
+    for spec in specs:
+        assert {f"{spec.label()}: {name}" for name in names} <= ids
+
+
+def test_presentation_casimir_in_the_algebra_matches_the_element_formula():
+    # the central element of copy i written out in A, independently of
+    # `casimir`: -a K^-p_j - a^-1 K^p_j - (a - a^-1)^2 e_i f_i, a = q_i^p_j
+    P = A23.params
+    target = A23.relation_target()
+    for i in (1, 2):
+        pj = P.other(i)
+        a = P.qi_pow(i, pj)
+        gap = a - a.inverse()
+        ef = A23.monomial(1, 0, 1, 0, 0) if i == 1 else A23.monomial(0, 1, 0, 1, 0)
+        want = (A23.k_power(-pj) * (-a)
+                + A23.k_power(pj) * (-a.inverse())
+                + A23.monomial_element(ef, -(gap * gap)))
+        assert casimir(P, i, target) == want, i
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])

@@ -14,9 +14,10 @@ import pytest
 from click.testing import CliRunner
 
 from qpair.algebra import Algebra
-from qpair.cli import (Session, check_header, cyclo_from_json, cyclo_to_json,
-                       dump_payload, element_from_json, element_to_json,
-                       load_artifact, main, run, validate_config)
+from qpair.cli import (SUITE_ORDER, Session, check_header, cyclo_from_json,
+                       cyclo_to_json, dump_payload, element_from_json,
+                       element_to_json, load_artifact, main, run,
+                       validate_config)
 from qpair.report import RunConfig
 
 A23 = Algebra.for_pair(2, 3)
@@ -71,7 +72,38 @@ def test_run_whole_stack_at_3_2():
     code, report = run(RunConfig(p1=3, p2=2, suites=("all",)))
     assert code == 0
     assert report.passed
-    assert len(report.checks) == 515
+    # 12 simple modules with 17 defining relations each
+    assert len(report.checks) == 527
+    assert tuple(report.suite_timings) == SUITE_ORDER
+
+
+def test_suite_order_solves_block_centers_under_center():
+    # radford reads the block centers; center runs first and solves them,
+    # so their cost is timed under center
+    assert SUITE_ORDER == ("relations", "hopf", "modules", "ideals",
+                           "idempotents", "blocks", "shapes", "slf",
+                           "integrals", "center", "radford", "qchar")
+    _, report = run(_cfg(suites=("radford", "center")))
+    assert list(report.suite_timings) == ["center", "radford"]
+
+
+def test_idempotents_and_blocks_suites_keep_their_checks():
+    # ids, statuses and details of the two suites, in report order, as
+    # they were when both were sliced out of one block-decomposition pass
+    session = Session(_cfg(suites=("idempotents", "blocks")))
+    checks = session.suite_idempotents() + session.suite_blocks()
+    assert [c.check_id for c in checks] == [
+        "blocks.idempotent-squares", "blocks.pairwise-orthogonal",
+        "blocks.resolution-of-identity", "blocks.dimension-identity",
+        "blocks.count", "blocks.block-idempotent-central",
+        "blocks.ideal-dimensions", "blocks.total-rank",
+        "blocks.casimir-1-central", "blocks.casimir-2-central",
+        "blocks.central-annihilators", "blocks.scalar-signatures-separate",
+        "blocks.casimir-scalar-reflections",
+        "blocks.socle-matches-simple-matrices"]
+    rows = json.dumps([[c.check_id, c.status, c.detail] for c in checks])
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "a2ac0b702d4716dc6c4b80e157ecdf7e5ccf5d0082a1c6aa437d96152e6b607b")
 
 
 def test_erratum_corrected_counts_as_passing():

@@ -8,14 +8,17 @@ multisets collide.
 
 import pytest
 
+from qpair import modules
+from qpair.algebra import casimir
 from qpair.cyclo import Params
+from qpair.linalg import Matrix
 from qpair.modules import (
     SimpleModuleSpec,
     all_simple_specs,
     casimir_eigenvalue,
-    casimir_matrix,
     k_spectrum,
     phi,
+    relation_target,
     simple_action,
     verify_simple_family,
     verify_simple_module,
@@ -23,6 +26,20 @@ from qpair.modules import (
 )
 
 P23 = Params(2, 3)
+
+
+def casimir_matrix_reference(params, i, spec):
+    """The central element of copy i written out on the module's
+    matrices, independently of `algebra.casimir`."""
+    pj = params.other(i)
+    K = simple_action(params, spec, "K")
+    Kinv = Matrix(params.field, spec.dim,
+                  columns={j: {j: K[j, j].inverse()} for j in range(spec.dim)})
+    E = simple_action(params, spec, "e1" if i == 1 else "e2")
+    F = simple_action(params, spec, "f1" if i == 1 else "f2")
+    a = params.qi_pow(i, pj)
+    gap = a - a.inverse()
+    return (-(Kinv ** pj) * a) + (-(K ** pj) * a.inverse()) + (-(E * F) * (gap * gap))
 
 
 def test_spec_enumeration_and_labels():
@@ -96,8 +113,44 @@ def test_casimir_scalars_small_table():
     assert casimir_eigenvalue(P23, 2, low).as_rational() == 1
     # both scalars realized by the actual matrices
     for i, spec in ((1, top), (2, low)):
-        mat = casimir_matrix(P23, i, spec)
+        mat = casimir(P23, i, relation_target(P23, spec))
         assert mat.scalar_of_identity() == casimir_eigenvalue(P23, i, spec)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 4)])
+def test_presentation_casimir_matches_the_matrix_formula(pair):
+    params = Params(*pair)
+    for spec in all_simple_specs(params):
+        target = relation_target(params, spec)
+        for i in (1, 2):
+            assert (casimir(params, i, target)
+                    == casimir_matrix_reference(params, i, spec)), (spec, i)
+
+
+def test_doubled_f1_fails_only_its_own_module(monkeypatch):
+    # f1 scaled by 2 on one module breaks [e1, f1] there (and with it the
+    # copy-1 Casimir, which contains e1 f1); every other module is untouched
+    spoiled = SimpleModuleSpec(1, 2, 3)
+    action = modules.simple_action
+
+    def doubled_f1(params, spec, gen):
+        out = action(params, spec, gen)
+        return out * 2 if (spec, gen) == (spoiled, "f1") else out
+
+    monkeypatch.setattr(modules, "simple_action", doubled_f1)
+    failed = {c.check_id for c in verify_simple_family(P23) if not c.passed}
+    label = spoiled.label()
+    assert failed == {f"{label}: [e1, f1] = weight line",
+                      f"{label}: central element 1 acts by its stated scalar"}
+
+
+def test_module_checks_have_scopes():
+    checks = verify_simple_family(P23)
+    assert all(c.scope for c in checks)
+    by_id = {c.check_id: c for c in checks}
+    assert by_id["X+(1,2): K*Kinv = 1"].scope == (
+        "presentation: 17 defining relations on the generator matrices "
+        "of X+(1,2), dim 2")
 
 
 def test_k_spectrum_collision_resolved_by_central_scalars():
