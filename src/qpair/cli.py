@@ -112,7 +112,7 @@ class Session:
     def suite_slf(self) -> List[Check]:
         F = self.functionals
         checks = F.slf_checks()
-        checks.extend(F.pairwise_scan(F.slf_basis()))
+        checks.extend(F.symmetry_checks(F.slf_basis()))
         return checks
 
     def suite_integrals(self) -> List[Check]:
@@ -133,7 +133,7 @@ class Session:
         checks = F.verify_character_bridge()
         twisted = {f"qchar.{s.label()}": F.q_character(s)
                    for s in all_simple_specs(self.algebra.params)}
-        checks.extend(F.pairwise_scan({}, twisted))
+        checks.extend(F.symmetry_checks({}, twisted))
         for label in self.system.block_labels():
             if not self.system.block_ladders(label):
                 continue

@@ -8,12 +8,12 @@ against it); each equation of a PBW word's coproduct holds one unknown
 and sets it to zero (`integral_functional`).  Both integrals live on one
 monomial of Z^2-degree (0, 0), so a value phi(u v) is read off the word
 product of u and v at its entries on that support, and only for u and v
-of opposite degree (`_product_row`): the translation identities and the
-Radford transform build no product.  The symmetric-function basis is read
-off the block realizations: every member is a partial trace of the
-representing matrices over one or two family groups, so its value on a
-basis monomial w K^ell is a handful of diagonal lookups in the cached
-matrix of the word w, each scaled by K's diagonal entry zeta^(s_c ell).
+of opposite degree (`_product_row`): the Radford transform builds no
+product.  The symmetric-function basis is read off the block
+realizations: every member is a partial trace of the representing
+matrices over one or two family groups, so its value on a basis monomial
+w K^ell is a handful of diagonal lookups in the cached matrix of the word
+w, each scaled by K's diagonal entry zeta^(s_c ell).
 
 The Radford transform x -> lambda(x * g^{-1}c) carries the solved central
 elements onto that basis; each displayed identity is evaluated on every
@@ -23,6 +23,11 @@ circle: quantum characters of the simple modules are g-twisted matrix
 traces, insertion characters of the projective blocks are strip reads of
 the realized matrices driven by a small coefficient record, and the
 g-shift theta sends both families exactly onto the symmetric basis.
+
+Every symmetry identity here, the integrals' translation identities
+included, is one twisted-trace law on generator pairs, graded by one scan
+(`generator_scan`) that reads the support first and then only the pairs
+of opposite Z^2-degree.
 """
 
 from __future__ import annotations
@@ -341,14 +346,10 @@ class Functionals:
         sum coef phi(word K^(shift + r)).  The entries whose word carries
         no value of phi are skipped, and no product is built.
 
-        The callers pair only words of opposite degree, by this grading.
-        Every defining relation is homogeneous for deg e_i = +eps_i, deg
-        f_i = -eps_i, deg K = 0, so u v is homogeneous of degree deg u +
-        deg v (deg m = (m1 - n1, m2 - n2) on a basis monomial).  The
-        integrals are supported on the one monomial w_top K^l0 (checks
-        `integrals.*-support`), of degree (0, 0), so phi(u v) vanishes
-        unless deg v = -deg u.  The antipode sends each generator to a
-        K-power times a multiple of it, so S^2 preserves degree too.
+        The callers pair only words of opposite degree: phi lives on the
+        one monomial w_top K^l0 of degree (0, 0) (checks
+        `integrals.*-support`), and u v is homogeneous of degree deg u +
+        deg v (`generator_scan`), so phi(u v) vanishes otherwise.
         """
         korder = self.params.korder
         row: Dict[int, CycloNumber] = {}
@@ -360,64 +361,24 @@ class Functionals:
                 row[r] = add if cur is None else cur + add
         return {r: v for r, v in row.items() if not v.is_zero()}
 
-    def _on_product(self, support, u: PBWMonomial,
-                    v: PBWMonomial) -> Optional[CycloNumber]:
-        """phi(u v) for basis monomials u and v (`_product_row`); None
-        when it vanishes."""
-        l = u[4]
-        val = self._product_row(support, u[:4], v[:4]).get(
-            (l + v[4]) % self.params.korder)
-        if val is None or not l:
-            return val
-        return val * self.params.zeta(
-            l * self.algebra.conjugation_weight_exponent(v))
-
     def verify_integral_identities(self) -> Check:
-        """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a) for all
-        a and b, with S^2 of each generator from the antipode.
-
-        Generators suffice.  If the left identity holds for a = a1 and
-        a = a2 and every b, then lambda(a1 a2 b) = lambda(a2 b S^2(a1)) =
-        lambda(b S^2(a1) S^2(a2)) = lambda(b S^2(a1 a2)), S^2 being an
-        algebra map; the right identity mirrors it.  So a (resp. b) runs
-        over `GENERATOR_MONOMIALS` and the other factor over the basis.
-        Both sides vanish by Z^2-degree unless the basis monomial has the
-        generator's opposite degree (`_product_row`), so only those pairs
-        are evaluated; the scan rests on the integrals' degree-zero
-        support and fails, naming it, if that premise fails.
-        """
-        A = self.algebra
-        monos = self._monos
-        korder = self.params.korder
-        (lam, lam_off), (mu, mu_off) = (self._integral_support(side)
-                                        for side in ("left", "right"))
-        total = f"{len(GENERATOR_MONOMIALS)} × {len(monos)} generator pairs"
-        premise = lam_off or mu_off
-        if premise:
-            return Check("integrals.translation-identities", False,
-                         f"{premise}; the degree-matched scan over {total} "
-                         f"rests on it and was not run",
-                         anchor="integral-translation-identities")
-        on = self._on_product
-        bad = []
-        pairs = 0
-        for g in GENERATOR_MONOMIALS:
-            s2g = A.pbw_antipode(A.antipode_monomial(g))
-            for base in self._words_of_degree.get(_opposite(g), ()):
-                for x in monos[base:base + korder]:
-                    pairs += 1
-                    if not _opt_eq(on(lam, g, x), _weighted_sum(
-                            (c, on(lam, x, t)) for t, c in s2g.items())):
-                        bad.append(f"lambda at ({g}, {x})")
-                    if not _opt_eq(on(mu, x, g), _weighted_sum(
-                            (c, on(mu, t, x)) for t, c in s2g.items())):
-                        bad.append(f"mu at ({x}, {g})")
-        detail = (f"degree-matched: {pairs} of {total}; the rest vanish by "
-                  f"Z²-degree; failures: {len(bad)}")
-        if bad:
-            detail += f", first {bad[0]}"
-        return Check("integrals.translation-identities", not bad, detail,
-                     anchor="integral-translation-identities")
+        """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a), graded
+        by `generator_scan`: S^2 y = w(y) y (the hopf check "antipode
+        square is conjugation by K^(p1-p2)"), so a = g is lambda at tau =
+        -1 and b = g is mu at tau = +1."""
+        found = self.generator_scan({
+            "lambda": (self.integral_functional("left"), -1),
+            "mu": (self.integral_functional("right"), 1)})
+        bad = [f"{name} at (x, y) = {witness}"
+               for name, (witness, _) in found.items() if witness]
+        scopes = {scope for _, scope in found.values()}
+        scope = (scopes.pop() if len(scopes) == 1 else "; ".join(
+            f"{name} {scope}" for name, (_, scope) in found.items()))
+        return Check("integrals.translation-identities", not bad,
+                     f"lambda at tau = -1, mu at tau = +1, on the "
+                     f"degree-matched generator pairs; failures: {len(bad)}"
+                     + (f", first {bad[0]}" if bad else ""),
+                     anchor="integral-translation-identities", scope=scope)
 
     # ------------------------------------------------------------------
     # The symmetric-function basis
@@ -527,61 +488,90 @@ class Functionals:
     # Symmetry scans
     # ------------------------------------------------------------------
 
-    def pairwise_scan(self, symmetric: Mapping[str, LinearFunctional],
-                      twisted: Mapping[str, LinearFunctional] = None,
-                      partners=None) -> List[Check]:
-        """Grade many functionals at once on every pair (x, y), x a basis
-        monomial and y in ``partners`` (default `GENERATOR_MONOMIALS`).
+    def generator_scan(self, laws: Mapping[str, Tuple[LinearFunctional, int]]
+                       ) -> Dict[str, Tuple[Optional[str], str]]:
+        """Grade f(x g) = w(g)^tau f(g x) for each named (f, tau), x a
+        basis monomial and g in `GENERATOR_MONOMIALS`, with w(g) =
+        zeta^((p1 - p2) wt g), wt the K-conjugation weight: tau = 0 for a
+        symmetric function, +1 for a character, an insertion record or mu,
+        -1 for lambda.  Per name: the first violating "(x, g)" or None,
+        and the scope read.
 
-        Symmetric members must satisfy f(xy) = f(yx).  Twisted members
-        must satisfy f(xy) = f(sigma(y) x) with sigma = S^2, which on a
-        basis monomial y is w(y) f(yx): w(y) is y's K-conjugation weight
-        raised to the balancing exponent p1 - p2.
+        Generators suffice.  With sigma(y) = w(y)^tau y, conjugation by
+        K^(tau (p1 - p2)), the law reads f(x y) = f(sigma(y) x); if it
+        holds for y = g1 and y = g2 and every x, then f(x g1 g2) =
+        f(sigma(g2) x g1) = f(sigma(g1 g2) x), so it holds for every word.
 
-        Generators suffice.  [ab, c] = [a, bc] + [b, ca], so by induction
-        on word length the commutators [g, m] (g a generator, m a basis
-        monomial) span [A, A], and f is symmetric iff f([g, m]) = 0.  If
-        the twisted identity holds for y = g1 and y = g2 and every x, then
-        f(x g1 g2) = f(sigma(g2) x g1) = f(sigma(g1 g2) x), so it holds for
-        every word y.  Passing the whole basis as ``partners`` gives the
-        every-pair scan, an independent reference.
+        Support first.  At g = K every law reads f(xK) = f(Kx).  If f(w
+        K^l) != 0 for a K-free word w of Z^2-degree (d1, d2) != (0, 0),
+        then at x = w K^(l-1), f(Kx) = zeta^(wt w) f(xK) with wt w = 4 (p2
+        d1 + p1 d2) != 0 mod 4 p1 p2 (p1, p2 coprime, |d_i| < p_i): a
+        violation, reported for the first such value, with no product.
+
+        Degree-matched pairs.  Otherwise f lives in degree (0, 0).  Every
+        relation is homogeneous (deg e_i = eps_i = -deg f_i, deg K = 0),
+        so both sides vanish unless deg x = -deg g, and only those pairs
+        are read; each x has at most one such g.  They run x-major in
+        basis order, as the scan of all 5 x dim pairs does, so the first
+        witness is the same.  Each pair's two products serve every f.
         """
-        twisted = twisted or {}
         A = self.algebra
         monos = self._monos
-        what = "generators" if partners is None else "monomials"
-        partners = GENERATOR_MONOMIALS if partners is None else tuple(partners)
-        prod = A.product_monomials
-        zeta = self.params.zeta
+        korder = self.params.korder
         gexp = self.p1 - self.p2
-        weights = {y: zeta(A.conjugation_weight_exponent(y) * gexp)
-                   for y in partners}
-        scans = [(f"{prefix}.{name}", anchor, twist,
-                  {monos[k]: v for k, v in f.values.items()})
-                 for members, prefix, anchor, twist in (
-                     (symmetric, "symmetry", "slf-symmetry", False),
-                     (twisted, "twisted-symmetry",
-                      "character-twisted-symmetry", True))
-                 for name, f in members.items()]
-        bad: Dict[str, str] = {}
-        for x in monos:
-            for y in partners:
-                pxy, pyx = prod(x, y), prod(y, x)
-                for check_id, _, twist, vals in scans:
-                    if check_id in bad:
-                        continue
-                    b = _sparse_eval(vals, pyx)
-                    if twist and b is not None:
-                        b = weights[y] * b
-                    if not _opt_eq(_sparse_eval(vals, pxy), b):
-                        bad[check_id] = f"({x}, {y})"
-        scope = (f"exhaustive: {len(partners)} {what} × {len(monos)} "
-                 f"monomials")
-        return [Check(check_id, check_id not in bad,
-                      scope + (f"; violated at (x, y) = {bad[check_id]}"
-                               if check_id in bad else ""),
-                      anchor=anchor)
-                for check_id, anchor, _, _ in scans]
+        total = f"of {len(GENERATOR_MONOMIALS)} × {len(monos)} generator pairs"
+        found: Dict[str, Tuple[Optional[str], str]] = {}
+        live = {}
+        for name, (f, tau) in laws.items():
+            off = next((k for k in sorted(f.values)
+                        if _degree(monos[k]) != (0, 0)), None)
+            if off is not None:
+                x = monos[off - off % korder + (off % korder - 1) % korder]
+                found[name] = (f"({x}, {GENERATOR_MONOMIALS[-1]})",
+                               f"support: a value off Z²-degree (0, 0) at "
+                               f"{monos[off]}; no products read")
+                continue
+            weights = {g: self.params.zeta(e) for g in GENERATOR_MONOMIALS
+                       if (e := tau * gexp * A.conjugation_weight_exponent(g))
+                       % self.params.N}
+            live[name] = ({monos[k]: v for k, v in f.values.items()}, weights)
+        partner = {_opposite(g): g for g in GENERATOR_MONOMIALS}
+        bases = sorted(base for degree in partner
+                       for base in self._words_of_degree.get(degree, ()))
+        prod = A.product_monomials
+        read = 0
+        for x in (x for base in bases for x in monos[base:base + korder]):
+            if not live:
+                break
+            g = partner[_degree(x)]
+            read += 1
+            xg, gx = prod(x, g), prod(g, x)
+            for name, (vals, weights) in list(live.items()):
+                rhs = _sparse_eval(vals, gx)
+                if rhs is not None and g in weights:
+                    rhs = weights[g] * rhs
+                if not _opt_eq(_sparse_eval(vals, xg), rhs):
+                    found[name] = (f"({x}, {g})",
+                                   f"degree-matched: {read} {total}")
+                    del live[name]
+        passed = (None, f"degree-matched: {read} {total}")
+        return {name: found.get(name, passed) for name in laws}
+
+    def symmetry_checks(self, symmetric: Mapping[str, LinearFunctional],
+                        twisted: Mapping[str, LinearFunctional] = None
+                        ) -> List[Check]:
+        """One `generator_scan` over the symmetric members (tau = 0,
+        checks symmetry.<name>) and the twisted ones (tau = +1, checks
+        twisted-symmetry.<name>: f(xy) = f(S^2(y) x))."""
+        laws = {f"symmetry.{name}": (f, 0) for name, f in symmetric.items()}
+        laws.update({f"twisted-symmetry.{name}": (f, 1)
+                     for name, f in (twisted or {}).items()})
+        return [Check(check_id, witness is None, _scan_detail(witness, scope),
+                      anchor="character-twisted-symmetry"
+                      if check_id.startswith("twisted-") else "slf-symmetry",
+                      scope=scope)
+                for check_id, (witness, scope)
+                in self.generator_scan(laws).items()]
 
     def counit_functional(self) -> LinearFunctional:
         values = {}
@@ -993,13 +983,13 @@ class Functionals:
         except ValueError:
             strict_rejects = True
         beta = self.sigma_character(label, record, strict=False)
-        scan, = self.pairwise_scan({}, {"invalid-record": beta})
+        witness, scope = self.generator_scan({"record": (beta, 1)})["record"]
         return Check(
             f"characters.invalid-record[{label.r1},{label.r2}]",
-            strict_rejects and not scan.passed,
+            strict_rejects and witness is not None,
             f"strict mode {'rejects' if strict_rejects else 'accepts'} the "
-            f"record; twisted scan {scan.detail}",
-            anchor="character-constraints")
+            f"record; twisted scan {_scan_detail(witness, scope)}",
+            anchor="character-constraints", scope=scope)
 
 
 def _degree(m: tuple) -> Tuple[int, int]:
@@ -1012,13 +1002,11 @@ def _opposite(m: tuple) -> Tuple[int, int]:
     return (m[2] - m[0], m[3] - m[1])
 
 
-def _weighted_sum(terms) -> Optional[CycloNumber]:
-    """sum c * v over (c, v) pairs, skipping v = None; None if all are."""
-    acc = None
-    for c, v in terms:
-        if v is not None:
-            acc = c * v if acc is None else acc + c * v
-    return acc
+def _scan_detail(witness: Optional[str], scope: str) -> str:
+    """A `generator_scan` verdict as a check detail."""
+    if witness is None:
+        return f"{scope}; the rest vanish by Z²-degree"
+    return f"{scope}; violated at (x, y) = {witness}"
 
 
 def _sparse_eval(vals: Mapping[PBWMonomial, CycloNumber],

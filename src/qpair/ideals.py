@@ -584,23 +584,27 @@ class BlockSystem:
                 if not entry[2]:
                     entry[2] = context
 
-        def checks(self, prefix: str, anchor: str) -> List[Check]:
+        def checks(self, prefix: str, anchor: str,
+                   ideals: int) -> List[Check]:
             out = []
             for slug in sorted(self.data):
                 total, failed, context = self.data[slug]
                 detail = f"{total} instances; failures: {failed}"
                 if failed and context:
                     detail += f"; first at {context}"
-                out.append(Check(f"{prefix}.{slug}", failed == 0, detail, anchor))
+                out.append(Check(f"{prefix}.{slug}", failed == 0, detail, anchor,
+                                 scope=f"exhaustive: {total} instances over "
+                                 f"the {ideals} primitive left ideals"))
             return out
 
     def verify_ladder_relations(self, label: BlockLabel) -> List[Check]:
         """Check every displayed generator-action relation on one block."""
         tally = self._Tally()
-        for _, alpha, r1, r2, s1, s2 in self.primitive_idempotent_catalog(label):
+        catalog = self.primitive_idempotent_catalog(label)
+        for _, alpha, r1, r2, s1, s2 in catalog:
             self._sweep_one_ideal(tally, alpha, r1, r2, s1, s2)
         checks = tally.checks(f"ladder[{label.r1},{label.r2}]",
-                              anchor="ladder-relations")
+                              anchor="ladder-relations", ideals=len(catalog))
         checks.extend(self._adjudication_checks(label))
         return checks
 
@@ -955,38 +959,40 @@ class BlockSystem:
 
     def verify_idempotents(self) -> List[Check]:
         """The primitive idempotents square to themselves, annihilate
-        each other in both orders, and sum to 1."""
+        each other in both orders, and sum to 1.
+
+        Orthogonality is derived from the other two, with no product.
+        Left multiplication by an idempotent e is a projection, so its
+        trace is its rank; these maps sum to the identity, so in
+        characteristic 0 the ranks sum to dim A.  A = sum_e eA (x = sum_e
+        ex), so that sum is direct; e_b = sum_a e_a e_b and e_b = e_b e_b
+        in e_b A then force e_a e_b = 0 for a != b.  The check fails,
+        naming it, when a premise fails.
+        """
         A = self.algebra
         idems = [(entry, self.primitive_idempotent(*entry))
                  for label in self.block_labels()
                  for entry in self.primitive_idempotent_catalog(label)]
-        checks: List[Check] = []
-
         bad_square = [entry for entry, e in idems if e * e != e]
-        checks.append(Check(
+        squares = Check(
             "blocks.idempotent-squares", not bad_square,
             f"{len(idems)} idempotents; failures: {bad_square or 'none'}",
-            anchor="idempotent-squares"))
-
-        bad_pairs = 0
-        for i, (_, ea) in enumerate(idems):
-            for _, eb in idems[i + 1:]:
-                if not (ea * eb).is_zero():
-                    bad_pairs += 1
-                if not (eb * ea).is_zero():
-                    bad_pairs += 1
-        checks.append(Check(
-            "blocks.pairwise-orthogonal", bad_pairs == 0,
-            f"{len(idems) * (len(idems) - 1)} ordered pairs; "
-            f"failures: {bad_pairs}", anchor="idempotent-orthogonality"))
-
-        total = A.zero()
-        for _, e in idems:
-            total = total + e
-        checks.append(Check(
-            "blocks.resolution-of-identity", total == A.one(),
-            f"sum over {len(idems)} idempotents", anchor="identity-resolution"))
-        return checks
+            anchor="idempotent-squares")
+        resolution = Check(
+            "blocks.resolution-of-identity",
+            sum((e for _, e in idems), A.zero()) == A.one(),
+            f"sum over {len(idems)} idempotents", anchor="identity-resolution")
+        failed = [c.check_id for c in (squares, resolution) if not c.passed]
+        pairs = len(idems) * (len(idems) - 1)
+        orthogonal = Check(
+            "blocks.pairwise-orthogonal", not failed,
+            "; ".join(f"premise {name} fails" for name in failed)
+            + "; orthogonality is derived from both premises" if failed else
+            f"all {pairs} ordered pairs annihilate, derived from "
+            f"blocks.idempotent-squares and blocks.resolution-of-identity",
+            anchor="idempotent-orthogonality",
+            scope=f"derived: {pairs} ordered pairs, no products")
+        return [squares, orthogonal, resolution]
 
     def verify_blocks(self) -> List[Check]:
         """Block count and dimensions, central block idempotents, ideal

@@ -163,7 +163,8 @@ class Matrix(dict):
     The matrix *is* the mapping column -> {row: value}: zero entries are
     never stored and an all-zero column is absent, so iterating
     ``items()`` visits exactly the nonzero columns and ``get(col)`` reads
-    one column.  ``m[i, j]`` reads a single entry (zero when absent).
+    one column.  ``m[i, j]`` reads a single entry (zero when absent);
+    any other key reads as a dict key, so ``m[col]`` is a stored column.
     The shape is kept beside the entries, so a zero matrix still knows
     its dimension and equality compares shapes as well as entries.
     Entry (i, j) is the coefficient of basis vector i in the image of
@@ -203,7 +204,9 @@ class Matrix(dict):
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, key) -> CycloNumber:
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            return dict.__getitem__(self, key)
         i, j = key
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry {key} outside shape {self.shape}")

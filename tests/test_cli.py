@@ -89,7 +89,9 @@ def test_suite_order_solves_block_centers_under_center():
 
 def test_idempotents_and_blocks_suites_keep_their_checks():
     # ids, statuses and details of the two suites, in report order, as
-    # they were when both were sliced out of one block-decomposition pass
+    # they were when both were sliced out of one block-decomposition pass,
+    # except that blocks.pairwise-orthogonal is now derived from its two
+    # premises and its detail says so
     session = Session(_cfg(suites=("idempotents", "blocks")))
     checks = session.suite_idempotents() + session.suite_blocks()
     assert [c.check_id for c in checks] == [
@@ -103,7 +105,7 @@ def test_idempotents_and_blocks_suites_keep_their_checks():
         "blocks.socle-matches-simple-matrices"]
     rows = json.dumps([[c.check_id, c.status, c.detail] for c in checks])
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "a2ac0b702d4716dc6c4b80e157ecdf7e5ccf5d0082a1c6aa437d96152e6b607b")
+        "78cf26367a720aae24302546a6c35fe13a16aef9cb23b547cf38a67146b69086")
 
 
 def test_erratum_corrected_counts_as_passing():
@@ -459,3 +461,27 @@ def test_load_artifact_checks_the_header_before_parsing(tmp_path):
     entry = (item["kind"], item["alpha"], item["r1"], item["r2"],
              item["s1"], item["s2"])
     assert item["element"] == session.system.primitive_idempotent(*entry)
+
+
+def test_verify_json_reports_the_scan_ladder_and_orthogonality_scopes():
+    result = runner.invoke(main, ["verify", "--p1", "2", "--p2", "3",
+                                  "--suite", "ideals,idempotents,slf,"
+                                  "integrals,qchar", "--format", "json"])
+    assert result.exit_code == 0
+    checks = json.loads(result.output)["checks"]
+    scopes = {c["check_id"]: c["scope"] for c in checks}
+    scan = "degree-matched: 240 of 5 × 432 generator pairs"
+    assert scopes["symmetry.trace[0,3]"] == scan
+    assert scopes["twisted-symmetry.qchar.X-(2,3)"] == scan
+    assert scopes["integrals.translation-identities"] == scan
+    # the scan stops reading once the invalid record's witness is found
+    assert scopes["characters.invalid-record[2,1]"] == (
+        "degree-matched: 14 of 5 × 432 generator pairs")
+    assert scopes["blocks.pairwise-orthogonal"] == (
+        "derived: 1260 ordered pairs, no products")
+    assert scopes["ladder[1,1].weight"] == (
+        "exhaustive: 144 instances over the 6 primitive left ideals")
+    assert all(scopes[c["check_id"]] for c in checks
+               if c["check_id"].startswith(("ladder[", "symmetry.",
+                                            "twisted-symmetry.",
+                                            "characters.invalid-record")))

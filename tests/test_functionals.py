@@ -4,11 +4,12 @@ The dual integrals are solved from scratch here and pinned to their known
 support; the Radford identities are graded exactly, including the one
 boundary block whose printed cross-identity needs the second-direction
 Psi (the other boundary block of that direction has Psi1 = Psi2, which is
-why the slip is invisible there).  The integral solve, the translation
-identities and the Radford transform read the integrals through their
-degree-zero support; at (2,3) and (3,2) each is compared with the loop it
-replaced, kept here: the whole coproduct system handed to `nullspace`,
-the 5 × dim generator scan and the pair loop over full products.
+why the slip is invisible there).  The integral solve and the Radford
+transform read the integrals through their degree-zero support, and
+every symmetry law runs through the one degree-matched generator scan;
+at (2,3) and (3,2) each is compared with the loop it replaced, kept here:
+the whole coproduct system handed to `nullspace`, the pair loop over full
+products and the scan over all 5 × dim generator pairs.
 """
 
 import operator
@@ -40,7 +41,7 @@ def _functionals(pair):
 def _first_violation(func, sigma=lambda y: y):
     """The first (x, y) in the scan's order (x over the basis, y over the
     generators) with func(xy) != func(sigma(y) x), found by element
-    products, independently of `pairwise_scan`; None if there is none."""
+    products, independently of `generator_scan`; None if there is none."""
     gens = [(g, A23.monomial_element(g)) for g in GENERATOR_MONOMIALS]
     for m in MONOS:
         x = A23.monomial_element(m)
@@ -52,6 +53,11 @@ def _first_violation(func, sigma=lambda y: y):
 
 def _s2(y):
     return A23.antipode(A23.antipode(y))
+
+
+def _s2_inverse(y):
+    g = A23.k_power(A23.params.p1 - A23.params.p2)
+    return A23.k_power(A23.params.p2 - A23.params.p1) * y * g
 
 
 def _label(kind):
@@ -201,22 +207,20 @@ def test_a_multi_term_equation_still_goes_to_nullspace(monkeypatch):
 def test_translation_identities():
     check = F23.verify_integral_identities()
     assert check.passed
-    assert check.detail == ("degree-matched: 240 of 5 × 432 generator "
-                            "pairs; the rest vanish by Z²-degree; "
-                            "failures: 0")
+    assert check.detail == ("lambda at tau = -1, mu at tau = +1, on the "
+                            "degree-matched generator pairs; failures: 0")
+    assert check.scope == "degree-matched: 240 of 5 × 432 generator pairs"
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
 def test_translation_identities_match_the_full_generator_scan(pair):
-    # the scan the degree-matched check replaced: every generator against
-    # every basis monomial, through full products; each pair it leaves
-    # out vanishes on both sides, and each pair it reads agrees
+    # the identities on every generator against every basis monomial,
+    # through full products and S^2 from the antipode: each pair the
+    # degree-matched scan leaves out vanishes on both sides
     F = _functionals(pair)
     A = F.algebra
     one, zero = A.params.one, A.params.zero
     lam, mu = (_by_monomial(F, side) for side in ("left", "right"))
-    lam_words, mu_words = (F._integral_support(side)[0]
-                           for side in ("left", "right"))
     read = 0
     for g in GENERATOR_MONOMIALS:
         s2g = A.pbw_antipode(A.antipode_monomial(g))
@@ -230,13 +234,12 @@ def test_translation_identities_match_the_full_generator_scan(pair):
             assert sides[1][0] == sides[1][1], (g, x)
             if (x[0] - x[2], x[1] - x[3]) != (g[2] - g[0], g[3] - g[1]):
                 assert all(v.is_zero() for pair_ in sides for v in pair_)
-                continue
-            read += 1
-            assert F._on_product(lam_words, g, x) == _or_none(sides[0][0])
-            assert F._on_product(mu_words, x, g) == _or_none(sides[1][0])
+            else:
+                read += 1
     check = F.verify_integral_identities()
     assert check.passed
-    assert check.detail.startswith(f"degree-matched: {read} of 5 × ")
+    assert check.scope == (f"degree-matched: {read} of 5 × "
+                           f"{A.dimension} generator pairs")
 
 
 def _by_monomial(F, side):
@@ -253,35 +256,44 @@ def _evaluate(vals, terms, zero):
     return acc
 
 
-def _or_none(value):
-    return None if value.is_zero() else value
-
-
 def test_a_degree_zero_perturbation_fails_a_degree_matched_pair():
     # lambda with an extra value at e1 f1 K^2, of degree (0, 0): the
-    # premise holds, so the reduced scan runs and must find the break
+    # support holds, so the degree-matched pairs are read and one breaks
     F = Functionals(R23)
     bump = A23.monomial_index(PBWMonomial(1, 0, 1, 0, 2))
-    F._integrals["left"] = F23.integral_functional("left") + LinearFunctional(
+    lam = F23.integral_functional("left") + LinearFunctional(
         A23, {bump: A23.params.field.one})
+    F._integrals["left"] = lam
     check = F.verify_integral_identities()
     assert not check.passed
-    assert check.detail.startswith("degree-matched: 240 of 5 × 432")
-    assert ", first lambda at (" in check.detail
+    witness = _first_violation(lam, _s2_inverse)
+    assert witness is not None
+    assert check.detail.endswith(
+        f"failures: 1, first lambda at (x, y) = {witness}")
+    assert check.scope.endswith(
+        "; mu degree-matched: 240 of 5 × 432 generator pairs")
 
 
 def test_off_degree_integral_fails_the_reduced_checks_by_their_premise():
-    # lambda with an extra value at e1, of degree (1, 0): the reduced
-    # checks rest on the degree-zero support and name it
+    # lambda with an extra value at e1, of degree (1, 0): the Radford
+    # checks rest on the degree-zero support and name it; the scan reads
+    # the support first, and the value at e1 K^0 is already a violation
+    # of lambda(x K) = lambda(K x), at x = e1 K^-1
     F = Functionals(R23)
     e1 = A23.monomial_index(PBWMonomial(1, 0, 0, 0, 0))
-    F._integrals["left"] = F23.integral_functional("left") + LinearFunctional(
+    lam = F23.integral_functional("left") + LinearFunctional(
         A23, {e1: A23.params.field.one})
+    F._integrals["left"] = lam
     premise = ("premise integrals.left-support fails: lambda takes a value "
                "off Z²-degree (0, 0), at e1")
     check = F.verify_integral_identities()
     assert not check.passed
-    assert check.detail.startswith(premise)
+    assert check.detail.endswith("first lambda at (x, y) = (e1 K^11, K)")
+    assert check.scope.startswith(
+        "lambda support: a value off Z²-degree (0, 0) at e1; no products "
+        "read; mu ")
+    x, k = A23.monomial_element(A23.monomial(1, 0, 0, 0, 11)), A23.generator("K")
+    assert lam(x * k) != lam(k * x)
     with pytest.raises(ArithmeticError, match="integrals.left-support"):
         F.radford_transform(A23.one())
     injective = F.verify_radford_injectivity()
@@ -291,7 +303,7 @@ def test_off_degree_integral_fails_the_reduced_checks_by_their_premise():
 
 def test_lambda_is_not_symmetric():
     lam = F23.integral_functional("left")
-    check, = F23.pairwise_scan({"lambda": lam})
+    check, = F23.symmetry_checks({"lambda": lam})
     witness = _first_violation(lam)
     assert not check.passed and witness is not None
     assert check.detail.endswith(f"violated at (x, y) = {witness}")
@@ -299,7 +311,7 @@ def test_lambda_is_not_symmetric():
 
 def test_counit_is_symmetric():
     eps = F23.counit_functional()
-    check, = F23.pairwise_scan({"counit": eps})
+    check, = F23.symmetry_checks({"counit": eps})
     assert check.passed
     assert _first_violation(eps) is None
 
@@ -308,7 +320,7 @@ def test_generator_scan_catches_a_functional_perturbed_at_one_monomial():
     name, func = next(iter(F23.slf_basis().items()))
     k7 = A23.monomial_index(A23.monomial(0, 0, 0, 0, 7))
     bad = func + LinearFunctional(A23, {k7: A23.params.field.one})
-    check, = F23.pairwise_scan({name: bad})
+    check, = F23.symmetry_checks({name: bad})
     witness = _first_violation(bad)
     assert not check.passed and witness is not None
     assert check.detail.endswith(f"violated at (x, y) = {witness}")
@@ -316,18 +328,106 @@ def test_generator_scan_catches_a_functional_perturbed_at_one_monomial():
 
 def test_generator_scan_catches_a_qchar_with_the_wrong_twist():
     chi = F23.q_character(SimpleModuleSpec(1, 2, 3))
-    assert F23.pairwise_scan({}, {"chi": chi})[0].passed
+    assert F23.symmetry_checks({}, {"chi": chi})[0].passed
     # weight 1 instead of the S^2 weight: scanned as a symmetric functional
-    check, = F23.pairwise_scan({"chi": chi})
+    check, = F23.symmetry_checks({"chi": chi})
     assert not check.passed
     assert check.detail.endswith(
         f"violated at (x, y) = {_first_violation(chi)}")
     # x -> chi(g^2 x) = trace(g x) is twisted by S^-2, not S^2
     shifted = F23.theta(F23.theta(chi))
-    check, = F23.pairwise_scan({}, {"chi-shifted": shifted})
+    check, = F23.symmetry_checks({}, {"chi-shifted": shifted})
     assert not check.passed
     assert check.detail.endswith(
         f"violated at (x, y) = {_first_violation(shifted, _s2)}")
+
+
+def _reference_scan(F, laws):
+    """The scan over all 5 × dim generator pairs that the degree-matched
+    one replaced: for each name of ``laws`` ({name: (f, tau)}), the first
+    (x, g) in basis-then-generator order with f(x g) != w(g)^tau f(g x),
+    or None; every product built in full."""
+    A = F.algebra
+    zero = A.params.zero
+    vals = {name: (_by_values(F, f), tau) for name, (f, tau) in laws.items()}
+    first = dict.fromkeys(laws)
+    for x in A.basis_monomials():
+        for g in GENERATOR_MONOMIALS:
+            xg, gx = A.product_monomials(x, g), A.product_monomials(g, x)
+            for name, (f, tau) in vals.items():
+                if first[name] is None and (
+                        _evaluate(f, xg, zero)
+                        != _weight(A, g, tau) * _evaluate(f, gx, zero)):
+                    first[name] = f"({x}, {g})"
+    return first
+
+
+def _weight(A, g, tau):
+    """w(g)^tau, w(g) = zeta^((p1 - p2) wt g)."""
+    return A.params.zeta(tau * (A.params.p1 - A.params.p2)
+                         * A.conjugation_weight_exponent(g))
+
+
+def _violates(F, f, tau, pair):
+    """Whether the pair "(x, g)" reported by the scan breaks the law."""
+    A = F.algebra
+    x, g = (next(m for m in A.basis_monomials() if str(m) == text)
+            for text in pair[1:-1].split(", "))
+    zero = A.params.zero
+    vals = _by_values(F, f)
+    return (_evaluate(vals, A.product_monomials(x, g), zero)
+            != _weight(A, g, tau)
+            * _evaluate(vals, A.product_monomials(g, x), zero))
+
+
+def _by_values(F, f):
+    return {F._monos[k]: v for k, v in f.values.items()}
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_generator_scan_matches_the_all_pairs_reference(pair):
+    # every functional the verifier scans, the integrals at their twists,
+    # every invalid record, and broken ones: a degree-0 bump at K^7, an
+    # off-degree bump at e1, the q-characters at the wrong twist
+    F = _functionals(pair)
+    A = F.algebra
+    one = A.params.field.one
+    laws = {f"slf.{n}": (f, 0) for n, f in F.slf_basis().items()}
+    qchars = {s.label(): F.q_character(s) for s in all_simple_specs(A.params)}
+    laws.update({f"qchar.{n}": (f, 1) for n, f in qchars.items()})
+    laws.update({f"untwisted.{n}": (f, 0) for n, f in qchars.items()})
+    laws.update({f"shifted.{n}": (F.theta(F.theta(f)), 1)
+                 for n, f in qchars.items()})
+    laws["lambda"] = (F.integral_functional("left"), -1)
+    laws["mu"] = (F.integral_functional("right"), 1)
+    for label in F.system.block_labels():
+        if F.system.block_ladders(label):
+            tags = F.summand_tags(label)
+            laws[f"invalid{label}"] = (F.sigma_character(
+                label, SigmaRecord(alpha_up={tags[0]: 1})), 1)
+    name, slf = next(iter(F.slf_basis().items()))
+    for where in ((0, 0, 0, 0, 7), (1, 0, 0, 0, 0)):
+        laws[f"bump{where}"] = (slf + LinearFunctional(
+            A, {A.monomial_index(A.monomial(*where)): one}), 0)
+    got = F.generator_scan(laws)
+    want = _reference_scan(F, laws)
+    assert list(got) == list(laws)
+    off_degree = {name for name, (f, _) in laws.items()
+                  if any(F._monos[k][:2] != F._monos[k][2:4]
+                         for k in f.values)}
+    assert off_degree == {"bump(1, 0, 0, 0, 0)"}
+    for name, (f, tau) in laws.items():
+        witness, _ = got[name]
+        assert (witness is None) == (want[name] is None), name
+        if name in off_degree:
+            assert _violates(F, f, tau, witness), name
+        else:
+            assert witness == want[name], name
+    # the production laws hold; every invalid record and bump breaks
+    failing = {name for name, (w, _) in got.items() if w is not None}
+    assert not {n for n in failing
+                if n.startswith(("slf.", "qchar.")) or n in ("lambda", "mu")}
+    assert {n for n in laws if n.startswith(("invalid", "bump"))} <= failing
 
 
 def test_slf_count_and_rank():
@@ -336,11 +436,12 @@ def test_slf_count_and_rank():
 
 
 def test_slf_full_symmetry_scan():
-    checks = F23.pairwise_scan(F23.slf_basis())
+    checks = F23.symmetry_checks(F23.slf_basis())
     assert len(checks) == 20
     assert all(c.passed for c in checks)
-    assert {c.detail for c in checks} == {
-        "exhaustive: 5 generators × 432 monomials"}
+    assert {(c.detail, c.scope) for c in checks} == {(
+        "degree-matched: 240 of 5 × 432 generator pairs; the rest vanish "
+        "by Z²-degree", "degree-matched: 240 of 5 × 432 generator pairs")}
 
 
 def test_qchar_of_trivial_module_is_counit():
@@ -374,7 +475,7 @@ def test_qchar_on_k_powers_is_shifted_weight_sum():
 def test_qchar_twisted_symmetry_on_generators():
     twisted = {f"qchar.{s.label()}": F23.q_character(s)
                for s in all_simple_specs(A23.params)}
-    checks = F23.pairwise_scan({}, twisted)
+    checks = F23.symmetry_checks({}, twisted)
     assert len(checks) == 12
     assert all(c.passed for c in checks)
 

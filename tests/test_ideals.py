@@ -275,12 +275,61 @@ def test_block_decomposition_report():
     assert "blocks.resolution-of-identity" in ids
 
 
+def _idempotents(B):
+    return [B.primitive_idempotent(*entry) for label in B.block_labels()
+            for entry in B.primitive_idempotent_catalog(label)]
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_derived_orthogonality_matches_the_pair_loop(pair):
+    # the loop the derived check replaced: both products of every pair of
+    # distinct primitive idempotents, expanded in the algebra
+    B = B23 if pair == (2, 3) else BlockSystem(Algebra.for_pair(*pair))
+    idems = _idempotents(B)
+    for i, ea in enumerate(idems):
+        for eb in idems[i + 1:]:
+            assert (ea * eb).is_zero() and (eb * ea).is_zero()
+    squares, orthogonal, resolution = B.verify_idempotents()
+    pairs = len(idems) * (len(idems) - 1)
+    assert squares.passed and orthogonal.passed and resolution.passed
+    assert orthogonal.detail == (
+        f"all {pairs} ordered pairs annihilate, derived from "
+        f"blocks.idempotent-squares and blocks.resolution-of-identity")
+    assert orthogonal.scope == f"derived: {pairs} ordered pairs, no products"
+
+
+def test_a_broken_idempotent_fails_orthogonality_by_its_premise(monkeypatch):
+    # one term e1 moved from the first idempotent to the second keeps the
+    # sum at 1 and breaks both squares; added to the first alone, it also
+    # breaks the sum
+    entries = [entry for label in B23.block_labels()
+               for entry in B23.primitive_idempotent_catalog(label)]
+    true = B23.primitive_idempotent
+    e1 = A23.generator("e1")
+    for moved, failed in (
+            (True, "premise blocks.idempotent-squares fails"),
+            (False, "premise blocks.idempotent-squares fails; premise "
+                    "blocks.resolution-of-identity fails")):
+        shifts = {entries[0]: e1, entries[1]: -e1 if moved else A23.zero()}
+
+        def broken(*entry):
+            out = true(*entry)
+            return out + shifts[entry] if entry in shifts else out
+
+        monkeypatch.setattr(B23, "primitive_idempotent", broken)
+        squares, orthogonal, resolution = B23.verify_idempotents()
+        assert not squares.passed and resolution.passed == moved
+        assert not orthogonal.passed
+        assert orthogonal.detail == (
+            f"{failed}; orthogonality is derived from both premises")
+
+
 def test_interior_sweep_at_2_5():
     # one interior ideal with a second-copy ladder deeper than one rung
     B25 = BlockSystem(Algebra.for_pair(2, 5))
     tally = B25._Tally()
     B25._sweep_one_ideal(tally, 1, 1, 2, 1, 1)
-    checks = tally.checks("ladder[1,2]", anchor="ladder-relations")
+    checks = tally.checks("ladder[1,2]", anchor="ladder-relations", ideals=1)
     bad = [c for c in checks if not c.passed]
     assert not bad, [c.row() for c in bad]
 

@@ -304,3 +304,17 @@ def test_matrix_scaled_sums_accumulate():
         acc + Matrix.identity(FIELD, 3)
     with pytest.raises(ValueError):
         acc.add_column_scaled(Matrix.identity(FIELD, 3), {0: one})
+
+
+def test_matrix_reads_a_column_by_its_key():
+    # a Matrix is the dict column -> {row: value}: a pair reads an entry,
+    # any other key a stored column, as for any dict
+    one = FIELD.one
+    m = Matrix(FIELD, 2, columns={1: {0: one}})
+    assert m[1] == {0: one}
+    assert {col: m[col] for col in m} == {1: {0: one}}
+    assert m[0, 1] == one and m[1, 1] == FIELD.zero
+    with pytest.raises(KeyError):
+        m[0]
+    with pytest.raises(IndexError):
+        m[2, 0]
