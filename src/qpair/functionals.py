@@ -11,9 +11,10 @@ product of u and v at its entries on that support, and only for u and v
 of opposite degree (`_product_row`): the Radford transform builds no
 product.  The symmetric-function basis is read off the block
 realizations: every member is a partial trace of the representing
-matrices over one or two family groups, so its value on a basis monomial
-w K^ell is a handful of diagonal lookups in the cached matrix of the word
-w, each scaled by K's diagonal entry zeta^(s_c ell).
+matrices over one or two family groups.  It and both kinds of character
+are one quantity, the sum of the entries of rho(K^t w K^ell) over a set
+of cells, read by one kernel (`twisted_trace`): t = 0 for the basis, t =
+p2 - p1 (a trace of g^-1 x) for the characters.
 
 The Radford transform x -> lambda(x * g^{-1}c) carries the solved central
 elements onto that basis; each displayed identity is evaluated on every
@@ -43,7 +44,7 @@ from .ideals import BlockLabel
 from .linalg import IncrementalSpan, nullspace
 from .modules import SimpleModuleSpec, all_simple_specs, simple_action
 from .realization import (GENERATOR_NAMES, Realization, diagonal_exponents,
-                          pbw_matrices)
+                          pbw_matrices, twisted_trace)
 from .report import Check
 
 
@@ -57,6 +58,7 @@ class LinearFunctional:
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
     def __call__(self, x: AlgebraElement) -> CycloNumber:
+        _same_algebra(self, x)
         acc = self.algebra.params.zero
         index = self.algebra.monomial_index
         for mono, coeff in x.pbw_terms().items():
@@ -142,7 +144,6 @@ class Functionals:
         self._integrals: Dict[str, LinearFunctional] = {}
         self._integral_meta: Dict[str, dict] = {}
         self._slf: Optional[Dict[str, LinearFunctional]] = None
-        self._trace_vectors: Dict[tuple, List[CycloNumber]] = {}
         self._shift_tables: Dict[int, List[Tuple[int, CycloNumber]]] = {}
         self._qchars: Dict[tuple, LinearFunctional] = {}
         self._radford: Dict[tuple, LinearFunctional] = {}
@@ -277,7 +278,9 @@ class Functionals:
                 meta["top_only"] and len(meta["k_exponents"]) == 1,
                 f"supported on the full e/f word with K-exponents "
                 f"{meta['k_exponents']} ({len(meta['support'])} monomials)",
-                anchor="integral-support-pattern"))
+                anchor="integral-support-pattern",
+                scope=(f"exhaustive: the word and K-exponent of every "
+                       f"support monomial ({len(meta['support'])})")))
             ell = meta["k_exponents"][0] if meta["k_exponents"] else None
             verdicts = [f"{name}={'match' if val == ell else 'reject'}"
                         for name, val in printed[side]]
@@ -286,7 +289,9 @@ class Functionals:
                 f"integrals.{side}-k-exponent", len(agree) == 1,
                 f"solver exponent {ell}; printed variants "
                 f"{', '.join(verdicts)}",
-                anchor="integral-k-exponent", corrected=True))
+                anchor="integral-k-exponent", corrected=True,
+                scope=(f"the solver exponent against the "
+                       f"{len(printed[side])} printed variants")))
         return checks
 
     def integral_element(self) -> AlgebraElement:
@@ -314,7 +319,10 @@ class Functionals:
         return Check(
             "integrals.two-sided-element", not bad,
             f"generator products match counit scaling; failures: "
-            f"{bad or 'none'}", anchor="two-sided-integral")
+            f"{bad or 'none'}", anchor="two-sided-integral",
+            scope=(f"generators: {len(GENERATOR_NAMES)} left and "
+                   f"{len(GENERATOR_NAMES)} right products against counit "
+                   f"scaling; the counit is an algebra map"))
 
     def _integral_support(self, side: str):
         """The integral's values as {K-free word: [(K-exponent, value)]},
@@ -384,20 +392,19 @@ class Functionals:
     # The symmetric-function basis
     # ------------------------------------------------------------------
 
-    def _trace_vector(self, label: BlockLabel, s_idx: int,
-                      rowgroup, colgroup) -> List[CycloNumber]:
-        key = (label, s_idx, rowgroup, colgroup)
-        cached = self._trace_vectors.get(key)
-        if cached is not None:
-            return cached
-        real = self.real.block_realization(label)
-        summand = real.summands[s_idx]
-        # basis order: word, then K-exponent fastest
-        out = [self.real.group_trace(summand, word, rowgroup, colgroup, ell)
-               for word in self.real.monomial_matrices(summand)
-               for ell in range(self.params.korder)]
-        self._trace_vectors[key] = out
-        return out
+    def _strip(self, label: BlockLabel, s_idx: int, rowgroup, colgroup):
+        """`twisted_trace`'s word matrices, K-exponents and cells for one
+        summand's strip: (row family position t, column family position
+        t) over the two families, which must have one shape."""
+        summand = self.system.summands_of(label)[s_idx]
+        lay = self.real.layout(summand)
+        if lay.sizes[rowgroup] != lay.sizes[colgroup]:
+            raise ValueError("trace between families of unequal shape")
+        roff, coff = lay.offsets[rowgroup], lay.offsets[colgroup]
+        h1, h2 = lay.sizes[rowgroup]
+        return (self.real.monomial_matrices(summand),
+                self.real.k_exponents(summand),
+                [(roff + t, coff + t) for t in range(h1 * h2)])
 
     def _recipe(self, label: BlockLabel, picks: Tuple[Optional[int], ...]):
         """(name, cells) of one partial-trace functional of a block.
@@ -455,16 +462,11 @@ class Functionals:
         out: Dict[str, LinearFunctional] = {}
         for label in self.system.block_labels():
             for name, cells in self._block_recipes(label).items():
-                vecs = [self._trace_vector(label, s_idx, rg, cg)
-                        for s_idx, rg, cg in cells]
-                values = {}
-                for k in range(len(self._monos)):
-                    acc = vecs[0][k]
-                    for vec in vecs[1:]:
-                        acc = acc + vec[k]
-                    if not acc.is_zero():
-                        values[k] = acc
-                out[name] = LinearFunctional(self.algebra, values)
+                func = LinearFunctional(self.algebra, {})
+                for cell in cells:
+                    func = func + LinearFunctional(self.algebra, twisted_trace(
+                        self.params, *self._strip(label, *cell)))
+                out[name] = func
         self._slf = out
         return out
 
@@ -474,14 +476,18 @@ class Functionals:
         checks = [Check(
             "slf.count", len(basis) == want,
             f"{len(basis)} functionals constructed, formula gives {want}",
-            anchor="symmetric-function-count")]
+            anchor="symmetric-function-count",
+            scope=(f"exhaustive: the partial-trace recipes of all "
+                   f"{len(self.system.block_labels())} blocks"))]
         span = IncrementalSpan(self.params.field)
         for func in basis.values():
             span.add(dict(func.values))
         checks.append(Check(
             "slf.rank", span.rank == want,
             f"value vectors have exact rank {span.rank}",
-            anchor="symmetric-function-rank"))
+            anchor="symmetric-function-rank",
+            scope=(f"exact rank of {len(basis)} value vectors over "
+                   f"{len(self._monos)} basis monomials")))
         return checks
 
     # ------------------------------------------------------------------
@@ -523,6 +529,7 @@ class Functionals:
         found: Dict[str, Tuple[Optional[str], str]] = {}
         live = {}
         for name, (f, tau) in laws.items():
+            _same_algebra(self, f)
             off = next((k for k in sorted(f.values)
                         if _degree(monos[k]) != (0, 0)), None)
             if off is not None:
@@ -761,7 +768,9 @@ class Functionals:
                 span.rank == len(central) == dim,
                 f"{len(central)} transforms span rank {span.rank}; "
                 f"center dimension {dim}",
-                anchor="radford-injectivity"))
+                anchor="radford-injectivity",
+                scope=(f"exact rank of {len(central)} transforms over "
+                       f"{len(self._monos)} basis monomials")))
         return checks
 
     # ------------------------------------------------------------------
@@ -786,6 +795,7 @@ class Functionals:
 
     def theta(self, beta: LinearFunctional) -> LinearFunctional:
         """x -> beta(gx): the bridge from characters to symmetric forms."""
+        _same_algebra(self, beta)
         table = self._shift_table(self.p1 - self.p2)
         values = {}
         for k, (idx, c) in enumerate(table):
@@ -802,22 +812,10 @@ class Functionals:
             return cached
         P = self.params
         gens = {g: simple_action(P, spec, g) for g in GENERATOR_NAMES}
-        # K acts diagonally, as zeta^(s_d) on basis vector d, so the trace
-        # of g^{-1} w K^ell = K^(p2-p1) w K^ell reads the diagonal of the
-        # word matrix w, entry d scaled by zeta^(s_d (ell + p2 - p1)).
-        k_exp = diagonal_exponents(P.field, gens["K"], spec)
-        zeta = P.field.zeta_pows
-        gexp = self.p2 - self.p1
-        values = {}
-        for w, M in enumerate(pbw_matrices(P, gens)):
-            diag = [(rows[d], k_exp[d]) for d, rows in M.items() if d in rows]
-            for ell in range(P.korder):
-                acc = P.zero
-                for v, s in diag:
-                    acc = acc + v * zeta[(s * (ell + gexp)) % P.N]
-                if not acc.is_zero():
-                    values[w * P.korder + ell] = acc
-        func = LinearFunctional(self.algebra, values)
+        func = LinearFunctional(self.algebra, twisted_trace(
+            P, pbw_matrices(P, gens),
+            diagonal_exponents(P.field, gens["K"], spec),
+            [(d, d) for d in range(gens["K"].ncols)], self.p2 - self.p1))
         self._qchars[key] = func
         return func
 
@@ -876,30 +874,20 @@ class Functionals:
         if strict:
             self._validate_sigma(label, record)
         P = self.params
-        combo: List[CycloNumber] = [P.zero] * len(self._monos)
-        touched = False
+        out = LinearFunctional(self.algebra, {})
         for fname, mapping in record.families():
-            target = _TARGET_GROUP[fname]
             for tag, raw in mapping.items():
                 if tag not in tags:
                     raise ValueError(
                         f"{fname} names tag {tag!r}; block has {tags}")
                 coeff = (raw if isinstance(raw, CycloNumber)
                          else P.rational(raw))
-                if coeff.is_zero():
-                    continue
-                vec = self._trace_vector(label, tags.index(tag),
-                                         ("B", "down"), target)
-                combo = [acc + coeff * v for acc, v in zip(combo, vec)]
-                touched = True
-        values = {}
-        if touched:
-            table = self._shift_table(self.p2 - self.p1)
-            for k, (idx, c) in enumerate(table):
-                v = combo[idx]
-                if not v.is_zero():
-                    values[k] = c * v
-        return LinearFunctional(self.algebra, values)
+                if not coeff.is_zero():
+                    out = out + LinearFunctional(self.algebra, twisted_trace(
+                        P, *self._strip(label, tags.index(tag), ("B", "down"),
+                                        _TARGET_GROUP[fname]),
+                        self.p2 - self.p1)) * coeff
+        return out
 
     def sigma_patterns(self, label: BlockLabel) -> Dict[str, SigmaRecord]:
         """The records whose theta-images are the non-head basis members."""
@@ -936,7 +924,8 @@ class Functionals:
         slf = self.slf_basis()
         bad = []
         ratios = []
-        for spec in all_simple_specs(self.params):
+        specs = all_simple_specs(self.params)
+        for spec in specs:
             label, idx = self._block_position(spec)
             name = self._head_name(label, idx)
             got = self.theta(self.q_character(spec))
@@ -953,14 +942,19 @@ class Functionals:
             detail += f"; scalar-normalized cases: {ratios}"
         if bad:
             detail += f"; failures: {bad}"
-        checks.append(Check("characters.simple-bridge", not bad and not ratios,
-                            detail, anchor="character-bridge"))
+        checks.append(Check(
+            "characters.simple-bridge", not bad and not ratios, detail,
+            anchor="character-bridge",
+            scope=(f"exhaustive: {len(specs)} simple modules, each theta "
+                   f"image against its head functional on all "
+                   f"{len(self._monos)} basis monomials")))
         for label in self.system.block_labels():
             if not self.system.block_ladders(label):
                 continue
             tag = f"[{label.r1},{label.r2}]"
             misses = []
-            for key, record in self.sigma_patterns(label).items():
+            patterns = self.sigma_patterns(label)
+            for key, record in patterns.items():
                 got = self.theta(self.sigma_character(label, record,
                                                       strict=True))
                 if got != slf[f"{key}{tag}"]:
@@ -969,7 +963,10 @@ class Functionals:
                 f"characters.insertion-bridge{tag}", not misses,
                 f"pattern records map onto their basis members; "
                 f"failures: {misses or 'none'}",
-                anchor="character-bridge"))
+                anchor="character-bridge",
+                scope=(f"exhaustive: the theta image of each pattern record "
+                       f"({len(patterns)}) against its basis member on all "
+                       f"{len(self._monos)} basis monomials")))
         return checks
 
     def exhibit_invalid_sigma(self, label: BlockLabel) -> Check:

@@ -15,6 +15,8 @@ which the functional layer reuses for the characters of the simple
 modules).  Every ideal basis vector is a word times a weight averager,
 so K acts diagonally, as zeta^(s_c) on basis vector c, and the matrix of
 w K^ell is the word's matrix with column c scaled by zeta^(s_c ell).
+Every trace functional of the functional layer is read off the word
+matrices and K's diagonal by one kernel, `twisted_trace`.
 Elements are stored in the projector basis w 1_j (see `algebra`), and
 1_j is the identity on the columns with s_c = 2j and zero on the others,
 so `represent` reads the matrix straight off the element: for each term
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .algebra import AlgebraElement
 from .cyclo import CycloNumber, Params
@@ -145,6 +147,50 @@ def diagonal_exponents(field, kmat: Matrix, where) -> List[int]:
                 f"K is not diagonal with root-of-unity entries on "
                 f"{where} (column {c})")
         out.append(s)
+    return out
+
+
+def twisted_trace(params: Params, words: Iterable[Matrix],
+                  k_exp: Sequence[int], cells: Sequence[Tuple[int, int]],
+                  shift: int = 0) -> Dict[int, CycloNumber]:
+    """The trace of K^shift x over ``cells``, by basis monomial: maps the
+    index of w K^ell to the sum over (r, c) in ``cells`` of
+
+        zeta^(shift s_r + ell s_c) w[r, c],
+
+    ``words`` the matrices of the K-free words in word order
+    (`pbw_matrices`, `Realization.monomial_matrices`) and s = ``k_exp``
+    K's exponents (`diagonal_exponents`); zeros are left out.  Each
+    word's cells are read once and grouped by s_c before the korder
+    K-exponents are expanded.
+
+    K is diagonal on the projective ideals and on the simple modules
+    (`diagonal_exponents` raises otherwise), so (K^t w K^ell)[r, c] =
+    zeta^(t s_r + ell s_c) w[r, c].  The same value also reads K^t w K^ell
+    = zeta^(t wt w) w K^(ell + t), wt w the K-conjugation weight: the two
+    agree because rho(K) rho(w) = zeta^(wt w) rho(w) rho(K) forces s_r =
+    s_c + wt w on every nonzero entry of w.
+    """
+    zeta = params.field.zeta_pows
+    N, korder = params.N, params.korder
+    out: Dict[int, CycloNumber] = {}
+    for w, mat in enumerate(words):
+        by_exp: Dict[int, CycloNumber] = {}
+        for r, c in cells:
+            val = mat.get(c, {}).get(r)
+            if val is None:
+                continue
+            val = val * zeta[(shift * k_exp[r]) % N]
+            cur = by_exp.get(k_exp[c])
+            by_exp[k_exp[c]] = val if cur is None else cur + val
+        if not by_exp:
+            continue
+        for ell in range(korder):
+            acc = params.zero
+            for s, val in by_exp.items():
+                acc = acc + val * zeta[(s * ell) % N]
+            if not acc.is_zero():
+                out[w * korder + ell] = acc
     return out
 
 
@@ -929,31 +975,3 @@ class Realization:
                    f"the {len(selected)} degree-zero of {n_elements} block "
                    f"elements")))
         return checks
-
-    # ------------------------------------------------------------------
-    # Traces for the functional layer
-    # ------------------------------------------------------------------
-
-    def group_trace(self, summand: ProjectiveSummand, mat: Matrix,
-                    rowgroup: Tuple[str, str],
-                    colgroup: Tuple[str, str], k_power: int = 0) -> CycloNumber:
-        """Sum of the entries of mat * K^k_power at (row family position t,
-        col family position t).  K^k_power scales column c by
-        zeta^(s_c k_power), with s_c from `k_exponents`."""
-        lay = self.layout(summand)
-        if lay.sizes[rowgroup] != lay.sizes[colgroup]:
-            raise ValueError("trace between families of unequal shape")
-        roff = lay.offsets[rowgroup]
-        coff = lay.offsets[colgroup]
-        h1, h2 = lay.sizes[rowgroup]
-        zeta = self.params.field.zeta_pows
-        k_exp = self.k_exponents(summand)
-        total = self.params.field.zero
-        for t in range(h1 * h2):
-            rows = mat.get(coff + t)
-            if rows:
-                val = rows.get(roff + t)
-                if val is not None:
-                    scale = zeta[(k_exp[coff + t] * k_power) % len(zeta)]
-                    total = total + val * scale
-        return total

@@ -276,7 +276,9 @@ def test_dump_integrals_support():
 
 # SHA-256 of every `qpair dump` output (block, idempotents and slf
 # targets) at (2,3) and (3,2), recorded before the per-copy ladder
-# rewrite of the layout; the dumps must stay byte-identical.
+# rewrite of the layout, and at (2,5), where korder is 20, recorded
+# before the slf members were read through `twisted_trace`; the dumps
+# must stay byte-identical.
 DUMP_DIGESTS = {
     (2, 3): {
         "block 1 1":
@@ -313,6 +315,30 @@ DUMP_DIGESTS = {
             "eb24f6dfd4ffc238680d08e683dbcf5f2dfafc1a42fe9f0506809ab7f59f3205",
         "slf":
             "3b7de7efe8a6d841cd5f3e174f31a2374539e0199255750ffb35ffff766fe34c",
+    },
+    (2, 5): {
+        "block 1 1":
+            "e0999350c5a2709abb4efcc9a05ecea410d695a3421eb96b4d755ada21394ee4",
+        "block 1 2":
+            "62fee27de94e71d72ff1c4c54490e5aedb8ddb41325d8ee735650d430747d27e",
+        "block 1 5":
+            "15a14f490786febd89d6389226a60c86b854ba42d9d67bb79784638459f5ddd7",
+        "block 2 1":
+            "56eae4cb29503e8a7862d76fc529e4f1747936900964e24525750741368e068c",
+        "block 2 2":
+            "68bf347cde325a4c72f5e6346738a54a8ca41664f4724b6a46a42870e25f5715",
+        "block 2 3":
+            "bc60599067ac6891b3c7068d66e2ee26f03c63243dbcce839c116088b3cf0b8c",
+        "block 2 4":
+            "91cd4bd133c509c19d201cccd6190b2bd3ddd104393b29d8dc75536c2b6719b1",
+        "block 2 5":
+            "d7c8f2211fe986445c1b24b5029cc69f047ac44dbb18300c6c6bbf4ae4992c35",
+        "block 0 5":
+            "2de93c252ca34b2d34478de5e49b5ff67f28f64d081f89a99ad3bb31e7b4e373",
+        "idempotents":
+            "d4137a12526fd485fe12e8161593d420a5dd98ae8bff15919dc2fbb8455a3a49",
+        "slf":
+            "ef3ba2e4338b2245b7e3b7dd52054a8c5e49a4fef02d53afc3baab6b1b05059c",
     },
 }
 

@@ -6,10 +6,12 @@ boundary block whose printed cross-identity needs the second-direction
 Psi (the other boundary block of that direction has Psi1 = Psi2, which is
 why the slip is invisible there).  The integral solve and the Radford
 transform read the integrals through their degree-zero support, and
-every symmetry law runs through the one degree-matched generator scan;
-at (2,3) and (3,2) each is compared with the loop it replaced, kept here:
+every symmetry law runs through the one degree-matched generator scan,
+and every trace functional through the one `twisted_trace` kernel; at
+(2,3) and (3,2) each is compared with the loop it replaced, kept here:
 the whole coproduct system handed to `nullspace`, the pair loop over full
-products and the scan over all 5 × dim generator pairs.
+products, the scan over all 5 × dim generator pairs, and the dense trace
+vectors with the K-shift table.
 """
 
 import operator
@@ -22,11 +24,13 @@ from conftest import A23, B23, F23, R23
 import qpair.functionals
 from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
                            TensorElement)
+from qpair.cyclo import CycloNumber
 from qpair.functionals import Functionals, LinearFunctional, SigmaRecord
 from qpair.ideals import BlockSystem
 from qpair.linalg import nullspace
-from qpair.modules import SimpleModuleSpec, all_simple_specs
-from qpair.realization import Realization
+from qpair.modules import SimpleModuleSpec, all_simple_specs, simple_action
+from qpair.realization import (GENERATOR_NAMES, Realization,
+                               diagonal_exponents, pbw_matrices)
 MONOS = list(A23.basis_monomials())
 rng = random.Random(90125)
 
@@ -511,6 +515,133 @@ def test_invalid_sigma_record_fails_twisted_symmetry():
     beta = F23.sigma_character(label, SigmaRecord(alpha_up={"up": 1}))
     assert check.detail.endswith(
         f"violated at (x, y) = {_first_violation(beta, _s2)}")
+
+
+def _reference_group_trace(F, summand, mat, rowgroup, colgroup, k_power):
+    """The loop `twisted_trace` replaced: the sum of the entries of mat
+    K^k_power at (row family position t, column family position t), each
+    scaled by K's diagonal entry at its column."""
+    lay = F.real.layout(summand)
+    roff, coff = lay.offsets[rowgroup], lay.offsets[colgroup]
+    h1, h2 = lay.sizes[rowgroup]
+    k_exp = F.real.k_exponents(summand)
+    total = F.params.zero
+    for t in range(h1 * h2):
+        val = mat.get(coff + t, {}).get(roff + t)
+        if val is not None:
+            total = total + val * F.params.zeta(k_exp[coff + t] * k_power)
+    return total
+
+
+def _reference_trace_vector(F, label, s_idx, rowgroup, colgroup):
+    """One summand's strip trace as a dense list over every basis
+    monomial, word-major with the K-exponent fastest."""
+    summand = F.system.summands_of(label)[s_idx]
+    return [_reference_group_trace(F, summand, word, rowgroup, colgroup, ell)
+            for word in F.real.monomial_matrices(summand)
+            for ell in range(F.params.korder)]
+
+
+def _reference_slf(F):
+    """Every slf member as the dense sum of its recipe's trace vectors."""
+    out = {}
+    for label in F.system.block_labels():
+        for name, cells in F._block_recipes(label).items():
+            vecs = [_reference_trace_vector(F, label, *cell) for cell in cells]
+            out[name] = LinearFunctional(F.algebra, {
+                k: sum(col[1:], col[0]) for k, col in enumerate(zip(*vecs))})
+    return out
+
+
+def _reference_qchar(F, spec):
+    """trace(g^-1 w K^ell) on a simple module, read off the diagonal of
+    each word matrix, entry d scaled by zeta^(s_d (ell + p2 - p1))."""
+    P = F.params
+    gens = {g: simple_action(P, spec, g) for g in GENERATOR_NAMES}
+    k_exp = diagonal_exponents(P.field, gens["K"], spec)
+    values = {}
+    for w, M in enumerate(pbw_matrices(P, gens)):
+        for ell in range(P.korder):
+            acc = P.zero
+            for d, rows in M.items():
+                if d in rows:
+                    acc = acc + rows[d] * P.zeta(k_exp[d] * (ell + P.p2 - P.p1))
+            values[w * P.korder + ell] = acc
+    return LinearFunctional(F.algebra, values)
+
+
+def _reference_sigma(F, label, record):
+    """The insertion character as the dense combination of the strip
+    trace vectors, then shifted by g^-1 through the PBW shift table:
+    K^t m_k = c m_idx gives the value c * combo[idx] at m_k."""
+    P = F.params
+    tags = F.summand_tags(label)
+    combo = [P.zero] * F.algebra.dimension
+    for fname, mapping in record.families():
+        for tag, raw in mapping.items():
+            coeff = raw if isinstance(raw, CycloNumber) else P.rational(raw)
+            vec = _reference_trace_vector(
+                F, label, tags.index(tag), ("B", "down"),
+                qpair.functionals._TARGET_GROUP[fname])
+            combo = [acc + coeff * v for acc, v in zip(combo, vec)]
+    return LinearFunctional(F.algebra, {
+        k: c * combo[idx]
+        for k, (idx, c) in enumerate(F._shift_table(P.p2 - P.p1))})
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_twisted_trace_matches_the_dense_reference(pair):
+    # every slf member, q-character, pattern record and invalid record,
+    # and one interior record with non-unit coefficients on all four
+    # families, one of them not rational
+    F = _functionals(pair)
+    P = F.params
+    assert F.slf_basis() == _reference_slf(F)
+    for spec in all_simple_specs(P):
+        assert F.q_character(spec) == _reference_qchar(F, spec), spec
+    records = []
+    for label in F.system.block_labels():
+        if not F.system.block_ladders(label):
+            continue
+        records.extend((label, r) for r in F.sigma_patterns(label).values())
+        records.append((label, SigmaRecord(
+            alpha_up={F.summand_tags(label)[0]: 1})))
+    interior = next(label for label, _ in records
+                    if len(F.summand_tags(label)) == 4)
+    records.append((interior, SigmaRecord(
+        alpha_up={"up": 2, "down": -3}, alpha_down={"right": 5},
+        beta_up={"left": -1, "up": 7},
+        beta_down={"down": P.zeta(1) + P.rational(2)})))
+    for label, record in records:
+        got = F.sigma_character(label, record)
+        assert not got.is_zero(), (label, record)
+        assert got == _reference_sigma(F, label, record), (label, record)
+
+
+def test_functional_evaluation_stays_within_one_pair():
+    # an slf member at (2,3) on an element at (3,2): both have the field
+    # Q(zeta_24), so only the pair check tells them apart
+    func = next(iter(F23.slf_basis().values()))
+    with pytest.raises(ValueError):
+        func(_functionals((3, 2)).algebra.one())
+    assert func(Algebra.for_pair(2, 3).one()) == func(A23.one())
+
+
+def test_theta_stays_within_one_pair():
+    with pytest.raises(ValueError):
+        F23.theta(_functionals((3, 2)).counit_functional())
+    twin = LinearFunctional(Algebra.for_pair(2, 3),
+                            F23.counit_functional().values)
+    assert F23.theta(twin) == F23.counit_functional()
+
+
+def test_generator_scan_stays_within_one_pair():
+    with pytest.raises(ValueError):
+        F23.symmetry_checks({"x": _functionals((3, 2)).counit_functional()})
+    twin = LinearFunctional(Algebra.for_pair(2, 3),
+                            F23.counit_functional().values)
+    check, = F23.symmetry_checks({"x": twin})
+    assert check.passed
 
 
 def test_radford_identities_with_single_correction():

@@ -22,8 +22,9 @@ from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 from qpair.algebra import Algebra
 from qpair.ideals import BlockLabel, BlockSystem
 from qpair.linalg import Matrix, nullspace
+from qpair.modules import SimpleModuleSpec, simple_action
 from qpair.realization import (GENERATOR_NAMES, ProjectiveSummand, Realization,
-                               pbw_matrices)
+                               diagonal_exponents, pbw_matrices, twisted_trace)
 
 FIELD = A23.params.field
 
@@ -503,5 +504,43 @@ def test_group_trace_of_unit():
     lab = BlockLabel(1, 3)
     summand = B23.summands_of(lab)[0]
     unit = R23.represent(B23.block_idempotent(lab), summand)
-    got = R23.group_trace(summand, unit, ("B", "up"), ("B", "up"))
-    assert got == A23.params.rational(3)    # family size 1 x 3
+    lay = R23.layout(summand)
+    off = lay.offsets[("B", "up")]
+    h1, h2 = lay.sizes[("B", "up")]
+    got = twisted_trace(A23.params, [unit], R23.k_exponents(summand),
+                        [(off + t, off + t) for t in range(h1 * h2)])
+    assert got[0] == A23.params.rational(3)    # family size 1 x 3
+
+
+def test_twisted_trace_reads_the_cells_of_the_matrix_products():
+    # rho(K^t w K^ell) built by matrix products and summed over the upper
+    # triangle, diagonal included, on a simple module and on a projective
+    # summand: off the diagonal s_r != s_c, and the cells are not
+    # symmetric, so the row and column exponents and the cell orientation
+    # are each read
+    P = A23.params
+    gens = {g: simple_action(P, SimpleModuleSpec(1, 2, 3), g)
+            for g in GENERATOR_NAMES}
+    summand = B23.summands_of(BlockLabel(1, 3))[0]
+    cases = ((list(pbw_matrices(P, gens)), gens["K"]),
+             (R23.monomial_matrices(summand),
+              R23.generator_matrix(summand, "K")))
+    for words, kmat in cases:
+        k_exp = diagonal_exponents(P.field, kmat, "K")
+        n = kmat.ncols
+        cells = [(r, c) for r in range(n) for c in range(r, n)]
+        assert any(word[r, c] and k_exp[r] != k_exp[c]
+                   for word in words for r, c in cells)
+        k_pow = [Matrix.identity(P.field, n)]
+        for _ in range(P.korder - 1):
+            k_pow.append(k_pow[-1] * kmat)
+        for shift in (0, P.p2 - P.p1, 5):
+            want = {}
+            for w, word in enumerate(words):
+                left = k_pow[shift % P.korder] * word
+                for ell in range(P.korder):
+                    mat = left * k_pow[ell]
+                    val = sum((mat[r, c] for r, c in cells), P.zero)
+                    if not val.is_zero():
+                        want[w * P.korder + ell] = val
+            assert twisted_trace(P, words, k_exp, cells, shift) == want, shift
