@@ -143,14 +143,17 @@ class Session:
     def suite_center(self) -> List[Check]:
         checks: List[Check] = []
         total = 0
-        for label in self.system.block_labels():
+        labels = self.system.block_labels()
+        for label in labels:
             checks.extend(self.realization.verify_central_elements(label))
             total += self.realization.center_dimension(label)
         want = (3 * self.config.p1 - 1) * (3 * self.config.p2 - 1) // 2
         checks.append(Check(
             "center.total-dimension", total == want,
             f"block centers sum to {total}; symmetric-function count is {want}",
-            anchor="center-dimension-total"))
+            anchor="center-dimension-total",
+            scope=f"exhaustive: commutator nullspaces of all {len(labels)} "
+                  f"blocks, summed"))
         return checks
 
 

@@ -681,11 +681,10 @@ class Functionals:
 
         psi = {1: consts.Psi1, 2: consts.Psi2}
         table = []
-        for key, dropped, positions in self.real.central_drops(label):
-            flags = {d: reflections[positions[0]][0][d - 1] for d in dropped}
-            if not dropped:
+        for key, flags, positions in self.real.central_drops(label):
+            if not flags:
                 slug = "unit"
-            elif len(dropped) < len(ladders):
+            elif len(flags) < len(ladders):
                 slug, _ = self._recipe(label, tuple(flags.get(d)
                                                     for d in ladders))
             elif len(ladders) == 1:
@@ -693,7 +692,7 @@ class Functionals:
             else:
                 slug = f"corner-{positions[0]}"
             variants = [("printed", combo(flags, psi))]
-            if ladders == (2,) and not dropped:
+            if ladders == (2,) and not flags:
                 variants = [("printed first-direction Psi",
                              combo(flags, {2: consts.Psi1})),
                             ("corrected second-direction Psi", variants[0][1])]

@@ -39,7 +39,10 @@ list in the one order top, left, right, bottom; `summands_of` lists a
 block's classes, `slots` a class's idempotent slots, and
 `primitive_idempotent_catalog` reads both.  `ideal_basis` enumerates a
 left ideal in family order, and the matrix realization uses it as its
-coordinates.
+coordinates.  One rule picks the family of a slot's element, top on
+each ladder copy and bottom elsewhere: a primitive idempotent is that
+element, and a block's central element sums it over classes and slots
+with bottom on the dropped ladder copies (`central_element`).
 
 Known misprints in the source displays are adjudicated computationally:
 the checker verifies the corrected form and records what the printed
@@ -49,7 +52,7 @@ variant would have done.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, AlgebraElement, casimir
 from .cyclo import CycloNumber, Params
@@ -459,23 +462,56 @@ class BlockSystem:
 
     def primitive_idempotent(self, kind: str, alpha: int, r1: int, r2: int,
                              s1: int, s2: int) -> AlgebraElement:
-        """One primitive idempotent: the element whose role is top on each
-        ladder copy (bottom on a full one), at index pair (s1 - 1, s2 - 1).
+        """One primitive idempotent: `_slot_element` with no copy dropped.
         ``kind`` must be the class's own idempotent kind (X-type with no
         ladder copy, P-boundary with one, P-interior with two)."""
         self._check_family_labels(alpha, r1, r2, s1, s2)
         if kind not in _IDEMPOTENT_KINDS:
             raise ValueError(f"unknown idempotent kind {kind!r}")
-        ladders = self.ladder_copies(r1, r2)
-        own = _IDEMPOTENT_KINDS[len(ladders)]
+        own = _IDEMPOTENT_KINDS[len(self.ladder_copies(r1, r2))]
         if kind != own:
             raise ValueError(
                 f"{kind} idempotents are not defined on the class "
                 f"({r1}, {r2}), whose idempotents are {own}")
-        roles = tuple("top" if d in ladders else "bottom" for d in (1, 2))
+        return self._slot_element(alpha, r1, r2, s1, s2)
+
+    def _slot_element(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
+                      dropped: Collection[int] = ()) -> AlgebraElement:
+        """The named element at index pair (s1 - 1, s2 - 1) whose role is
+        bottom on each copy in ``dropped``, top on any other ladder copy
+        and bottom on a full copy."""
+        ladders = self.ladder_copies(r1, r2)
+        roles = tuple("top" if d in ladders and d not in dropped else "bottom"
+                      for d in (1, 2))
         return self.build_named_element(
             *self.family_name(r1, r2, roles), alpha, r1, r2, s1, s2,
             s1 - 1, s2 - 1).value
+
+    def central_element(self, label: BlockLabel,
+                        flags: Mapping[int, int]) -> AlgebraElement:
+        """The central element dropping the block's ladder copies d at the
+        reflection flags flags[d]: over the classes with those flags and
+        their slots (s1, s2), the sum of `_slot_element` with the flagged
+        copies dropped.  No flags give the block idempotent.
+
+        Its matrix is the drop's prescription: on the summands with those
+        flags, the unit map top -> bottom on each dropped copy and the
+        identity on every role of the others; zero on the rest.  By the
+        shape template (checked by `action-table`) an element acts at (its
+        indices, its slot indices) in each cell of its tag, and on a copy d
+        a bottom role acts only at its own class's (bottom, top) cell; a
+        top role at (top, top) and (bottom, bottom) of its own class and
+        at (left, left) and (right, right) of the class reflected on d; a
+        full copy's bottom role at its (bottom, bottom) cell.  Summed over
+        s_d in 1..r_d, and on a kept ladder copy over both flags, each copy
+        lays its factor of the prescription, and the sum over classes is
+        the product of the copy sums.  The block acts faithfully
+        (`faithful`), so this is the one block element realizing it.
+        """
+        return sum((self._slot_element(*S, s1, s2, flags)
+                    for f, S in self.reflections(label)
+                    if all(f[d - 1] == flag for d, flag in flags.items())
+                    for s1, s2 in self.slots(S.r1, S.r2)), self.algebra.zero())
 
     def reflections(self, label: BlockLabel
                     ) -> List[Tuple[Tuple[int, int], ProjectiveSummand]]:

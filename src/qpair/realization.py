@@ -26,17 +26,18 @@ Each copy contributes one shape template (`_ladder_cells`): nine cells
 on a ladder copy, one pass-through bottom cell on a full copy.  The
 product of the two copies' templates predicts where each named element
 may act and with which unit entries, and the per-copy repeated cells
-multiply out to the repeated diagonal sub-blocks; the central elements
-are products of one drop (top to bottom) or pass-through per copy.
-Comparing predicted against realized matrices verifies the displayed
-action tables, the block shapes with their forced zeros and repeated
-diagonal sub-blocks, and the misprint adjudication at the re-entry cell.
-The same matrices drive exact rank (faithfulness) and central preimage
-solving.  A block center is solved over the block's elements of
-Z^2-degree zero only: they are picked by K-weight before any element is
-built (`degree_zero_elements`), and only they are represented, so the
-center never builds the block realization (the proof that nothing is
-lost is in `center_basis`).
+multiply out to the repeated diagonal sub-blocks.  Comparing predicted
+against realized matrices verifies the displayed action tables, the
+block shapes with their forced zeros and repeated diagonal sub-blocks,
+and the misprint adjudication at the re-entry cell; the same matrices
+give the exact rank (faithfulness).  Each central element, a sum of
+named elements (`BlockSystem.central_element`), is represented on every
+summand against its prescription: one drop (top to bottom) or
+pass-through per copy.  A block center is solved over the block's
+elements of Z^2-degree zero only, picked by K-weight before any element
+is built (`degree_zero_elements`; the proof that nothing is lost is in
+`center_basis`), so neither it nor the central elements build the block
+realization.
 """
 
 from __future__ import annotations
@@ -246,7 +247,6 @@ class Realization:
         self._degree_zero: Dict[BlockLabel, tuple] = {}
         # label -> (center basis, number of commutator equations)
         self._centers: Dict[BlockLabel, Tuple[List[Vector], int]] = {}
-        self._joint: Dict[BlockLabel, tuple] = {}
 
     # ------------------------------------------------------------------
     # Layouts and bases
@@ -533,7 +533,8 @@ class Realization:
             f"realization[{real.label.r1},{real.label.r2}].matrix-unit-products",
             bad == 0,
             f"{n * n} ordered products expanded in the algebra; failures: {bad}",
-            anchor="corner-matrix-units")
+            anchor="corner-matrix-units",
+            scope=f"exhaustive: {n * n} ordered products in the algebra")
 
     # ------------------------------------------------------------------
     # Verification: shapes
@@ -579,18 +580,26 @@ class Realization:
             scope=(f"{per_element}, {sum(map(len, partners))} sub-block "
                    f"pairs per element")))
 
-        span, _, _ = self._joint_span(label)
+        # each element's matrices as one vector keyed (summand, col, row)
+        span = IncrementalSpan(self.params.field)
+        for mats in real.matrices:
+            span.add({(s, col, row): val for s, mat in enumerate(mats)
+                      for col, rows in mat.items() for row, val in rows.items()})
         checks.append(Check(
             f"{prefix}.faithful", span.rank == n,
             f"joint matrix tuples of the {n} block basis elements have "
-            f"rank {span.rank}", anchor="block-realization-rank"))
+            f"rank {span.rank}", anchor="block-realization-rank",
+            scope=(f"exhaustive: exact rank of {n} elements' matrices on "
+                   f"{len(real.summands)} summands")))
 
         # p_d^2 per full copy, 2 p_d^2 per ladder copy
         want = (self.p1 * self.p2) ** 2 * 2 ** len(ladders)
         checks.append(Check(
             f"{prefix}.dimension", n == want and span.rank == want,
             f"realized subalgebra dimension {span.rank}, block dimension "
-            f"{want}", anchor="block-dimension"))
+            f"{want}", anchor="block-dimension",
+            scope=(f"exhaustive: {n} block elements counted, with the exact "
+                   f"rank of faithful")))
 
         field = self.params.field
         unit = self.system.block_idempotent(label)
@@ -650,85 +659,26 @@ class Realization:
             f"({printed_hits} hits over {minus_seen} candidates)")
         return Check(f"realization[{label.r1},{label.r2}].reentry-cell-family",
                      ok, detail, anchor="shape-misprint-adjudication",
-                     corrected=True)
+                     corrected=True,
+                     scope=(f"exhaustive: {plus_seen + minus_seen} left-family "
+                            f"elements, full matrices on summand "
+                            f"{tuple(real.summands[1])}"))
 
     # ------------------------------------------------------------------
-    # Central preimages and the block center
+    # Central elements and the block center
     # ------------------------------------------------------------------
-
-    def _joint_span(self, label: BlockLabel):
-        cached = self._joint.get(label)
-        if cached is not None:
-            return cached
-        real = self.block_realization(label)
-        dims = [self.layout(S).dim for S in real.summands]
-        offsets = []
-        pos = 0
-        for d in dims:
-            offsets.append(pos)
-            pos += d * d
-        span = IncrementalSpan(self.params.field, track=True)
-        for mats in real.matrices:
-            span.add(self._flatten(mats, dims, offsets))
-        out = (span, dims, offsets)
-        self._joint[label] = out
-        return out
-
-    @staticmethod
-    def _flatten(mats: Sequence[Matrix], dims, offsets):
-        vec: Dict[int, CycloNumber] = {}
-        for mat, d, off in zip(mats, dims, offsets):
-            for col, rows in mat.items():
-                base = off + col * d
-                for row, val in rows.items():
-                    vec[base + row] = val
-        return vec
-
-    def solve_central_preimage(self, label: BlockLabel,
-                               prescription: Sequence[Matrix]
-                               ) -> AlgebraElement:
-        """The unique block element realizing the prescribed matrices."""
-        real = self.block_realization(label)
-        if len(prescription) != len(real.summands):
-            raise ValueError(
-                f"expected {len(real.summands)} matrices, "
-                f"got {len(prescription)}")
-        span, dims, offsets = self._joint_span(label)
-        coords = span.coordinates(
-            self._flatten(prescription, dims, offsets))
-        if coords is None:
-            raise ValueError(
-                "prescription lies outside the realized block algebra")
-        out = self.algebra.zero()
-        for k, c in coords.items():
-            out = out + real.elements[k].value * c
-        return out
-
-    def _shift_matrix(self, lay: GroupLayout, pairs) -> Matrix:
-        """Index-preserving unit map from each source family to its target."""
-        one = self.params.field.one
-        out = Matrix(self.params.field, lay.dim)
-        for (dfam, darrow), (sfam, sarrow) in pairs:
-            h1, h2 = lay.sizes[(sfam, sarrow)]
-            if lay.sizes[(dfam, darrow)] != (h1, h2):
-                raise ValueError("shift between families of unequal shape")
-            for i2 in range(h2):
-                for i1 in range(h1):
-                    col = lay.flat(sfam, sarrow, i1, i2)
-                    out[col] = {lay.flat(dfam, darrow, i1, i2): one}
-        return out
 
     def central_drops(self, label: BlockLabel
-                      ) -> List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]]:
-        """(name, dropped copies, summand positions) of each central
-        element, in a fixed order.
+                      ) -> List[Tuple[str, Dict[int, int], Tuple[int, ...]]]:
+        """(name, {dropped copy: reflection flag}, summand positions) of
+        each central element, in a fixed order.
 
         Dropping a set of ladder copies sends the top role to the bottom
         role on each of them and keeps every role of the other copy; it
-        acts on the summands that share their reflection flags on the
-        dropped copies.  Dropping no copy is the unit.  The names are
-        unit, then top-drop (second ladder copy), arrow-drop (first) and
-        corner-drop (both), each followed by its summand positions.
+        acts on the summands that share the flags on the dropped copies.
+        Dropping no copy is the unit.  The names are unit, then top-drop
+        (second ladder copy), arrow-drop (first) and corner-drop (both),
+        each followed by its summand positions.
         """
         ladders = self.system.block_ladders(label)
         flags = [f for f, _ in self.system.reflections(label)]
@@ -742,38 +692,42 @@ class Realization:
                 groups.setdefault(tuple(f[d - 1] for d in dropped),
                                   []).append(pos)
             stem = _DROP_NAMES[tuple(ladders.index(d) for d in dropped)]
-            for positions in groups.values():
+            for key, positions in groups.items():
                 name = (f"{stem}-{''.join(map(str, positions))}" if dropped
                         else stem)
-                out.append((name, dropped, tuple(positions)))
+                out.append((name, dict(zip(dropped, key)), tuple(positions)))
         return out
 
     def central_prescriptions(self, label: BlockLabel
                               ) -> Dict[str, List[Matrix]]:
         """Matrix prescriptions of the block's central elements: each
         drop of `central_drops` as an index-preserving unit map on its
-        summands, zero on the others."""
+        summands (top to bottom on the dropped copies, each role to itself
+        on the others), zero on the others."""
         summands = self.system.summands_of(label)
         lays = [self.layout(S) for S in summands]
-        field = self.params.field
+        one = self.params.field.one
         out: Dict[str, List[Matrix]] = {}
-        for name, dropped, positions in self.central_drops(label):
-            mats = [Matrix(field, lay.dim) for lay in lays]
+        for name, flags, positions in self.central_drops(label):
+            mats = [Matrix(self.params.field, lay.dim) for lay in lays]
             for pos in positions:
-                S = summands[pos]
-                moves = [[("bottom", "top")] if d in dropped else
+                (_, r1, r2), lay = summands[pos], lays[pos]
+                moves = [[("bottom", "top")] if d in flags else
                          [(role, role) for role in self.system.copy_roles(d, r)]
-                         for d, r in ((1, S.r1), (2, S.r2))]
-                pairs = [(self.system.family_name(S.r1, S.r2, (dst1, dst2)),
-                          self.system.family_name(S.r1, S.r2, (src1, src2)))
-                         for dst1, src1 in moves[0] for dst2, src2 in moves[1]]
-                mats[pos] = self._shift_matrix(lays[pos], pairs)
+                         for d, r in ((1, r1), (2, r2))]
+                for (dst1, src1), (dst2, src2) in product(*moves):
+                    src = self.system.family_name(r1, r2, (src1, src2))
+                    dst = lay.offsets[self.system.family_name(
+                        r1, r2, (dst1, dst2))]
+                    for t in range(lay.sizes[src][0] * lay.sizes[src][1]):
+                        mats[pos][lay.offsets[src] + t] = {dst + t: one}
             out[name] = mats
         return out
 
     def central_elements(self, label: BlockLabel) -> Dict[str, AlgebraElement]:
-        return {name: self.solve_central_preimage(label, mats)
-                for name, mats in self.central_prescriptions(label).items()}
+        """Each drop of `central_drops` as `BlockSystem.central_element`."""
+        return {name: self.system.central_element(label, flags)
+                for name, flags, _ in self.central_drops(label)}
 
     def degree_zero_elements(self, label: BlockLabel
                              ) -> Tuple[List[Tuple[int, NamedElement]], int]:
@@ -898,6 +852,9 @@ class Realization:
           vectors reach, and each basis vector is fixed by the nullspace
           and the column order alone.  Dropping columns that every
           nullspace vector leaves at zero changes neither.
+
+        `center-dimension` checks that the central elements, built apart
+        from this basis (`central_elements`), span its dimension.
         """
         cached = self._centers.get(label)
         if cached is not None:
@@ -916,35 +873,39 @@ class Realization:
         return len(self.center_basis(label))
 
     def verify_central_elements(self, label: BlockLabel) -> List[Check]:
-        """Preimages exist, commute with everything, and square right."""
-        r1, r2 = label
-        prefix = f"realization[{r1},{r2}]"
+        """The central elements realize their prescriptions, commute with
+        everything, and square right; the drop-free one is the block
+        idempotent."""
+        prefix = f"realization[{label.r1},{label.r2}]"
         checks: List[Check] = []
-        try:
-            named = self.central_elements(label)
-        except ValueError as exc:
-            return [Check(f"{prefix}.central-preimages", False, str(exc),
-                          anchor="central-element-preimages")]
+        named = self.central_elements(label)
+        prescriptions = self.central_prescriptions(label)
+        summands = self.system.summands_of(label)
         A = self.algebra
         gens = [A.generator(g) for g in GENERATOR_NAMES]
-        not_central = [name for name, z in named.items()
-                       if any(z * g != g * z for g in gens)]
+        # lists, not generators: every comparison the scope states is made
+        failed = [name for name, z in named.items()
+                  if any([self.represent(z, S) != want
+                          for S, want in zip(summands, prescriptions[name])]
+                         + [z * g != g * z for g in gens])]
         checks.append(Check(
-            f"{prefix}.central-preimages", not not_central,
-            f"{len(named)} prescriptions solved inside the block and "
-            f"checked against five generators; failures: "
-            f"{not_central or 'none'}", anchor="central-element-preimages",
+            f"{prefix}.central-preimages", not failed,
+            f"{len(named)} central elements summed from named elements, "
+            f"matched against their prescriptions and checked against five "
+            f"generators; failures: {failed or 'none'}",
+            anchor="central-element-preimages",
             scope=(f"exhaustive: {len(named)} central elements × "
+                   f"{len(summands)} summands, full matrices, and × "
                    f"{len(gens)} generators, commutators in the algebra")))
 
-        unit_ok = named["unit"] == self.system.block_idempotent(label)
-        n_summands = len(self.system.summands_of(label))
+        catalog = self.system.primitive_idempotent_catalog(label)
         checks.append(Check(
-            f"{prefix}.unit-preimage", unit_ok,
-            "identity prescription solves to the block idempotent",
+            f"{prefix}.unit-preimage",
+            named["unit"] == self.system.block_idempotent(label),
+            "the drop-free central element is the block idempotent",
             anchor="central-element-preimages",
-            scope=(f"exhaustive: identity on {n_summands} summands solved, "
-                   f"compared with the block idempotent in the algebra")))
+            scope=(f"exhaustive: compared with the sum of {len(catalog)} "
+                   f"primitive idempotents in the algebra")))
 
         drops = {n: z for n, z in named.items() if n != "unit"}
         not_nilpotent = [n for n, z in drops.items()
@@ -969,7 +930,7 @@ class Realization:
             f"{prefix}.center-dimension",
             dim == want and span.rank == dim,
             f"commutator nullspace dimension {dim} (expected {want}); "
-            f"the solved central family spans {span.rank}",
+            f"the central family spans {span.rank}",
             anchor="block-center-dimension",
             scope=(f"exhaustive: {n_equations} commutator equations over "
                    f"the {len(selected)} degree-zero of {n_elements} block "

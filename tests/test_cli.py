@@ -108,6 +108,37 @@ def test_idempotents_and_blocks_suites_keep_their_checks():
         "78cf26367a720aae24302546a6c35fe13a16aef9cb23b547cf38a67146b69086")
 
 
+@pytest.mark.parametrize("pair, digest", [
+    ((2, 3), "50698f770a69157b444e31036db54e06e7017678b9b199a45d0ca4a1b65e24dd"),
+    ((3, 2), "6d4e1cfd4b3cb28276bc19fbcb370fe6858f7e9bb03f05fde591f65812eaf548"),
+])
+def test_center_and_radford_suites_keep_their_checks(pair, digest):
+    # ids and statuses of the two suites, in report order, as they were
+    # when each central element was solved from its matrix prescription
+    session = Session(RunConfig(p1=pair[0], p2=pair[1],
+                                suites=("center", "radford")))
+    checks = session.suite_center() + session.suite_radford()
+    rows = json.dumps([[c.check_id, c.status] for c in checks])
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+def test_shapes_and_center_checks_state_their_scope():
+    session = Session(_cfg(suites=("shapes", "center")))
+    checks = session.suite_shapes() + session.suite_center()
+    assert [c.check_id for c in checks if not c.scope] == []
+    scopes = {c.check_id: c.scope for c in checks}
+    assert scopes["realization[2,3].matrix-unit-products"] == (
+        "exhaustive: 1296 ordered products in the algebra")
+    assert scopes["realization[1,1].faithful"] == (
+        "exhaustive: exact rank of 144 elements' matrices on 4 summands")
+    assert scopes["realization[1,1].dimension"] == (
+        "exhaustive: 144 block elements counted, with the exact rank of "
+        "faithful")
+    assert scopes["realization[1,3].reentry-cell-family"] == (
+        "exhaustive: 18 left-family elements, full matrices on summand "
+        "(-1, 1, 3)")
+
+
 def test_erratum_corrected_counts_as_passing():
     code, report = run(_cfg(suites=("integrals",)))
     assert code == 0
@@ -170,19 +201,21 @@ def test_verify_json_reports_the_solve_scopes():
         "exhaustive: 14 commutator equations over the 6 degree-zero of 36 "
         "block elements")
     assert scopes["realization[1,1].central-preimages"] == (
-        "exhaustive: 9 central elements × 5 generators, commutators in the "
-        "algebra")
+        "exhaustive: 9 central elements × 4 summands, full matrices, and × 5 "
+        "generators, commutators in the algebra")
     assert scopes["realization[1,1].unit-preimage"] == (
-        "exhaustive: identity on 4 summands solved, compared with the block "
-        "idempotent in the algebra")
+        "exhaustive: compared with the sum of 6 primitive idempotents in the "
+        "algebra")
     assert scopes["realization[1,1].drop-squares"] == (
         "exhaustive: 8 drop elements squared in the algebra")
     assert scopes["realization[1,3].central-preimages"] == (
-        "exhaustive: 3 central elements × 5 generators, commutators in the "
-        "algebra")
+        "exhaustive: 3 central elements × 2 summands, full matrices, and × 5 "
+        "generators, commutators in the algebra")
     assert scopes["realization[1,3].unit-preimage"] == (
-        "exhaustive: identity on 2 summands solved, compared with the block "
-        "idempotent in the algebra")
+        "exhaustive: compared with the sum of 6 primitive idempotents in the "
+        "algebra")
+    assert scopes["center.total-dimension"] == (
+        "exhaustive: commutator nullspaces of all 6 blocks, summed")
     assert scopes["realization[2,3].drop-squares"] == (
         "exhaustive: 0 drop elements squared in the algebra")
 

@@ -4,13 +4,14 @@ The realized matrices are produced by honest product expansion (each
 generator column is a coordinate solve over the ideal span), so most
 tests here compare an independent route against the matrix route:
 algebra products versus matrix products, predicted unit-entry patterns
-versus realized support, commutator nullspaces versus the solved
-central family, the degree-zero commutator system of a block center
-versus the full one over every element and generator.  Most tests run
-at (2,3); the block centers are also compared at (3,2) and on the (3,4)
-edge-1 block, the K-weight selection of their degree-zero elements is
-checked at (2,3), (3,2), (2,5) and (3,4), and the larger pairs are
-covered by the acceptance smoke test.
+versus realized support, the central elements summed from named
+elements versus the ones solved from their matrix prescriptions, the
+degree-zero commutator system of a block center versus the full one
+over every element and generator.  Most tests run at (2,3); the central
+elements and block centers are also compared at (3,2), the centers on
+the (3,4) edge-1 block too, the K-weight selection of their degree-zero
+elements is checked at (2,3), (3,2), (2,5) and (3,4), and the larger
+pairs are covered by the acceptance smoke test.
 """
 
 import random
@@ -20,11 +21,13 @@ import pytest
 from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
 from qpair.algebra import Algebra
+from qpair.cli import Session
 from qpair.ideals import BlockLabel, BlockSystem
-from qpair.linalg import Matrix, nullspace
+from qpair.linalg import IncrementalSpan, Matrix, nullspace
 from qpair.modules import SimpleModuleSpec, simple_action
 from qpair.realization import (GENERATOR_NAMES, ProjectiveSummand, Realization,
                                diagonal_exponents, pbw_matrices, twisted_trace)
+from qpair.report import RunConfig
 
 FIELD = A23.params.field
 
@@ -304,7 +307,7 @@ def test_reentry_check_is_marked_corrected():
 
 
 # ----------------------------------------------------------------------
-# central preimages and block centers
+# central elements and block centers
 # ----------------------------------------------------------------------
 
 def test_central_elements_all_blocks():
@@ -440,6 +443,15 @@ def test_center_dimension_builds_no_block_realization():
     assert len(R.system._memo) <= 72
 
 
+def test_center_and_radford_build_no_block_realization():
+    # the central elements are sums of named elements, so neither suite
+    # needs the matrices of every block element
+    session = Session(RunConfig(p1=2, p2=3, suites=("center", "radford")))
+    session.suite_center()
+    session.suite_radford()
+    assert session.realization._blocks == {}
+
+
 def test_commutator_equations_read_the_built_block_matrices(monkeypatch):
     # a built block realization supplies the degree-zero matrices: no
     # element is represented again, and the equations are those of a
@@ -478,26 +490,91 @@ def test_center_basis_vectors_are_central_in_the_algebra(pair):
 
 
 def test_preimage_round_trip():
+    # each central element's matrices are its prescription
     lab = BlockLabel(1, 3)
     prescriptions = R23.central_prescriptions(lab)
     summands = B23.summands_of(lab)
-    for mats in prescriptions.values():
-        z = R23.solve_central_preimage(lab, mats)
-        for S, want in zip(summands, mats):
-            assert R23.represent(z, S) == want
+    for name, z in R23.central_elements(lab).items():
+        for S, want in zip(summands, prescriptions[name]):
+            assert R23.represent(z, S) == want, name
 
 
-def test_preimage_rejects_bad_input():
-    lab = BlockLabel(1, 3)
-    with pytest.raises(ValueError):
-        R23.solve_central_preimage(lab, [Matrix.zeros(FIELD, 12)])  # wrong count
-    # a lone unit entry without its repeated-diagonal partner is not the
-    # matrix of any block element
-    lay = R23.layout(ProjectiveSummand(1, 1, 3))
-    up = lay.flat("B", "up", 0, 0)
-    lone = Matrix(FIELD, lay.dim, columns={up: {up: FIELD.one}})
-    with pytest.raises(ValueError):
-        R23.solve_central_preimage(lab, [lone, Matrix.zeros(FIELD, lay.dim)])
+def _reference_central_elements(R, label):
+    """The central elements solved from their prescriptions: coordinates
+    of each prescription's matrices, flattened over the summands, in the
+    tracked span of every block element's flattened matrices."""
+    real = R.block_realization(label)
+    dims = [R.layout(S).dim for S in real.summands]
+
+    def flatten(mats):
+        vec, base = {}, 0
+        for mat, d in zip(mats, dims):
+            for col, rows in mat.items():
+                for row, val in rows.items():
+                    vec[base + col * d + row] = val
+            base += d * d
+        return vec
+
+    span = IncrementalSpan(R.params.field, track=True)
+    for mats in real.matrices:
+        span.add(flatten(mats))
+    out = {}
+    for name, mats in R.central_prescriptions(label).items():
+        coords = span.coordinates(flatten(mats))
+        assert coords is not None, (label, name)
+        z = R.algebra.zero()
+        for k, c in coords.items():
+            z = z + real.elements[k].value * c
+        out[name] = z
+    return out
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_central_elements_match_the_solved_preimages(pair):
+    # the named sums equal the unique block elements realizing the
+    # prescriptions, on every block and drop
+    R = _realization(pair)
+    drops = 0
+    for lab in R.system.block_labels():
+        reference = _reference_central_elements(R, lab)
+        assert R.central_elements(lab) == reference, lab
+        drops += len(reference)
+    assert drops == 20
+
+
+def test_unrealizable_prescription_fails_only_central_preimages(monkeypatch):
+    # a lone unit entry without its repeated-diagonal partner is the matrix
+    # of no block element: central-preimages fails on the touched blocks,
+    # naming the drop, every block keeps all its rows, and radford runs
+    touched = (BlockLabel(1, 1), BlockLabel(1, 3))
+    original = Realization.central_prescriptions
+
+    def lone_entry(self, label):
+        out = original(self, label)
+        if label in touched:
+            name = list(out)[1]
+            first = out[name][0].ncols
+            out[name] = [Matrix(FIELD, first, columns={0: {0: FIELD.one}})] + [
+                Matrix(FIELD, m.ncols) for m in out[name][1:]]
+        return out
+
+    monkeypatch.setattr(Realization, "central_prescriptions", lone_entry)
+    session = Session(RunConfig(p1=2, p2=3, suites=("center", "radford")))
+    checks = session.suite_center()
+    rows = ("central-preimages", "unit-preimage", "drop-squares",
+            "center-dimension")
+    for lab in B23.block_labels():
+        prefix = f"realization[{lab.r1},{lab.r2}]"
+        got = {c.check_id: c for c in checks if c.check_id.startswith(prefix)}
+        assert sorted(got) == sorted(f"{prefix}.{row}" for row in rows), lab
+        for row in rows:
+            check = got[f"{prefix}.{row}"]
+            assert check.passed == (lab not in touched
+                                    or row != "central-preimages"), check.row()
+        if lab in touched:
+            dropped = list(original(session.realization, lab))[1]
+            assert dropped in got[f"{prefix}.central-preimages"].detail
+    assert all(c.passed for c in session.suite_radford())
 
 
 def test_group_trace_of_unit():
