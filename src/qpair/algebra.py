@@ -29,16 +29,20 @@ The PBW boundary.  `Algebra.element` takes PBW terms and
 `AlgebraElement.pbw_terms` gives them back: one exact discrete Fourier
 transform per word, accumulated on integer exponent vectors and reduced
 mod Phi_N once per coefficient within the period of the word's
-K-exponents (`CycloField.fold`; a K-free word folds once).  The PBW basis stays
-the external one: `monomial_index` of the functionals, the JSON dumps,
-`product_monomials`, `TensorElement` (coproducts) and the closed-form
-commutator and coproduct oracles.  A basis monomial w K^ell is dense in
-projector form (korder terms), so the Hopf operations on basis monomials
-(antipode, counit and the axiom checks) work on PBW term dicts
-(`pbw_product`, `pbw_antipode`, `pbw_counit`, `pbw_coproduct`) and never
-multiply monomial elements.  Tensor products build the coproducts of the
-K-free words only, one per word; Delta(w K^ell) is Delta(w) with both
-K-exponents of every term raised by ell (`coproduct_monomial`).
+K-exponents (`CycloField.fold`; a K-free word folds once).  A single
+monomial needs no transform: K^ell = sum_j lambda_j^ell 1_j, so
+`monomial_element` writes c w K^ell as sum_j c zeta^(2 j ell) w 1_j, one
+period of products c zeta^k, and so do `generator`, `e`, `f`, `k_power`
+and `one`.  The PBW basis stays the external one: `monomial_index` of
+the functionals, the JSON dumps, `product_monomials`, `TensorElement`
+(coproducts) and the closed-form commutator and coproduct oracles.  A
+basis monomial w K^ell is dense in projector form (korder terms), so the
+Hopf operations on basis monomials (antipode, counit and the axiom
+checks) work on PBW term dicts (`pbw_product`, `pbw_antipode`,
+`pbw_counit`, `pbw_coproduct`) and never multiply monomial elements.
+Tensor products build the coproducts of the K-free words only, one per
+word; Delta(w K^ell) is Delta(w) with both K-exponents of every term
+raised by ell (`coproduct_monomial`).
 
 Hopf structure by presentation.  Delta, S and eps are given on the
 generators and extended letter by letter (`coproduct_monomial`,
@@ -76,9 +80,13 @@ Products are pointwise in j.  Let t_v be the weight of the word w_v
 (K w_v = zeta^(t_v) w_v K).  Then 1_a w_v = w_v 1_(a - t_v/2), so
 (w_u 1_a)(w_v 1_b) vanishes unless a = b + t_v/2 (mod korder), and
 otherwise equals sum coef lambda_b^s word 1_b over the triples
-(word, s, coef) of w_u w_v.  `AlgebraElement.__mul__` walks the right
-operand's (word, j) terms and looks up the left terms at the one matching
-index, so a generator times a block element costs O(support).
+(word, s, coef) of w_u w_v.  `AlgebraElement.__mul__` indexes the right
+factor's terms (w_v, b) by the left index a = b + t_v/2 (mod korder)
+they meet, then walks the left factor's terms against that index, so a
+left term costs one lookup and only the pairs that meet are multiplied.
+In the verifier the right factor is the small one: most products are a
+generator or prefix word (korder terms) times a named element of one or
+two terms.
 """
 
 from __future__ import annotations
@@ -310,19 +318,25 @@ class Algebra:
         """
         polys: dict[tuple, dict[int, CycloNumber]] = {}
         for mono, coeff in terms.items():
-            m1, m2, n1, n2, ell = self.monomial(*mono)
-            if not isinstance(coeff, CycloNumber):
-                coeff = self.params.rational(coeff)
-            elif coeff.field.order != self.field.order:
-                raise ValueError(
-                    f"coefficient of {PBWMonomial(m1, m2, n1, n2, ell)} lies "
-                    f"in Q(zeta_{coeff.field.order}), not in the field "
-                    f"Q(zeta_{self.field.order}) of the algebra")
-            poly = polys.setdefault((m1, m2, n1, n2), {})
+            mono = self.monomial(*mono)
+            coeff = self._coefficient(mono, coeff)
+            poly = polys.setdefault(mono[:4], {})
+            ell = mono[4]
             val = poly.get(ell)
             poly[ell] = coeff if val is None else val + coeff
         return AlgebraElement(self, {word + (j,): c for word, j, c
                                      in self._fourier(polys, 1, 1)})
+
+    def _coefficient(self, mono: PBWMonomial, coeff: Scalar) -> CycloNumber:
+        """A PBW coefficient as a field element; one from another
+        cyclotomic field raises ValueError naming the monomial."""
+        if not isinstance(coeff, CycloNumber):
+            return self.params.rational(coeff)
+        if coeff.field.order != self.field.order:
+            raise ValueError(
+                f"coefficient of {mono} lies in Q(zeta_{coeff.field.order}), "
+                f"not in the field Q(zeta_{self.field.order}) of the algebra")
+        return coeff
 
     def _fourier(self, polys: Mapping[tuple, Mapping[int, CycloNumber]],
                  sign: int, scale: int) -> Iterator[tuple]:
@@ -373,7 +387,24 @@ class Algebra:
         return self.monomial_element(PBWMonomial(0, 0, 0, 0, 0))
 
     def monomial_element(self, mono: PBWMonomial, coeff: Scalar = 1) -> "AlgebraElement":
-        return self.element({mono: coeff})
+        """c * w K^ell in closed form: K^ell = sum_j lambda_j^ell 1_j, so
+        the element is sum_j c zeta^(2 j ell) w 1_j, with no transform.
+
+        Validated as in `element`: ell is taken mod 2*p1*p2, other
+        exponents out of range and a coefficient from another field raise
+        ValueError.  c = 0 gives the zero element.  The values repeat with
+        period korder / gcd(korder, ell), so only one period is multiplied.
+        """
+        mono = self.monomial(*mono)
+        coeff = self._coefficient(mono, coeff)
+        if coeff.is_zero():
+            return self.zero()
+        ell, korder, zeta, N = mono[4], self.korder, self._zeta, self._N
+        period = korder // math.gcd(korder, ell)
+        values = [coeff * zeta[(2 * j * ell) % N] for j in range(period)]
+        keys = self._word_row(mono[:4])[0]
+        return AlgebraElement(self, {keys[j]: values[j % period]
+                                     for j in range(korder)})
 
     def generator(self, name: str) -> "AlgebraElement":
         """One of e1, e2, f1, f2, K, Kinv, one as an element."""
@@ -1015,13 +1046,6 @@ class AlgebraElement:
         return {PBWMonomial(*word, ell): c
                 for word, ell, c in alg._fourier(polys, -1, alg.korder)}
 
-    def _scalar(self, other) -> CycloNumber | None:
-        if isinstance(other, CycloNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.algebra.params.rational(other)
-        return None
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -1054,7 +1078,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        scalar = self._scalar(other)
+        scalar = self.algebra.field.scalar(other)
         if scalar is not None:
             if scalar.is_zero():
                 return AlgebraElement(self.algebra, {})
@@ -1067,24 +1091,29 @@ class AlgebraElement:
         _same_algebra(self, other)
         # pointwise in j (see the module docstring): (w_u 1_a)(w_v 1_b) is
         # (w_u w_v) 1_b at a = b + t_v/2 and zero elsewhere, with each K^s
-        # of the word product read as lambda_b^s = zeta^(2 b s)
+        # of the word product read as lambda_b^s = zeta^(2 b s).  The right
+        # factor's terms are indexed by the left index a they meet, and
+        # the left factor's terms walk that index.
         alg = self.algebra
         korder = alg.korder
         zeta = alg._zeta
         N = alg._N
         weight = alg.conjugation_weight_exponent
-        left: dict[int, list] = {}
-        for (m1, m2, n1, n2, a), cu in self.terms.items():
-            left.setdefault(a, []).append(((m1, m2, n1, n2), cu))
-        out: dict[tuple, CycloNumber] = {}
+        word_product = alg._word_product
+        right: dict[int, list] = {}
         for (m1, m2, n1, n2, b), cv in other.terms.items():
             wv = (m1, m2, n1, n2)
-            us = left.get((b + weight(wv) // 2) % korder)
-            if us is None:
+            right.setdefault((b + weight(wv) // 2) % korder, []).append(
+                (wv, b, cv))
+        out: dict[tuple, CycloNumber] = {}
+        for term, cu in self.terms.items():
+            vs = right.get(term[4])
+            if vs is None:
                 continue
-            for wu, cu in us:
+            wu = term[:4]
+            for wv, b, cv in vs:
                 c = cu * cv
-                for keys, _, s, coef in alg._word_product(wu, wv):
+                for keys, _, s, coef in word_product(wu, wv):
                     key = keys[b]
                     add = c * (coef * zeta[(2 * b * s) % N])
                     val = out.get(key)
@@ -1092,18 +1121,16 @@ class AlgebraElement:
         return AlgebraElement(alg, _pruned(out))
 
     def __rmul__(self, other):
-        scalar = self._scalar(other)
+        scalar = self.algebra.field.scalar(other)
         if scalar is not None:
             return self.__mul__(scalar)
         return NotImplemented
 
     def __truediv__(self, other):
-        scalar = self._scalar(other)
+        scalar = self.algebra.field.scalar(other)
         if scalar is None:
             return NotImplemented
-        inv = (scalar if isinstance(scalar, CycloNumber)
-               else self.algebra.params.rational(scalar)).inverse()
-        return self.__mul__(inv)
+        return self.__mul__(scalar.inverse())
 
     def power(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -1167,13 +1194,12 @@ class TensorElement:
         return TensorElement(self.algebra, out)
 
     def __mul__(self, other):
-        if isinstance(other, (CycloNumber, int, Fraction)):
-            if not isinstance(other, CycloNumber):
-                other = self.algebra.params.rational(other)
-            if other.is_zero():
+        scalar = self.algebra.field.scalar(other)
+        if scalar is not None:
+            if scalar.is_zero():
                 return TensorElement(self.algebra, {})
             return TensorElement(
-                self.algebra, {k: c * other for k, c in self.terms.items()}
+                self.algebra, {k: c * scalar for k, c in self.terms.items()}
             )
         if not isinstance(other, TensorElement):
             return NotImplemented

@@ -166,15 +166,15 @@ def run(config: RunConfig) -> Tuple[int, VerificationReport]:
                              anchor="plumbing")])
         report.elapsed_seconds = 0.0
         return 2, report
-    start = time.time()
+    start = time.perf_counter()
     session = Session(config)
     selected = (SUITE_ORDER if "all" in config.suites
                 else tuple(s for s in SUITE_ORDER if s in config.suites))
     for name in selected:
-        t0 = time.time()
+        t0 = time.perf_counter()
         report.extend(getattr(session, f"suite_{name}")())
-        report.suite_timings[name] = round(time.time() - t0, 3)
-    report.elapsed_seconds = time.time() - start
+        report.suite_timings[name] = round(time.perf_counter() - t0, 3)
+    report.elapsed_seconds = time.perf_counter() - start
     return (0 if report.passed else 1), report
 
 

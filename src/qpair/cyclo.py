@@ -44,7 +44,10 @@ brackets, normalising constants) thousands of times.
 
 Elements of fields of different order never mix: addition, multiplication
 and inversion raise ValueError, and they never compare or hash equal.
-Fields of the same order are interchangeable.
+Fields of the same order are interchangeable.  `CycloField.scalar` is the
+one coercion of a scalar factor for algebra elements, tensors and
+matrices; it refuses an element of another field before any zero or
+empty shortcut could let it pass unread.
 """
 
 from __future__ import annotations
@@ -186,10 +189,26 @@ class CycloField:
         return CycloNumber(self, num, den)
 
     def from_rational(self, r: Rational) -> CycloNumber:
+        if r == 1:
+            return self.one  # immutable, so sharing it is safe
         r = Fraction(r)
         vec = [0] * self.degree
         vec[0] = r.numerator
         return self.make(vec, r.denominator)
+
+    def scalar(self, x) -> "CycloNumber | None":
+        """x as a scalar of this field: an element of this field as it is,
+        an int or Fraction embedded, None for anything else.  An element
+        of another field raises ValueError, so a caller that checks here
+        first refuses it even where its arithmetic would never touch it
+        (a zero scalar, an empty operand)."""
+        if isinstance(x, CycloNumber):
+            if x.field.order != self.order:
+                raise ValueError(_mixed(self, x.field))
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        return None
 
     def zeta(self, k: int) -> CycloNumber:
         """zeta_n^k for any integer k (exponent taken mod n)."""
@@ -547,6 +566,7 @@ class Params:
         self.field = CycloField(self.N)
         self.zero = self.field.zero
         self.one = self.field.one
+        self._brackets: dict[tuple[int, int], CycloNumber] = {}
 
     # -- roots of unity -----------------------------------------------------
 
@@ -647,8 +667,12 @@ class Params:
     # -- the brackets of the two copies --------------------------------------
 
     def bracket(self, i: int, n: int) -> CycloNumber:
-        """[n] at the effective parameter of copy i."""
-        return self.q_int(n, self.sl2_base(i))
+        """[n] at the effective parameter of copy i, computed once per
+        (i, n) and kept on the instance."""
+        value = self._brackets.get((i, n))
+        if value is None:
+            value = self._brackets[(i, n)] = self.q_int(n, self.sl2_base(i))
+        return value
 
     def bracket_factorial(self, i: int, n: int) -> CycloNumber:
         return self.q_factorial(n, self.sl2_base(i))

@@ -134,6 +134,11 @@ _LETTER_OF_ROLE = dict(zip(ROLES, ("T", "L", "R", "B")))
 _IDEMPOTENT_KINDS = ("X-type", "P-boundary", "P-interior")
 
 
+def _entry(alpha: int, r1: int, r2: int, s1: int, s2: int) -> str:
+    """A primitive left ideal as it is named in details and scopes."""
+    return f"({alpha:+d},{r1},{r2};{s1},{s2})"
+
+
 class BlockSystem:
     """Constructs and verifies the ideal/idempotent layer of one algebra."""
 
@@ -650,7 +655,7 @@ class BlockSystem:
         elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
         A = self.algebra
         K = A.generator("K")
-        where = f"({alpha:+d},{r1},{r2};{s1},{s2})"
+        where = _entry(alpha, r1, r2, s1, s2)
 
         # Weight of every element under left multiplication by K.
         for key, el in elems.items():
@@ -825,19 +830,27 @@ class BlockSystem:
         corrected = elems[("B", "left", self.p1 - r1 - 1, 0)].value
         ok = lhs == corrected
         printed_idx = self.p1 - r1 - 1
+        scope = (f"one product in A at {_entry(alpha, r1, r2, s1, s2)}: "
+                 f"e1 × B/up(0, 0) against the corrected B/left"
+                 f"({printed_idx}, 0)")
         if printed_idx <= r1 - 1:
             printed = elems[("B", "up", printed_idx, 0)].value
             printed_differs = lhs != printed
+            coincide = printed == corrected
             detail = ("corrected cross-family target verified; the printed "
                       "same-family target "
                       + ("differs" if printed_differs else
                          "coincides at these parameters"))
-            ok = ok and (printed_differs or printed == corrected)
+            ok = ok and (printed_differs or coincide)
+            scope += (f" and the printed B/up({printed_idx}, 0)"
+                      + (", which coincide here" if coincide else ""))
         else:
             detail = ("corrected cross-family target verified; the printed "
                       "same-family index is out of range here")
+            scope += (f"; the printed B/up({printed_idx}, 0) lies outside "
+                      f"the {r1}-rung ladder, so it is not compared")
         return Check(f"adjudication[{label.r1},{label.r2}].top-exit-family",
-                     ok, detail, anchor="misprint-adjudication")
+                     ok, detail, anchor="misprint-adjudication", scope=scope)
 
     def _adjudicate_scalar_reflection(self, label: BlockLabel, d: int,
                                       r1: int, r2: int) -> Check:
@@ -858,7 +871,11 @@ class BlockSystem:
         return Check(
             f"adjudication[{label.r1},{label.r2}].ladder-scalar-reflection",
             bad == 0, f"{total} raw-formula instances; failures: {bad}",
-            anchor="misprint-adjudication")
+            anchor="misprint-adjudication",
+            scope=(f"exhaustive raw formula, no products: phi_{d}^alpha"
+                   f"(r{d} + k) at ({r1}, {r2}) against phi_{d}^-alpha(k) at "
+                   f"{self._reflected(d, r1, r2)}, alpha = ±1 and "
+                   f"0 <= k < {pd - rd}"))
 
     def _adjudicate_left_normalizer_sign(self, alpha: int, r1: int, r2: int,
                                          s1: int, s2: int,
@@ -874,11 +891,15 @@ class BlockSystem:
         # the phi sign flip is visible, i.e. odd p2 and at least two rungs.
         distinguishable = ((-1) ** self.p2) == -1 and p1 - r1 >= 2
         if not distinguishable:
+            why = (f"p2 = {self.p2} is even" if self.p2 % 2 == 0 else
+                   f"the tail has p1 - r1 = {p1 - r1} < 2 rungs")
             return Check(
                 f"adjudication[{label.r1},{label.r2}].left-normalizer-sign",
                 True, "sign variants coincide at these parameters "
                 "(empty normalizer tail or even second parameter)",
-                anchor="misprint-adjudication")
+                anchor="misprint-adjudication",
+                scope=(f"nothing compared: {why}, so the flipped-sign and "
+                       f"same-sign normalizers coincide"))
         consts = self.scalar_constants(alpha, r1, r2)
         f1 = self.algebra.f(1)
         corpus = self._corpus(alpha, r1, r2, s1, s2, "left", "bottom")
@@ -908,7 +929,11 @@ class BlockSystem:
             ok_corrected and broken_printed,
             "flipped-sign normalizers satisfy the raising handoff; the "
             "same-sign variant breaks it",
-            anchor="misprint-adjudication")
+            anchor="misprint-adjudication",
+            scope=(f"{2 * (p1 - r1)} products in A at "
+                   f"{_entry(alpha, r1, r2, s1, s2)}: f1 × the left family "
+                   f"at 0 <= k1 < {p1 - r1}, with flipped-sign and with "
+                   f"same-sign tails, each against its raising target"))
 
     def _adjudicate_top_extra_summand(self, alpha: int, r1: int, r2: int,
                                       s1: int, s2: int,
@@ -920,7 +945,7 @@ class BlockSystem:
         P = self.params
         ok = True
         printed_refuted = False
-        seen = 0
+        seen = printed_seen = 0
         for (family, arrow, i1, i2), el in elems.items():
             if family != "T" or i2 == 0:
                 continue
@@ -932,6 +957,7 @@ class BlockSystem:
             if lhs != corrected:
                 ok = False
             if i1 >= 1:
+                printed_seen += 1
                 printed = (elems[("T", arrow, i1, i2 - 1)].value * coeff
                            + elems[("B", arrow, i1 - 1, i2)].value)
                 if lhs != printed:
@@ -939,9 +965,24 @@ class BlockSystem:
         detail = (f"{seen} instances; corrected index verified"
                   + ("; printed index refuted" if printed_refuted
                      else "; printed index not separable at these parameters"))
+        where = _entry(alpha, r1, r2, s1, s2)
+        if not seen:
+            scope = f"nothing compared: no T element has i2 >= 1 at {where}"
+        else:
+            scope = (f"exhaustive: e2 × each of the {seen} T elements with "
+                     f"i2 >= 1 at {where}, against the corrected summand "
+                     f"B(i1, i2 - 1); ")
+            if not printed_seen:
+                scope += ("the printed B(i1 - 1, i2) needs i1 >= 1, which "
+                          "none has, so it is not compared")
+            else:
+                scope += (f"against the printed B(i1 - 1, i2) on the "
+                          f"{printed_seen} with i1 >= 1")
+                if not printed_refuted:
+                    scope += ", where the two readings coincide"
         return Check(
             f"adjudication[{label.r1},{label.r2}].top-extra-summand-index",
-            ok, detail, anchor="misprint-adjudication")
+            ok, detail, anchor="misprint-adjudication", scope=scope)
 
     def _adjudicate_left_lowering_coefficient(self, alpha: int, r1: int,
                                               r2: int,
@@ -959,9 +1000,15 @@ class BlockSystem:
                 mismatch += 1
         detail = (f"{total} coefficients; printed middle label disagrees on "
                   f"{mismatch}" if total else "no beyond-ladder rungs here")
+        scope = (f"raw formula, no products: phi_1^-alpha(k1) at "
+                 f"({self.p1 - r1}, {r2}) against the printed phi_1^alpha(k1) "
+                 f"at ({r1}, {self.p2 - r2}), 1 <= k1 < {self.p1 - r1}; "
+                 f"a record, passing either way" if total else
+                 f"nothing compared: p1 - r1 = {self.p1 - r1} leaves no "
+                 f"beyond-ladder rung k1 >= 1")
         return Check(
             f"adjudication[{label.r1},{label.r2}].left-lowering-coefficient",
-            True, detail, anchor="misprint-adjudication")
+            True, detail, anchor="misprint-adjudication", scope=scope)
 
     # ------------------------------------------------------------------
     # Verification: block decomposition

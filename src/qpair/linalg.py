@@ -18,7 +18,6 @@ and never needs pivot-growth tricks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from .cyclo import CycloField, CycloNumber
@@ -283,16 +282,9 @@ class Matrix(dict):
             out[col] = {row: -val for row, val in rows.items()}
         return out
 
-    def _coerce_scalar(self, other) -> Optional[CycloNumber]:
-        if isinstance(other, CycloNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
-            scalar = self._coerce_scalar(other)
+            scalar = self.field.scalar(other)
             if scalar is None:
                 return NotImplemented
             out = Matrix(self.field, self.nrows, self.ncols)
@@ -322,7 +314,7 @@ class Matrix(dict):
         return out
 
     def __rmul__(self, other):
-        scalar = self._coerce_scalar(other)
+        scalar = self.field.scalar(other)
         if scalar is None:
             return NotImplemented
         return self.__mul__(scalar)

@@ -9,13 +9,14 @@ derived without the engine.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import qpair.algebra as algebra_module
 import qpair.modules as modules_module
-from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
-                           TensorElement, casimir)
+from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, AlgebraElement,
+                           PBWMonomial, TensorElement, casimir)
 from qpair.cyclo import Params
 from qpair.ideals import BlockSystem
 from qpair.modules import all_simple_specs, verify_simple_family
@@ -67,8 +68,26 @@ def test_element_rejects_a_coefficient_from_another_field():
         A23.one() * foreign
     with pytest.raises(ValueError):
         A23.coproduct(A23.one()) * foreign
+    # ... before any zero scalar or empty operand could skip the arithmetic
+    F40 = foreign.field
+    x = A23.e(1)
+    for scalar in (F40.zero, F40.one, foreign):
+        for operand in (x, A23.zero()):
+            with pytest.raises(ValueError):
+                operand * scalar
+            with pytest.raises(ValueError):
+                scalar * operand
+            with pytest.raises(ValueError):
+                operand / scalar
+        for tensor in (A23.coproduct(x), TensorElement(A23, {})):
+            with pytest.raises(ValueError):
+                tensor * scalar
+            with pytest.raises(ValueError):
+                scalar * tensor
     own = A23.params.zeta(1)
     assert A23.element({unit: own}) == A23.one() * own
+    assert (x * A23.params.zero).is_zero() and (A23.zero() / own).is_zero()
+    assert (A23.coproduct(x) * A23.params.zero).is_zero()
 
 
 def test_elements_of_different_pairs_do_not_add():
@@ -217,6 +236,58 @@ def test_word_by_word_products_match_termwise_reference():
             for g in gens:
                 assert g * y == _termwise_product(g, y)
                 assert y * g == _termwise_product(y, g)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_lopsided_products_match_the_pbw_product(pair):
+    # factors of very different sizes in both orders, generators on either
+    # side, against the product of their PBW terms
+    A = A23 if pair == (2, 3) else Algebra.for_pair(*pair)
+    P = A.params
+    rng = random.Random(11 * pair[0] + pair[1])
+    gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K", "Kinv")]
+    words = sorted({m[:4] for m in A.basis_monomials()})
+    small = _named_sample(BlockSystem(A), rng, 6) + [
+        AlgebraElement(A, {w + (rng.randrange(A.korder),):
+                           P.zeta(rng.randrange(P.N))})
+        for w in rng.sample(words, 4)]
+    large = [_multiword_element(A, rng, 6, A.korder) for _ in range(2)]
+    dense = rng.sample(words, 3)
+    large.append(A.element({m: rng.randint(1, 3) for m in A.basis_monomials()
+                            if m[:4] in dense}))
+    large.append(A.e(1) * A.f(2) + A.one() * 3)
+
+    def reference(x, y):
+        return A.element(A.pbw_product(x.pbw_terms(), y.pbw_terms()))
+
+    for x in small:
+        for y in large + gens:
+            assert x * y == reference(x, y)
+            assert y * x == reference(y, x)
+    for g in gens:
+        for y in large:
+            assert g * y == reference(g, y)
+            assert y * g == reference(y, g)
+
+
+def test_monomial_element_is_the_one_term_element():
+    # the closed form sum_j c zeta^(2 j ell) w 1_j against the transform
+    P = A23.params
+    coeffs = (1, -2, Fraction(3, 4), P.zeta(1), 0)
+    for m in A23.basis_monomials():
+        for c in coeffs:
+            x = A23.monomial_element(m, c)
+            want = A23.element({m: c})
+            assert list(x.terms.items()) == list(want.terms.items())
+    assert A23.monomial_element(A23.monomial(1, 0, 0, 0, 5), 0).terms == {}
+    # ell wraps as in `element`, other exponents are range checked
+    assert (A23.monomial_element(PBWMonomial(0, 1, 1, 0, 5 + A23.korder), -2)
+            == A23.element({PBWMonomial(0, 1, 1, 0, 5): -2}))
+    with pytest.raises(ValueError):
+        A23.monomial_element(PBWMonomial(2, 0, 0, 0, 0))
+    A32 = Algebra.for_pair(3, 2)
+    for m in A32.basis_monomials():
+        assert A32.monomial_element(m, 5) == A32.element({m: 5})
 
 
 def _eigenvalue_sum(A, poly, j):

@@ -139,6 +139,38 @@ def test_shapes_and_center_checks_state_their_scope():
         "(-1, 1, 3)")
 
 
+def test_ideals_suite_states_every_scope():
+    checks = Session(_cfg(suites=("ideals",))).suite_ideals()
+    assert [c.check_id for c in checks if not c.scope] == []
+    scopes = {c.check_id: c.scope for c in checks}
+    assert scopes["adjudication[1,1].top-exit-family"] == (
+        "one product in A at (+1,1,1;1,1): e1 × B/up(0, 0) against the "
+        "corrected B/left(0, 0) and the printed B/up(0, 0)")
+    assert scopes["adjudication[2,1].ladder-scalar-reflection"] == (
+        "exhaustive raw formula, no products: phi_2^alpha(r2 + k) at (2, 1) "
+        "against phi_2^-alpha(k) at (2, 2), alpha = ±1 and 0 <= k < 2")
+    # where the variants coincide, the scope says that nothing was compared
+    assert scopes["adjudication[1,1].left-normalizer-sign"] == (
+        "nothing compared: the tail has p1 - r1 = 1 < 2 rungs, so the "
+        "flipped-sign and same-sign normalizers coincide")
+    assert scopes["adjudication[1,1].top-extra-summand-index"] == (
+        "nothing compared: no T element has i2 >= 1 at (+1,1,1;1,1)")
+    assert scopes["adjudication[1,1].left-lowering-coefficient"] == (
+        "nothing compared: p1 - r1 = 1 leaves no beyond-ladder rung k1 >= 1")
+
+
+def test_run_times_its_suites_with_a_monotonic_clock(monkeypatch):
+    # a wall clock that steps back by an hour on every read
+    reads = iter(range(10**6))
+    monkeypatch.setattr("time.time", lambda: 1e9 - 3600.0 * next(reads))
+    code, report = run(_cfg(suites=("relations", "modules")))
+    assert code == 0
+    assert report.elapsed_seconds >= 0
+    assert set(report.suite_timings) == {"relations", "modules"}
+    assert all(t >= 0 for t in report.suite_timings.values())
+    assert sum(report.suite_timings.values()) <= report.elapsed_seconds + 0.01
+
+
 def test_erratum_corrected_counts_as_passing():
     code, report = run(_cfg(suites=("integrals",)))
     assert code == 0

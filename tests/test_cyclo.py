@@ -126,6 +126,12 @@ def test_mixed_field_arithmetic_is_rejected():
             unit * other
         with pytest.raises(ValueError):
             other * unit
+    # the scalar coercion of elements, tensors and matrices refuses them too
+    with pytest.raises(ValueError):
+        F24.scalar(F40.zero)
+    assert F24.scalar(CycloField(24).zeta(1)) == F24.zeta(1)
+    assert F24.scalar(Fraction(3, 4)) == F24.from_rational(Fraction(3, 4))
+    assert F24.scalar("3") is None
     # fields of one order are interchangeable
     assert CycloField(24).zeta(1) * F24.zeta(1) == F24.zeta(2)
     assert CycloField(24).zeta(1) + F24.zeta(1) == F24.zeta(1) * 2
@@ -306,6 +312,20 @@ def test_bracket_vanishing_pattern():
                 assert val.is_zero() == (m % p == 0)
                 ref = (base**m - base**-m) / (base - 1 / base)
                 assert abs(val.evaluate() - ref) < 1e-9
+
+
+def test_bracket_table_matches_q_int():
+    # each bracket is computed once per (i, n) and then read back
+    for p1, p2 in [(2, 3), (3, 2), (3, 4)]:
+        P = Params(p1, p2)
+        for i in (1, 2):
+            base = P.sl2_base(i)
+            for n in range(-P.korder, P.korder + 1):
+                value = P.bracket(i, n)
+                assert value == P.q_int(n, base)
+                assert P.bracket(i, n) is value
+        with pytest.raises(ValueError):
+            P.bracket(3, 1)
 
 
 def test_bracket_two_at_2_3():

@@ -306,6 +306,20 @@ def test_matrix_scaled_sums_accumulate():
         acc.add_column_scaled(Matrix.identity(FIELD, 3), {0: one})
 
 
+def test_matrix_refuses_a_scalar_from_another_field():
+    # checked before the zero-scalar and empty-matrix shortcuts
+    other = CycloField(40)
+    m = Matrix(FIELD, 2, columns={1: {0: FIELD.one}})
+    for matrix in (m, Matrix.zeros(FIELD, 2)):
+        for scalar in (other.zero, other.one, other.zeta(1)):
+            with pytest.raises(ValueError):
+                matrix * scalar
+            with pytest.raises(ValueError):
+                scalar * matrix
+    assert (m * FIELD.zero).is_zero() and (FIELD.zero * m).is_zero()
+    assert m * Fraction(1, 2) * 2 == m
+
+
 def test_matrix_reads_a_column_by_its_key():
     # a Matrix is the dict column -> {row: value}: a pair reads an entry,
     # any other key a stored column, as for any dict
