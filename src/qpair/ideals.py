@@ -24,7 +24,11 @@ summed against the gamma/delta tails where a role asks for it, times the
 averager), divided by Phi and the left normalizer tails.  The generator
 actions move elements along these ladders with phi-coefficients, and the
 displayed relations -- normalization handoffs included -- are what
-verify_ladder_relations checks.
+verify_ladder_relations checks.  Each generator times each basis vector
+is expanded once per left ideal and compared with its displayed image
+(`ActionTable`); the ladder checks tally those comparisons, and the
+realization reads the images of the slot-(1, 1) ideals as its generator
+matrices.
 
 Names come from a naming view of the roles: the first ladder copy's role
 gives the arrow (up, left, right, down), the second ladder copy's role
@@ -123,6 +127,32 @@ class NamedElement:
     value: AlgebraElement
 
 
+class LadderFailure(NamedTuple):
+    """One relation whose product in A differs from its displayed image:
+    the generator, the basis column it acts on, the `ladder[...]` check id
+    and the instance as that check names it."""
+
+    generator: str
+    column: int
+    check: str
+    instance: str
+
+
+class ActionTable(NamedTuple):
+    """Left multiplication by the generators on one left ideal.
+
+    ``images[g][c]`` holds the coordinates over `ideal_basis` of g times
+    basis vector c, read off its displayed image, with at most two
+    nonzero entries; ``failed`` lists the relations whose product in A
+    differs from that image.
+    """
+
+    images: Dict[str, List[Dict[int, CycloNumber]]]
+    failed: Tuple[LadderFailure, ...]
+
+
+ACTION_GENERATORS = ("K", "e1", "f1", "e2", "f2")
+
 # The roles of one copy's ladder, in the one family order.  A full copy
 # has the bottom role only.
 ROLES = ("top", "left", "right", "bottom")
@@ -152,6 +182,10 @@ class BlockSystem:
         self._corpora: Dict[tuple, AlgebraElement] = {}
         self._families: Dict[Tuple[int, int],
                              Dict[Tuple[str, str], LadderFamily]] = {}
+        # the action tables of the slot-(1, 1) ideals, and the failures of
+        # every ideal whose table was built
+        self._tables: Dict[ProjectiveSummand, ActionTable] = {}
+        self._failures: Dict[tuple, Tuple[LadderFailure, ...]] = {}
 
     # ------------------------------------------------------------------
     # Scalars
@@ -513,10 +547,17 @@ class BlockSystem:
         the product of the copy sums.  The block acts faithfully
         (`faithful`), so this is the one block element realizing it.
         """
-        return sum((self._slot_element(*S, s1, s2, flags)
-                    for f, S in self.reflections(label)
-                    if all(f[d - 1] == flag for d, flag in flags.items())
-                    for s1, s2 in self.slots(S.r1, S.r2)), self.algebra.zero())
+        return sum((self._slot_element(*entry, flags)
+                    for entry in self.central_slots(label, flags)),
+                   self.algebra.zero())
+
+    def central_slots(self, label: BlockLabel, flags: Mapping[int, int]
+                      ) -> List[Tuple[int, int, int, int, int]]:
+        """(alpha, r1, r2, s1, s2) of each slot that `central_element`
+        sums: the slots of the block's classes with these flags."""
+        return [(*S, s1, s2) for f, S in self.reflections(label)
+                if all(f[d - 1] == flag for d, flag in flags.items())
+                for s1, s2 in self.slots(S.r1, S.r2)]
 
     def reflections(self, label: BlockLabel
                     ) -> List[Tuple[Tuple[int, int], ProjectiveSummand]]:
@@ -653,100 +694,153 @@ class BlockSystem:
                          r1: int, r2: int, s1: int, s2: int) -> None:
         families = self.ladder_families(r1, r2)
         elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
-        A = self.algebra
-        K = A.generator("K")
         where = _entry(alpha, r1, r2, s1, s2)
-
-        # Weight of every element under left multiplication by K.
-        for key, el in elems.items():
-            w = self.family_weight(families[(el.family, el.arrow)], alpha,
-                                    el.idx1, el.idx2)
-            tally.hit("weight", K * el.value == el.value * w,
-                      f"{key} in {where}")
-
-        for d in (1, 2):
-            self._sweep_direction(tally, families, d, alpha, r1, r2, elems,
-                                  where)
-
+        self._build_action_table(alpha, r1, r2, s1, s2, tally)
         self._averager_cases(tally, families, alpha, r1, r2, s1, s2, elems,
                              where)
         self._alternate_expressions(tally, alpha, r1, r2, s1, s2, where)
 
-    def _sweep_direction(self, tally: "_Tally",
-                         families: Dict[Tuple[str, str], LadderFamily],
-                         d: int, alpha: int, r1: int, r2: int,
-                         elems: Dict[tuple, NamedElement],
-                         where: str) -> None:
+    # ------------------------------------------------------------------
+    # Action tables
+    # ------------------------------------------------------------------
+
+    def block_of(self, alpha: int, r1: int, r2: int) -> BlockLabel:
+        """The block whose classes include (alpha, r1, r2)."""
+        return next(label for label in self.block_labels()
+                    if (alpha, r1, r2) in self.summands_of(label))
+
+    def action_table(self, summand: ProjectiveSummand) -> ActionTable:
+        """The action table of the summand's slot-(1, 1) ideal, the one
+        the realization reads: kept from the ladder sweep, or built on
+        demand when the sweep has not run."""
+        table = self._tables.get(summand)
+        if table is None:
+            table = self._build_action_table(*summand, 1, 1)
+        return table
+
+    def ladder_failures(self, alpha: int, r1: int, r2: int, s1: int,
+                        s2: int) -> Tuple[LadderFailure, ...]:
+        """The failed relations of one left ideal's action table, kept
+        for every ideal the sweep has read and built on demand otherwise."""
+        failed = self._failures.get((alpha, r1, r2, s1, s2))
+        if failed is None:
+            failed = self._build_action_table(alpha, r1, r2, s1, s2).failed
+        return failed
+
+    def _build_action_table(self, alpha: int, r1: int, r2: int, s1: int,
+                            s2: int, tally: Optional["_Tally"] = None
+                            ) -> ActionTable:
+        """Expand g x in A once for every basis vector x of one left ideal
+        and each generator g, and compare it with its displayed image
+        (`_displayed_images`).  Each comparison is one instance of a
+        `ladder[...]` check, tallied into ``tally`` when one is given.
+
+        The failures are kept for every ideal, the images for slot (1, 1)
+        only: that is the ideal the realization reads.
+        """
+        A = self.algebra
+        label = self.block_of(alpha, r1, r2)
+        where = _entry(alpha, r1, r2, s1, s2)
+        basis = self.ideal_basis(alpha, r1, r2, s1, s2)
+        values = [el.value for el in basis]
+        gens = {g: A.generator(g) for g in ACTION_GENERATORS}
+        # every entry is set below
+        images: Dict[str, List[Dict[int, CycloNumber]]] = {
+            g: [None] * len(basis) for g in ACTION_GENERATORS}
+        failed: List[LadderFailure] = []
+        one = self.params.field.one
+        zero = A.zero()
+        for gen, c, slug, image in self._displayed_images(alpha, r1, r2,
+                                                          basis):
+            terms = [values[k] if v is one else values[k] * v
+                     for k, v in image.items()]
+            want = sum(terms[1:], terms[0]) if terms else zero
+            ok = gens[gen] * values[c] == want
+            images[gen][c] = image
+            el = basis[c]
+            # a tally keeps the instance of its first failure only
+            context = "" if ok else (
+                f"{(el.family, el.arrow, el.idx1, el.idx2)} in {where}")
+            if tally is not None:
+                tally.hit(slug, ok, context)
+            if not ok:
+                failed.append(LadderFailure(
+                    gen, c, f"ladder[{label.r1},{label.r2}].{slug}", context))
+        table = ActionTable(images, tuple(failed))
+        self._failures[(alpha, r1, r2, s1, s2)] = table.failed
+        if (s1, s2) == (1, 1):
+            self._tables[ProjectiveSummand(alpha, r1, r2)] = table
+        return table
+
+    def _displayed_images(self, alpha: int, r1: int, r2: int,
+                          basis: List[NamedElement]):
+        """(generator, column, check slug, image) for every basis vector
+        and generator, the image as coordinates over ``basis``: K's is the
+        family weight (`family_weight`) times the vector, e_d's and f_d's
+        the ladder image (`_ladder_images`).  K comes first, then copy 1,
+        then copy 2, each over the basis in order."""
+        families = self.ladder_families(r1, r2)
+        for c, el in enumerate(basis):
+            w = self.family_weight(families[(el.family, el.arrow)], alpha,
+                                   el.idx1, el.idx2)
+            yield "K", c, "weight", {c: w}
+        position = {(el.family, el.arrow, el.idx1, el.idx2): c
+                    for c, el in enumerate(basis)}
+        for d in (1, 2):
+            yield from self._ladder_images(d, alpha, r1, r2, basis, position)
+
+    def _ladder_images(self, d: int, alpha: int, r1: int, r2: int,
+                       basis: List[NamedElement],
+                       position: Dict[tuple, int]):
+        """The displayed images of e_d and f_d on every basis vector: one
+        move along copy d's ladder, with the phi-coefficients of the
+        ladder (in-ladder labels) or of its reflection (beyond it), the
+        normalization handoffs between roles, and the top role's shadow
+        in the bottom role.  Every target exists: each role has every
+        rung its moves reach, and the other copy's role and index stay."""
         P = self.params
-        rd = r1 if d == 1 else r2
-        pd = self.p1 if d == 1 else self.p2
-        e_gen = self.algebra.e(d)
-        f_gen = self.algebra.f(d)
-        max_n = rd - 1
-        max_k = pd - rd - 1
-
-        def scalar_n(j):
-            return phi(P, d, alpha, j, r1, r2)
-
-        def scalar_k(j):
-            return phi(P, d, -alpha, j, *self._reflected(d, r1, r2))
-
+        families = self.ladder_families(r1, r2)
         name_of_roles = {fam.roles: name for name, fam in families.items()}
+        rd = r1 if d == 1 else r2
+        max_n = rd - 1
+        max_k = (self.p1 if d == 1 else self.p2) - rd - 1
+        reflected = self._reflected(d, r1, r2)
+        one = P.field.one
 
-        def at(role, j, family, arrow, i1, i2) -> Optional[AlgebraElement]:
-            """The element one move away: rung j of ``role`` on copy d's
-            ladder, the other copy's rung and index kept."""
-            roles = list(families[(family, arrow)].roles)
-            roles[d - 1] = role
-            name = name_of_roles.get(tuple(roles))
-            if name is None:
-                return None
-            el = elems.get(name + ((j, i2) if d == 1 else (i1, j)))
-            return None if el is None else el.value
+        for c, el in enumerate(basis):
+            roles = list(families[(el.family, el.arrow)].roles)
+            role = roles[d - 1]
+            j = el.idx1 if d == 1 else el.idx2
 
-        zero = self.algebra.zero()
-        for (family, arrow, i1, i2), el in list(elems.items()):
-            if el.family == "b":
-                continue
-            role = families[(family, arrow)].roles[d - 1]
-            j = i1 if d == 1 else i2
-            ctx = f"{(family, arrow, i1, i2)} in {where}"
+            def at(target: str, rung: int, coeff: CycloNumber = one):
+                """{column: coeff} of rung ``rung`` of role ``target``."""
+                roles[d - 1] = target
+                index = (rung, el.idx2) if d == 1 else (el.idx1, rung)
+                return {position[name_of_roles[tuple(roles)] + index]: coeff}
 
-            lhs_e = e_gen * el.value
-            lhs_f = f_gen * el.value
             if role == "bottom":
-                want_e = zero if j == 0 else at("bottom", j - 1, family, arrow,
-                                                i1, i2) * scalar_n(j)
-                want_f = zero if j == max_n else at("bottom", j + 1, family,
-                                                    arrow, i1, i2)
-                e_slug, f_slug = "lower.bottom", "raise.bottom"
+                e = {} if j == 0 else at("bottom", j - 1,
+                                         phi(P, d, alpha, j, r1, r2))
+                f = {} if j == max_n else at("bottom", j + 1)
+                slugs = ("lower.bottom", "raise.bottom")
             elif role == "left":
-                want_e = zero if j == 0 else at("left", j - 1, family, arrow,
-                                                i1, i2) * scalar_k(j)
-                want_f = (at("left", j + 1, family, arrow, i1, i2)
-                          if j < max_k else at("bottom", 0, family, arrow, i1, i2))
-                e_slug, f_slug = "lower.left", "raise.left-handoff"
+                e = {} if j == 0 else at("left", j - 1,
+                                         phi(P, d, -alpha, j, *reflected))
+                f = at("left", j + 1) if j < max_k else at("bottom", 0)
+                slugs = ("lower.left", "raise.left-handoff")
             elif role == "top":
-                if j == 0:
-                    want_e = at("left", max_k, family, arrow, i1, i2)
-                else:
-                    want_e = (at("top", j - 1, family, arrow, i1, i2)
-                              * scalar_n(j)
-                              + at("bottom", j - 1, family, arrow, i1, i2))
-                want_f = (at("top", j + 1, family, arrow, i1, i2)
-                          if j < max_n else at("right", 0, family, arrow, i1, i2))
-                e_slug, f_slug = "lower.top-with-shadow", "raise.top-handoff"
+                e = (at("left", max_k) if j == 0 else
+                     {**at("top", j - 1, phi(P, d, alpha, j, r1, r2)),
+                      **at("bottom", j - 1)})
+                f = at("top", j + 1) if j < max_n else at("right", 0)
+                slugs = ("lower.top-with-shadow", "raise.top-handoff")
             else:  # right
-                want_e = (at("bottom", max_n, family, arrow, i1, i2)
-                          if j == 0 else at("right", j - 1, family, arrow,
-                                            i1, i2) * scalar_k(j))
-                want_f = zero if j == max_k else at("right", j + 1, family,
-                                                    arrow, i1, i2)
-                e_slug, f_slug = "lower.right-reentry", "raise.right"
-            if want_e is not None:
-                tally.hit(f"dir{d}.{e_slug}", lhs_e == want_e, ctx)
-            if want_f is not None:
-                tally.hit(f"dir{d}.{f_slug}", lhs_f == want_f, ctx)
+                e = (at("bottom", max_n) if j == 0 else
+                     at("right", j - 1, phi(P, d, -alpha, j, *reflected)))
+                f = {} if j == max_k else at("right", j + 1)
+                slugs = ("lower.right-reentry", "raise.right")
+            yield f"e{d}", c, f"dir{d}.{slugs[0]}", e
+            yield f"f{d}", c, f"dir{d}.{slugs[1]}", f
 
     def _averager_cases(self, tally: "_Tally",
                         families: Dict[Tuple[str, str], LadderFamily],
@@ -988,7 +1082,12 @@ class BlockSystem:
                                               r2: int,
                                               label: BlockLabel) -> Check:
         """The printed lowering coefficient on the doubly-left family uses
-        the wrong middle label; compare raw formula values."""
+        the wrong middle label.  The corrected phi_1^-alpha(k1) at
+        (p1 - r1, r2) is the scalar of the sweep's `dir1.lower.left`
+        image of L/left at k1 >= 1, so the check passes when those
+        products in A, on every slot of the class, matched their images
+        (`ladder_failures`); the printed coefficient is compared with the
+        corrected one by raw formula, as a record."""
         P = self.params
         mismatch = 0
         total = 0
@@ -998,17 +1097,32 @@ class BlockSystem:
             printed = _phi_formula(P, 1, alpha, k1, r1, self.p2 - r2)
             if actual != printed:
                 mismatch += 1
+        products = failed = 0
+        for s1, s2 in self.slots(r1, r2):
+            lowered = {c for c, el in enumerate(
+                self.ideal_basis(alpha, r1, r2, s1, s2))
+                if (el.family, el.arrow) == ("L", "left") and el.idx1 >= 1}
+            products += len(lowered)
+            failed += sum(1 for bad in self.ladder_failures(
+                alpha, r1, r2, s1, s2)
+                if bad.generator == "e1" and bad.column in lowered)
+        premise = f"ladder[{label.r1},{label.r2}].dir1.lower.left"
         detail = (f"{total} coefficients; printed middle label disagrees on "
-                  f"{mismatch}" if total else "no beyond-ladder rungs here")
-        scope = (f"raw formula, no products: phi_1^-alpha(k1) at "
-                 f"({self.p1 - r1}, {r2}) against the printed phi_1^alpha(k1) "
-                 f"at ({r1}, {self.p2 - r2}), 1 <= k1 < {self.p1 - r1}; "
-                 f"a record, passing either way" if total else
+                  f"{mismatch}; {premise}: {failed} of {products} products "
+                  f"with the corrected coefficient fail" if total else
+                  "no beyond-ladder rungs here")
+        scope = (f"derived from {premise}: its {products} products e1 × "
+                 f"L/left(k1, i2), k1 >= 1, on the {r1 * r2} slots of "
+                 f"({alpha:+d}, {r1}, {r2}) carry the corrected "
+                 f"phi_1^-alpha(k1) at ({self.p1 - r1}, {r2}); the printed "
+                 f"phi_1^alpha(k1) at ({r1}, {self.p2 - r2}) is compared "
+                 f"with it by raw formula, 1 <= k1 < {self.p1 - r1}"
+                 if total else
                  f"nothing compared: p1 - r1 = {self.p1 - r1} leaves no "
                  f"beyond-ladder rung k1 >= 1")
         return Check(
             f"adjudication[{label.r1},{label.r2}].left-lowering-coefficient",
-            True, detail, anchor="misprint-adjudication", scope=scope)
+            failed == 0, detail, anchor="misprint-adjudication", scope=scope)
 
     # ------------------------------------------------------------------
     # Verification: block decomposition
@@ -1060,11 +1174,15 @@ class BlockSystem:
         squares = Check(
             "blocks.idempotent-squares", not bad_square,
             f"{len(idems)} idempotents; failures: {bad_square or 'none'}",
-            anchor="idempotent-squares")
+            anchor="idempotent-squares",
+            scope=f"exhaustive: {len(idems)} idempotents squared in the "
+                  f"algebra")
         resolution = Check(
             "blocks.resolution-of-identity",
             sum((e for _, e in idems), A.zero()) == A.one(),
-            f"sum over {len(idems)} idempotents", anchor="identity-resolution")
+            f"sum over {len(idems)} idempotents", anchor="identity-resolution",
+            scope=f"exhaustive: the sum of {len(idems)} idempotents compared "
+                  f"with 1 in the algebra")
         failed = [c.check_id for c in (squares, resolution) if not c.passed]
         pairs = len(idems) * (len(idems) - 1)
         orthogonal = Check(
@@ -1090,13 +1208,17 @@ class BlockSystem:
                                     + (p1 - 1) * (p2 - 1)))
         checks.append(Check(
             "blocks.dimension-identity", lhs == 2 * p1**3 * p2**3,
-            f"{lhs} == {2 * p1**3 * p2**3}", anchor="block-dimension-count"))
+            f"{lhs} == {2 * p1**3 * p2**3}", anchor="block-dimension-count",
+            scope="closed form, no algebra: the block dimensions summed by "
+                  "kind against 2 p1^3 p2^3"))
 
         labels = self.block_labels()
         expected_blocks = ((p1 - 1) * (p2 - 1)) // 2 + (p1 - 1) + (p2 - 1) + 2
         checks.append(Check(
             "blocks.count", len(labels) == expected_blocks,
-            f"{len(labels)} labels: {sorted(labels)}", anchor="block-count"))
+            f"{len(labels)} labels: {sorted(labels)}", anchor="block-count",
+            scope=f"closed form, no algebra: {len(labels)} listed labels "
+                  f"against the count formula"))
 
         block_idems = {label: self.block_idempotent(label) for label in labels}
         gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K")]
@@ -1106,7 +1228,9 @@ class BlockSystem:
         ]
         checks.append(Check(
             "blocks.block-idempotent-central", not central_bad,
-            f"failures: {central_bad or 'none'}", anchor="block-idempotent"))
+            f"failures: {central_bad or 'none'}", anchor="block-idempotent",
+            scope=f"exhaustive: {len(labels)} block idempotents × "
+                  f"{len(gens)} generators, commutators in the algebra"))
 
         # Ideal dimensions and the global rank, sliced by the two-sided
         # K-eigenvalues (left weight, right averager ratio).
@@ -1142,14 +1266,18 @@ class BlockSystem:
             "blocks.ideal-dimensions", dims_ok,
             "; ".join(dim_detail) if dim_detail else
             f"{total_vectors} basis vectors across "
-            f"{len(catalog)} left ideals", anchor="ideal-dimensions"))
+            f"{len(catalog)} left ideals", anchor="ideal-dimensions",
+            scope=f"exhaustive: exact rank of each of the {len(catalog)} left "
+                  f"ideals' bases, {total_vectors} vectors"))
 
         global_rank = sum(span.rank for span in slices.values())
         checks.append(Check(
             "blocks.total-rank", global_rank == A.dimension,
             f"rank {global_rank} over {len(slices)} two-sided weight "
             f"slices; algebra dimension {A.dimension}",
-            anchor="decomposition-rank"))
+            anchor="decomposition-rank",
+            scope=f"exhaustive: exact rank of all {total_vectors} basis "
+                  f"vectors, one span per two-sided weight slice"))
 
         target = A.relation_target()
         casimirs = {i: casimir(P, i, target) for i in (1, 2)}
@@ -1158,9 +1286,12 @@ class BlockSystem:
             checks.append(Check(
                 f"blocks.casimir-{i}-central", commute_bad == 0,
                 f"commutators with all generators; failures: {commute_bad}",
-                anchor="casimir-central"))
+                anchor="casimir-central",
+                scope=f"exhaustive: {len(gens)} generators, commutators in "
+                      f"the algebra"))
 
         annihilation_bad = []
+        products = 0
         for label in labels:
             (c1, m1), (c2, m2) = self._block_annihilators(label)
             ann1 = (casimirs[1] - A.one() * c1).power(m1)
@@ -1169,6 +1300,7 @@ class BlockSystem:
                 _, alpha, r1, r2, s1, s2 = entry
                 for el in self.ideal_basis(alpha, r1, r2, s1, s2):
                     for ann in (ann1, ann2):
+                        products += 1
                         if not (ann * el.value).is_zero():
                             annihilation_bad.append((label, entry, el.family,
                                                      el.arrow, el.idx1, el.idx2))
@@ -1177,7 +1309,10 @@ class BlockSystem:
             (f"first failure: {annihilation_bad[0]}" if annihilation_bad
              else "every ideal basis vector killed by the block's "
                   "(central - scalar)^power pair"),
-            anchor="central-annihilators"))
+            anchor="central-annihilators",
+            scope=f"exhaustive: {products} products in the algebra, the "
+                  f"block's two annihilators × each of the {total_vectors} "
+                  f"ideal basis vectors"))
 
         signatures = {}
         clash = []
@@ -1190,7 +1325,9 @@ class BlockSystem:
         checks.append(Check(
             "blocks.scalar-signatures-separate", not clash,
             f"{len(labels)} blocks; clashes: {clash or 'none'}",
-            anchor="block-scalars"))
+            anchor="block-scalars",
+            scope=f"exhaustive, no algebra: the scalar pairs of all "
+                  f"{len(labels)} blocks"))
 
         checks.append(self._check_beta_reflections())
         checks.extend(self._check_socle_matrices())
@@ -1217,7 +1354,9 @@ class BlockSystem:
                             bad += 1
         return Check("blocks.casimir-scalar-reflections", bad == 0,
                      f"{total} identities; failures: {bad}",
-                     anchor="block-scalars")
+                     anchor="block-scalars",
+                     scope=f"exhaustive raw formula, no products: {total} "
+                           f"reflections of the Casimir eigenvalues")
 
     def _check_socle_matrices(self) -> List[Check]:
         """Generator actions on each bottom-family span match the simple
@@ -1258,4 +1397,8 @@ class BlockSystem:
             "blocks.socle-matches-simple-matrices", not bad,
             (f"first mismatch: {bad[0]}" if bad else
              f"{ideals} ideals, five generators each, entry-for-entry"),
-            anchor="socle-simple-match")]
+            anchor="socle-simple-match",
+            scope=(f"exhaustive: 5 generators × the bottom-family basis of "
+                   f"each of {ideals} left ideals, products in the algebra "
+                   f"solved over that basis against the simple-module "
+                   f"matrices"))]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from .cyclo import CycloField, CycloNumber
+from .cyclo import CycloField, CycloNumber, _mixed
 
 Vector = Dict[int, CycloNumber]
 
@@ -224,7 +224,14 @@ class Matrix(dict):
         else:
             self.setdefault(j, {})[i] = value
 
+    def _check_field(self, other: "Matrix") -> None:
+        """Refuse a matrix over another field, as `CycloField.scalar`
+        refuses a scalar, before any shortcut on empty operands."""
+        if other.field.order != self.field.order:
+            raise ValueError(_mixed(self.field, other.field))
+
     def _check_shape(self, other: "Matrix") -> None:
+        self._check_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
@@ -292,6 +299,7 @@ class Matrix(dict):
                 for col, rows in self.items():
                     out[col] = {row: val * scalar for row, val in rows.items()}
             return out
+        self._check_field(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         out = Matrix(self.field, self.nrows, other.ncols)
@@ -336,6 +344,7 @@ class Matrix(dict):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
+        self._check_field(other)
         return self.shape == other.shape and dict.__eq__(self, other)
 
     def __ne__(self, other) -> bool:

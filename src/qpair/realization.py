@@ -8,8 +8,12 @@ enumerates; the classes, families, family order and index ranges are
 decided in `ideals`, and a `GroupLayout` only adds each family's offset.
 
 All matrices are the package's one sparse `linalg.Matrix` type.
-Generator matrices are obtained by expanding honest algebra products
-over the ideal basis.  The matrix of a K-free word e1^m1 e2^m2 f1^n1 f2^n2
+Generator matrices are read off the summand's slot-(1, 1) action table
+(`BlockSystem.action_table`): the ladder sweep expands each generator
+times each ideal basis vector once, compares it with its displayed image
+and keeps the image's coordinates, so no product is made here and a
+column that failed its check is never used.  The matrix of a K-free word
+e1^m1 e2^m2 f1^n1 f2^n2
 is the corresponding product of generator matrices (`pbw_matrices`,
 which the functional layer reuses for the characters of the simple
 modules).  Every ideal basis vector is a word times a weight averager,
@@ -30,7 +34,9 @@ multiply out to the repeated diagonal sub-blocks.  Comparing predicted
 against realized matrices verifies the displayed action tables, the
 block shapes with their forced zeros and repeated diagonal sub-blocks,
 and the misprint adjudication at the re-entry cell; the same matrices
-give the exact rank (faithfulness).  Each central element, a sum of
+give the exact rank (faithfulness).  The corner blocks' matrix-unit law
+is derived from those checks and the ladder relations, with no product
+(`_verify_matrix_units`).  Each central element, a sum of
 named elements (`BlockSystem.central_element`), is represented on every
 summand against its prescription: one drop (top to bottom) or
 pass-through per copy.  A block center is solved over the block's
@@ -237,12 +243,13 @@ class Realization:
         self.p1 = system.p1
         self.p2 = system.p2
         self._layouts: Dict[ProjectiveSummand, GroupLayout] = {}
-        self._bases: Dict[ProjectiveSummand, tuple] = {}
+        self._bases: Dict[ProjectiveSummand, List[NamedElement]] = {}
         self._gen_mats: Dict[ProjectiveSummand, Dict[str, Matrix]] = {}
         self._monomials: Dict[ProjectiveSummand, List[Matrix]] = {}
         self._k_exponents: Dict[ProjectiveSummand, List[int]] = {}
         self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
         self._blocks: Dict[BlockLabel, BlockRealization] = {}
+        self._ranks: Dict[BlockLabel, int] = {}
         self._cells: Dict[ProjectiveSummand, Dict[tuple, list]] = {}
         self._degree_zero: Dict[BlockLabel, tuple] = {}
         # label -> (center basis, number of commutator equations)
@@ -269,22 +276,23 @@ class Realization:
         self._layouts[summand] = out
         return out
 
-    def _basis(self, summand: ProjectiveSummand):
+    def _basis(self, summand: ProjectiveSummand) -> List[NamedElement]:
+        """The summand's slot-(1, 1) ideal basis, checked independent by
+        an untracked rank, so that coordinates over it are unique."""
         cached = self._bases.get(summand)
         if cached is not None:
             return cached
         A = self.algebra
         els = self.system.ideal_basis(*summand, 1, 1)
-        span = IncrementalSpan(self.params.field, track=True)
+        span = IncrementalSpan(self.params.field)
         for el in els:
-            vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
-            if not span.add(vec):
+            if not span.add({A.monomial_index(m): c
+                             for m, c in el.value.terms.items()}):
                 raise ArithmeticError(
                     f"dependent projective basis vector "
                     f"{(el.family, el.arrow, el.idx1, el.idx2)} on {summand}")
-        out = (els, span)
-        self._bases[summand] = out
-        return out
+        self._bases[summand] = els
+        return els
 
     # ------------------------------------------------------------------
     # Matrices
@@ -292,31 +300,32 @@ class Realization:
 
     def generator_matrix(self, summand: ProjectiveSummand,
                          gen: str) -> Matrix:
-        """Left multiplication by a generator, expanded honestly.
+        """Left multiplication by a generator, read off the summand's
+        slot-(1, 1) action table (`BlockSystem.action_table`).
 
-        Each column is the exact coordinate solve of generator * basis
-        vector against the ideal span; a product escaping the span would
-        contradict two-sidedness and raises immediately.
+        The table (kept from the ladder sweep, or built on demand) holds
+        each product of the generator with a basis vector, expanded in A
+        once and compared with its displayed image,
+        a combination of at most two basis vectors; column c holds that
+        image's coordinates.  No product and no coordinate solve is made
+        here, and the basis is independent (`_basis`), so the coordinates
+        are the unique ones.  If any of the generator's products differs
+        from its image, ArithmeticError names the failed `ladder[...]`
+        check and the instance: no matrix rests on an unverified column.
         """
         mats = self._gen_mats.setdefault(summand, {})
         cached = mats.get(gen)
         if cached is not None:
             return cached
-        A = self.algebra
-        els, span = self._basis(summand)
-        g = A.generator(gen)
-        cols = Matrix(self.params.field, len(els))
-        for j, el in enumerate(els):
-            image = g * el.value
-            if image.is_zero():
-                continue
-            coords = span.coordinates(
-                {A.monomial_index(m): c for m, c in image.terms.items()})
-            if coords is None:
+        els = self._basis(summand)
+        table = self.system.action_table(summand)
+        for bad in table.failed:
+            if bad.generator == gen:
                 raise ArithmeticError(
-                    f"left multiplication by {gen} escapes the ideal "
-                    f"span on {summand}")
-            cols[j] = dict(coords)
+                    f"left multiplication by {gen} on {summand} is not "
+                    f"verified: {bad.check} fails at {bad.instance}")
+        cols = Matrix(self.params.field, len(els),
+                      columns=dict(enumerate(table.images[gen])))
         mats[gen] = cols
         return cols
 
@@ -383,6 +392,19 @@ class Realization:
         out = BlockRealization(label, summands, elements, matrices)
         self._blocks[label] = out
         return out
+
+    def block_rank(self, label: BlockLabel) -> int:
+        """The exact rank of the block elements' joint matrix tuples, each
+        one vector keyed (summand, column, row); memoised per block."""
+        rank = self._ranks.get(label)
+        if rank is None:
+            span = IncrementalSpan(self.params.field)
+            for mats in self.block_realization(label).matrices:
+                span.add({(s, col, row): val for s, mat in enumerate(mats)
+                          for col, rows in mat.items()
+                          for row, val in rows.items()})
+            rank = self._ranks[label] = span.rank
+        return rank
 
     # ------------------------------------------------------------------
     # Predicted matrices
@@ -510,31 +532,57 @@ class Realization:
                                f"{len(real.summands)} summands, full "
                                f"matrices"))]
         if not self.system.block_ladders(label):
-            checks.append(self._verify_matrix_units(real))
+            checks.append(self._verify_matrix_units(real, not mismatches))
         return checks
 
-    def _verify_matrix_units(self, real: BlockRealization) -> Check:
-        """Corner products obey the matrix-unit law in the algebra itself."""
-        bad = 0
-        zero = self.algebra.zero()
-        for x in real.elements:
-            for y in real.elements:
-                xy = x.value * y.value
-                if (x.s1 - 1, x.s2 - 1) == (y.idx1, y.idx2):
-                    want = self.system.build_named_element(
-                        "B", "down", x.alpha, x.r1, x.r2,
-                        y.s1, y.s2, x.idx1, x.idx2).value
-                else:
-                    want = zero
-                if xy != want:
-                    bad += 1
+    def _verify_matrix_units(self, real: BlockRealization,
+                             action_ok: bool) -> Check:
+        """The corner products obey the matrix-unit law, derived from
+        three premises with no product in the algebra.
+
+        A corner block has one class and no ladder copy, so its element
+        x at slot s and index a is B/down, and its want for x y is B/down
+        at x's index and y's slot when x's slot pair is y's index pair,
+        and 0 otherwise.  Let rho be the realization on the class's
+        slot-(1, 1) ideal and V the span of the block's elements.
+
+        * `action-table`: rho(x) is the single unit entry E_(a, s) (row
+          x's index pair, column its slot pair) for every element x, the
+          want included, as it is one of them.
+        * rho is left multiplication on a left ideal, so rho(x y) =
+          rho(x) rho(y) = E_(a, s) E_(b, t) = delta_(s, b) E_(a, t) =
+          rho(want): index arithmetic.
+        * Closure: y lies in the left ideal of its slot, whose basis
+          spans a subspace of V that every generator maps into itself
+          (the `ladder[...]` relations of that ideal, each product in A
+          compared with its image); A is generated by them (K^-1 is a
+          power of K), so x y lies in V.
+        * `faithful`: the block's matrices have rank n, so rho is
+          injective on V, and x y - want, in V with rho zero, is zero.
+
+        The check fails, naming the premise, when any premise fails.
+        """
+        label = real.label
+        prefix = f"realization[{label.r1},{label.r2}]"
         n = len(real.elements)
+        catalog = self.system.primitive_idempotent_catalog(label)
+        ladder = [bad.check for entry in catalog
+                  for bad in self.system.ladder_failures(*entry[1:])]
+        premises = {f"{prefix}.action-table": action_ok,
+                    f"{prefix}.faithful": self.block_rank(label) == n,
+                    ladder[0] if ladder else "ladder": not ladder}
+        failed = [name for name, ok in premises.items() if not ok]
         return Check(
-            f"realization[{real.label.r1},{real.label.r2}].matrix-unit-products",
-            bad == 0,
-            f"{n * n} ordered products expanded in the algebra; failures: {bad}",
+            f"{prefix}.matrix-unit-products", not failed,
+            "; ".join(f"premise {name} fails" for name in failed)
+            + "; the matrix-unit law is derived from it" if failed else
+            f"all {n * n} ordered products obey E_ab E_cd = delta_bc E_ad, "
+            f"derived from {prefix}.action-table, {prefix}.faithful and "
+            f"the ladder relations of the block's {len(catalog)} left ideals",
             anchor="corner-matrix-units",
-            scope=f"exhaustive: {n * n} ordered products in the algebra")
+            scope=(f"derived: {n * n} ordered products, none expanded in the "
+                   f"algebra; premises action-table, faithful and the "
+                   f"ladder closure of {len(catalog)} left ideals"))
 
     # ------------------------------------------------------------------
     # Verification: shapes
@@ -580,23 +628,19 @@ class Realization:
             scope=(f"{per_element}, {sum(map(len, partners))} sub-block "
                    f"pairs per element")))
 
-        # each element's matrices as one vector keyed (summand, col, row)
-        span = IncrementalSpan(self.params.field)
-        for mats in real.matrices:
-            span.add({(s, col, row): val for s, mat in enumerate(mats)
-                      for col, rows in mat.items() for row, val in rows.items()})
+        rank = self.block_rank(label)
         checks.append(Check(
-            f"{prefix}.faithful", span.rank == n,
+            f"{prefix}.faithful", rank == n,
             f"joint matrix tuples of the {n} block basis elements have "
-            f"rank {span.rank}", anchor="block-realization-rank",
+            f"rank {rank}", anchor="block-realization-rank",
             scope=(f"exhaustive: exact rank of {n} elements' matrices on "
                    f"{len(real.summands)} summands")))
 
         # p_d^2 per full copy, 2 p_d^2 per ladder copy
         want = (self.p1 * self.p2) ** 2 * 2 ** len(ladders)
         checks.append(Check(
-            f"{prefix}.dimension", n == want and span.rank == want,
-            f"realized subalgebra dimension {span.rank}, block dimension "
+            f"{prefix}.dimension", n == want and rank == want,
+            f"realized subalgebra dimension {rank}, block dimension "
             f"{want}", anchor="block-dimension",
             scope=(f"exhaustive: {n} block elements counted, with the exact "
                    f"rank of faithful")))
@@ -898,14 +942,18 @@ class Realization:
                    f"{len(summands)} summands, full matrices, and × "
                    f"{len(gens)} generators, commutators in the algebra")))
 
-        catalog = self.system.primitive_idempotent_catalog(label)
+        # block_idempotent sums primitive_idempotent, which is
+        # _slot_element with nothing dropped, over the catalog
+        catalog = [entry[1:] for entry in
+                   self.system.primitive_idempotent_catalog(label)]
         checks.append(Check(
             f"{prefix}.unit-preimage",
-            named["unit"] == self.system.block_idempotent(label),
+            sorted(self.system.central_slots(label, {})) == sorted(catalog),
             "the drop-free central element is the block idempotent",
             anchor="central-element-preimages",
-            scope=(f"exhaustive: compared with the sum of {len(catalog)} "
-                   f"primitive idempotents in the algebra")))
+            scope=(f"derived: both are the sum of _slot_element with nothing "
+                   f"dropped over the same {len(catalog)} slots, compared "
+                   f"as slot lists, no algebra")))
 
         drops = {n: z for n, z in named.items() if n != "unit"}
         not_nilpotent = [n for n, z in drops.items()

@@ -122,13 +122,38 @@ def test_center_and_radford_suites_keep_their_checks(pair, digest):
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("pair, digest", [
+    ((2, 3), "9bbfc9f029db088b5ad3c770ab9c9f6af4f8d89b9174e46030eff2ac2bfa7560"),
+    ((3, 2), "8120b2d46146af0c8afa38deb47652af3314b2512796ac71b49f963dc23174e7"),
+])
+def test_ideals_and_shapes_suites_keep_their_checks(pair, digest):
+    # ids and statuses of the two suites, in report order, as they were
+    # when the generator matrices were solved from fresh products and the
+    # corner products were expanded in the algebra
+    session = Session(RunConfig(p1=pair[0], p2=pair[1],
+                                suites=("ideals", "shapes")))
+    checks = session.suite_ideals() + session.suite_shapes()
+    rows = json.dumps([[c.check_id, c.status] for c in checks])
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_every_check_states_its_scope(pair):
+    code, report = run(RunConfig(p1=pair[0], p2=pair[1], suites=("all",)))
+    assert code == 0
+    assert [c.check_id for c in report.checks if not c.scope] == []
+
+
 def test_shapes_and_center_checks_state_their_scope():
     session = Session(_cfg(suites=("shapes", "center")))
     checks = session.suite_shapes() + session.suite_center()
     assert [c.check_id for c in checks if not c.scope] == []
     scopes = {c.check_id: c.scope for c in checks}
+    # derived from its premises, with no product expanded
     assert scopes["realization[2,3].matrix-unit-products"] == (
-        "exhaustive: 1296 ordered products in the algebra")
+        "derived: 1296 ordered products, none expanded in the algebra; "
+        "premises action-table, faithful and the ladder closure of 6 left "
+        "ideals")
     assert scopes["realization[1,1].faithful"] == (
         "exhaustive: exact rank of 144 elements' matrices on 4 summands")
     assert scopes["realization[1,1].dimension"] == (
@@ -236,16 +261,16 @@ def test_verify_json_reports_the_solve_scopes():
         "exhaustive: 9 central elements × 4 summands, full matrices, and × 5 "
         "generators, commutators in the algebra")
     assert scopes["realization[1,1].unit-preimage"] == (
-        "exhaustive: compared with the sum of 6 primitive idempotents in the "
-        "algebra")
+        "derived: both are the sum of _slot_element with nothing dropped "
+        "over the same 6 slots, compared as slot lists, no algebra")
     assert scopes["realization[1,1].drop-squares"] == (
         "exhaustive: 8 drop elements squared in the algebra")
     assert scopes["realization[1,3].central-preimages"] == (
         "exhaustive: 3 central elements × 2 summands, full matrices, and × 5 "
         "generators, commutators in the algebra")
     assert scopes["realization[1,3].unit-preimage"] == (
-        "exhaustive: compared with the sum of 6 primitive idempotents in the "
-        "algebra")
+        "derived: both are the sum of _slot_element with nothing dropped "
+        "over the same 6 slots, compared as slot lists, no algebra")
     assert scopes["center.total-dimension"] == (
         "exhaustive: commutator nullspaces of all 6 blocks, summed")
     assert scopes["realization[2,3].drop-squares"] == (

@@ -14,6 +14,7 @@ from qpair.algebra import Algebra
 from qpair.cyclo import Params
 from qpair.ideals import BlockLabel, BlockSystem, NamedElement, ProjectiveSummand
 from qpair.modules import phi
+from qpair.realization import Realization
 
 # The left-ideal layout written out here, independently of ideals.py:
 # letters T, L, R, B outside, arrows up, left, right, down inside; an
@@ -346,3 +347,59 @@ def test_misprint_adjudications_where_separable():
     B35 = BlockSystem(Algebra.for_pair(3, 5))
     c = B35._adjudicate_left_normalizer_sign(1, 1, 1, 1, 1, BlockLabel(1, 1))
     assert c.passed and "breaks it" in c.detail
+
+
+def _scale_ladder_images(monkeypatch, slug, factor):
+    """Make every displayed image of one ladder check ``factor`` times
+    what the relations say: a wrong ladder scalar."""
+    true = BlockSystem._ladder_images
+
+    def wrong(self, *args):
+        for gen, c, name, image in true(self, *args):
+            if name == slug:
+                image = {k: v * factor for k, v in image.items()}
+            yield gen, c, name, image
+
+    monkeypatch.setattr(BlockSystem, "_ladder_images", wrong)
+
+
+def test_a_wrong_ladder_scalar_fails_its_check_and_the_generator_matrix(
+        monkeypatch):
+    _scale_ladder_images(monkeypatch, "dir2.lower.bottom", 2)
+    swept = BlockSystem(A23)
+    checks = [c for label in swept.block_labels()
+              for c in swept.verify_ladder_relations(label)]
+    assert {c.check_id.split(".", 1)[1] for c in checks
+            if not c.passed} == {"dir2.lower.bottom"}
+    # the full second copy of (+1, 1, 3) lowers B/up(0, 1) with a scalar;
+    # the sweep's table and one built on demand both refuse the column
+    summand = ProjectiveSummand(1, 1, 3)
+    message = (r"^left multiplication by e2 on ProjectiveSummand\(alpha=1, "
+               r"r1=1, r2=3\) is not verified: ladder\[1,3\]\.dir2\."
+               r"lower\.bottom fails at \('B', 'up', 0, 1\) in "
+               r"\(\+1,1,3;1,1\)$")
+    for system in (swept, BlockSystem(A23)):
+        real = Realization(system)
+        with pytest.raises(ArithmeticError, match=message):
+            real.generator_matrix(summand, "e2")
+        assert real.generator_matrix(summand, "e1").nrows == 12
+
+
+def test_left_lowering_coefficient_rests_on_the_sweep(monkeypatch):
+    # the corrected coefficient is the scalar of dir1.lower.left on the
+    # doubly-left family; a wrong scalar there fails the adjudication
+    A34 = Algebra.for_pair(3, 4)
+    label = BlockLabel(1, 2)
+    check = BlockSystem(A34)._adjudicate_left_lowering_coefficient(
+        1, 1, 2, label)
+    assert check.passed
+    assert check.scope.startswith(
+        "derived from ladder[1,2].dir1.lower.left: its 4 products")
+    _scale_ladder_images(monkeypatch, "dir1.lower.left", 2)
+    check = BlockSystem(A34)._adjudicate_left_lowering_coefficient(
+        1, 1, 2, label)
+    assert not check.passed
+    assert check.detail == (
+        "1 coefficients; printed middle label disagrees on 1; "
+        "ladder[1,2].dir1.lower.left: 4 of 4 products with the corrected "
+        "coefficient fail")

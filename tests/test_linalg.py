@@ -320,6 +320,23 @@ def test_matrix_refuses_a_scalar_from_another_field():
     assert m * Fraction(1, 2) * 2 == m
 
 
+def test_matrix_refuses_a_matrix_from_another_field():
+    # sums, differences, products, scaled-column adds and comparisons all
+    # check the field first, also where no two entries meet or an operand
+    # is empty
+    other = CycloField(40)
+    a = Matrix(FIELD, 2, columns={0: {0: FIELD.one}})
+    b = Matrix(other, 2, columns={1: {1: other.zeta(1)}})
+    for x, y in ((a, b), (Matrix.zeros(FIELD, 2), b),
+                 (Matrix.zeros(FIELD, 2), Matrix.zeros(other, 2))):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                   lambda: y * x, lambda: x == y, lambda: x != y,
+                   lambda: x.add_column_scaled(y, {1: FIELD.one})):
+            with pytest.raises(ValueError, match="cannot combine"):
+                op()
+    assert a + Matrix.zeros(FIELD, 2) == a and a * a == a
+
+
 def test_matrix_reads_a_column_by_its_key():
     # a Matrix is the dict column -> {row: value}: a pair reads an entry,
     # any other key a stored column, as for any dict

@@ -1,8 +1,10 @@
 """Tests for the matrix realization of the blocks.
 
-The realized matrices are produced by honest product expansion (each
-generator column is a coordinate solve over the ideal span), so most
-tests here compare an independent route against the matrix route:
+The generator matrices are read off the ladder sweep's verified action
+tables, and the corner matrix-unit law is derived from its premises, so
+most tests here compare an independent route against the matrix route:
+generator matrices versus coordinates solved from fresh products, the
+derived matrix-unit law versus every corner product expanded,
 algebra products versus matrix products, predicted unit-entry patterns
 versus realized support, the central elements summed from named
 elements versus the ones solved from their matrix prescriptions, the
@@ -22,7 +24,8 @@ from conftest import A23, B23, R23, action_table_checks, block_shape_checks
 
 from qpair.algebra import Algebra
 from qpair.cli import Session
-from qpair.ideals import BlockLabel, BlockSystem
+from qpair.algebra import AlgebraElement
+from qpair.ideals import BlockLabel, BlockSystem, LadderFailure
 from qpair.linalg import IncrementalSpan, Matrix, nullspace
 from qpair.modules import SimpleModuleSpec, simple_action
 from qpair.realization import (GENERATOR_NAMES, ProjectiveSummand, Realization,
@@ -136,9 +139,13 @@ def test_pbw_matrices_are_generator_products():
 
 
 def test_represent_matches_columnwise_products():
-    # matrix of x, column j == coordinates of x * (j-th ideal basis vector)
+    # matrix of x, column j == coordinates of x * (j-th ideal basis vector),
+    # solved over a tracked span of the basis
     for summand in (ProjectiveSummand(1, 1, 3), ProjectiveSummand(1, 1, 1)):
-        els, span = R23._basis(summand)
+        els = B23.ideal_basis(*summand, 1, 1)
+        span = IncrementalSpan(FIELD, track=True)
+        for el in els:
+            assert span.add(_as_vector(el.value))
         for _ in range(8):
             x = A23.monomial_element(rng.choice(MONOS))
             mat = R23.represent(x, summand)
@@ -209,6 +216,142 @@ def test_corner_elements_are_matrix_units():
         row = lay.flat("B", "down", i1, i2)
         col = lay.flat("B", "down", s1 - 1, s2 - 1)
         assert mat == Matrix(FIELD, lay.dim, columns={col: {row: one}})
+
+
+def _solved_generator_matrix(system, summand, gen):
+    """The generator's matrix from fresh products in the algebra, each
+    column solved over a tracked span of the slot-(1, 1) ideal basis."""
+    A = system.algebra
+    field = A.params.field
+    els = system.ideal_basis(*summand, 1, 1)
+    span = IncrementalSpan(field, track=True)
+    for el in els:
+        span.add({A.monomial_index(m): c for m, c in el.value.terms.items()})
+    g = A.generator(gen)
+    out = Matrix(field, len(els))
+    for j, el in enumerate(els):
+        image = g * el.value
+        if image.is_zero():
+            continue
+        coords = span.coordinates(
+            {A.monomial_index(m): c for m, c in image.terms.items()})
+        assert coords is not None, (summand, gen, j)
+        out[j] = dict(coords)
+    return out
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_generator_matrices_match_the_solved_products(pair, monkeypatch):
+    # after the ladder sweep and on demand, on every summand and generator
+    A = Algebra.for_pair(*pair)
+    swept, fresh = BlockSystem(A), BlockSystem(A)
+    for label in swept.block_labels():
+        swept.verify_ladder_relations(label)
+    summands = [S for label in swept.block_labels()
+                for S in swept.summands_of(label)]
+    want = {(S, g): _solved_generator_matrix(fresh, S, g)
+            for S in summands for g in GENERATOR_NAMES}
+    # reading the swept tables makes no product and solves nothing
+    true_mul = AlgebraElement.__mul__
+
+    def scalar_only(x, y):
+        assert not isinstance(y, AlgebraElement), "a product in the algebra"
+        return true_mul(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraElement, "__mul__", scalar_only)
+        patch.setattr(IncrementalSpan, "coordinates", None)
+        read = Realization(swept)
+        got = {(S, g): read.generator_matrix(S, g)
+               for S in summands for g in GENERATOR_NAMES}
+    assert got == want
+    demand = Realization(fresh)
+    for (S, g), matrix in want.items():
+        assert demand.generator_matrix(S, g) == matrix, (S, g)
+
+
+def _expanded_matrix_unit_failures(real_block, system):
+    """Every ordered pair of corner elements multiplied in the algebra and
+    compared with the matrix-unit law's want; the number of failures."""
+    bad = 0
+    zero = system.algebra.zero()
+    for x in real_block.elements:
+        for y in real_block.elements:
+            if (x.s1 - 1, x.s2 - 1) == (y.idx1, y.idx2):
+                want = system.build_named_element(
+                    "B", "down", x.alpha, x.r1, x.r2, y.s1, y.s2,
+                    x.idx1, x.idx2).value
+            else:
+                want = zero
+            if x.value * y.value != want:
+                bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_matrix_unit_products_match_the_expanded_products(pair):
+    B = B23 if pair == (2, 3) else BlockSystem(Algebra.for_pair(*pair))
+    R = R23 if pair == (2, 3) else Realization(B)
+    corners = [label for label in B.block_labels()
+               if not B.block_ladders(label)]
+    assert len(corners) == 2
+    for label in corners:
+        real = R.block_realization(label)
+        n = len(real.elements)
+        assert n == (pair[0] * pair[1]) ** 2
+        assert _expanded_matrix_unit_failures(real, B) == 0
+        units = R.verify_action_table(label)[1]
+        assert units.check_id.endswith(".matrix-unit-products")
+        assert units.passed
+        assert units.scope.startswith(
+            f"derived: {n * n} ordered products, none expanded")
+
+
+def test_matrix_unit_products_name_a_failed_premise(monkeypatch):
+    label = BlockLabel(2, 3)
+    R = Realization(B23)
+    prefix = "realization[2,3]"
+    tail = "; the matrix-unit law is derived from it"
+
+    def units():
+        return R.verify_action_table(label)
+
+    action, law = units()
+    assert action.passed and law.passed
+    with monkeypatch.context() as patch:
+        patch.setattr(R, "block_rank", lambda lab: 35)
+        action, law = units()
+        assert action.passed and not law.passed
+        assert law.detail == f"premise {prefix}.faithful fails{tail}"
+    true = R.expected_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(R, "expected_matrix", lambda el, S: (
+            Matrix(FIELD, R.layout(S).dim) if (el.idx1, el.idx2) == (0, 0)
+            else true(el, S)))
+        action, law = units()
+        assert not action.passed and not law.passed
+        assert law.detail == f"premise {prefix}.action-table fails{tail}"
+    failure = LadderFailure("e1", 0, "ladder[2,3].dir1.lower.bottom", "x")
+    with monkeypatch.context() as patch:
+        patch.setattr(B23, "ladder_failures", lambda *entry: (failure,))
+        action, law = units()
+        assert action.passed and not law.passed
+        assert law.detail == (
+            f"premise ladder[2,3].dir1.lower.bottom fails{tail}")
+    assert units()[1].passed
+
+
+def test_unit_preimage_compares_the_summed_slots(monkeypatch):
+    # derived: the drop-free central element and the block idempotent sum
+    # the same slots; a slot missing from one side fails the check
+    label = BlockLabel(1, 1)
+    true = B23.central_slots
+    R = Realization(B23)
+    monkeypatch.setattr(B23, "central_slots", lambda lab, flags: (
+        true(lab, flags)[1:] if not flags else true(lab, flags)))
+    checks = {c.check_id: c for c in R.verify_central_elements(label)}
+    assert not checks["realization[1,1].unit-preimage"].passed
+    assert not checks["realization[1,1].central-preimages"].passed
 
 
 # ----------------------------------------------------------------------
