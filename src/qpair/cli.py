@@ -226,9 +226,10 @@ def _cyclo_from_json(field: CycloField, coeffs: List[str],
                      parsed: Dict[str, tuple[int, int]]) -> CycloNumber:
     """`cyclo_from_json`, reading each distinct string once through the
     ``parsed`` memo; a value is type-checked before it is looked up."""
-    if len(coeffs) != field.degree:
+    if not isinstance(coeffs, list) or len(coeffs) != field.degree:
+        got = len(coeffs) if isinstance(coeffs, list) else repr(coeffs)
         raise ValueError(f"expected {field.degree} coefficients for "
-                         f"Q(zeta_{field.order}), got {len(coeffs)}")
+                         f"Q(zeta_{field.order}) as a list, got {got}")
     pairs = []
     for c in coeffs:
         pair = parsed.get(c) if isinstance(c, str) else None
@@ -242,8 +243,9 @@ def _cyclo_from_json(field: CycloField, coeffs: List[str],
 def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
     """Parse the array `cyclo_to_json` writes; refuse anything else.
 
-    Each coefficient must be a string ``-?[0-9]+(/[0-9]+)?`` of ASCII
-    digits with a positive denominator; it need not be in lowest terms.
+    It must be a list of the field's degree, and each coefficient a string
+    ``-?[0-9]+(/[0-9]+)?`` of ASCII digits with a positive denominator;
+    it need not be in lowest terms.
     """
     return _cyclo_from_json(field, coeffs, {})
 
@@ -259,15 +261,22 @@ def element_to_json(x: AlgebraElement) -> List[dict]:
 def element_from_json(algebra: Algebra, data: List[dict]) -> AlgebraElement:
     """Parse the list `element_to_json` writes; refuse anything else.
 
-    Each monomial must be five ints (not bools) inside the ranges of the
-    algebra, ``ell`` in [0, 2*p1*p2) included, and no monomial may occur
-    twice; otherwise ValueError.
+    Each term must be an object with the keys ``monomial`` and
+    ``coefficient`` (read by `cyclo_from_json`) only.  Each monomial must
+    be five ints (not bools) inside the ranges of the algebra, ``ell`` in
+    [0, 2*p1*p2) included, and no monomial may occur twice; otherwise
+    ValueError.
     """
+    if not isinstance(data, list):
+        raise ValueError(f"element must be a list of terms, got {data!r}")
     field = algebra.params.field
     highs = (algebra.p1, algebra.p2, algebra.p1, algebra.p2, algebra.korder)
     terms = {}
     parsed: Dict[str, tuple[int, int]] = {}
     for item in data:
+        if not isinstance(item, dict) or item.keys() != {"monomial",
+                                                         "coefficient"}:
+            raise ValueError(f"malformed term {item!r}")
         mono = item["monomial"]
         if (not isinstance(mono, list) or len(mono) != 5
                 or any(type(e) is not int for e in mono)
@@ -293,8 +302,9 @@ def check_header(algebra: Algebra, header: dict) -> None:
     """Refuse an artifact header written for another pair or field.
 
     Raises ValueError naming each of ``p1``, ``p2``, ``N`` and
-    ``phi_digest`` that differs from `artifact_header` of ``algebra``;
-    ``version`` is not compared.
+    ``phi_digest`` that differs from `artifact_header` of ``algebra`` in
+    value or type (a float or bool size differs); ``version`` is not
+    compared.
     """
     if not isinstance(header, dict):
         raise ValueError(f"artifact header must be an object, got "
@@ -302,7 +312,8 @@ def check_header(algebra: Algebra, header: dict) -> None:
     expected = artifact_header(algebra)
     wrong = [f"{key} {header.get(key)!r} (expected {expected[key]!r})"
              for key in ("p1", "p2", "N", "phi_digest")
-             if header.get(key) != expected[key]]
+             if type(header.get(key)) is not type(expected[key])
+             or header.get(key) != expected[key]]
     if wrong:
         raise ValueError("artifact header does not match this algebra: "
                          + ", ".join(wrong))

@@ -26,9 +26,10 @@ actions move elements along these ladders with phi-coefficients, and the
 displayed relations -- normalization handoffs included -- are what
 verify_ladder_relations checks.  Each generator times each basis vector
 is expanded once per left ideal and compared with its displayed image
-(`ActionTable`); the ladder checks tally those comparisons, and the
-realization reads the images of the slot-(1, 1) ideals as its generator
-matrices.
+(`ActionTable`), and nothing else makes that product: the ladder checks
+tally the comparisons, the realization reads the slot-(1, 1) images as
+its generator matrices, and the socle match and the top-family
+adjudications read the images and verdicts they name (`_sweep_premise`).
 
 Names come from a naming view of the roles: the first ladder copy's role
 gives the arrow (up, left, right, down), the second ladder copy's role
@@ -600,10 +601,8 @@ class BlockSystem:
         reflection before its copy-1 reflection.
         """
         if label is None:
-            out: List[Tuple[str, int, int, int, int, int]] = []
-            for lab in self.block_labels():
-                out.extend(self.primitive_idempotent_catalog(lab))
-            return out
+            return [entry for lab in self.block_labels()
+                    for entry in self.primitive_idempotent_catalog(lab)]
         kind = _IDEMPOTENT_KINDS[len(self.block_ladders(label))]
         return [(kind, alpha, r1, r2, s1, s2)
                 for _, (alpha, r1, r2) in sorted(self.reflections(label))
@@ -625,10 +624,9 @@ class BlockSystem:
 
     def block_idempotent(self, label: BlockLabel) -> AlgebraElement:
         """Sum of the block's primitive idempotents (a central idempotent)."""
-        total = self.algebra.zero()
-        for kind, alpha, r1, r2, s1, s2 in self.primitive_idempotent_catalog(label):
-            total = total + self.primitive_idempotent(kind, alpha, r1, r2, s1, s2)
-        return total
+        return sum((self.primitive_idempotent(*entry) for entry
+                    in self.primitive_idempotent_catalog(label)),
+                   self.algebra.zero())
 
     # ------------------------------------------------------------------
     # Verification: ladder relations
@@ -692,13 +690,9 @@ class BlockSystem:
 
     def _sweep_one_ideal(self, tally: "_Tally", alpha: int,
                          r1: int, r2: int, s1: int, s2: int) -> None:
-        families = self.ladder_families(r1, r2)
-        elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
-        where = _entry(alpha, r1, r2, s1, s2)
         self._build_action_table(alpha, r1, r2, s1, s2, tally)
-        self._averager_cases(tally, families, alpha, r1, r2, s1, s2, elems,
-                             where)
-        self._alternate_expressions(tally, alpha, r1, r2, s1, s2, where)
+        self._averager_cases(tally, alpha, r1, r2, s1, s2)
+        self._alternate_expressions(tally, alpha, r1, r2, s1, s2)
 
     # ------------------------------------------------------------------
     # Action tables
@@ -726,6 +720,35 @@ class BlockSystem:
         if failed is None:
             failed = self._build_action_table(alpha, r1, r2, s1, s2).failed
         return failed
+
+    def _sweep_failures(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
+                        generators: Collection[str],
+                        columns: Collection[int]) -> List[LadderFailure]:
+        """One ideal's `ladder_failures` on these generators and columns."""
+        return [bad for bad in self.ladder_failures(alpha, r1, r2, s1, s2)
+                if bad.generator in generators and bad.column in columns]
+
+    def _sweep_premise(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
+                       gen: str, wants: Mapping[tuple, Dict]) -> str:
+        """'' when the sweep shows gen x = want in A on the ideal (alpha,
+        r1, r2; s1, s2) for every x: want of ``wants`` (each named (family,
+        arrow, idx1, idx2), a want as {name: coefficient}), else why not.
+        It shows it when its image of x is the want and its instance there
+        passed.  Images read only the layout, which a class's slots share,
+        so the kept slot-(1, 1) images serve every slot."""
+        column = {name: c for c, name in enumerate(
+            self._elements_of_ideal(alpha, r1, r2, s1, s2))}
+        failed = self._sweep_failures(alpha, r1, r2, s1, s2, (gen,),
+                                      {column[x] for x in wants})
+        if failed:
+            return f"premise {failed[0].check} fails at {failed[0].instance}"
+        images = self.action_table(ProjectiveSummand(alpha, r1, r2)).images
+        for x, want in wants.items():
+            if images[gen][column[x]] != {column[y]: v
+                                          for y, v in want.items()}:
+                return (f"the sweep's image of {gen} × {x} at "
+                        f"{_entry(alpha, r1, r2, s1, s2)} is not the target")
+        return ""
 
     def _build_action_table(self, alpha: int, r1: int, r2: int, s1: int,
                             s2: int, tally: Optional["_Tally"] = None
@@ -842,13 +865,14 @@ class BlockSystem:
             yield f"e{d}", c, f"dir{d}.{slugs[0]}", e
             yield f"f{d}", c, f"dir{d}.{slugs[1]}", f
 
-    def _averager_cases(self, tally: "_Tally",
-                        families: Dict[Tuple[str, str], LadderFamily],
-                        alpha: int, r1: int, r2: int, s1: int, s2: int,
-                        elems: Dict[tuple, NamedElement], where: str) -> None:
+    def _averager_cases(self, tally: "_Tally", alpha: int, r1: int, r2: int,
+                        s1: int, s2: int) -> None:
         """The four projection cases of the averager against block vectors:
         case 1 + (copy 1 beyond its ladder) + 2 (copy 2 beyond its
         ladder), case 1 split into the matching slot and the others."""
+        families = self.ladder_families(r1, r2)
+        elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
+        where = _entry(alpha, r1, r2, s1, s2)
         v = self.weight_averager(alpha, r1, r2, s1, s2)
         factor = 2 * self.p1 * self.p2
         for (family, arrow, i1, i2), el in elems.items():
@@ -866,11 +890,11 @@ class BlockSystem:
                           f"{(family, arrow, i1, i2)} {where}")
 
     def _alternate_expressions(self, tally: "_Tally", alpha: int,
-                               r1: int, r2: int, s1: int, s2: int,
-                               where: str) -> None:
+                               r1: int, r2: int, s1: int, s2: int) -> None:
         """Re-derivations of the bottom row/column of the unnormalized
         family: at index 0 on each copy of a set of ladder copies, b is
         f_d times the corpus whose role there is left."""
+        where = _entry(alpha, r1, r2, s1, s2)
         ladders = self.ladder_copies(r1, r2)
         for copies, slug in (((1,), "bottom-row"), ((2,), "bottom-column"),
                              ((1, 2), "bottom-corner")):
@@ -892,59 +916,54 @@ class BlockSystem:
 
     def _adjudication_checks(self, label: BlockLabel) -> List[Check]:
         kind = self.block_kind(label)
-        checks: List[Check] = []
         if kind in ("corner-plus", "corner-minus"):
-            return checks
-        entries = self.primitive_idempotent_catalog(label)
-        rep = entries[0]
-        _, alpha, r1, r2, s1, s2 = rep
-
-        if kind in ("edge-1", "interior"):
-            checks.append(self._adjudicate_top_exit(
-                alpha, r1, r2, s1, s2, label))
-            checks.append(self._adjudicate_scalar_reflection(label, 1, r1, r2))
+            return []
+        _, alpha, r1, r2, s1, s2 = self.primitive_idempotent_catalog(label)[0]
+        slot = (alpha, r1, r2, s1, s2, label)
         if kind == "edge-2":
-            checks.append(self._adjudicate_scalar_reflection(label, 2, r1, r2))
+            return [self._adjudicate_scalar_reflection(label, 2, r1, r2)]
+        checks = [self._adjudicate_top_exit(*slot),
+                  self._adjudicate_scalar_reflection(label, 1, r1, r2)]
         if kind == "interior":
-            checks.append(self._adjudicate_left_normalizer_sign(
-                alpha, r1, r2, s1, s2, label))
-            checks.append(self._adjudicate_top_extra_summand(
-                alpha, r1, r2, s1, s2, label))
-            checks.append(self._adjudicate_left_lowering_coefficient(
-                alpha, r1, r2, label))
+            checks += [self._adjudicate_left_normalizer_sign(*slot),
+                       self._adjudicate_top_extra_summand(*slot),
+                       self._adjudicate_left_lowering_coefficient(
+                           alpha, r1, r2, label)]
         return checks
 
     def _adjudicate_top_exit(self, alpha: int, r1: int, r2: int,
                              s1: int, s2: int, label: BlockLabel) -> Check:
         """At the bottom rung the top family exits into the left family,
-        not into itself as one display suggests."""
-        elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
-        e1 = self.algebra.e(1)
-        lhs = e1 * elems[("B", "up", 0, 0)].value
-        corrected = elems[("B", "left", self.p1 - r1 - 1, 0)].value
-        ok = lhs == corrected
+        not into itself as one display suggests: e1 × B/up(0, 0) = B/left(p1
+        - r1 - 1, 0) is the sweep's `dir1.lower.top-with-shadow` instance
+        on B/up(0, 0) (`_sweep_premise`).  The printed B/up(p1 - r1 - 1, 0)
+        is compared with the corrected target as a named element."""
         printed_idx = self.p1 - r1 - 1
-        scope = (f"one product in A at {_entry(alpha, r1, r2, s1, s2)}: "
-                 f"e1 × B/up(0, 0) against the corrected B/left"
-                 f"({printed_idx}, 0)")
+        corrected = ("B", "left", printed_idx, 0)
+        failed = self._sweep_premise(
+            alpha, r1, r2, s1, s2, "e1",
+            {("B", "up", 0, 0): {corrected: self.params.field.one}})
+        scope = (f"derived from ladder[{label.r1},{label.r2}].dir1.lower."
+                 f"top-with-shadow: its instance e1 × B/up(0, 0) at "
+                 f"{_entry(alpha, r1, r2, s1, s2)} has the corrected B/left"
+                 f"({printed_idx}, 0) as image")
+        detail = "corrected cross-family target verified; the printed "
         if printed_idx <= r1 - 1:
-            printed = elems[("B", "up", printed_idx, 0)].value
-            printed_differs = lhs != printed
-            coincide = printed == corrected
-            detail = ("corrected cross-family target verified; the printed "
-                      "same-family target "
-                      + ("differs" if printed_differs else
-                         "coincides at these parameters"))
-            ok = ok and (printed_differs or coincide)
-            scope += (f" and the printed B/up({printed_idx}, 0)"
-                      + (", which coincide here" if coincide else ""))
+            elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
+            coincide = (elems[("B", "up", printed_idx, 0)].value
+                        == elems[corrected].value)
+            detail += ("same-family target " + (
+                "coincides at these parameters" if coincide else "differs"))
+            scope += (f"; the printed B/up({printed_idx}, 0) is compared "
+                      f"with it as a named element"
+                      + (", and they coincide here" if coincide else ""))
         else:
-            detail = ("corrected cross-family target verified; the printed "
-                      "same-family index is out of range here")
+            detail += "same-family index is out of range here"
             scope += (f"; the printed B/up({printed_idx}, 0) lies outside "
                       f"the {r1}-rung ladder, so it is not compared")
         return Check(f"adjudication[{label.r1},{label.r2}].top-exit-family",
-                     ok, detail, anchor="misprint-adjudication", scope=scope)
+                     not failed, failed or detail,
+                     anchor="misprint-adjudication", scope=scope)
 
     def _adjudicate_scalar_reflection(self, label: BlockLabel, d: int,
                                       r1: int, r2: int) -> Check:
@@ -952,19 +971,13 @@ class BlockSystem:
         P = self.params
         rd = r1 if d == 1 else r2
         pd = P.p1 if d == 1 else P.p2
-        bad = 0
-        total = 0
-        for alpha in (1, -1):
-            for k in range(0, pd - rd):
-                total += 1
-                lhs = _phi_formula(P, d, alpha, rd + k, r1, r2)
-                rhs = _phi_formula(P, d, -alpha, k,
-                                   *self._reflected(d, r1, r2))
-                if lhs != rhs:
-                    bad += 1
+        instances = [(alpha, k) for alpha in (1, -1) for k in range(pd - rd)]
+        bad = sum(_phi_formula(P, d, alpha, rd + k, r1, r2)
+                  != _phi_formula(P, d, -alpha, k, *self._reflected(d, r1, r2))
+                  for alpha, k in instances)
         return Check(
             f"adjudication[{label.r1},{label.r2}].ladder-scalar-reflection",
-            bad == 0, f"{total} raw-formula instances; failures: {bad}",
+            bad == 0, f"{len(instances)} raw-formula instances; failures: {bad}",
             anchor="misprint-adjudication",
             scope=(f"exhaustive raw formula, no products: phi_{d}^alpha"
                    f"(r{d} + k) at ({r1}, {r2}) against phi_{d}^-alpha(k) at "
@@ -978,13 +991,15 @@ class BlockSystem:
 
         Rebuilding the left family with same-sign phi factors must break
         the raising handoff into the bottom family whenever the two sign
-        choices differ at all (they coincide when p2 is even).
+        choices differ at all (they coincide when p2 is even).  That
+        variant is expanded in A.  With flipped-sign tails (`_tail`'s
+        default) the left family is the named B/left(k1, 0), whose raising
+        handoff is a `dir1.raise.left-handoff` instance (`_sweep_premise`).
         """
         p1 = self.p1
         # The two sign choices differ only when some tail is nonempty and
         # the phi sign flip is visible, i.e. odd p2 and at least two rungs.
-        distinguishable = ((-1) ** self.p2) == -1 and p1 - r1 >= 2
-        if not distinguishable:
+        if self.p2 % 2 == 0 or p1 - r1 < 2:
             why = (f"p2 = {self.p2} is even" if self.p2 % 2 == 0 else
                    f"the tail has p1 - r1 = {p1 - r1} < 2 rungs")
             return Check(
@@ -997,86 +1012,86 @@ class BlockSystem:
         consts = self.scalar_constants(alpha, r1, r2)
         f1 = self.algebra.f(1)
         corpus = self._corpus(alpha, r1, r2, s1, s2, "left", "bottom")
+        last = p1 - r1 - 1
 
-        def left_variant(k1, sign):
-            tail = self._tail(1, alpha, r1, r2, k1, sign=sign)
-            return (self._prefix(p1 - r1 - 1 - k1, 0, 0, 0) * corpus
+        def same_sign(k1):
+            tail = self._tail(1, alpha, r1, r2, k1, sign=+1)
+            return (self._prefix(last - k1, 0, 0, 0) * corpus
                     / (consts.Phi * tail))
 
         bottom0 = self.build_named_element(
             "B", "down", alpha, r1, r2, s1, s2, 0, 0).value
-        ok_corrected = True
-        broken_printed = False
-        for k1 in range(p1 - r1):
-            lhs_corr = f1 * left_variant(k1, -1)
-            lhs_prt = f1 * left_variant(k1, +1)
-            want_corr = (left_variant(k1 + 1, -1) if k1 < p1 - r1 - 1
-                         else bottom0)
-            want_prt = (left_variant(k1 + 1, +1) if k1 < p1 - r1 - 1
-                        else bottom0)
-            if lhs_corr != want_corr:
-                ok_corrected = False
-            if lhs_prt != want_prt:
-                broken_printed = True
+        broken_printed = any([
+            f1 * same_sign(k1) != (same_sign(k1 + 1) if k1 < last
+                                   else bottom0)
+            for k1 in range(p1 - r1)])
+        one = self.params.field.one
+        failed = self._sweep_premise(
+            alpha, r1, r2, s1, s2, "f1",
+            {("B", "left", k1, 0): {("B", "left", k1 + 1, 0) if k1 < last
+                                    else ("B", "down", 0, 0): one}
+             for k1 in range(p1 - r1)})
+        detail = failed or (
+            "flipped-sign normalizers satisfy the raising handoff; the "
+            "same-sign variant " + ("breaks it" if broken_printed else
+                                    "satisfies it too"))
         return Check(
             f"adjudication[{label.r1},{label.r2}].left-normalizer-sign",
-            ok_corrected and broken_printed,
-            "flipped-sign normalizers satisfy the raising handoff; the "
-            "same-sign variant breaks it",
+            not failed and broken_printed, detail,
             anchor="misprint-adjudication",
-            scope=(f"{2 * (p1 - r1)} products in A at "
-                   f"{_entry(alpha, r1, r2, s1, s2)}: f1 × the left family "
-                   f"at 0 <= k1 < {p1 - r1}, with flipped-sign and with "
-                   f"same-sign tails, each against its raising target"))
+            scope=(f"{p1 - r1} products in A at {_entry(alpha, r1, r2, s1, s2)}"
+                   f": f1 × the left family with same-sign tails at 0 <= k1 "
+                   f"< {p1 - r1}, each against its raising target; with "
+                   f"flipped-sign tails it is B/left(k1, 0), derived from "
+                   f"ladder[{label.r1},{label.r2}].dir1.raise.left-handoff"))
 
     def _adjudicate_top_extra_summand(self, alpha: int, r1: int, r2: int,
                                       s1: int, s2: int,
                                       label: BlockLabel) -> Check:
         """In the second-copy action on the top letter the extra summand
-        keeps the first index and lowers the second one."""
+        keeps the first index and lowers the second one.
+
+        e2 × T(i1, i2) = phi T(i1, i2 - 1) + B(i1, i2 - 1), i2 >= 1, is
+        the sweep's `dir2.lower.top-with-shadow` instance on T(i1, i2)
+        (`_sweep_premise`).  The printed reading puts B(i1 - 1, i2) for
+        B(i1, i2 - 1), so it is refuted where those named elements differ.
+        """
         elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
-        e2 = self.algebra.e(2)
         P = self.params
-        ok = True
-        printed_refuted = False
-        seen = printed_seen = 0
-        for (family, arrow, i1, i2), el in elems.items():
-            if family != "T" or i2 == 0:
-                continue
-            seen += 1
-            lhs = e2 * el.value
-            coeff = phi(P, 2, alpha, i2, r1, r2)
-            corrected = (elems[("T", arrow, i1, i2 - 1)].value * coeff
-                         + elems[("B", arrow, i1, i2 - 1)].value)
-            if lhs != corrected:
-                ok = False
-            if i1 >= 1:
-                printed_seen += 1
-                printed = (elems[("T", arrow, i1, i2 - 1)].value * coeff
-                           + elems[("B", arrow, i1 - 1, i2)].value)
-                if lhs != printed:
-                    printed_refuted = True
-        detail = (f"{seen} instances; corrected index verified"
-                  + ("; printed index refuted" if printed_refuted
-                     else "; printed index not separable at these parameters"))
+        wants = {(family, arrow, i1, i2): {
+            ("T", arrow, i1, i2 - 1): phi(P, 2, alpha, i2, r1, r2),
+            ("B", arrow, i1, i2 - 1): P.field.one}
+            for family, arrow, i1, i2 in elems if family == "T" and i2 >= 1}
+        printed = [elems[("B", arrow, i1 - 1, i2)].value
+                   != elems[("B", arrow, i1, i2 - 1)].value
+                   for _, arrow, i1, i2 in wants if i1 >= 1]
+        seen, printed_seen, printed_refuted = (len(wants), len(printed),
+                                               any(printed))
+        failed = self._sweep_premise(alpha, r1, r2, s1, s2, "e2", wants)
+        detail = f"{seen} instances; " + (failed or (
+            "corrected index verified"
+            + ("; printed index refuted" if printed_refuted
+               else "; printed index not separable at these parameters")))
         where = _entry(alpha, r1, r2, s1, s2)
         if not seen:
             scope = f"nothing compared: no T element has i2 >= 1 at {where}"
         else:
-            scope = (f"exhaustive: e2 × each of the {seen} T elements with "
-                     f"i2 >= 1 at {where}, against the corrected summand "
-                     f"B(i1, i2 - 1); ")
+            scope = (f"derived from ladder[{label.r1},{label.r2}].dir2.lower."
+                     f"top-with-shadow: its {seen} instances e2 × T(i1, i2), "
+                     f"i2 >= 1, at {where} have the corrected summand "
+                     f"B(i1, i2 - 1) in their image; ")
             if not printed_seen:
                 scope += ("the printed B(i1 - 1, i2) needs i1 >= 1, which "
                           "none has, so it is not compared")
             else:
-                scope += (f"against the printed B(i1 - 1, i2) on the "
-                          f"{printed_seen} with i1 >= 1")
+                scope += (f"the printed B(i1 - 1, i2) is compared with it "
+                          f"as a named element on the {printed_seen} with "
+                          f"i1 >= 1")
                 if not printed_refuted:
                     scope += ", where the two readings coincide"
         return Check(
             f"adjudication[{label.r1},{label.r2}].top-extra-summand-index",
-            ok, detail, anchor="misprint-adjudication", scope=scope)
+            not failed, detail, anchor="misprint-adjudication", scope=scope)
 
     def _adjudicate_left_lowering_coefficient(self, alpha: int, r1: int,
                                               r2: int,
@@ -1089,23 +1104,18 @@ class BlockSystem:
         (`ladder_failures`); the printed coefficient is compared with the
         corrected one by raw formula, as a record."""
         P = self.params
-        mismatch = 0
-        total = 0
-        for k1 in range(1, self.p1 - r1):
-            total += 1
-            actual = phi(P, 1, -alpha, k1, self.p1 - r1, r2)
-            printed = _phi_formula(P, 1, alpha, k1, r1, self.p2 - r2)
-            if actual != printed:
-                mismatch += 1
+        total = self.p1 - r1 - 1
+        mismatch = sum(phi(P, 1, -alpha, k1, self.p1 - r1, r2)
+                       != _phi_formula(P, 1, alpha, k1, r1, self.p2 - r2)
+                       for k1 in range(1, self.p1 - r1))
         products = failed = 0
         for s1, s2 in self.slots(r1, r2):
             lowered = {c for c, el in enumerate(
                 self.ideal_basis(alpha, r1, r2, s1, s2))
                 if (el.family, el.arrow) == ("L", "left") and el.idx1 >= 1}
             products += len(lowered)
-            failed += sum(1 for bad in self.ladder_failures(
-                alpha, r1, r2, s1, s2)
-                if bad.generator == "e1" and bad.column in lowered)
+            failed += len(self._sweep_failures(alpha, r1, r2, s1, s2,
+                                               ("e1",), lowered))
         premise = f"ladder[{label.r1},{label.r2}].dir1.lower.left"
         detail = (f"{total} coefficients; printed middle label disagrees on "
                   f"{mismatch}; {premise}: {failed} of {products} products "
@@ -1133,23 +1143,16 @@ class BlockSystem:
         P = self.params
         kind = self.block_kind(label)
         two = P.rational(2)
-
-        def signed_two(sign):
-            return two if sign == 1 else -two
-
         if kind == "corner-plus":
             return ((two, 1), (two, 1))
         if kind == "corner-minus":
-            return ((signed_two((-1) ** P.p2), 1),
-                    (signed_two((-1) ** P.p1), 1))
+            return ((two * (-1) ** P.p2, 1), (two * (-1) ** P.p1, 1))
         if kind == "edge-1":
-            beta1 = casimir_eigenvalue(
-                P, 1, SimpleModuleSpec(1, label.r1, P.p2))
-            return ((beta1, 2), (signed_two((-1) ** (P.p1 + label.r1)), 1))
+            beta1 = casimir_eigenvalue(P, 1, SimpleModuleSpec(1, label.r1, P.p2))
+            return ((beta1, 2), (two * (-1) ** (P.p1 + label.r1), 1))
         if kind == "edge-2":
-            beta2 = casimir_eigenvalue(
-                P, 2, SimpleModuleSpec(1, P.p1, label.r2))
-            return ((signed_two((-1) ** (P.p2 + label.r2)), 1), (beta2, 2))
+            beta2 = casimir_eigenvalue(P, 2, SimpleModuleSpec(1, P.p1, label.r2))
+            return ((two * (-1) ** (P.p2 + label.r2), 1), (beta2, 2))
         beta1 = casimir_eigenvalue(P, 1, SimpleModuleSpec(1, label.r1, label.r2))
         beta2 = casimir_eigenvalue(P, 2, SimpleModuleSpec(1, label.r1, label.r2))
         return ((beta1, 2), (beta2, 2))
@@ -1197,7 +1200,9 @@ class BlockSystem:
 
     def verify_blocks(self) -> List[Check]:
         """Block count and dimensions, central block idempotents, ideal
-        ranks, the Casimirs' centrality and annihilators, and the socles."""
+        ranks, the Casimirs' centrality and annihilators, and the socles,
+        read off the ladder sweep (its tables are built here when the
+        ideals suite has not run)."""
         checks: List[Check] = []
         P = self.params
         p1, p2 = self.p1, self.p2
@@ -1235,33 +1240,28 @@ class BlockSystem:
         # Ideal dimensions and the global rank, sliced by the two-sided
         # K-eigenvalues (left weight, right averager ratio).
         slices: Dict[tuple, IncrementalSpan] = {}
-        dims_ok = True
         dim_detail = []
         total_vectors = 0
-        catalog = [entry for label in labels
-                   for entry in self.primitive_idempotent_catalog(label)]
+        catalog = self.primitive_idempotent_catalog()
         for entry in catalog:
             _, alpha, r1, r2, s1, s2 = entry
-            basis = self.ideal_basis(alpha, r1, r2, s1, s2)
             # p_d rungs per full copy, 2 p_d per ladder copy
             ladders = self.ladder_copies(r1, r2)
             expected = ((2 if 1 in ladders else 1) * p1
                         * (2 if 2 in ladders else 1) * p2)
             local = IncrementalSpan(field)
             families = self.ladder_families(r1, r2)
-            ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
-            right_eig = ratio.inverse()
-            for el in basis:
+            right_eig = self.averager_ratio(alpha, r1, r2, s1, s2).inverse()
+            for el in self.ideal_basis(alpha, r1, r2, s1, s2):
                 vec = {A.monomial_index(m): c for m, c in el.value.terms.items()}
                 local.add(vec)
                 lw = self.family_weight(families[(el.family, el.arrow)],
                                          alpha, el.idx1, el.idx2)
-                key = (lw, right_eig)
-                slices.setdefault(key, IncrementalSpan(field)).add(vec)
+                slices.setdefault((lw, right_eig), IncrementalSpan(field)).add(vec)
                 total_vectors += 1
             if local.rank != expected:
-                dims_ok = False
                 dim_detail.append(f"{entry}: rank {local.rank} != {expected}")
+        dims_ok = not dim_detail
         checks.append(Check(
             "blocks.ideal-dimensions", dims_ok,
             "; ".join(dim_detail) if dim_detail else
@@ -1317,8 +1317,7 @@ class BlockSystem:
         signatures = {}
         clash = []
         for label in labels:
-            (c1, _), (c2, _) = self._block_annihilators(label)
-            sig = (c1, c2)
+            sig = tuple(c for c, _ in self._block_annihilators(label))
             if sig in signatures:
                 clash.append((signatures[sig], label))
             signatures[sig] = label
@@ -1330,75 +1329,65 @@ class BlockSystem:
                   f"{len(labels)} blocks"))
 
         checks.append(self._check_beta_reflections())
-        checks.extend(self._check_socle_matrices())
+        checks.append(self._check_socle_matrices(dims_ok))
         return checks
 
     def _check_beta_reflections(self) -> Check:
         P = self.params
-        bad = 0
-        total = 0
-        for alpha in (1, -1):
-            for r1 in range(1, P.p1):
-                for r2 in range(1, P.p2):
-                    for i in (1, 2):
-                        b = casimir_eigenvalue(P, i, SimpleModuleSpec(alpha, r1, r2))
-                        total += 3
-                        if b != casimir_eigenvalue(
-                                P, i, SimpleModuleSpec(-alpha, P.p1 - r1, r2)):
-                            bad += 1
-                        if b != casimir_eigenvalue(
-                                P, i, SimpleModuleSpec(-alpha, r1, P.p2 - r2)):
-                            bad += 1
-                        if b != casimir_eigenvalue(
-                                P, i, SimpleModuleSpec(alpha, P.p1 - r1, P.p2 - r2)):
-                            bad += 1
+        pairs = [((alpha, r1, r2), image)
+                 for alpha in (1, -1)
+                 for r1 in range(1, P.p1) for r2 in range(1, P.p2)
+                 for image in ((-alpha, P.p1 - r1, r2),
+                               (-alpha, r1, P.p2 - r2),
+                               (alpha, P.p1 - r1, P.p2 - r2))]
+        total = 2 * len(pairs)   # each reflection for both Casimirs
+        bad = sum(casimir_eigenvalue(P, i, SimpleModuleSpec(*labels))
+                  != casimir_eigenvalue(P, i, SimpleModuleSpec(*image))
+                  for labels, image in pairs for i in (1, 2))
         return Check("blocks.casimir-scalar-reflections", bad == 0,
                      f"{total} identities; failures: {bad}",
                      anchor="block-scalars",
                      scope=f"exhaustive raw formula, no products: {total} "
                            f"reflections of the Casimir eigenvalues")
 
-    def _check_socle_matrices(self) -> List[Check]:
+    def _check_socle_matrices(self, independent: bool) -> Check:
         """Generator actions on each bottom-family span match the simple
-        module matrices entry for entry."""
-        A = self.algebra
-        field = self.params.field
-        bad = []
-        ideals = 0
-        for label in self.block_labels():
-            for entry in self.primitive_idempotent_catalog(label):
-                kind, alpha, r1, r2, s1, s2 = entry
-                ideals += 1
-                spec = SimpleModuleSpec(alpha, r1, r2)
-                basis = [self.build_named_element(
-                    "B", "down", alpha, r1, r2, s1, s2, n1, n2)
-                    for n2 in range(r2) for n1 in range(r1)]
-                span = IncrementalSpan(field, track=True)
-                for el in basis:
-                    span.add({A.monomial_index(m): c
-                              for m, c in el.value.terms.items()})
-                for gen in ("K", "e1", "e2", "f1", "f2"):
-                    matrix = simple_action(self.params, spec, gen)
-                    g = A.generator(gen)
-                    for col, el in enumerate(basis):
-                        image = g * el.value
-                        coords = span.coordinates(
-                            {A.monomial_index(m): c
-                             for m, c in image.terms.items()})
-                        if coords is None:
-                            bad.append((entry, gen, col, "image escapes the span"))
-                            continue
-                        for row in range(spec.dim):
-                            want = matrix[row, col]
-                            got = coords.get(row, field.zero)
-                            if got != want:
-                                bad.append((entry, gen, col, row))
-        return [Check(
-            "blocks.socle-matches-simple-matrices", not bad,
-            (f"first mismatch: {bad[0]}" if bad else
-             f"{ideals} ideals, five generators each, entry-for-entry"),
+        module matrices entry for entry, derived with no product.
+
+        The bottom family B/down has roles (bottom, bottom).  It is the
+        last family of `ideal_basis`, n1 fastest: the flat order of the
+        simple module (alpha, r1, r2).  Its displayed images stay inside
+        it (K: the family weight; e_d: phi B(j - 1); f_d: B(j + 1)).  Where
+        the sweep's instances on its columns passed, g x is its image in A
+        for each generator g and B/down vector x.  Where the ideal's basis
+        is independent (``independent``: `blocks.ideal-dimensions`), the
+        image's entries are the unique coordinates of g x over B/down.  So
+        each image is read against its `simple_action` column
+        (`_sweep_premise`); a failure names the first premise or image.
+        """
+        problems = [] if independent else [
+            "premise blocks.ideal-dimensions fails"]
+        catalog = self.primitive_idempotent_catalog()
+        images = 0
+        for _, alpha, r1, r2, s1, s2 in catalog:
+            spec = SimpleModuleSpec(alpha, r1, r2)
+            bottom = [("B", "down", n1, n2)
+                      for n2 in range(r2) for n1 in range(r1)]
+            for gen in ACTION_GENERATORS:
+                matrix = simple_action(self.params, spec, gen)
+                problems.append(self._sweep_premise(
+                    alpha, r1, r2, s1, s2, gen,
+                    {x: {bottom[row]: v for row, v in matrix.get(c, {}).items()}
+                     for c, x in enumerate(bottom)}))
+                images += spec.dim
+        problems = [why for why in problems if why]
+        return Check(
+            "blocks.socle-matches-simple-matrices", not problems,
+            problems[0] if problems else
+            f"{len(catalog)} ideals, five generators each, entry-for-entry",
             anchor="socle-simple-match",
-            scope=(f"exhaustive: 5 generators × the bottom-family basis of "
-                   f"each of {ideals} left ideals, products in the algebra "
-                   f"solved over that basis against the simple-module "
-                   f"matrices"))]
+            scope=(f"derived: {images} displayed images of the 5 "
+                   f"generators on the bottom-family basis of each of "
+                   f"{len(catalog)} left ideals, against the simple-module "
+                   f"matrices, no products; premises the ladder sweep's "
+                   f"instances on those columns and blocks.ideal-dimensions"))

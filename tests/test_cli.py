@@ -14,10 +14,10 @@ import pytest
 from click.testing import CliRunner
 
 from qpair.algebra import Algebra
-from qpair.cli import (SUITE_ORDER, Session, check_header, cyclo_from_json,
-                       cyclo_to_json, dump_payload, element_from_json,
-                       element_to_json, load_artifact, main, run,
-                       validate_config)
+from qpair.cli import (SUITE_ORDER, Session, artifact_header, check_header,
+                       cyclo_from_json, cyclo_to_json, dump_payload,
+                       element_from_json, element_to_json, load_artifact,
+                       main, run, validate_config)
 from qpair.report import RunConfig
 
 A23 = Algebra.for_pair(2, 3)
@@ -108,6 +108,15 @@ def test_idempotents_and_blocks_suites_keep_their_checks():
         "78cf26367a720aae24302546a6c35fe13a16aef9cb23b547cf38a67146b69086")
 
 
+def test_blocks_suite_keeps_its_checks_at_3_2():
+    # ids and statuses in report order, as they were when the socle check
+    # expanded its products and solved them over a tracked span
+    checks = Session(RunConfig(p1=3, p2=2, suites=("blocks",))).suite_blocks()
+    rows = json.dumps([[c.check_id, c.status] for c in checks])
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "6cb70dd3c7cc108f2866fb939cb4f2fa2d14bf0198ee8bb08519616934673af3")
+
+
 @pytest.mark.parametrize("pair, digest", [
     ((2, 3), "50698f770a69157b444e31036db54e06e7017678b9b199a45d0ca4a1b65e24dd"),
     ((3, 2), "6d4e1cfd4b3cb28276bc19fbcb370fe6858f7e9bb03f05fde591f65812eaf548"),
@@ -169,8 +178,10 @@ def test_ideals_suite_states_every_scope():
     assert [c.check_id for c in checks if not c.scope] == []
     scopes = {c.check_id: c.scope for c in checks}
     assert scopes["adjudication[1,1].top-exit-family"] == (
-        "one product in A at (+1,1,1;1,1): e1 × B/up(0, 0) against the "
-        "corrected B/left(0, 0) and the printed B/up(0, 0)")
+        "derived from ladder[1,1].dir1.lower.top-with-shadow: its instance "
+        "e1 × B/up(0, 0) at (+1,1,1;1,1) has the corrected B/left(0, 0) as "
+        "image; the printed B/up(0, 0) is compared with it as a named "
+        "element")
     assert scopes["adjudication[2,1].ladder-scalar-reflection"] == (
         "exhaustive raw formula, no products: phi_2^alpha(r2 + k) at (2, 1) "
         "against phi_2^-alpha(k) at (2, 2), alpha = ±1 and 0 <= k < 2")
@@ -519,6 +530,15 @@ def test_check_header_refuses_other_pairs_and_fields():
         check_header(A23, [header])
 
 
+def test_check_header_refuses_sizes_that_are_not_ints():
+    header = artifact_header(A23)
+    for key, value in (("p1", 2.0), ("p2", 3.0), ("N", 24.0)):
+        with pytest.raises(ValueError, match=f"{key} {value!r} "):
+            check_header(A23, dict(header, **{key: value}))
+    with pytest.raises(ValueError, match=r"p1 2\.0 .*p2 3\.0 .*N 24\.0 "):
+        check_header(A23, dict(header, p1=2.0, p2=3.0, N=24.0))
+
+
 def test_element_json_round_trip():
     monos = list(A23.basis_monomials())
     terms = {m: A23.params.zeta(rng.randrange(24)) * rng.randrange(1, 9)
@@ -556,6 +576,30 @@ def test_element_from_json_refuses_what_it_cannot_round_trip():
                  "e1"):
         with pytest.raises(ValueError, match="malformed monomial"):
             element_from_json(A23, [{"monomial": mono, "coefficient": one}])
+
+
+def test_element_from_json_refuses_shapes_it_does_not_write():
+    # ValueError, as documented, not TypeError or KeyError
+    one = cyclo_to_json(A23.params.one)
+    for data in ({"monomial": [0, 0, 0, 0, 0], "coefficient": one},
+                 "e1", None):
+        with pytest.raises(ValueError, match="list of terms"):
+            element_from_json(A23, data)
+    for item in ([[0, 0, 0, 0, 0], one], "e1", None,
+                 {"monomial": [0, 0, 0, 0, 0]}, {"coefficient": one},
+                 {"monomial": [0, 0, 0, 0, 0], "coefficient": one,
+                  "extra": 1}):
+        with pytest.raises(ValueError, match="malformed term"):
+            element_from_json(A23, [item])
+    # a string of the field's degree is not a coefficient array: read one
+    # character at a time, "10000000" would parse as 1
+    for coeffs in ("10000000", tuple(one), {str(i): c for i, c in
+                                             enumerate(one)}):
+        with pytest.raises(ValueError, match="as a list"):
+            element_from_json(A23, [{"monomial": [0, 0, 0, 0, 0],
+                                     "coefficient": coeffs}])
+        with pytest.raises(ValueError, match="as a list"):
+            cyclo_from_json(A23.params.field, coeffs)
 
 
 def test_load_artifact_checks_the_header_before_parsing(tmp_path):

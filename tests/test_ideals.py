@@ -4,16 +4,25 @@ The heavy exhaustive sweeps (every ladder relation on every block, the
 full rank-432 decomposition) run at (2,3).  Misprint adjudications whose
 printed and corrected variants coincide at small parameters are re-run
 at the smallest parameter pairs where they separate: (3,4) for the
-index misprints and (3,5) for the normalizer sign.
+index misprints and (3,5) for the normalizer sign.  The socle match and
+the adjudications read the ladder sweep; the products they used to
+expand are kept here as references, at (2,3) and (3,2) for the socle and
+at (3,4) and (4,3) for the adjudications.
 """
+
+import hashlib
+import json
+from functools import lru_cache
 
 import pytest
 from conftest import A23, B23, decomposition_checks
 
-from qpair.algebra import Algebra
+from qpair.algebra import Algebra, AlgebraElement
 from qpair.cyclo import Params
-from qpair.ideals import BlockLabel, BlockSystem, NamedElement, ProjectiveSummand
-from qpair.modules import phi
+from qpair.ideals import (ACTION_GENERATORS, BlockLabel, BlockSystem,
+                          NamedElement, ProjectiveSummand)
+from qpair.linalg import IncrementalSpan
+from qpair.modules import SimpleModuleSpec, phi, simple_action
 from qpair.realization import Realization
 
 # The left-ideal layout written out here, independently of ideals.py:
@@ -403,3 +412,222 @@ def test_left_lowering_coefficient_rests_on_the_sweep(monkeypatch):
         "1 coefficients; printed middle label disagrees on 1; "
         "ladder[1,2].dir1.lower.left: 4 of 4 products with the corrected "
         "coefficient fail")
+
+
+@lru_cache(maxsize=None)
+def _swept(pair):
+    """A block system whose ladder sweep has run on every block."""
+    B = BlockSystem(Algebra.for_pair(*pair))
+    for label in B.block_labels():
+        B.verify_ladder_relations(label)
+    return B
+
+
+def _vector(A, x):
+    return {A.monomial_index(m): c for m, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_socle_check_matches_the_solved_products(pair):
+    # the loop the derived check replaced: each generator times each
+    # bottom-family vector expanded in A and solved over a tracked span of
+    # that family, on every left ideal, against the displayed images the
+    # check reads and the simple-module matrices
+    B = _system(pair)
+    A, field = B.algebra, B.params.field
+    images_read = 0
+    for label in B.block_labels():
+        for entry in B.primitive_idempotent_catalog(label):
+            _, alpha, r1, r2, s1, s2 = entry
+            spec = SimpleModuleSpec(alpha, r1, r2)
+            basis = B.ideal_basis(alpha, r1, r2, s1, s2)
+            socle = len(basis) - spec.dim
+            bottom = [B.build_named_element("B", "down", alpha, r1, r2, s1,
+                                            s2, n1, n2)
+                      for n2 in range(r2) for n1 in range(r1)]
+            assert basis[socle:] == bottom
+            span = IncrementalSpan(field, track=True)
+            for el in bottom:
+                span.add(_vector(A, el.value))
+            images = {(gen, c - socle): {k - socle: v for k, v in image.items()}
+                      for gen, c, _, image
+                      in B._displayed_images(alpha, r1, r2, basis)
+                      if c >= socle}
+            for gen in ACTION_GENERATORS:
+                matrix = simple_action(B.params, spec, gen)
+                for col, el in enumerate(bottom):
+                    coords = span.coordinates(
+                        _vector(A, A.generator(gen) * el.value))
+                    assert coords == images[gen, col], (entry, gen, col)
+                    assert coords == matrix.get(col, {}), (entry, gen, col)
+                    images_read += 1
+    check = B._check_socle_matrices(True)
+    ideals = len(B.primitive_idempotent_catalog())
+    assert check.passed
+    assert check.detail == (
+        f"{ideals} ideals, five generators each, entry-for-entry")
+    assert check.scope.startswith(f"derived: {images_read} displayed images")
+
+
+def _expanded_adjudications(B, label):
+    """{slug: (passed, detail)} of the adjudications whose products the
+    derived checks no longer expand, from those products in A on the
+    block's first slot."""
+    kind = B.block_kind(label)
+    _, alpha, r1, r2, s1, s2 = B.primitive_idempotent_catalog(label)[0]
+    A, P, p1 = B.algebra, B.params, B.p1
+
+    def named(family, arrow, i1, i2):
+        return B.build_named_element(family, arrow, alpha, r1, r2, s1, s2,
+                                     i1, i2).value
+
+    out = {}
+    k = p1 - r1 - 1
+    if kind in ("edge-1", "interior"):
+        lhs = A.e(1) * named("B", "up", 0, 0)
+        printed = ("out of range here" if k > r1 - 1 else
+                   "differs" if lhs != named("B", "up", k, 0) else
+                   "coincides at these parameters")
+        out["top-exit-family"] = (
+            lhs == named("B", "left", k, 0),
+            "corrected cross-family target verified; the printed "
+            + ("same-family index is " if k > r1 - 1
+               else "same-family target ") + printed)
+    if kind != "interior":
+        return out
+    seen, ok, refuted = 0, True, False
+    for el in B.ideal_basis(alpha, r1, r2, s1, s2):
+        i1, i2 = el.idx1, el.idx2
+        if el.family != "T" or i2 == 0:
+            continue
+        seen += 1
+        lhs = A.e(2) * el.value
+        shifted = named("T", el.arrow, i1, i2 - 1) * phi(P, 2, alpha, i2,
+                                                          r1, r2)
+        ok = ok and lhs == shifted + named("B", el.arrow, i1, i2 - 1)
+        if i1 >= 1 and lhs != shifted + named("B", el.arrow, i1 - 1, i2):
+            refuted = True
+    out["top-extra-summand-index"] = (
+        ok, f"{seen} instances; corrected index verified"
+        + ("; printed index refuted" if refuted
+           else "; printed index not separable at these parameters"))
+    if B.p2 % 2 == 0 or k < 1:
+        return out
+    # the left family with flipped-sign tails is the named B/left(k1, 0)
+    consts = B.scalar_constants(alpha, r1, r2)
+    corpus = B._corpus(alpha, r1, r2, s1, s2, "left", "bottom")
+    ok, broken = True, False
+    for k1 in range(k + 1):
+        variants = {sign: B._prefix(k - k1, 0, 0, 0) * corpus
+                    / (consts.Phi * B._tail(1, alpha, r1, r2, k1, sign=sign))
+                    for sign in (-1, 1)}
+        assert variants[-1] == named("B", "left", k1, 0)
+        raised = {sign: B._prefix(k - k1 - 1, 0, 0, 0) * corpus
+                  / (consts.Phi * B._tail(1, alpha, r1, r2, k1 + 1,
+                                          sign=sign)) if k1 < k
+                  else named("B", "down", 0, 0) for sign in (-1, 1)}
+        ok = ok and A.f(1) * variants[-1] == raised[-1]
+        broken = broken or A.f(1) * variants[1] != raised[1]
+    out["left-normalizer-sign"] = (
+        ok and broken, "flipped-sign normalizers satisfy the raising "
+        "handoff; the same-sign variant breaks it")
+    return out
+
+
+@pytest.mark.parametrize("pair", [(3, 4), (4, 3)])
+def test_adjudications_match_the_expanded_products(pair):
+    B = _swept(pair)
+    compared = set()
+    for label in B.block_labels():
+        got = {c.check_id.split(".", 1)[1]: (c.passed, c.detail)
+               for c in B._adjudication_checks(label)}
+        for slug, want in _expanded_adjudications(B, label).items():
+            assert got[slug] == want, (label, slug)
+            compared.add(slug)
+    assert len(compared) == (3 if pair == (4, 3) else 2)
+
+
+@pytest.mark.parametrize("pair, digest", [
+    ((3, 4), "e9b919fc8382d069a243b9f70e30e5c75a7385a636e4467f5a1b5d469e627943"),
+    ((4, 3), "5ddef5402a92c654e9d7d6e73a6705a7632860eb1ceba35e34ab161a2c93aff7"),
+])
+def test_adjudications_keep_their_rows(pair, digest):
+    # ids, statuses and details of every block's adjudications, as they
+    # were when each one expanded its products in A
+    B = _swept(pair)
+    rows = [[c.check_id, c.status, c.detail] for label in B.block_labels()
+            for c in B._adjudication_checks(label)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+def test_derived_checks_make_no_product_after_the_sweep(monkeypatch):
+    B = _swept((3, 4))
+    true_mul = AlgebraElement.__mul__
+
+    def scalar_only(x, y):
+        assert not isinstance(y, AlgebraElement), "a product in the algebra"
+        return true_mul(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", scalar_only)
+    monkeypatch.setattr(IncrementalSpan, "coordinates", None)
+    assert B._check_socle_matrices(True).passed
+    read = 0
+    for label in B.block_labels():
+        kind = B.block_kind(label)
+        _, alpha, r1, r2, s1, s2 = B.primitive_idempotent_catalog(label)[0]
+        if kind in ("edge-1", "interior"):
+            assert B._adjudicate_top_exit(alpha, r1, r2, s1, s2,
+                                          label).passed
+            read += 1
+        if kind == "interior":
+            assert B._adjudicate_top_extra_summand(alpha, r1, r2, s1, s2,
+                                                   label).passed
+            read += 1
+    assert read == 8
+
+
+def test_a_failed_premise_fails_the_socle_check(monkeypatch):
+    assert (BlockSystem(A23)._check_socle_matrices(False).detail
+            == "premise blocks.ideal-dimensions fails")
+    _scale_ladder_images(monkeypatch, "dir1.lower.bottom", 2)
+    check = BlockSystem(A23)._check_socle_matrices(True)
+    assert not check.passed
+    assert check.detail == (
+        "premise ladder[2,1].dir1.lower.bottom fails at ('B', 'down', 1, 0) "
+        "in (+1,2,1;1,1)")
+
+
+def test_a_wrong_simple_module_entry_fails_the_socle_check(monkeypatch):
+    true = simple_action
+
+    def wrong(params, spec, gen):
+        out = true(params, spec, gen)
+        if spec == SimpleModuleSpec(-1, 1, 3) and gen == "K":
+            out.put(2, 2, out[2, 2] * 2)
+        return out
+
+    monkeypatch.setattr("qpair.ideals.simple_action", wrong)
+    check = BlockSystem(A23)._check_socle_matrices(True)
+    assert not check.passed
+    assert check.detail == (
+        "the sweep's image of K × ('B', 'down', 0, 2) at (-1,1,3;1,1) is "
+        "not the target")
+
+
+@pytest.mark.parametrize("slug, name, label", [
+    ("dir1.lower.top-with-shadow", "top-exit-family", (1, 1)),
+    ("dir2.lower.top-with-shadow", "top-extra-summand-index", (1, 2)),
+    ("dir1.raise.left-handoff", "left-normalizer-sign", (1, 1)),
+])
+def test_a_wrong_ladder_scalar_fails_the_adjudication_it_supports(
+        monkeypatch, slug, name, label):
+    # each adjudication reads its corrected variant off the sweep at (4,3),
+    # where every one of the three compares its printed variant
+    _scale_ladder_images(monkeypatch, slug, 2)
+    B = BlockSystem(Algebra.for_pair(4, 3))
+    label = BlockLabel(*label)
+    (check,) = [c for c in B._adjudication_checks(label)
+                if c.check_id.endswith(f".{name}")]
+    assert not check.passed
+    premise = f"premise ladder[{label.r1},{label.r2}].{slug} fails at ("
+    assert premise in check.detail
