@@ -105,7 +105,6 @@ class Session:
     def suite_shapes(self) -> List[Check]:
         checks: List[Check] = []
         for label in self.system.block_labels():
-            checks.extend(self.realization.verify_action_table(label))
             checks.extend(self.realization.verify_block_shape(label))
         return checks
 
@@ -326,7 +325,9 @@ def load_artifact(path: str, algebra: Algebra) -> dict:
     another pair is refused even when the two fields have the same
     degree.  The elements of an ``idempotents`` or ``integrals`` dump are
     returned parsed (`element_from_json`); matrix and functional arrays
-    are returned as written.
+    are returned as written.  A missing or malformed ``idempotents``
+    list, ``element`` or ``two_sided_element`` raises ValueError naming
+    the key.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -335,12 +336,25 @@ def load_artifact(path: str, algebra: Algebra) -> dict:
                          f"{type(payload).__name__}")
     check_header(algebra, payload.get("header"))
     if payload.get("target") == "idempotents":
-        for item in payload["idempotents"]:
-            item["element"] = element_from_json(algebra, item["element"])
+        items = _artifact_entry(payload, "idempotents")
+        if not isinstance(items, list):
+            raise ValueError(f"artifact entry 'idempotents' must be a list, "
+                             f"got {type(items).__name__}")
+        for item in items:
+            item["element"] = element_from_json(
+                algebra, _artifact_entry(item, "element"))
     elif payload.get("target") == "integrals":
         payload["two_sided_element"] = element_from_json(
-            algebra, payload["two_sided_element"])
+            algebra, _artifact_entry(payload, "two_sided_element"))
     return payload
+
+
+def _artifact_entry(obj, key: str):
+    """``obj[key]`` of a parsed dump; ValueError naming ``key`` when obj
+    is not an object or has no such entry."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"artifact has no {key!r} entry")
+    return obj[key]
 
 
 def _sparse_matrix_to_json(mat) -> Dict[str, Dict[str, List[str]]]:

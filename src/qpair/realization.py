@@ -30,11 +30,14 @@ Each copy contributes one shape template (`_ladder_cells`): nine cells
 on a ladder copy, one pass-through bottom cell on a full copy.  The
 product of the two copies' templates predicts where each named element
 may act and with which unit entries, and the per-copy repeated cells
-multiply out to the repeated diagonal sub-blocks.  Comparing predicted
-against realized matrices verifies the displayed action tables, the
-block shapes with their forced zeros and repeated diagonal sub-blocks,
-and the misprint adjudication at the re-entry cell; the same matrices
-give the exact rank (faithfulness).  The corner blocks' matrix-unit law
+multiply out to the repeated diagonal sub-blocks.  Each block is
+realized once and checked in one walk over its elements
+(`verify_block_shape`): each element's matrices are compared with the
+prediction (the displayed action tables), split into cells once for the
+forced zeros, the repeated diagonal sub-blocks and the misprint
+adjudication at the re-entry cell, and added to the span whose exact
+rank gives faithfulness; no block element's matrix is kept after its
+block's checks.  The corner blocks' matrix-unit law
 is derived from those checks and the ladder relations, with no product
 (`_verify_matrix_units`).  Each central element, a sum of
 named elements (`BlockSystem.central_element`), is represented on every
@@ -248,8 +251,6 @@ class Realization:
         self._monomials: Dict[ProjectiveSummand, List[Matrix]] = {}
         self._k_exponents: Dict[ProjectiveSummand, List[int]] = {}
         self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
-        self._blocks: Dict[BlockLabel, BlockRealization] = {}
-        self._ranks: Dict[BlockLabel, int] = {}
         self._cells: Dict[ProjectiveSummand, Dict[tuple, list]] = {}
         self._degree_zero: Dict[BlockLabel, tuple] = {}
         # label -> (center basis, number of commutator equations)
@@ -379,9 +380,9 @@ class Realization:
         return acc
 
     def block_realization(self, label: BlockLabel) -> BlockRealization:
-        cached = self._blocks.get(label)
-        if cached is not None:
-            return cached
+        """The block's elements, in summand and `BlockSystem.slots` order,
+        with each one's matrix on every summand of the block; built afresh
+        on each call and not kept."""
         summands = self.system.summands_of(label)
         elements: List[NamedElement] = []
         for S in summands:
@@ -389,22 +390,7 @@ class Realization:
                 elements.extend(self.system.ideal_basis(*S, s1, s2))
         matrices = [tuple(self.represent(el.value, S) for S in summands)
                     for el in elements]
-        out = BlockRealization(label, summands, elements, matrices)
-        self._blocks[label] = out
-        return out
-
-    def block_rank(self, label: BlockLabel) -> int:
-        """The exact rank of the block elements' joint matrix tuples, each
-        one vector keyed (summand, column, row); memoised per block."""
-        rank = self._ranks.get(label)
-        if rank is None:
-            span = IncrementalSpan(self.params.field)
-            for mats in self.block_realization(label).matrices:
-                span.add({(s, col, row): val for s, mat in enumerate(mats)
-                          for col, rows in mat.items()
-                          for row, val in rows.items()})
-            rank = self._ranks[label] = span.rank
-        return rank
+        return BlockRealization(label, summands, elements, matrices)
 
     # ------------------------------------------------------------------
     # Predicted matrices
@@ -499,44 +485,11 @@ class Realization:
         return out
 
     # ------------------------------------------------------------------
-    # Verification: action tables
+    # Verification: one walk per block
     # ------------------------------------------------------------------
 
-    def verify_action_table(self, label: BlockLabel) -> List[Check]:
-        """Predicted unit entries == realized matrices, element by element.
-
-        Equality of the full matrices covers both directions at once:
-        every displayed action is reproduced and every action the
-        displays omit is zero.
-        """
-        real = self.block_realization(label)
-        mismatches = []
-        entries = 0
-        for el, mats in zip(real.elements, real.matrices):
-            for S, got in zip(real.summands, mats):
-                want = self.expected_matrix(el, S)
-                entries += sum(len(rows) for rows in want.values())
-                if want != got:
-                    mismatches.append(
-                        ((el.family, el.arrow, el.alpha, el.r1, el.r2,
-                          el.s1, el.s2, el.idx1, el.idx2), tuple(S)))
-        r1, r2 = label
-        detail = (f"{len(real.elements)} elements on {len(real.summands)} "
-                  f"summands; {entries} displayed unit entries reproduced, "
-                  f"omitted positions zero")
-        if mismatches:
-            detail += f"; first failure {mismatches[0]}"
-        checks = [Check(f"realization[{r1},{r2}].action-table",
-                        not mismatches, detail, anchor="block-action-tables",
-                        scope=(f"exhaustive: {len(real.elements)} elements × "
-                               f"{len(real.summands)} summands, full "
-                               f"matrices"))]
-        if not self.system.block_ladders(label):
-            checks.append(self._verify_matrix_units(real, not mismatches))
-        return checks
-
-    def _verify_matrix_units(self, real: BlockRealization,
-                             action_ok: bool) -> Check:
+    def _verify_matrix_units(self, label: BlockLabel, n: int, action_ok: bool,
+                             faithful_ok: bool) -> Check:
         """The corner products obey the matrix-unit law, derived from
         three premises with no product in the algebra.
 
@@ -562,14 +515,12 @@ class Realization:
 
         The check fails, naming the premise, when any premise fails.
         """
-        label = real.label
         prefix = f"realization[{label.r1},{label.r2}]"
-        n = len(real.elements)
         catalog = self.system.primitive_idempotent_catalog(label)
         ladder = [bad.check for entry in catalog
                   for bad in self.system.ladder_failures(*entry[1:])]
         premises = {f"{prefix}.action-table": action_ok,
-                    f"{prefix}.faithful": self.block_rank(label) == n,
+                    f"{prefix}.faithful": faithful_ok,
                     ladder[0] if ladder else "ladder": not ladder}
         failed = [name for name, ok in premises.items() if not ok]
         return Check(
@@ -584,37 +535,87 @@ class Realization:
                    f"algebra; premises action-table, faithful and the "
                    f"ladder closure of {len(catalog)} left ideals"))
 
-    # ------------------------------------------------------------------
-    # Verification: shapes
-    # ------------------------------------------------------------------
-
     def verify_block_shape(self, label: BlockLabel) -> List[Check]:
-        """Forced zeros, repeated diagonals, faithfulness, dimension."""
+        """The block's rows, from one walk over its elements: action-table,
+        matrix-unit-products (corner blocks), forced-zeros,
+        repeated-diagonals, faithful, dimension, unit-matrix and
+        reentry-cell-family (blocks with one ladder copy).
+
+        The block is realized once (`block_realization`) and nothing is
+        kept after the rows are made.  Each element's matrix tuple is
+        compared with its predicted unit entries (`expected_matrix`):
+        equality of the full matrices covers both directions at once, every
+        displayed action reproduced and every action the displays omit
+        zero.  Each matrix is split into its (row family, column family)
+        cells once, and the split is read against the shape template, the
+        repeated sub-block pairs and the re-entry cell.  The tuple, one
+        vector keyed (summand, column, row), goes into one span whose exact
+        rank gives faithful, dimension and a premise of the matrix-unit law.
+        """
         real = self.block_realization(label)
         ladders = self.system.block_ladders(label)
         r1, r2 = label
         prefix = f"realization[{r1},{r2}]"
-        checks: List[Check] = []
-
         lays = [self.layout(S) for S in real.summands]
         groups = [self._group_of(lay) for lay in lays]
         occupied = [self.occupied_cells(S) for S in real.summands]
         partners = [self._repeat_partners(S) for S in real.summands]
+        # One boundary shape display labels the (down, right) cell of the
+        # minus-sign summand (position 1) with the minus superscript but
+        # the plus-side subscripts.  By the diagonal symmetry the cell
+        # belongs to the plus-sign left family; the minus-sign left family
+        # lives in the (left, up) cell instead.  Both readings are tested
+        # on content, on each block with one ladder copy.
+        reentry = len(ladders) == 1
+        cell = (("B", "down"), ("B", "right"))
         n = len(real.elements)
         per_element = (f"exhaustive: {n} elements × {len(real.summands)} "
                        f"summands")
 
-        zero_bad = 0
-        repeat_bad = 0
-        for mats in real.matrices:
-            for mat, lay, group_of, occ, parts in zip(
-                    mats, lays, groups, occupied, partners):
+        mismatches = []
+        entries = zero_bad = repeat_bad = 0
+        corrected_missing = printed_hits = minus_seen = plus_seen = 0
+        span = IncrementalSpan(self.params.field)
+        for el, mats in zip(real.elements, real.matrices):
+            split = []
+            for S, mat, lay, group_of, occ, parts in zip(
+                    real.summands, mats, lays, groups, occupied, partners):
+                want = self.expected_matrix(el, S)
+                entries += sum(len(rows) for rows in want.values())
+                if want != mat:
+                    mismatches.append(
+                        ((el.family, el.arrow, el.alpha, el.r1, el.r2,
+                          el.s1, el.s2, el.idx1, el.idx2), tuple(S)))
                 cells = self._cellwise(mat, lay, group_of)
                 if not set(cells).issubset(occ):
                     zero_bad += 1
                 for pair_a, pair_b in parts:
                     if cells.get(pair_a, {}) != cells.get(pair_b, {}):
                         repeat_bad += 1
+                split.append(cells)
+            if reentry and el.arrow == "left":
+                if el.alpha == 1:
+                    plus_seen += 1
+                    corrected_missing += cell not in split[1]
+                else:
+                    minus_seen += 1
+                    printed_hits += cell in split[1]
+            span.add({(s, col, row): val for s, mat in enumerate(mats)
+                      for col, rows in mat.items()
+                      for row, val in rows.items()})
+        rank = span.rank
+
+        detail = (f"{n} elements on {len(real.summands)} summands; "
+                  f"{entries} displayed unit entries reproduced, omitted "
+                  f"positions zero")
+        if mismatches:
+            detail += f"; first failure {mismatches[0]}"
+        checks = [Check(f"{prefix}.action-table", not mismatches, detail,
+                        anchor="block-action-tables",
+                        scope=f"{per_element}, full matrices")]
+        if not ladders:
+            checks.append(self._verify_matrix_units(
+                label, n, not mismatches, rank == n))
         checks.append(Check(
             f"{prefix}.forced-zeros", zero_bad == 0,
             f"support of every element matrix confined to the shape "
@@ -627,8 +628,6 @@ class Realization:
             f"violations: {repeat_bad}", anchor="block-shape-repeats",
             scope=(f"{per_element}, {sum(map(len, partners))} sub-block "
                    f"pairs per element")))
-
-        rank = self.block_rank(label)
         checks.append(Check(
             f"{prefix}.faithful", rank == n,
             f"joint matrix tuples of the {n} block basis elements have "
@@ -662,51 +661,19 @@ class Realization:
             scope=(f"exhaustive: {len(real.summands)} own + {len(foreign)} "
                    f"other summands, full matrices")))
 
-        if len(ladders) == 1:
-            checks.append(self._verify_reentry_cell(label, real))
+        if reentry:
+            checks.append(Check(
+                f"{prefix}.reentry-cell-family",
+                corrected_missing == 0 and printed_hits == 0 and plus_seen > 0,
+                f"plus-sign left family populates the re-entry cell "
+                f"({plus_seen} elements, {corrected_missing} missing); the "
+                f"printed minus-sign reading contributes nothing there "
+                f"({printed_hits} hits over {minus_seen} candidates)",
+                anchor="shape-misprint-adjudication", corrected=True,
+                scope=(f"exhaustive: {plus_seen + minus_seen} left-family "
+                       f"elements, full matrices on summand "
+                       f"{tuple(real.summands[1])}")))
         return checks
-
-    def _verify_reentry_cell(self, label: BlockLabel,
-                             real: BlockRealization) -> Check:
-        """Both readings of the mixed-label re-entry entry, adjudicated.
-
-        One boundary shape display labels the (down, right) cell of the
-        minus-sign summand with the minus superscript but the plus-side
-        subscripts.  By the diagonal symmetry the cell belongs to the
-        plus-sign left family; the minus-sign left family lives in the
-        (left, up) cell instead.  Both variants are tested on content.
-        """
-        lay = self.layout(real.summands[1])
-        group_of = self._group_of(lay)
-        cell = (("B", "down"), ("B", "right"))
-        corrected_missing = 0
-        printed_hits = 0
-        minus_seen = 0
-        plus_seen = 0
-        for el, mats in zip(real.elements, real.matrices):
-            if el.arrow != "left":
-                continue
-            cells = self._cellwise(mats[1], lay, group_of)
-            if el.alpha == 1:
-                plus_seen += 1
-                if cell not in cells:
-                    corrected_missing += 1
-            else:
-                minus_seen += 1
-                if cell in cells:
-                    printed_hits += 1
-        ok = corrected_missing == 0 and printed_hits == 0 and plus_seen > 0
-        detail = (
-            f"plus-sign left family populates the re-entry cell "
-            f"({plus_seen} elements, {corrected_missing} missing); the "
-            f"printed minus-sign reading contributes nothing there "
-            f"({printed_hits} hits over {minus_seen} candidates)")
-        return Check(f"realization[{label.r1},{label.r2}].reentry-cell-family",
-                     ok, detail, anchor="shape-misprint-adjudication",
-                     corrected=True,
-                     scope=(f"exhaustive: {plus_seen + minus_seen} left-family "
-                            f"elements, full matrices on summand "
-                            f"{tuple(real.summands[1])}"))
 
     # ------------------------------------------------------------------
     # Central elements and the block center
@@ -814,9 +781,8 @@ class Realization:
         nonzero entries only, with k the index in
         `block_realization(label).elements` and the generator's index in
         `GENERATOR_NAMES`.  K is left out: it commutes with every
-        degree-zero element, so its rows would be empty.  The matrices M_k
-        are read from the block realization when it is already built and
-        represented afresh otherwise.
+        degree-zero element, so its rows would be empty.  Each matrix M_k
+        is represented afresh (`represent`).
 
         Each commutator M G - G M is built entry by entry, with no matrix
         product: an entry M[r, c] = v of the element adds v G[c, c'] at
@@ -827,7 +793,6 @@ class Realization:
         nonzero entries of M G - G M.
         """
         selected, _ = self.degree_zero_elements(label)
-        built = self._blocks.get(label)
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for s_idx, S in enumerate(self.system.summands_of(label)):
             gens = []
@@ -841,8 +806,7 @@ class Realization:
                         rows_of.setdefault(row, {})[col] = val
                 gens.append((G, rows_of))
             for k, el in selected:
-                M = (built.matrices[k][s_idx] if built is not None
-                     else self.represent(el.value, S))
+                M = self.represent(el.value, S)
                 entries = [(r, c, v, -v) for c, rows in M.items()
                            for r, v in rows.items()]
                 for g_idx, (G, rows_of) in enumerate(gens):
@@ -869,9 +833,9 @@ class Realization:
 
         It is the nullspace of `commutator_equations`, which has a column
         for each degree-zero element only and no K rows; the block
-        realization is read if built, never built for it.  This is the
-        nullspace of the full system (every element, all five
-        generators), vector for vector:
+        realization is never built for it.  This is the nullspace of the
+        full system (every element, all five generators), vector for
+        vector:
 
         * Every relation is homogeneous for deg e_i = +eps_i, deg f_i =
           -eps_i, deg K = 0, and a block element x = sum w 1_j is

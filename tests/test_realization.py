@@ -20,7 +20,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from conftest import A23, B23, R23, action_table_checks, block_shape_checks
+from conftest import A23, B23, R23, block_shape_checks
 
 from qpair.algebra import Algebra
 from qpair.cli import Session
@@ -300,7 +300,7 @@ def test_matrix_unit_products_match_the_expanded_products(pair):
         n = len(real.elements)
         assert n == (pair[0] * pair[1]) ** 2
         assert _expanded_matrix_unit_failures(real, B) == 0
-        units = R.verify_action_table(label)[1]
+        units = R.verify_block_shape(label)[1]
         assert units.check_id.endswith(".matrix-unit-products")
         assert units.passed
         assert units.scope.startswith(
@@ -314,15 +314,27 @@ def test_matrix_unit_products_name_a_failed_premise(monkeypatch):
     tail = "; the matrix-unit law is derived from it"
 
     def units():
-        return R.verify_action_table(label)
+        return R.verify_block_shape(label)[:2]
+
+    true_block = R.block_realization
+
+    def first_twice(lab):
+        # the first element listed twice: every matrix still matches its
+        # prediction, but the block's tuples have rank 35 of 36
+        real = true_block(lab)
+        real.elements[1] = real.elements[0]
+        real.matrices[1] = real.matrices[0]
+        return real
 
     action, law = units()
     assert action.passed and law.passed
     with monkeypatch.context() as patch:
-        patch.setattr(R, "block_rank", lambda lab: 35)
-        action, law = units()
+        patch.setattr(R, "block_realization", first_twice)
+        action, law, *rest = R.verify_block_shape(label)
         assert action.passed and not law.passed
         assert law.detail == f"premise {prefix}.faithful fails{tail}"
+        assert [c.check_id for c in rest if not c.passed] == [
+            f"{prefix}.faithful", f"{prefix}.dimension"]
     true = R.expected_matrix
     with monkeypatch.context() as patch:
         patch.setattr(R, "expected_matrix", lambda el, S: (
@@ -405,7 +417,11 @@ def test_expected_pattern_respects_sign_tags():
 
 def test_action_tables_all_blocks():
     for lab in B23.block_labels():
-        for check in action_table_checks(lab):
+        rows = [c for c in block_shape_checks(lab)
+                if c.check_id.endswith((".action-table",
+                                        ".matrix-unit-products"))]
+        assert len(rows) == (1 if B23.block_ladders(lab) else 2), lab
+        for check in rows:
             assert check.passed, check.row()
 
 
@@ -413,6 +429,79 @@ def test_block_shapes_all_blocks():
     for lab in B23.block_labels():
         for check in block_shape_checks(lab):
             assert check.passed, check.row()
+
+
+def _matrices_held(obj, ids, seen=None):
+    """Matrices with an id in ``ids`` reachable from ``obj`` through
+    dicts, lists, tuples and sets, the containers a cache is made of."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, Matrix):
+        return int(id(obj) in ids)
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    else:
+        return 0
+    return sum(_matrices_held(item, ids, seen) for item in items)
+
+
+def test_shapes_suite_realizes_each_block_once_and_keeps_nothing(
+        monkeypatch):
+    session = Session(RunConfig(p1=2, p2=3, suites=("shapes",)))
+    R = session.realization
+    true_block = R.block_realization
+    built = []
+
+    def counted(label):
+        real = true_block(label)
+        built.append(real)
+        return real
+
+    monkeypatch.setattr(R, "block_realization", counted)
+    assert all(c.passed for c in session.suite_shapes())
+    labels = B23.block_labels()
+    assert [real.label for real in built] == labels
+    # the suite's realizations are still alive here, so no id is reused
+    ids = {id(mat) for real in built for mats in real.matrices
+           for mat in mats}
+    assert _matrices_held(vars(R), ids) == 0
+
+
+@pytest.mark.parametrize("k, arrow, s, columns, failing", [
+    # B/up(0, 0) loses its (down, down) entry: the sub-blocks differ
+    (0, "up", 0, {0: [0]}, ("action-table", "repeated-diagonals")),
+    # B/down(0, 0) gains an (up, down) entry, outside the template
+    (9, "down", 0, {0: [9], 9: [0]}, ("action-table", "forced-zeros")),
+    # the plus-sign B/left(0, 0) leaves the re-entry cell
+    (3, "left", 1, {}, ("action-table", "reentry-cell-family")),
+])
+def test_a_wrong_matrix_fails_the_rows_that_read_its_cells(
+        monkeypatch, k, arrow, s, columns, failing):
+    # one matrix of block (1,3) replaced: its one split into cells serves
+    # forced-zeros, repeated-diagonals and the re-entry cell, and only the
+    # rows whose cells changed fail
+    R = Realization(B23)
+    true_block = R.block_realization
+
+    def replaced(lab):
+        real = true_block(lab)
+        el = real.elements[k]
+        assert (el.arrow, el.alpha, el.idx1, el.idx2) == (arrow, 1, 0, 0)
+        mats = list(real.matrices[k])
+        mats[s] = Matrix(FIELD, mats[s].nrows, columns={
+            col: dict.fromkeys(rows, FIELD.one)
+            for col, rows in columns.items()})
+        real.matrices[k] = tuple(mats)
+        return real
+
+    monkeypatch.setattr(R, "block_realization", replaced)
+    failed = [c.check_id for c in R.verify_block_shape(BlockLabel(1, 3))
+              if not c.passed]
+    assert failed == [f"realization[1,3].{row}" for row in failing]
 
 
 def test_unit_matrix_check_reads_every_other_summand(monkeypatch):
@@ -572,42 +661,32 @@ def test_center_basis_is_the_full_system_nullspace(pair, labels):
         assert R.center_basis(lab) == reference, lab
 
 
-def test_center_dimension_builds_no_block_realization():
+def _no_block_realization(lab):
+    raise AssertionError(f"block_realization({lab}) was called")
+
+
+def test_center_dimension_builds_no_block_realization(monkeypatch):
     # the (3,4) edge-1 center reads its 24 degree-zero elements of 288;
     # the generator matrices need the slot-(1, 1) ideal basis of each of
     # the two summands (24 elements each), so at most 72 named elements
     # are built, where the full block has 288
     R = Realization(BlockSystem(Algebra.for_pair(3, 4)))
+    monkeypatch.setattr(R, "block_realization", _no_block_realization)
     label = BlockLabel(1, 4)
     assert R.center_dimension(label) == 3
-    assert R._blocks == {}
     selected, count = R.degree_zero_elements(label)
     assert (len(selected), count) == (24, 288)
     assert len(R.system._memo) <= 72
 
 
-def test_center_and_radford_build_no_block_realization():
+def test_center_and_radford_build_no_block_realization(monkeypatch):
     # the central elements are sums of named elements, so neither suite
     # needs the matrices of every block element
     session = Session(RunConfig(p1=2, p2=3, suites=("center", "radford")))
-    session.suite_center()
-    session.suite_radford()
-    assert session.realization._blocks == {}
-
-
-def test_commutator_equations_read_the_built_block_matrices(monkeypatch):
-    # a built block realization supplies the degree-zero matrices: no
-    # element is represented again, and the equations are those of a
-    # realization that represents every element afresh
-    label = BlockLabel(1, 1)
-    fresh = Realization(BlockSystem(Algebra.for_pair(2, 3)))
-    want = fresh.commutator_equations(label)
-    assert fresh._blocks == {}
-    R23.block_realization(label)
-    calls = []
-    monkeypatch.setattr(R23, "represent", lambda *args: calls.append(args))
-    assert R23.commutator_equations(label) == want
-    assert calls == []
+    monkeypatch.setattr(session.realization, "block_realization",
+                        _no_block_realization)
+    assert all(c.passed for c in session.suite_center())
+    assert all(c.passed for c in session.suite_radford())
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
