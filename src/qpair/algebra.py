@@ -29,7 +29,13 @@ The PBW boundary.  `Algebra.element` takes PBW terms and
 `AlgebraElement.pbw_terms` gives them back: one exact discrete Fourier
 transform per word, accumulated on integer exponent vectors and reduced
 mod Phi_N once per coefficient within the period of the word's
-K-exponents (`CycloField.fold`; a K-free word folds once).  A single
+K-exponents (`CycloField.fold`; a K-free word folds once).  A sum whose
+integers are all zero is not folded, and equal sums are folded once per
+transform: a primitive idempotent is dense in PBW form (every K-exponent
+of each word) but has one projector term per word, so most of its sums
+are zero vectors.  `Algebra.element` takes int and Fraction
+coefficients besides field elements, and refuses a float, string or
+Decimal with TypeError rather than read it as a binary rational.  A single
 monomial needs no transform: K^ell = sum_j lambda_j^ell 1_j, so
 `monomial_element` writes c w K^ell as sum_j c zeta^(2 j ell) w 1_j, one
 period of products c zeta^k, and so do `generator`, `e`, `f`, `k_power`
@@ -313,8 +319,9 @@ class Algebra:
         """The element sum c * e1^m1 e2^m2 f1^n1 f2^n2 K^ell of PBW terms.
 
         Keys go through `monomial`, so ell is taken mod 2*p1*p2 and keys
-        equal mod 2*p1*p2 add up.  A coefficient from another cyclotomic
-        field raises ValueError.
+        equal mod 2*p1*p2 add up.  A coefficient is a field element, an
+        int or a Fraction; one from another cyclotomic field raises
+        ValueError, any other type TypeError.
         """
         polys: dict[tuple, dict[int, CycloNumber]] = {}
         for mono, coeff in terms.items():
@@ -350,13 +357,20 @@ class Algebra:
 
         zeta^(2st) depends on t only through st mod korder, so a word's
         values repeat with period korder / gcd(korder, its exponents s):
-        they are folded for t below the period and then repeated.  A
+        they are summed for t below the period and then repeated.  A
         K-free word (s = 0 only) folds once.  An s with a zero coefficient
         still counts, which can only lengthen the period to a multiple.
+
+        Only distinct nonzero sums are folded.  A vector whose integers
+        are all zero is the zero value with no fold; a word dense in one
+        basis and sparse in the other (a primitive idempotent's PBW
+        words) gives mostly such vectors.  Equal (vector, denominator)
+        pairs fold to equal values, so each is folded once per call.
         """
         N = self._N
         korder = self.korder
         fold = self.field.fold
+        folded: dict[tuple, CycloNumber | None] = {}
         for word, poly in polys.items():
             den = math.lcm(*(c.den for c in poly.values()))
             parts = [(2 * sign * s,
@@ -373,8 +387,14 @@ class Algebra:
                     shift = step * t
                     for i, a in nonzero:
                         vec[(i + shift) % N] += a
-                value = fold(vec, den)
-                values.append(None if value.is_zero() else value)
+                if not any(vec):
+                    values.append(None)
+                    continue
+                key = (*vec, den)
+                if key not in folded:
+                    value = fold(vec, den)
+                    folded[key] = None if value.is_zero() else value
+                values.append(folded[key])
             for t in range(korder):
                 value = values[t % period]
                 if value is not None:

@@ -222,21 +222,33 @@ def _coefficient_from_json(c) -> tuple[int, int]:
 
 
 def _cyclo_from_json(field: CycloField, coeffs: List[str],
-                     parsed: Dict[str, tuple[int, int]]) -> CycloNumber:
-    """`cyclo_from_json`, reading each distinct string once through the
-    ``parsed`` memo; a value is type-checked before it is looked up."""
+                     parsed: dict) -> CycloNumber:
+    """`cyclo_from_json` through the ``parsed`` memo, which maps each array
+    read so far (as a tuple) to its value and each string to its
+    (numerator, denominator): a distinct array is parsed once, and a
+    distinct string once.  Only what parses is stored, so a bad array is
+    refused each time it recurs; an unhashable entry (a list or a dict)
+    misses the lookup and is refused by the parser."""
     if not isinstance(coeffs, list) or len(coeffs) != field.degree:
         got = len(coeffs) if isinstance(coeffs, list) else repr(coeffs)
         raise ValueError(f"expected {field.degree} coefficients for "
                          f"Q(zeta_{field.order}) as a list, got {got}")
-    pairs = []
-    for c in coeffs:
-        pair = parsed.get(c) if isinstance(c, str) else None
-        if pair is None:
-            pair = parsed[c] = _coefficient_from_json(c)
-        pairs.append(pair)
-    den = math.lcm(*(d for _, d in pairs))
-    return field.make([n * (den // d) for n, d in pairs], den)
+    key = tuple(coeffs)
+    try:
+        value = parsed.get(key)
+    except TypeError:
+        value = None
+    if value is None:
+        pairs = []
+        for c in coeffs:
+            pair = parsed.get(c) if isinstance(c, str) else None
+            if pair is None:
+                pair = parsed[c] = _coefficient_from_json(c)
+            pairs.append(pair)
+        den = math.lcm(*(d for _, d in pairs))
+        value = parsed[key] = field.make([n * (den // d) for n, d in pairs],
+                                         den)
+    return value
 
 
 def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
@@ -250,39 +262,54 @@ def cyclo_from_json(field: CycloField, coeffs: List[str]) -> CycloNumber:
 
 
 def element_to_json(x: AlgebraElement) -> List[dict]:
-    """The element's PBW terms in basis order."""
-    index = x.algebra.monomial_index
-    items = sorted(x.pbw_terms().items(), key=lambda kv: index(kv[0]))
-    return [{"monomial": [m.m1, m.m2, m.n1, m.n2, m.ell],
-             "coefficient": cyclo_to_json(c)} for m, c in items]
+    """The element's PBW terms in basis order.
+
+    PBW keys sort by their own tuple order, which is `monomial_index`
+    order.  Each distinct coefficient is rendered once; every term gets
+    its own copy of the rendered list.
+    """
+    rendered: Dict[CycloNumber, List[str]] = {}
+    out = []
+    for mono, c in sorted(x.pbw_terms().items()):
+        coeff = rendered.get(c)
+        if coeff is None:
+            coeff = rendered[c] = cyclo_to_json(c)
+        out.append({"monomial": list(mono), "coefficient": coeff.copy()})
+    return out
+
+
+_TERM_KEYS = frozenset(("monomial", "coefficient"))
 
 
 def element_from_json(algebra: Algebra, data: List[dict]) -> AlgebraElement:
     """Parse the list `element_to_json` writes; refuse anything else.
 
     Each term must be an object with the keys ``monomial`` and
-    ``coefficient`` (read by `cyclo_from_json`) only.  Each monomial must
-    be five ints (not bools) inside the ranges of the algebra, ``ell`` in
-    [0, 2*p1*p2) included, and no monomial may occur twice; otherwise
-    ValueError.
+    ``coefficient`` (read by `cyclo_from_json`, each distinct array once
+    per call) only.  Each monomial must be five ints (not bools) inside
+    the ranges of the algebra, ``ell`` in [0, 2*p1*p2) included, and no
+    monomial may occur twice; otherwise ValueError.
     """
     if not isinstance(data, list):
         raise ValueError(f"element must be a list of terms, got {data!r}")
     field = algebra.params.field
-    highs = (algebra.p1, algebra.p2, algebra.p1, algebra.p2, algebra.korder)
+    p1, p2, korder = algebra.p1, algebra.p2, algebra.korder
     terms = {}
-    parsed: Dict[str, tuple[int, int]] = {}
+    parsed: dict = {}
     for item in data:
-        if not isinstance(item, dict) or item.keys() != {"monomial",
-                                                         "coefficient"}:
+        if not isinstance(item, dict) or item.keys() != _TERM_KEYS:
             raise ValueError(f"malformed term {item!r}")
         mono = item["monomial"]
-        if (not isinstance(mono, list) or len(mono) != 5
-                or any(type(e) is not int for e in mono)
-                or not all(0 <= e < h for e, h in zip(mono, highs))):
+        ok = isinstance(mono, list) and len(mono) == 5
+        if ok:
+            m1, m2, n1, n2, ell = mono
+            ok = (type(m1) is type(m2) is type(n1) is type(n2) is type(ell)
+                  is int and 0 <= m1 < p1 and 0 <= m2 < p2
+                  and 0 <= n1 < p1 and 0 <= n2 < p2 and 0 <= ell < korder)
+        if not ok:
             raise ValueError(f"malformed monomial {mono!r}: expected five "
-                             f"ints below {list(highs)}")
-        key = tuple(mono)
+                             f"ints below {[p1, p2, p1, p2, korder]}")
+        key = (m1, m2, n1, n2, ell)
         if key in terms:
             raise ValueError(f"monomial {mono} occurs twice")
         terms[key] = _cyclo_from_json(field, item["coefficient"], parsed)

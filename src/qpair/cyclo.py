@@ -189,6 +189,12 @@ class CycloField:
         return CycloNumber(self, num, den)
 
     def from_rational(self, r: Rational) -> CycloNumber:
+        """An int (bool included) or Fraction embedded; anything else,
+        a float, Decimal or string among them, raises TypeError, so no
+        inexact value is silently read as a binary rational."""
+        if not isinstance(r, (int, Fraction)):
+            raise TypeError(f"a rational scalar must be an int or a "
+                            f"Fraction, not {type(r).__name__}")
         if r == 1:
             return self.one  # immutable, so sharing it is safe
         r = Fraction(r)

@@ -9,6 +9,7 @@ derived without the engine.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,12 @@ import qpair.algebra as algebra_module
 import qpair.modules as modules_module
 from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, AlgebraElement,
                            PBWMonomial, TensorElement, casimir)
-from qpair.cyclo import Params
+from qpair.cli import Session, dump_payload, element_from_json
+from qpair.cyclo import CycloField, Params
+from qpair.functionals import LinearFunctional
 from qpair.ideals import BlockSystem
 from qpair.modules import all_simple_specs, verify_simple_family
+from qpair.report import RunConfig
 
 A23 = Algebra.for_pair(2, 3)
 
@@ -88,6 +92,28 @@ def test_element_rejects_a_coefficient_from_another_field():
     assert A23.element({unit: own}) == A23.one() * own
     assert (x * A23.params.zero).is_zero() and (A23.zero() / own).is_zero()
     assert (A23.coproduct(x) * A23.params.zero).is_zero()
+
+
+def test_rational_entry_points_refuse_inexact_scalars():
+    # Fraction(0.1) is 3602879701896397/36028797018963968: a float, a root,
+    # a string or a Decimal would enter the field as a binary rational
+    P = A23.params
+    e1 = PBWMonomial(1, 0, 0, 0, 0)
+    func = LinearFunctional(A23, {0: P.one})
+    for bad in (0.1, 2 ** 0.5, "1/3", Decimal("0.25")):
+        for read in (lambda: A23.element({e1: bad}),
+                     lambda: A23.monomial_element(e1, bad),
+                     lambda: P.rational(bad),
+                     lambda: func * bad):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                read()
+        with pytest.raises(TypeError):
+            A23.e(1) * bad
+    # ints, bools (as ints) and Fractions stay exact
+    assert P.rational(True) == P.one and P.rational(Fraction(1, 3)) * 3 == 1
+    assert A23.element({e1: Fraction(1, 2)}) * 2 == A23.e(1)
+    assert A23.monomial_element(e1, 2) == A23.e(1) * 2
+    assert (func * 3).values == {0: P.rational(3)}
 
 
 def test_elements_of_different_pairs_do_not_add():
@@ -380,6 +406,10 @@ def test_fourier_transform_matches_the_fold_every_t_reference(pair):
         _assert_fourier_matches_reference(A, {PBWMonomial(*w, 0): P.one})
     _assert_fourier_matches_reference(
         A, {PBWMonomial(*w, 0): P.zeta(rng.randrange(P.N)) for w in words})
+    # equal integer sums over different denominators are different values
+    _assert_fourier_matches_reference(
+        A, {PBWMonomial(*w, 0): P.rational(Fraction(1, i + 1))
+            for i, w in enumerate(words[:4])})
     # w K^ell at every ell
     for w in rng.sample(words, 6):
         for ell in range(A.korder):
@@ -400,6 +430,40 @@ def test_fourier_transform_matches_the_fold_every_t_reference(pair):
                                  rng.randint(1, A.korder))
         _assert_fourier_matches_reference(
             A, {m: c for m, c in terms.items() if not c.is_zero()})
+    if pair == (2, 5):
+        return
+    # every primitive idempotent: dense in PBW, sparse in projectors, so
+    # most of its sums are zero vectors or vanish only after the fold
+    for label in B.block_labels():
+        for entry in B.primitive_idempotent_catalog(label):
+            _assert_fourier_matches_reference(
+                A, B.primitive_idempotent(*entry).pbw_terms())
+
+
+def test_parsing_the_idempotents_dump_folds_each_distinct_sum_once(
+        monkeypatch):
+    # the 36 elements of the (2,3) idempotents dump take 1,248 sums over
+    # the periods of their words; counted per element, 145 of them are
+    # distinct and not zero vectors
+    session = Session(RunConfig(p1=2, p2=3, suites=("all",)))
+    items = dump_payload(session, "idempotents")["idempotents"]
+    calls = 0
+    fold = CycloField.fold
+
+    def counted(self, vec, den=1):
+        nonlocal calls
+        calls += 1
+        return fold(self, vec, den)
+
+    monkeypatch.setattr(CycloField, "fold", counted)
+    parsed = [element_from_json(session.algebra, item["element"])
+              for item in items]
+    assert calls <= 145
+    monkeypatch.undo()
+    system = session.system
+    assert parsed == [system.primitive_idempotent(
+        item["kind"], item["alpha"], item["r1"], item["r2"], item["s1"],
+        item["s2"]) for item in items]
 
 
 def test_word_by_word_product_edge_cases():

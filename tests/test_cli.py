@@ -570,16 +570,20 @@ def test_element_from_json_refuses_what_it_cannot_round_trip():
         element_from_json(A23, data + [{"monomial": [1, 0, 0, 0, 0],
                                          "coefficient": zero}])
     one = cyclo_to_json(A23.params.one)
-    # a coefficient string is parsed once per element, and a malformed one
-    # is refused wherever it recurs
-    for bad in ("1.5", "\uff11", "1/0"):
-        coeff = [bad] + one[1:]
-        for items in ([{"monomial": [1, 0, 0, 0, 0], "coefficient": one},
-                       {"monomial": [0, 0, 1, 0, 0], "coefficient": coeff}],
-                      [{"monomial": [1, 0, 0, 0, 0], "coefficient": coeff},
-                       {"monomial": [0, 0, 1, 0, 0], "coefficient": coeff}]):
-            with pytest.raises(ValueError, match="coefficient"):
-                element_from_json(A23, items)
+    # a coefficient array is parsed once per element, and a malformed one
+    # is refused wherever it recurs: first, after an equal-length valid
+    # array, and again after it was refused; an unhashable entry is
+    # refused by the parser with ValueError, not by the memo's lookup
+    for bad in ("1.5", "\uff11", "1/0", ["1"], {"1": 1}):
+        for coeff in ([bad] + one[1:], one[:-1] + [bad]):
+            for first in (one, coeff):
+                items = [{"monomial": [1, 0, 0, 0, 0], "coefficient": first},
+                         {"monomial": [0, 0, 1, 0, 0], "coefficient": coeff}]
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="coefficient"):
+                        element_from_json(A23, items)
+                with pytest.raises(ValueError, match="coefficient"):
+                    cyclo_from_json(A23.params.field, coeff)
     for mono in ([1.0, 0, 0, 0, 12.0],      # floats
                  [True, 0, 0, 0, 0],         # bools
                  [1, 0, 0, 0, 12],           # ell = korder would wrap to 0
@@ -589,6 +593,21 @@ def test_element_from_json_refuses_what_it_cannot_round_trip():
                  "e1"):
         with pytest.raises(ValueError, match="malformed monomial"):
             element_from_json(A23, [{"monomial": mono, "coefficient": one}])
+
+
+def test_element_to_json_gives_each_term_its_own_coefficient_list():
+    # e1 + e2 + f1 has one distinct coefficient, rendered once; a reader
+    # that edits one term's list must not edit another's
+    x = A23.e(1) + A23.e(2) + A23.f(1)
+    data = element_to_json(x)
+    coeffs = [term["coefficient"] for term in data]
+    assert len(coeffs) > 1 and len({id(c) for c in coeffs}) == len(coeffs)
+    assert all(c == cyclo_to_json(A23.params.one) for c in coeffs)
+    coeffs[0][0] = "2"
+    assert all(c[0] == "1" for c in coeffs[1:])
+    assert [term["monomial"] for term in data] == sorted(
+        term["monomial"] for term in data)
+    assert element_from_json(A23, element_to_json(x)) == x
 
 
 def test_element_from_json_refuses_shapes_it_does_not_write():
