@@ -89,10 +89,15 @@ class LinearFunctional:
         return self + (other * self.algebra.params.field.minus_one)
 
     def __mul__(self, scalar) -> "LinearFunctional":
-        if not isinstance(scalar, CycloNumber):
-            scalar = self.algebra.params.rational(scalar)
+        # `CycloField.scalar` refuses another field's scalar before the
+        # empty functional can shortcut it; `from_rational` names the type
+        # of anything else it refuses
+        field = self.algebra.field
+        value = field.scalar(scalar)
+        if value is None:
+            value = field.from_rational(scalar)
         return LinearFunctional(
-            self.algebra, {k: v * scalar for k, v in self.values.items()})
+            self.algebra, {k: v * value for k, v in self.values.items()})
 
     __rmul__ = __mul__
 
@@ -579,14 +584,6 @@ class Functionals:
                       scope=scope)
                 for check_id, (witness, scope)
                 in self.generator_scan(laws).items()]
-
-    def counit_functional(self) -> LinearFunctional:
-        values = {}
-        one = self.params.field.one
-        for k, m in enumerate(self._monos):
-            if m.m1 == 0 and m.m2 == 0 and m.n1 == 0 and m.n2 == 0:
-                values[k] = one
-        return LinearFunctional(self.algebra, values)
 
     # ------------------------------------------------------------------
     # Radford transform

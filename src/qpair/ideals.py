@@ -18,18 +18,20 @@ s1, s2) is a product of one ladder per copy.  A copy with r_d = p_d is
 full and contributes its bottom rung family only; any other copy is a
 ladder with top, left, right and bottom families (bottom and top run
 within the ladder, r_d rungs; left and right beyond it, p_d - r_d rungs).
-A family is a pair of roles, one per copy, and its element is a product
-of one factor per copy: a prefix word times a corpus (the core word,
-summed against the gamma/delta tails where a role asks for it, times the
-averager), divided by Phi and the left normalizer tails.  The generator
-actions move elements along these ladders with phi-coefficients, and the
-displayed relations -- normalization handoffs included -- are what
+A family is a pair of roles, one per copy.  Its root is a corpus (the
+core word, summed against the gamma/delta tails where a role asks for
+it, times the averager) divided by Phi; every other element is one
+generator times its ladder predecessor over a normalizer ratio
+(`_predecessor`, proved in `_value`).  The generator actions move
+elements along these ladders with phi-coefficients, and the displayed
+relations -- normalization handoffs included -- are what
 verify_ladder_relations checks.  Each generator times each basis vector
-is expanded once per left ideal and compared with its displayed image
-(`ActionTable`), and nothing else makes that product: the ladder checks
-tally the comparisons, the realization reads the slot-(1, 1) images as
-its generator matrices, and the socle match and the top-family
-adjudications read the images and verdicts they name (`_sweep_premise`).
+is compared with its displayed image once per left ideal (`ActionTable`):
+the product that built an element is read there, and every other one is
+expanded there and nowhere else.  The ladder checks tally the
+comparisons, the realization reads the slot-(1, 1) images as its
+generator matrices, and the socle match and the top-family adjudications
+read the images and verdicts they name (`_sweep_premise`).
 
 Names come from a naming view of the roles: the first ladder copy's role
 gives the arrow (up, left, right, down), the second ladder copy's role
@@ -183,6 +185,8 @@ class BlockSystem:
         self._corpora: Dict[tuple, AlgebraElement] = {}
         self._families: Dict[Tuple[int, int],
                              Dict[Tuple[str, str], LadderFamily]] = {}
+        self._generators = {g: algebra.generator(g)
+                            for g in ACTION_GENERATORS}
         # the action tables of the slot-(1, 1) ideals, and the failures of
         # every ideal whose table was built
         self._tables: Dict[ProjectiveSummand, ActionTable] = {}
@@ -389,46 +393,85 @@ class BlockSystem:
     def _prefix(self, m1: int, m2: int, n1: int, n2: int) -> AlgebraElement:
         return self.algebra.monomial_element(self.algebra.monomial(m1, m2, n1, n2, 0))
 
+    def _predecessor(self, family: str, arrow: str, alpha: int, r1: int,
+                     r2: int, i1: int, i2: int
+                     ) -> Optional[Tuple[str, Tuple[str, str, int, int],
+                                         CycloNumber]]:
+        """(g, predecessor (family, arrow, idx1, idx2), ratio) with the
+        named element = g × predecessor / ratio; None for a family root,
+        whose copies all sit at rung 0 of a bottom or top role or at rung
+        p_d - r_d - 1 of a left one.
+
+        Copy 1 steps first: f_d from rung i - 1 on a bottom, top or right
+        role, and from the top role's rung r_d - 1 to the right role's
+        rung 0, with ratio 1; e_d from rung i + 1 on a left role, with
+        ratio phi_d^-alpha(i + 1) at the reflected labels.  The ratio is
+        the move's displayed coefficient (`_ladder_images`).
+        """
+        roles = list(self.ladder_families(r1, r2)[(family, arrow)].roles)
+        index = [i1, i2]
+        one = self.params.field.one
+        for d, r, p in ((1, r1, self.p1), (2, r2, self.p2)):
+            role, i = roles[d - 1], index[d - 1]
+            if role == "left" and i < p - r - 1:
+                gen, index[d - 1] = f"e{d}", i + 1
+                ratio = self._phi_checked(d, -alpha, i + 1,
+                                          *self._reflected(d, r1, r2),
+                                          "left normalizer")
+            elif role == "right" and i == 0:
+                gen, roles[d - 1], index[d - 1], ratio = (f"f{d}", "top",
+                                                          r - 1, one)
+            elif role != "left" and i > 0:
+                gen, index[d - 1], ratio = f"f{d}", i - 1, one
+            else:
+                continue
+            return (gen, (*self.family_name(r1, r2, tuple(roles)), *index),
+                    ratio)
+        return None
+
     def _value(self, family: str, arrow: str, alpha: int, r1: int,
                r2: int, s1: int, s2: int, i1: int, i2: int) -> AlgebraElement:
-        """The value of a named element, one factor per copy.
+        """The value of a named element: a family root from its corpus,
+        any other from its ladder predecessor (`_predecessor`).
 
-        A right role on copy d is f_d^(r_d + i_d) times the element whose
-        copy-d role is top, at index 0 (copy 2 first).  Otherwise the
-        prefix word is e_d^(p_d - r_d - 1 - i_d) on a left copy and
-        f_d^(i_d) on any other, times the corpus of the two roles, divided
-        by Phi and the left copies' tails (b is B/down undivided).
+        Each element is a prefix word times the corpus of its roles (on a
+        right copy, the top role's), over its normalizer N: Phi times each
+        left copy's `_tail`.  Copy d's prefix letter is e_d^(p_d - r_d - 1
+        - i_d) on a left role, f_d^(r_d + i_d) on a right one and f_d^(i_d)
+        otherwise.  A root's prefix is 1, so it is corpus / Phi; b is Phi ×
+        B/down.
+
+        Proof of the step.  The prefix is the PBW word e1^m1 e2^m2 f1^n1
+        f2^n2, and the copy that g_d moves has no e_d in it (f_d moves a
+        bottom, top or right role) or no f_d (e_d moves a left one).  The
+        relations e1 e2 = e2 e1, f1 f2 = f2 f1 and [e1, f2] = [e2, f1] = 0
+        carry g_d past the other copy's letters, so g_d times the
+        predecessor's prefix is the element's: f_d^(i + 1) from f_d^i, the
+        right role's f_d^(r_d) from the top role's f_d^(r_d - 1), and
+        e_d^(m + 1) from e_d^m.  By associativity, g_d × predecessor =
+        prefix × corpus / N(predecessor) = element × N(element) /
+        N(predecessor).  N changes only on a left step, where _tail(i) =
+        _tail(i + 1) phi_d^-alpha(i + 1): that quotient is the ratio.  So
+        the sweep's instance g_d × predecessor = ratio × element holds
+        by construction once its displayed coefficient is the ratio, and
+        `_build_action_table` checks that, and that the element is
+        nonzero, with no product.
         """
         if family == "v":
             return self.weight_averager(alpha, r1, r2, s1, s2)
-        name = ("B", "down") if family == "b" else (family, arrow)
-        roles = self.ladder_families(r1, r2)[name].roles
-        index = (i1, i2)
-        for d in (2, 1):
-            if roles[d - 1] == "right":
-                copies = tuple(zip((1, 2), roles, (r1, r2), index))
-                inner = tuple("top" if c == d else role
-                              for c, role, _, _ in copies)
-                at = tuple(0 if c == d else i for c, _, _, i in copies)
-                rungs = tuple(r + i if c == d else 0
-                              for c, _, r, i in copies)
-                top = self.build_named_element(
-                    *self.family_name(r1, r2, inner), alpha, r1, r2, s1, s2,
-                    *at)
-                return self._prefix(0, 0, *rungs) * top.value
-        lowers = [p - r - 1 - i if role == "left" else 0
-                  for role, r, p, i in zip(roles, (r1, r2),
-                                           (self.p1, self.p2), index)]
-        raises = [0 if role == "left" else i for role, i in zip(roles, index)]
-        out = (self._prefix(*lowers, *raises)
-               * self._corpus(alpha, r1, r2, s1, s2, *roles))
+        slot = (alpha, r1, r2, s1, s2)
         if family == "b":
-            return out
-        scale = self.scalar_constants(alpha, r1, r2).Phi
-        for d, role, i in zip((1, 2), roles, index):
-            if role == "left":
-                scale = scale * self._tail(d, alpha, r1, r2, i)
-        return out / scale
+            return (self.build_named_element("B", "down", *slot, i1, i2).value
+                    * self.scalar_constants(alpha, r1, r2).Phi)
+        step = self._predecessor(family, arrow, alpha, r1, r2, i1, i2)
+        if step is None:
+            roles = self.ladder_families(r1, r2)[(family, arrow)].roles
+            return (self._corpus(*slot, *roles)
+                    / self.scalar_constants(alpha, r1, r2).Phi)
+        gen, (pfamily, parrow, j1, j2), ratio = step
+        out = self._generators[gen] * self.build_named_element(
+            pfamily, parrow, *slot, j1, j2).value
+        return out if ratio is self.params.field.one else out / ratio
 
     def build_named_element(self, family: str, arrow: str, alpha: int,
                             r1: int, r2: int, s1: int, s2: int,
@@ -656,9 +699,11 @@ class BlockSystem:
         def __init__(self):
             self.data: Dict[str, List] = {}
 
-        def hit(self, slug: str, ok: bool, context: str = ""):
-            entry = self.data.setdefault(slug, [0, 0, ""])
+        def hit(self, slug: str, ok: bool, context: str = "",
+                derived: bool = False):
+            entry = self.data.setdefault(slug, [0, 0, "", 0])
             entry[0] += 1
+            entry[3] += derived
             if not ok:
                 entry[1] += 1
                 if not entry[2]:
@@ -668,13 +713,19 @@ class BlockSystem:
                    ideals: int) -> List[Check]:
             out = []
             for slug in sorted(self.data):
-                total, failed, context = self.data[slug]
+                total, failed, context, derived = self.data[slug]
                 detail = f"{total} instances; failures: {failed}"
                 if failed and context:
                     detail += f"; first at {context}"
-                out.append(Check(f"{prefix}.{slug}", failed == 0, detail, anchor,
-                                 scope=f"exhaustive: {total} instances over "
-                                 f"the {ideals} primitive left ideals"))
+                scope = (f"exhaustive: {total} instances over the {ideals} "
+                         f"primitive left ideals")
+                if derived:
+                    scope += (f", {derived} of them derived: g × "
+                              f"predecessor, displayed coefficient = "
+                              f"normalizer ratio, target nonzero, no "
+                              f"product")
+                out.append(Check(f"{prefix}.{slug}", failed == 0, detail,
+                                 anchor, scope=scope))
             return out
 
     def verify_ladder_relations(self, label: BlockLabel) -> List[Check]:
@@ -753,39 +804,56 @@ class BlockSystem:
     def _build_action_table(self, alpha: int, r1: int, r2: int, s1: int,
                             s2: int, tally: Optional["_Tally"] = None
                             ) -> ActionTable:
-        """Expand g x in A once for every basis vector x of one left ideal
-        and each generator g, and compare it with its displayed image
-        (`_displayed_images`).  Each comparison is one instance of a
-        `ladder[...]` check, tallied into ``tally`` when one is given.
+        """Compare g x with its displayed image (`_displayed_images`) for
+        every basis vector x of one left ideal and each generator g.  Each
+        comparison is one instance of a `ladder[...]` check, tallied into
+        ``tally`` when one is given.
+
+        Where g x built a basis vector y = g x / ratio (`_predecessor`),
+        the instance is derived: it holds when the image is {y: ratio}
+        and y is nonzero (`_value`), so no product is made.  Every other
+        instance expands g x in A.
 
         The failures are kept for every ideal, the images for slot (1, 1)
         only: that is the ideal the realization reads.
         """
-        A = self.algebra
         label = self.block_of(alpha, r1, r2)
         where = _entry(alpha, r1, r2, s1, s2)
         basis = self.ideal_basis(alpha, r1, r2, s1, s2)
         values = [el.value for el in basis]
-        gens = {g: A.generator(g) for g in ACTION_GENERATORS}
+        column = {(el.family, el.arrow, el.idx1, el.idx2): c
+                  for c, el in enumerate(basis)}
+        built = {}
+        for c, el in enumerate(basis):
+            step = self._predecessor(el.family, el.arrow, alpha, r1, r2,
+                                     el.idx1, el.idx2)
+            if step is not None:
+                gen, pred, ratio = step
+                built[gen, column[pred]] = (c, ratio)
         # every entry is set below
         images: Dict[str, List[Dict[int, CycloNumber]]] = {
             g: [None] * len(basis) for g in ACTION_GENERATORS}
         failed: List[LadderFailure] = []
         one = self.params.field.one
-        zero = A.zero()
+        zero = self.algebra.zero()
         for gen, c, slug, image in self._displayed_images(alpha, r1, r2,
                                                           basis):
-            terms = [values[k] if v is one else values[k] * v
-                     for k, v in image.items()]
-            want = sum(terms[1:], terms[0]) if terms else zero
-            ok = gens[gen] * values[c] == want
+            made = built.get((gen, c))
+            if made is None:
+                terms = [values[k] if v is one else values[k] * v
+                         for k, v in image.items()]
+                want = sum(terms[1:], terms[0]) if terms else zero
+                ok = self._generators[gen] * values[c] == want
+            else:
+                target, ratio = made
+                ok = image == {target: ratio} and not values[target].is_zero()
             images[gen][c] = image
             el = basis[c]
             # a tally keeps the instance of its first failure only
             context = "" if ok else (
                 f"{(el.family, el.arrow, el.idx1, el.idx2)} in {where}")
             if tally is not None:
-                tally.hit(slug, ok, context)
+                tally.hit(slug, ok, context, derived=made is not None)
             if not ok:
                 failed.append(LadderFailure(
                     gen, c, f"ladder[{label.r1},{label.r2}].{slug}", context))
@@ -1100,28 +1168,28 @@ class BlockSystem:
         the wrong middle label.  The corrected phi_1^-alpha(k1) at
         (p1 - r1, r2) is the scalar of the sweep's `dir1.lower.left`
         image of L/left at k1 >= 1, so the check passes when those
-        products in A, on every slot of the class, matched their images
-        (`ladder_failures`); the printed coefficient is compared with the
-        corrected one by raw formula, as a record."""
+        instances, on every slot of the class, passed (`ladder_failures`);
+        the printed coefficient is compared with the corrected one by raw
+        formula, as a record."""
         P = self.params
         total = self.p1 - r1 - 1
         mismatch = sum(phi(P, 1, -alpha, k1, self.p1 - r1, r2)
                        != _phi_formula(P, 1, alpha, k1, r1, self.p2 - r2)
                        for k1 in range(1, self.p1 - r1))
-        products = failed = 0
+        instances = failed = 0
         for s1, s2 in self.slots(r1, r2):
             lowered = {c for c, el in enumerate(
                 self.ideal_basis(alpha, r1, r2, s1, s2))
                 if (el.family, el.arrow) == ("L", "left") and el.idx1 >= 1}
-            products += len(lowered)
+            instances += len(lowered)
             failed += len(self._sweep_failures(alpha, r1, r2, s1, s2,
                                                ("e1",), lowered))
         premise = f"ladder[{label.r1},{label.r2}].dir1.lower.left"
         detail = (f"{total} coefficients; printed middle label disagrees on "
-                  f"{mismatch}; {premise}: {failed} of {products} products "
+                  f"{mismatch}; {premise}: {failed} of {instances} instances "
                   f"with the corrected coefficient fail" if total else
                   "no beyond-ladder rungs here")
-        scope = (f"derived from {premise}: its {products} products e1 × "
+        scope = (f"derived from {premise}: its {instances} instances e1 × "
                  f"L/left(k1, i2), k1 >= 1, on the {r1 * r2} slots of "
                  f"({alpha:+d}, {r1}, {r2}) carry the corrected "
                  f"phi_1^-alpha(k1) at ({self.p1 - r1}, {r2}); the printed "

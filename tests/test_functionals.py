@@ -16,6 +16,7 @@ vectors with the K-shift table.
 
 import operator
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -53,6 +54,15 @@ def _first_violation(func, sigma=lambda y: y):
             if func(x * y) != func(sigma(y) * x):
                 return f"({m}, {g})"
     return None
+
+
+def _counit_functional(algebra):
+    """The counit as a functional: 1 on every K^ell, 0 on every other
+    basis monomial."""
+    one = algebra.params.field.one
+    return LinearFunctional(algebra, {
+        k: one for k, m in enumerate(algebra.basis_monomials())
+        if not any(m[:4])})
 
 
 def _s2(y):
@@ -314,7 +324,7 @@ def test_lambda_is_not_symmetric():
 
 
 def test_counit_is_symmetric():
-    eps = F23.counit_functional()
+    eps = _counit_functional(A23)
     check, = F23.symmetry_checks({"counit": eps})
     assert check.passed
     assert _first_violation(eps) is None
@@ -450,11 +460,11 @@ def test_slf_full_symmetry_scan():
 
 def test_qchar_of_trivial_module_is_counit():
     spec = SimpleModuleSpec(1, 1, 1)
-    assert F23.q_character(spec) == F23.counit_functional()
+    assert F23.q_character(spec) == _counit_functional(A23)
 
 
 def test_theta_fixes_the_counit():
-    eps = F23.counit_functional()
+    eps = _counit_functional(A23)
     assert F23.theta(eps) == eps
 
 
@@ -627,19 +637,39 @@ def test_functional_evaluation_stays_within_one_pair():
     assert func(Algebra.for_pair(2, 3).one()) == func(A23.one())
 
 
+def test_scaling_a_functional_refuses_another_fields_scalar():
+    # zeta_40 lives in the field of (2,5); the empty functional must refuse
+    # it as the one-value functional does, before any shortcut
+    zeta40 = Algebra.for_pair(2, 5).params.field.zeta(1)
+    P = A23.params
+    empty = LinearFunctional(A23, {})
+    single = LinearFunctional(A23, {0: P.one})
+    for func in (empty, single):
+        with pytest.raises(ValueError):
+            func * zeta40
+        with pytest.raises(ValueError):
+            zeta40 * func
+    # ints and Fractions are embedded exactly, on either side
+    assert (single * 3).values == {0: P.rational(3)}
+    assert (Fraction(1, 3) * single).values == {0: P.rational(Fraction(1, 3))}
+    assert (empty * 3).is_zero() and (empty * Fraction(2, 7)).is_zero()
+    assert (single * P.zeta(1)).values == {0: P.zeta(1)}
+
+
 def test_theta_stays_within_one_pair():
     with pytest.raises(ValueError):
-        F23.theta(_functionals((3, 2)).counit_functional())
+        F23.theta(_counit_functional(_functionals((3, 2)).algebra))
     twin = LinearFunctional(Algebra.for_pair(2, 3),
-                            F23.counit_functional().values)
-    assert F23.theta(twin) == F23.counit_functional()
+                            _counit_functional(A23).values)
+    assert F23.theta(twin) == _counit_functional(A23)
 
 
 def test_generator_scan_stays_within_one_pair():
     with pytest.raises(ValueError):
-        F23.symmetry_checks({"x": _functionals((3, 2)).counit_functional()})
+        F23.symmetry_checks(
+            {"x": _counit_functional(_functionals((3, 2)).algebra)})
     twin = LinearFunctional(Algebra.for_pair(2, 3),
-                            F23.counit_functional().values)
+                            _counit_functional(A23).values)
     check, = F23.symmetry_checks({"x": twin})
     assert check.passed
 

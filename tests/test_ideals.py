@@ -12,6 +12,8 @@ at (3,4) and (4,3) for the adjudications.
 
 import hashlib
 import json
+import re
+import sys
 from functools import lru_cache
 
 import pytest
@@ -402,16 +404,119 @@ def test_left_lowering_coefficient_rests_on_the_sweep(monkeypatch):
     check = BlockSystem(A34)._adjudicate_left_lowering_coefficient(
         1, 1, 2, label)
     assert check.passed
-    assert check.scope.startswith(
-        "derived from ladder[1,2].dir1.lower.left: its 4 products")
+    assert check.scope == (
+        "derived from ladder[1,2].dir1.lower.left: its 4 instances e1 × "
+        "L/left(k1, i2), k1 >= 1, on the 2 slots of (+1, 1, 2) carry the "
+        "corrected phi_1^-alpha(k1) at (2, 2); the printed phi_1^alpha(k1) "
+        "at (1, 2) is compared with it by raw formula, 1 <= k1 < 2")
     _scale_ladder_images(monkeypatch, "dir1.lower.left", 2)
     check = BlockSystem(A34)._adjudicate_left_lowering_coefficient(
         1, 1, 2, label)
     assert not check.passed
     assert check.detail == (
         "1 coefficients; printed middle label disagrees on 1; "
-        "ladder[1,2].dir1.lower.left: 4 of 4 products with the corrected "
+        "ladder[1,2].dir1.lower.left: 4 of 4 instances with the corrected "
         "coefficient fail")
+
+
+@pytest.mark.parametrize("pair, slug, also", [
+    ((2, 3), "dir1.raise.top-handoff", set()),
+    ((3, 4), "dir1.lower.left", {"left-lowering-coefficient"}),
+])
+def test_a_wrong_scalar_on_a_derived_instance_fails_its_check(
+        monkeypatch, pair, slug, also):
+    # every instance of the first slug, and each dir1.lower.left instance
+    # at k1 >= 1, is derived: its product built the element it displays,
+    # so only the displayed coefficient and the element's nonzero test
+    # are checked there.  A wrong coefficient must still fail it, and
+    # only it (the left-lowering adjudication reads dir1.lower.left).
+    _scale_ladder_images(monkeypatch, slug, 2)
+    B = BlockSystem(Algebra.for_pair(*pair))
+    checks = [c for label in B.block_labels()
+              for c in B.verify_ladder_relations(label)]
+    bad = [c for c in checks if not c.passed]
+    assert {c.check_id.split(".", 1)[1] for c in bad} == {slug} | also
+    for c in bad:
+        if c.check_id.endswith(slug):
+            total, derived = map(int, re.match(
+                r"exhaustive: (\d+) instances .*, (\d+) of them derived",
+                c.scope).groups())
+            assert derived and c.detail.startswith(
+                f"{total} instances; failures: {derived};")
+            assert (slug == "dir1.lower.left") == (derived < total)
+
+
+def test_a_zero_element_fails_the_instances_that_built_it(monkeypatch):
+    # with every corpus zero, every named element is zero: each product
+    # instance then reads 0 = 0 and passes, and only the derived instances
+    # fail, on their nonzero test
+    derived = {c.check_id for label in B23.block_labels()
+               for c in BlockSystem(A23).verify_ladder_relations(label)
+               if "of them derived" in c.scope}
+    monkeypatch.setattr(BlockSystem, "_corpus",
+                        lambda self, *args: self.algebra.zero())
+    B = BlockSystem(A23)
+    bad = {c.check_id for label in B.block_labels()
+           for c in B.verify_ladder_relations(label) if not c.passed}
+    assert bad == derived and len(derived) == 21
+
+
+def test_each_named_element_costs_one_generator_product(monkeypatch):
+    B = BlockSystem(A23)
+    gens = {id(x): g for g, x in B._generators.items()}
+    products, prefix_callers = [], []
+    true_mul, true_prefix = AlgebraElement.__mul__, BlockSystem._prefix
+
+    def counted(x, y):
+        if isinstance(y, AlgebraElement):
+            products.append((gens.get(id(x)), id(y)))
+        return true_mul(x, y)
+
+    def traced(self, *exponents):
+        prefix_callers.append(sys._getframe(1).f_code.co_name)
+        return true_prefix(self, *exponents)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    monkeypatch.setattr(BlockSystem, "_prefix", traced)
+    catalog = B.primitive_idempotent_catalog()
+    bases = {entry: B.ideal_basis(*entry[1:]) for entry in catalog}
+    # the build: one product per corpus (its core words times the
+    # averager), and one generator times the predecessor per non-root
+    steps = set()
+    for (_, alpha, r1, r2, s1, s2), basis in bases.items():
+        for el in basis:
+            step = B._predecessor(el.family, el.arrow, alpha, r1, r2,
+                                  el.idx1, el.idx2)
+            if step is not None:
+                gen, (family, arrow, j1, j2), _ = step
+                pred = B.build_named_element(family, arrow, alpha, r1, r2,
+                                             s1, s2, j1, j2)
+                steps.add((gen, id(pred.value)))
+    assert len(steps) == 312
+    built = [key for key in products if key[0] is not None]
+    assert len(built) == len(steps) and set(built) == steps
+    assert len(products) - len(built) == len(B._corpora)
+    assert prefix_callers == []
+    # b is a scalar multiple of B/down
+    del products[:]
+    for _, alpha, r1, r2, s1, s2 in catalog:
+        for i2 in range(r2):
+            for i1 in range(r1):
+                B.build_named_element("b", "down", alpha, r1, r2, s1, s2,
+                                      i1, i2)
+    assert products == []
+    # the sweep makes every other generator product once and none of
+    # those the build made
+    for label in B.block_labels():
+        B.verify_ladder_relations(label)
+    swept = [key for key in products if key[0] is not None]
+    assert len(swept) == len(set(swept)) and not steps & set(swept)
+    assert set(swept) | steps == {
+        (g, id(el.value)) for basis in bases.values() for el in basis
+        for g in ACTION_GENERATORS}
+    # prefix words times a corpus remain in the alternate expressions only
+    # (the same-sign variant of left-normalizer-sign compares nothing here)
+    assert set(prefix_callers) == {"_alternate_expressions"}
 
 
 @lru_cache(maxsize=None)
@@ -548,12 +653,14 @@ def test_adjudications_match_the_expanded_products(pair):
 
 
 @pytest.mark.parametrize("pair, digest", [
-    ((3, 4), "e9b919fc8382d069a243b9f70e30e5c75a7385a636e4467f5a1b5d469e627943"),
-    ((4, 3), "5ddef5402a92c654e9d7d6e73a6705a7632860eb1ceba35e34ab161a2c93aff7"),
+    ((3, 4), "1c0801f7626cddafbed023ced1b582f074bd6f52dfa4d3201ccb1aaa92e5fd8b"),
+    ((4, 3), "dd14b125b86c9d0b54b29965c219b4ba8946f54b09a7b5a4c78dc0cc1294dc38"),
 ])
 def test_adjudications_keep_their_rows(pair, digest):
     # ids, statuses and details of every block's adjudications, as they
-    # were when each one expanded its products in A
+    # were when each one expanded its products in A, except that the
+    # left-lowering-coefficient detail counts the dir1.lower.left
+    # instances it reads, not products
     B = _swept(pair)
     rows = [[c.check_id, c.status, c.detail] for label in B.block_labels()
             for c in B._adjudication_checks(label)]

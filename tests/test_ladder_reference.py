@@ -6,8 +6,11 @@ template per copy.  The references below are written out per class kind
 (corner, edge-1, edge-2, interior), one arm each, the way the displays
 state them; they share nothing with the product code except the scalar
 constants, the averager, the phi normalizers and the flat layout.  Every
-named element and every predicted matrix of every block is compared at
-(2,3) and (3,2).
+predicted matrix of every block is compared at (2,3) and (3,2), and every
+named element, b included, also at (3,4).  The references build each
+element as a prefix word times a corpus; `BlockSystem` builds only the
+family roots that way and every other element from its ladder
+predecessor.
 """
 
 import pytest
@@ -249,8 +252,10 @@ def _block_elements(B, label):
         yield from B.ideal_basis(alpha, r1, r2, s1, s2)
 
 
-@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (3, 4)])
 def test_every_named_element_matches_the_per_kind_formulas(pair):
+    # at (3,4) both copies have ladders of two or more rungs and the left
+    # roles reach three, so every step of `_predecessor` is taken
     B = _realization(pair).system
     ref = ReferenceElements(B)
     count = 0

@@ -668,15 +668,16 @@ def _no_block_realization(lab):
 def test_center_dimension_builds_no_block_realization(monkeypatch):
     # the (3,4) edge-1 center reads its 24 degree-zero elements of 288;
     # the generator matrices need the slot-(1, 1) ideal basis of each of
-    # the two summands (24 elements each), so at most 72 named elements
-    # are built, where the full block has 288
+    # the two summands (24 elements each); with the ladder predecessors
+    # the degree-zero elements are built from, 112 named elements are
+    # built, where the full block has 288
     R = Realization(BlockSystem(Algebra.for_pair(3, 4)))
     monkeypatch.setattr(R, "block_realization", _no_block_realization)
     label = BlockLabel(1, 4)
     assert R.center_dimension(label) == 3
     selected, count = R.degree_zero_elements(label)
     assert (len(selected), count) == (24, 288)
-    assert len(R.system._memo) <= 72
+    assert len(R.system._memo) == 112
 
 
 def test_center_and_radford_build_no_block_realization(monkeypatch):
