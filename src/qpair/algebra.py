@@ -268,7 +268,8 @@ class Algebra:
         # rewrite tables: copy i -> {(b, c): {j: {k_exp: coeff}}}
         self._fe1 = self._build_fe_table(1)
         self._fe2 = self._build_fe_table(2)
-        self._fuse = self._fuse_tables()
+        # the fused rewrite entries, built per (b1, c1, b2, c2) on first use
+        self._fuse: dict[tuple, tuple] = {}
         self._word_products: dict[tuple, tuple] = {}
         self._word_rows: dict[tuple, tuple] = {}
         self._coproduct_cache: dict[PBWMonomial, TensorElement] = {}
@@ -512,20 +513,21 @@ class Algebra:
                 }
         return table
 
-    def _fuse_tables(self):
-        """Combine the two per-copy tables into one flat lookup:
-        (b1, c1, b2, c2) -> tuple of (j1, j2, t1, t2, coeff)."""
-        fuse = {}
-        for (b1, c1), t1map in self._fe1.items():
-            for (b2, c2), t2map in self._fe2.items():
-                entries = []
-                for j1, kp1 in t1map.items():
-                    for j2, kp2 in t2map.items():
-                        for t1, w1 in kp1.items():
-                            for t2, w2 in kp2.items():
-                                entries.append((j1, j2, t1, t2, w1 * w2))
-                fuse[(b1, c1, b2, c2)] = tuple(entries)
-        return fuse
+    def _fused(self, key: tuple) -> tuple:
+        """The two per-copy tables combined for key = (b1, c1, b2, c2),
+        as a flat tuple of (j1, j2, t1, t2, coeff), built on the key's
+        first use and memoised: a pass reads only some of the p1^2 p2^2
+        keys, and far more word pairs than keys."""
+        fused = self._fuse.get(key)
+        if fused is None:
+            b1, c1, b2, c2 = key
+            fused = self._fuse[key] = tuple(
+                (j1, j2, t1, t2, w1 * w2)
+                for j1, kp1 in self._fe1[(b1, c1)].items()
+                for j2, kp2 in self._fe2[(b2, c2)].items()
+                for t1, w1 in kp1.items()
+                for t2, w2 in kp2.items())
+        return fused
 
     def _word_product(self, wu: tuple, wv: tuple) -> tuple:
         """Normal-ordered expansion of the product of two K-free words.
@@ -549,7 +551,7 @@ class Algebra:
         zeta = self._zeta
         N = self._N
         acc: dict[tuple, CycloNumber] = {}
-        for j1, j2, t1, t2, coef in self._fuse[(b1, c1, b2, c2)]:
+        for j1, j2, t1, t2, coef in self._fused((b1, c1, b2, c2)):
             E1 = a1 + c1 - j1
             if E1 >= p1:
                 continue

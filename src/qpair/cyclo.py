@@ -18,29 +18,53 @@ Storage.  Coefficients are stored as one tuple of Python ints plus a single
 positive denominator, normalized so gcd(all numerators, denominator) = 1.
 The dense tuple (length d = deg Phi_N) and the denominator are the canonical
 form that equality, hashing and the JSON transport read; exactness is
-inherited from Python's bignums.
+inherited from Python's bignums.  One more slot, `root`, tags the powers
+of zeta (below); equality and hashing do not read it.
 
-Multiplication.  `CycloField._mul` visits only the nonzero coefficients of
-both operands.  Each partial product a_i * b_j * x^(i+j) goes straight into
-the result: unchanged when i + j < d, otherwise through the field's table of
-sparse reduced rows of x^k (d <= k <= 2d - 2).  There is no dense d^2 loop
-and no separate reduction sweep.  The kernel is shaped by the verifier's
-traffic.  Over one pass of each benchmark workload, 88-98% of multiplies
-have an operand with a single nonzero coefficient (a rational multiple of
-a power of zeta), and no operand has more than d/4 nonzeros.  Packing
-coefficient vectors into one integer (Kronecker substitution) would cost
-O(d) Python steps per product to pack and unpack, more than the handful of
-partial products a sparse product needs.  Most of those single-term
-operands are units: over one pass at (2,3), (3,4) and (2,5), an operand
-equal to 1 appears in 59%, 31% and 86% of multiplies and one equal to -1
-in another 9%, 3% and 2%.  So `_mul`, after the field check, returns the
-other operand for a factor of exactly 1 and its negation for exactly -1,
-without building a product or calling `make`; the canonical form makes
-both tests exact, and sharing the immutable operand is safe.
+Roots of unity by exponent.  Every K-eigenvalue, averager ratio, family
+weight and q-power is a power of zeta.  The field's table objects
+`zeta_pows[k]` carry k in the slot `root`; so does `one`, which is
+`zeta_pows[0]`, and, for even N, `minus_one`, which is `zeta_pows[N/2]`.
+Every other number holds None.  The tag is a certificate, not a
+classification: root == k implies x == zeta^k, and an untagged power of
+zeta is allowed.  Exactness: zeta has order N, so zeta^j zeta^k =
+zeta^((j+k) mod N), (zeta^k)^-1 = zeta^(-k mod N) and (zeta^k)^n =
+zeta^(kn mod N) for every integer n.  For even N, zeta^(N/2) squares to 1
+and is not 1, so it is -1, the field's only other root of x^2 = 1, and
+-zeta^k = zeta^(k+N/2).  The table holds each power's canonical form, so
+every shortcut returns the same canonical value the general path would,
+and equality stays one exact coefficient comparison.
 
-Inversion runs the extended Euclidean algorithm over Q and is memoised per
-field: the verifier divides by a few dozen distinct values (q-integers,
-brackets, normalising constants) thousands of times.
+Multiplication.  `CycloField._mul`, after the field check, returns
+`zeta_pows[(j+k) mod N]` for two tagged operands and, by exponent, the
+other operand or its negation for a tagged +-1.  An untagged operand is
+compared with +-1, exact by the canonical form.  Only the rest build a
+product: the loop visits the nonzero coefficients of both operands, and
+each partial product a_i * b_j * x^(i+j) goes straight into the result,
+unchanged when i + j < d, otherwise through the field's table of sparse
+reduced rows of x^k (d <= k <= 2d - 2).  There is no dense d^2 loop and
+no separate reduction sweep.  The kernel is shaped by the verifier's
+traffic.  Over one pass of each benchmark workload (verify at (2,3), the
+(3,4) smoke, the (2,5) dump), both operands are powers of zeta in 74%,
+68% and 47% of multiplies, and an operand is +-1 in 87%, 77% and 81%.
+Only 3,436, 1,744 and 3,105 multiplies reach `make` (5,474, 2,727 and
+3,407 with the +-1 compares alone).  Of those, 72%, 74% and 53% have an
+operand with a single nonzero coefficient, and no operand has more than
+d/4 nonzeros.  Packing coefficient vectors into one integer (Kronecker
+substitution) would cost O(d) Python steps per product to pack and
+unpack, more than the handful of partial products a sparse product
+needs.  Negation and powers of a root read the table too; any other
+negation maps `operator.neg` over the coefficients.
+
+Inversion.  `CycloField.root_exponent(x)` reads the tag, or else looks
+the numerator up in the table's numerator -> exponent map when the
+denominator is 1.  A power zeta^k inverts to zeta^-k and a rational n/d
+to d/n, with no arithmetic.  Only the rest run the extended Euclidean
+algorithm over Q, memoised per field: the verifier divides by a few
+dozen distinct values (q-integers, brackets, normalising constants)
+thousands of times.  Over one pass of the three workloads that is 2, 2
+and 13 distinct runs; before the shortcuts it was 16, 23 and 17, of
+which 12, 15 and 4 inverted a root and 2, 6 and 0 a rational.
 
 Elements of fields of different order never mix: addition, multiplication
 and inversion raise ValueError, and they never compare or hash equal.
@@ -54,6 +78,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -148,18 +173,22 @@ class CycloField:
         self._inverses: dict[CycloNumber, CycloNumber] = {}
 
         self.zero = CycloNumber(self, (0,) * self.degree, 1)
-        one = [0] * self.degree
-        one[0] = 1
-        self.one = CycloNumber(self, tuple(one), 1)
-        self.minus_one = -self.one
-
-        # zeta^k for k in [0, order): integer vectors, denominator 1.
-        pows = [self.one]
-        vec = one
-        for _ in range(order - 1):
+        # zeta^k for k in [0, order): integer vectors, denominator 1, each
+        # tagged with its exponent k.  They are distinct field elements,
+        # so `_exponents` (numerator -> k) is a well-defined inverse.
+        vec = [0] * self.degree
+        vec[0] = 1
+        pows = [CycloNumber(self, tuple(vec), 1, 0)]
+        for k in range(1, order):
             vec = self._shift_reduce(vec)
-            pows.append(CycloNumber(self, tuple(vec), 1))
+            pows.append(CycloNumber(self, tuple(vec), 1, k))
         self.zeta_pows = tuple(pows)
+        self._exponents = {z.num: k for k, z in enumerate(pows)}
+        # -1 = zeta^(order/2) when the order is even; for an odd order -1
+        # is no power of zeta, and negation leaves the table.
+        self._half = order // 2 if order % 2 == 0 else None
+        self.one = pows[0]
+        self.minus_one = -self.one
 
     def _shift_reduce(self, vec: list[int]) -> list[int]:
         """Multiply an integer coefficient vector by x, reducing mod Phi."""
@@ -220,6 +249,26 @@ class CycloField:
         """zeta_n^k for any integer k (exponent taken mod n)."""
         return self.zeta_pows[k % self.order]
 
+    def root_exponent(self, x: "CycloNumber") -> "int | None":
+        """The k in [0, order) with x == zeta^k, or None when x is no
+        power of zeta.  Reads x's tag, else looks its numerator up in the
+        table of powers (a power of zeta has denominator 1).
+
+        >>> F = CycloField(24)
+        >>> F.root_exponent(F.zeta(5) * F.zeta(-7))
+        22
+        >>> F.root_exponent(F.make(F.zeta(5).num))  # untagged, looked up
+        5
+        >>> F.root_exponent(F.minus_one), F.root_exponent(F.one + F.zeta(1))
+        (12, None)
+        """
+        if x.field.order != self.order:
+            raise ValueError(_mixed(self, x.field))
+        k = x.root
+        if k is None and x.den == 1:
+            k = self._exponents.get(x.num)
+        return k
+
     def fold(self, vec: Sequence[int], den: int = 1) -> CycloNumber:
         """sum(vec[k] * zeta^k) / den for an integer vector indexed by the
         exponent k in [0, order), reduced modulo Phi_n in one sweep."""
@@ -259,18 +308,32 @@ class CycloField:
     def _mul(self, a: "CycloNumber", b: "CycloNumber") -> "CycloNumber":
         if a.field.order != b.field.order:
             raise ValueError(_mixed(a.field, b.field))
-        # An exact unit factor costs no arithmetic: canonical forms are
-        # unique, so these compares are exact and the result is canonical.
-        one, minus_one = self.one.num, self.minus_one.num
-        if a.den == 1:
-            if a.num == one:
+        # zeta^j zeta^k = zeta^(j+k), and a unit factor costs no
+        # arithmetic: a tag is read by exponent, an untagged operand is
+        # compared with +-1.  Canonical forms are unique, so the compares
+        # are exact and every shortcut returns the canonical product.
+        j, k = a.root, b.root
+        if j is not None:
+            if k is not None:
+                return self.zeta_pows[(j + k) % self.order]
+            if j == 0:
                 return b
-            if a.num == minus_one:
+            if j == self._half:
                 return -b
-        if b.den == 1:
-            if b.num == one:
+        elif a.den == 1:
+            if a.num == self.one.num:
+                return b
+            if a.num == self.minus_one.num:
+                return -b
+        if k is not None:
+            if k == 0:
                 return a
-            if b.num == minus_one:
+            if k == self._half:
+                return -a
+        elif b.den == 1:
+            if b.num == self.one.num:
+                return a
+            if b.num == self.minus_one.num:
                 return -a
         d = self.degree
         rows = self._reduction
@@ -290,15 +353,19 @@ class CycloField:
         return self.make(acc, a.den * b.den)
 
     def _inverse(self, x: "CycloNumber") -> "CycloNumber":
-        """Inverse by the extended Euclidean algorithm in Q[x] modulo Phi,
+        """zeta^-k for a power zeta^k and den/num for a rational num/den;
+        else the extended Euclidean algorithm in Q[x] modulo Phi,
         memoised per field."""
-        if x.field.order != self.order:
-            raise ValueError(_mixed(self, x.field))
+        k = self.root_exponent(x)  # refuses another field's element
+        if k is not None:
+            return self.zeta_pows[-k % self.order]
+        if not any(x.num[1:]):
+            if not x.num[0]:
+                raise ZeroDivisionError("division by zero in cyclotomic field")
+            return self.make((x.den,) + x.num[1:], x.num[0])
         cached = self._inverses.get(x)
         if cached is not None:
             return cached
-        if x.is_zero():
-            raise ZeroDivisionError("division by zero in cyclotomic field")
         # r0 = Phi, r1 = numerator polynomial of x; track s with s*x ≡ r1.
         r0 = [Fraction(c) for c in self.phi]
         r1 = [Fraction(c) for c in x.num]
@@ -381,13 +448,18 @@ class CycloNumber:
     dict keys in sparse linear algebra).
     """
 
-    __slots__ = ("field", "num", "den", "_hash")
+    __slots__ = ("field", "num", "den", "_hash", "root")
 
-    def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int,
+                 root: "int | None" = None):
         self.field = field
         self.num = num
         self.den = den
         self._hash = None
+        # k when this is the field's table object zeta_pows[k], else None.
+        # A certificate, not a classification: root == k implies
+        # self == zeta^k, but an untagged number may be a power of zeta.
+        self.root = root
 
     # -- predicates ----------------------------------------------------------
 
@@ -424,7 +496,10 @@ class CycloNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.field, tuple(-c for c in self.num), self.den)
+        F = self.field
+        if self.root is not None and F._half is not None:
+            return F.zeta_pows[(self.root + F._half) % F.order]
+        return CycloNumber(F, tuple(map(operator.neg, self.num)), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -471,6 +546,9 @@ class CycloNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        k = self.field.root_exponent(self)
+        if k is not None:
+            return self.field.zeta_pows[k * n % self.field.order]
         base = self
         if n < 0:
             base = self.field._inverse(self)

@@ -212,12 +212,17 @@ class BlockSystem:
         coefficient at 1_j is sum_l (ratio zeta^(2j))^l, which is korder
         where zeta^(2j) ratio = 1 and 0 at every other j, so it is stored
         as the one projector term korder 1_j.  ratio = zeta^k has such a j
-        only for even k; an odd k raises ArithmeticError.
+        only for even k; an odd k, or a ratio that is no power of zeta,
+        raises ArithmeticError.
         """
         self._check_family_labels(alpha, r1, r2, s1, s2)
         P = self.params
         ratio = self.averager_ratio(alpha, r1, r2, s1, s2)
-        k = P.field.zeta_pows.index(ratio)
+        k = P.field.root_exponent(ratio)
+        if k is None:
+            raise ArithmeticError(
+                f"averager ratio {ratio!r} of {(alpha, r1, r2, s1, s2)} is "
+                f"no power of zeta: no K-eigenvalue inverts it")
         if k % 2:
             raise ArithmeticError(
                 f"averager ratio zeta^{k} of {(alpha, r1, r2, s1, s2)} is "

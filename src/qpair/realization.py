@@ -145,13 +145,12 @@ def pbw_matrices(params: Params,
 def diagonal_exponents(field, kmat: Matrix, where) -> List[int]:
     """s_c with K e_c = zeta^(s_c) e_c; K must be a diagonal of roots of
     unity, else ArithmeticError naming ``where``."""
-    log = {z: k for k, z in enumerate(field.zeta_pows)}
     out = []
     for c in range(kmat.ncols):
         rows = kmat.get(c)
         s = None
         if rows is not None and len(rows) == 1 and c in rows:
-            s = log.get(rows[c])
+            s = field.root_exponent(rows[c])
         if s is None:
             raise ArithmeticError(
                 f"K is not diagonal with root-of-unity entries on "

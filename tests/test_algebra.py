@@ -956,7 +956,7 @@ def test_relation_failing_in_the_algebra_fails_every_premise():
     A = Algebra.for_pair(2, 3)
     table = A._fe1[(1, 1)]
     table[1] = {t: w + w for t, w in table[1].items()}
-    A._fuse = A._fuse_tables()
+    A._fuse.clear()
     assert [c.check_id for c in A.verify_defining_relations()
             if not c.passed] == ["[e1, f1] = weight line"]
     checks = _hopf_checks(A)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from qpair import cyclo
 from qpair.cyclo import CycloField, Params, cyclotomic_polynomial
 
 # The polynomials the three reference pairs live over, frozen:
@@ -231,6 +232,142 @@ def test_inverse_matches_sympy_and_is_stable_when_repeated(order):
         assert x * first == 1
         again = F.make(x.num, x.den).inverse()  # an equal, distinct object
         assert again == first and x * again == 1
+
+
+# ---------------------------------------------------------------------------
+# Roots of unity by exponent
+# ---------------------------------------------------------------------------
+
+def _untagged(x):
+    """An equal copy of x without its exponent tag, so its products take
+    the general path."""
+    return x.field.make(x.num, x.den)
+
+
+@pytest.mark.parametrize("order", [24, 40, 48])
+def test_every_table_power_carries_its_exponent(order):
+    F = CycloField(order)
+    assert [z.root for z in F.zeta_pows] == list(range(order))
+    assert F.one.root == 0 and F.one is F.zeta_pows[0]
+    assert F.minus_one.root == order // 2 and F.minus_one == -F.one
+    assert F.minus_one.coefficients() == (-1,) + (0,) * (F.degree - 1)
+    # numbers made any other way carry no tag, whatever their value
+    assert F.zero.root is None
+    assert _untagged(F.zeta(3)).root is None
+    assert F.from_rational(-1).root is None
+    assert all(F.root_exponent(_untagged(z)) == k
+               for k, z in enumerate(F.zeta_pows))
+    assert F.root_exponent(F.zero) is None
+    assert F.root_exponent(F.one + F.zeta(1)) is None
+    assert F.root_exponent(F.from_rational(2)) is None
+    assert F.root_exponent(F.zeta(2) * Fraction(1, 3)) is None
+
+
+@pytest.mark.parametrize("order", [24, 40, 48])
+def test_root_arithmetic_matches_the_general_path_and_sympy(order):
+    rng = random.Random(order + 3)
+    F = CycloField(order)
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ")
+    exponents = [0, order // 2, 1, order - 1] + [rng.randrange(order)
+                                                 for _ in range(12)]
+    for j in exponents:
+        a = F.zeta(j)
+        sa = _to_sympy(a)
+        want_inv = _from_sympy(F, sa.invert(phi))
+        for got in (a.inverse(), F._inverse(_untagged(a))):
+            assert got.coefficients() == want_inv
+            assert got.root == (-j) % order
+        assert (1 / a).coefficients() == want_inv
+        neg = -a
+        assert neg == -_untagged(a) and neg.coefficients() == tuple(
+            -c for c in a.coefficients())
+        assert neg.root == (j + order // 2) % order
+        for n in (0, 1, 2, 5, -1, -3, order + 1):
+            want = _from_sympy(F, sa.invert(phi) ** -n % phi if n < 0
+                               else sa ** n % phi)
+            got = a ** n
+            assert got.coefficients() == want
+            assert got.root == j * n % order
+            assert _untagged(a) ** n == got
+            base = _untagged(a if n >= 0 else a.inverse())
+            assert got == math.prod([base] * abs(n), start=_untagged(F.one))
+        for k in exponents:
+            b = F.zeta(k)
+            got = a * b
+            assert got.root == (j + k) % order
+            general = _untagged(a) * _untagged(b)
+            assert general == got and general.root is None
+            assert got.coefficients() == _from_sympy(
+                F, (sa * _to_sympy(b)).rem(phi))
+            assert a / b == F.zeta(j - k)
+    # a tagged root times a non-root takes the general path
+    x = F.one + F.zeta(3) * 2
+    for j in exponents:
+        assert F.zeta(j) * x == _untagged(F.zeta(j)) * x
+        assert (x * F.zeta(j)).coefficients() == _from_sympy(
+            F, (_to_sympy(x) * _to_sympy(F.zeta(j))).rem(phi))
+
+
+@pytest.mark.parametrize("order", [24, 40, 48])
+def test_roots_and_rationals_never_enter_euclid(order, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("extended Euclid entered")
+
+    monkeypatch.setattr(cyclo, "_fdivmod", refuse)
+    F = CycloField(order)
+    for k, z in enumerate(F.zeta_pows):
+        assert z.inverse() is F.zeta_pows[-k % order]
+        assert _untagged(z).inverse() is F.zeta_pows[-k % order]
+        assert z ** -3 is F.zeta_pows[-3 * k % order]
+    for r in (Fraction(1, 2), Fraction(-3, 7), 5, -1, Fraction(-9, 4)):
+        x = F.from_rational(r)
+        assert x.inverse() == F.from_rational(1 / Fraction(r))
+        assert x ** -2 == F.from_rational(Fraction(r) ** -2)
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+    assert not F._inverses  # nothing reached the memo
+    # every other number still runs the algorithm
+    with pytest.raises(AssertionError, match="Euclid entered"):
+        (F.one + F.zeta(1)).inverse()
+
+
+def test_odd_order_negation_leaves_the_table():
+    # for odd N, -1 and -zeta^k are no powers of zeta_N
+    F = CycloField(15)
+    assert F.minus_one.root is None and F.root_exponent(F.minus_one) is None
+    for k, z in enumerate(F.zeta_pows):
+        assert (-z).root is None and -z + z == F.zero
+        assert F.root_exponent(-z) is None
+        assert z * F.minus_one == -z == F.minus_one * z
+        assert (-z).inverse() == -F.zeta(-k)
+
+
+def test_root_shortcuts_keep_the_field_check():
+    F24, F40 = CycloField(24), CycloField(40)
+    pairs = ((F24.zeta(1), F40.zeta(1)), (F24.one, F40.minus_one),
+             (F24.minus_one, F40.zeta(7)), (F24.zeta(5), F40.one))
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                x * y
+            with pytest.raises(ValueError):
+                x - y
+            with pytest.raises(ValueError):
+                x / y
+            with pytest.raises(ValueError):
+                -x * y
+            with pytest.raises(ValueError):
+                x ** -1 * y
+            with pytest.raises(ValueError):
+                x.field._inverse(y)
+            with pytest.raises(ValueError):
+                x.field.root_exponent(y)
+    with pytest.raises(TypeError):
+        F24.zeta(1) ** F40.zeta(1)
+    # the table a power, negation or inverse reads is its own field's
+    assert (F40.zeta(3) ** 5).field.order == 40
+    assert (-F40.zeta(3)).field.order == 40
+    assert F40.zeta(3).inverse().field.order == 40
 
 
 def test_evaluate_quarter_turn_is_i():

@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -145,6 +146,20 @@ def test_averager_refuses_an_odd_ratio(monkeypatch):
     monkeypatch.setattr(B, "averager_ratio", lambda *labels: P.zeta(6))
     assert B.weight_averager(1, 2, 3, 1, 1).terms == {
         (0, 0, 0, 0, 9): P.rational(12)}
+
+
+def test_averager_refuses_a_ratio_that_is_no_root(monkeypatch):
+    # the ratio must be a power of zeta before its parity is read
+    B = BlockSystem(Algebra.for_pair(2, 3))
+    P = B.params
+    for ratio in (P.one + P.zeta(1), P.rational(2), P.zeta(2) * Fraction(1, 3),
+                  P.zero):
+        monkeypatch.setattr(B, "averager_ratio", lambda *labels: ratio)
+        with pytest.raises(ArithmeticError) as info:
+            B.weight_averager(1, 2, 3, 1, 1)
+        message = str(info.value)
+        assert f"averager ratio {ratio!r} of (1, 2, 3, 1, 1)" in message
+        assert "no power of zeta" in message
 
 
 def test_label_validation():

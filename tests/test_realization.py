@@ -17,6 +17,7 @@ pairs are covered by the acceptance smoke test.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -810,6 +811,20 @@ def test_group_trace_of_unit():
     got = twisted_trace(A23.params, [unit], R23.k_exponents(summand),
                         [(off + t, off + t) for t in range(h1 * h2)])
     assert got[0] == A23.params.rational(3)    # family size 1 x 3
+
+
+def test_diagonal_exponents_read_the_roots_and_refuse_the_rest():
+    F = FIELD
+    kmat = Matrix(F, 3, columns={0: {0: F.zeta(4)}, 1: {1: F.minus_one},
+                                 2: {2: F.make(F.zeta(7).num)}})  # untagged
+    assert diagonal_exponents(F, kmat, "K") == [4, 12, 7]
+    for bad in ({0: {0: F.one}, 1: {1: F.from_rational(2)}},
+                {0: {0: F.one}, 1: {0: F.one, 1: F.one}},
+                {0: {0: F.one}, 1: {0: F.one}},
+                {0: {0: F.one}, 1: {1: F.zeta(2) * Fraction(1, 2)}},
+                {0: {0: F.one}}):
+        with pytest.raises(ArithmeticError, match="on K \\(column 1\\)"):
+            diagonal_exponents(F, Matrix(F, 2, columns=bad), "K")
 
 
 def test_twisted_trace_reads_the_cells_of_the_matrix_products():
