@@ -169,10 +169,15 @@ def run(config: RunConfig) -> Tuple[int, VerificationReport]:
     session = Session(config)
     selected = (SUITE_ORDER if "all" in config.suites
                 else tuple(s for s in SUITE_ORDER if s in config.suites))
+    algebra = session.algebra
     for name in selected:
+        products, rows = algebra.element_products, algebra.word_product_rows
         t0 = time.perf_counter()
         report.extend(getattr(session, f"suite_{name}")())
         report.suite_timings[name] = round(time.perf_counter() - t0, 3)
+        report.suite_counts[name] = {
+            "element_products": algebra.element_products - products,
+            "word_product_rows": algebra.word_product_rows - rows}
     report.elapsed_seconds = time.perf_counter() - start
     return (0 if report.passed else 1), report
 

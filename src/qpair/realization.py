@@ -254,6 +254,8 @@ class Realization:
         self._degree_zero: Dict[BlockLabel, tuple] = {}
         # label -> (center basis, number of commutator equations)
         self._centers: Dict[BlockLabel, Tuple[List[Vector], int]] = {}
+        # label -> outcome of the block's faithful row, once shapes ran
+        self._faithful: Dict[BlockLabel, bool] = {}
 
     # ------------------------------------------------------------------
     # Layouts and bases
@@ -603,6 +605,7 @@ class Realization:
                       for col, rows in mat.items()
                       for row, val in rows.items()})
         rank = span.rank
+        self._faithful[label] = rank == n
 
         detail = (f"{n} elements on {len(real.summands)} summands; "
                   f"{entries} displayed unit entries reproduced, omitted "
@@ -847,11 +850,13 @@ class Realization:
           K x = w x with w the left weight.  So x has degree zero exactly
           when w = ratio^-1, and then K's commutator rows vanish on x.
         * The block acts faithfully on its summands (the exact rank of
-          `faithful`), so the matrices M_k are independent.  K's rows
-          read sum_k c_k (1 - lambda_k) M_k rho(K) = 0, with K x_k K^-1 =
-          lambda_k x_k, so c_k = 0 wherever lambda_k != 1: the full
-          nullspace holds no vector with a nonzero-degree coordinate, and
-          it equals this one with the other columns set to zero.
+          `faithful`, which `verify_block_shape` records per block and
+          `center-dimension` reads as its premise), so the matrices M_k
+          are independent.  K's rows read sum_k c_k (1 - lambda_k) M_k
+          rho(K) = 0, with K x_k K^-1 = lambda_k x_k, so c_k = 0
+          wherever lambda_k != 1: the full nullspace holds no vector
+          with a nonzero-degree coordinate, and it equals this one with
+          the other columns set to zero.
         * Elimination keeps leads at the smallest index, so the basis
           vector of a free coordinate f (x_f = 1, 0 at the other free
           coordinates) is nonzero only at f and at pivots below f.  The
@@ -861,7 +866,9 @@ class Realization:
           nullspace vector leaves at zero changes neither.
 
         `center-dimension` checks that the central elements, built apart
-        from this basis (`central_elements`), span its dimension.
+        from this basis (`central_elements`), span its dimension, and
+        fails, naming the premise, when the block's `faithful` row failed.
+        The basis itself is solved whether or not the shapes suite ran.
         """
         cached = self._centers.get(label)
         if cached is not None:
@@ -937,13 +944,22 @@ class Realization:
         dim = self.center_dimension(label)
         n_equations = self._centers[label][1]
         selected, n_elements = self.degree_zero_elements(label)
+        # the nullspace drops K's rows and the other columns because the
+        # block acts faithfully (`center_basis`); the shapes suite decides
+        # that premise, and a run without it says so
+        faithful = self._faithful.get(label)
+        detail = (f"commutator nullspace dimension {dim} (expected {want}); "
+                  f"the central family spans {span.rank}")
+        if faithful is False:
+            detail += f"; premise {prefix}.faithful fails"
+        premise = ("premise faithful not checked in this run"
+                   if faithful is None else
+                   f"premise {prefix}.faithful from the shapes suite")
         checks.append(Check(
             f"{prefix}.center-dimension",
-            dim == want and span.rank == dim,
-            f"commutator nullspace dimension {dim} (expected {want}); "
-            f"the central family spans {span.rank}",
-            anchor="block-center-dimension",
+            dim == want and span.rank == dim and faithful is not False,
+            detail, anchor="block-center-dimension",
             scope=(f"exhaustive: {n_equations} commutator equations over "
                    f"the {len(selected)} degree-zero of {n_elements} block "
-                   f"elements")))
+                   f"elements; {premise}")))
         return checks

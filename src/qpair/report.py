@@ -68,6 +68,7 @@ class VerificationReport:
     started_at: float = field(default_factory=time.time)
     elapsed_seconds: float = 0.0
     suite_timings: dict = field(default_factory=dict)
+    suite_counts: dict = field(default_factory=dict)
 
     def extend(self, checks: Iterable[Check]) -> None:
         self.checks.extend(checks)
@@ -98,6 +99,7 @@ class VerificationReport:
             "counts": {"passed": self.counts[0], "failed": self.counts[1]},
             "elapsed_seconds": self.elapsed_seconds,
             "suite_timings": self.suite_timings,
+            "suite_counts": self.suite_counts,
             "checks": [dict(asdict(c), status=c.status) for c in self.checks],
         }
         return json.dumps(payload, indent=2)

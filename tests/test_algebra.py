@@ -296,6 +296,144 @@ def test_lopsided_products_match_the_pbw_product(pair):
             assert y * g == reference(y, g)
 
 
+def _direct_row(A, triples, b):
+    """{word: sum_s coef zeta^(2 b s)} over the triples, zeros dropped:
+    the word product evaluated at one index b, with no period."""
+    sums = {}
+    for keys, _, s, coef in triples:
+        add = coef * A.params.zeta(2 * b * s)
+        word = keys[0][:4]
+        sums[word] = add if word not in sums else sums[word] + add
+    return {w: v for w, v in sums.items() if not v.is_zero()}
+
+
+def _built_rows(A):
+    """(word pair, triples, P, r, row) for every row the memo holds."""
+    return [(pair, triples, period, r, row)
+            for pair, (triples, period, rows) in A._word_products.items()
+            for r, row in enumerate(rows) if row is not None]
+
+
+def _assert_rows_are_the_direct_sums(A):
+    """Each stored row r equals the word product evaluated directly at
+    every b = r mod P, word by word, and P is korder over the gcd of
+    korder and every shift of the pair."""
+    for pair, (triples, period, rows) in A._word_products.items():
+        assert len(rows) == period, pair
+        assert period == A.korder // math.gcd(
+            A.korder, *(t[2] for t in triples)), pair
+    for pair, triples, period, r, row in _built_rows(A):
+        got = {keys[0][:4]: value for keys, value in row}
+        for b in range(r, A.korder, period):
+            assert got == _direct_row(A, triples, b), (pair, r, b)
+
+
+@pytest.mark.parametrize("pair", [(2, 5), (3, 4)])
+def test_evaluated_rows_match_the_termwise_reference(pair):
+    # products read off the memo's evaluated rows, both orders and
+    # generators on either side, against the PBW termwise reference; the
+    # rows they read include periods P > 1 and output words that sum two
+    # or more shifts, and every stored row is the direct sum at each b of
+    # its residue class
+    A = Algebra.for_pair(*pair)
+    rng = random.Random(sum(pair) * 101)
+    named = _named_sample(BlockSystem(A), rng, 4)
+    mixed = [_multiword_element(A, rng, 2, 6) for _ in range(2)]
+    gens = [A.generator(g) for g in ("e1", "e2", "f1", "f2", "K", "Kinv")]
+    for x in named + mixed:
+        for g in gens:
+            assert g * x == _termwise_product(g, x)
+            assert x * g == _termwise_product(x, g)
+    for x, y in zip(named, named[1:] + mixed):
+        assert x * y == _termwise_product(x, y)
+        assert y * x == _termwise_product(y, x)
+    rows = _built_rows(A)
+    assert any(period > 1 for _, _, period, _, _ in rows)
+    many = [(pair, r) for pair, triples, period, r, row in rows
+            if len({keys for keys, _, _, _ in triples}) < len(triples)]
+    assert many, "no row summed two shifts of one word"
+    _assert_rows_are_the_direct_sums(A)
+
+
+def test_row_values_that_cancel_are_dropped():
+    # f1 e1 = e1 f1 - W, W the copy-1 weight line on the unit word, so the
+    # row of (f1, e1) holds the unit word at V(b) = -W(lambda_b), summed
+    # over W's two shifts, and drops it at every b where W(lambda_b) = 0
+    A = Algebra.for_pair(2, 3)
+    f1, e1 = A.f(1), A.e(1)
+    f1e1 = f1 * e1
+    triples, period, rows = A._word_products[((0, 0, 1, 0), (1, 0, 0, 0))]
+    unit_shifts = [s for keys, _, s, _ in triples if keys[0][:4] == (0,) * 4]
+    assert len(unit_shifts) == 2 and period > 1
+    unit_rows = [r for r, row in enumerate(rows)
+                 if any(keys[0][:4] == (0,) * 4 for keys, _ in row)]
+    assert 0 < len(unit_rows) < period
+    assert {key[4] for key in f1e1.terms if key[:4] == (0,) * 4} == {
+        b for b in range(A.korder) if b % period in unit_rows}
+
+
+def test_products_prune_the_keys_that_cancel():
+    # (f1 + W)(e1 + 1) = e1 f1 + f1 + W e1: at each unit-word key the term
+    # W * 1 meets the -W of f1 e1 and the sum is zero, so the key is
+    # dropped, not kept with a zero value
+    A = Algebra.for_pair(2, 3)
+    f1, e1, one = A.f(1), A.e(1), A.one()
+    W = e1 * f1 - f1 * e1
+    assert any(key[:4] == (0,) * 4 for key in W.terms)
+    x, y = f1 + W, e1 + one
+    got = x * y
+    assert not any(key[:4] == (0,) * 4 for key in got.terms)
+    assert not any(c.is_zero() for c in got.terms.values())
+    assert got == e1 * f1 + f1 + W * e1 == _termwise_product(x, y)
+
+
+def test_word_product_memo_holds_at_most_one_row_per_residue():
+    # after the ideals suite at (2,3): every entry has P dividing korder
+    # and one slot per residue mod P, every stored row was built once and
+    # counted once, and the stored rows are the direct sums
+    session = Session(RunConfig(p1=2, p2=3, suites=("ideals",)))
+    A = session.algebra
+    assert all(c.passed for c in session.suite_ideals())
+    for triples, period, rows in A._word_products.values():
+        assert A.korder % period == 0 and len(rows) == period
+    built = _built_rows(A)
+    assert len(built) == A.word_product_rows > 0
+    assert A.element_products > 0
+    _assert_rows_are_the_direct_sums(A)
+
+
+def test_products_with_a_warm_memo_still_refuse_mixed_operands():
+    # (3,2) shares the field Q(zeta_24) with (2,3): only the pair check
+    # tells their elements apart, and it runs before any memo row is read
+    A = Algebra.for_pair(2, 3)
+    other = Algebra.for_pair(3, 2)
+    x = A.e(1) * A.f(1)
+    assert A.word_product_rows > 0
+    with pytest.raises(ValueError):
+        A.e(1) * other.f(1)
+    with pytest.raises(ValueError):
+        other.f(1) * A.e(1)
+    foreign = Algebra.for_pair(2, 5).params.zeta(1)
+    for operand in (x, A.zero()):
+        with pytest.raises(ValueError):
+            operand * foreign
+        with pytest.raises(ValueError):
+            foreign * operand
+
+
+def test_power_starts_from_the_element():
+    A = Algebra.for_pair(2, 3)
+    x = A.e(1) * A.f(1) + A.generator("K")
+    assert x.power(0) == A.one()
+    before = A.element_products
+    assert x.power(1) == x
+    assert A.element_products == before
+    assert x.power(3) == x * x * x
+    assert A.element_products == before + 4
+    with pytest.raises(ValueError):
+        x.power(-1)
+
+
 def test_monomial_element_is_the_one_term_element():
     # the closed form sum_j c zeta^(2 j ell) w 1_j against the transform
     P = A23.params

@@ -220,6 +220,31 @@ def test_run_times_its_suites_with_a_monotonic_clock(monkeypatch):
     assert sum(report.suite_timings.values()) <= report.elapsed_seconds + 0.01
 
 
+def test_json_report_counts_products_and_rows_per_suite():
+    # the per-suite counters are the algebra's own: a session that runs
+    # the same suites in the same order reads the same numbers, the JSON
+    # report carries them, and the text report does not
+    suites = ("relations", "modules", "ideals")
+    code, report = run(_cfg(suites=suites))
+    assert code == 0
+    assert list(report.suite_counts) == list(report.suite_timings)
+    session = Session(_cfg(suites=suites))
+    A = session.algebra
+    for name in suites:
+        products, rows = A.element_products, A.word_product_rows
+        getattr(session, f"suite_{name}")()
+        assert report.suite_counts[name] == {
+            "element_products": A.element_products - products,
+            "word_product_rows": A.word_product_rows - rows}
+    assert report.suite_counts["modules"] == {
+        "element_products": 0, "word_product_rows": 0}
+    counts = report.suite_counts["ideals"]
+    assert counts["element_products"] > counts["word_product_rows"] > 0
+    assert json.loads(report.to_json())["suite_counts"] == report.suite_counts
+    assert "suite_counts" not in report.to_text()
+    assert "element_products" not in report.to_text()
+
+
 def test_erratum_corrected_counts_as_passing():
     code, report = run(_cfg(suites=("integrals",)))
     assert code == 0
@@ -277,10 +302,10 @@ def test_verify_json_reports_the_solve_scopes():
             "of them on a single unknown")
     assert scopes["realization[1,1].center-dimension"] == (
         "exhaustive: 300 commutator equations over the 24 degree-zero of "
-        "144 block elements")
+        "144 block elements; premise faithful not checked in this run")
     assert scopes["realization[2,3].center-dimension"] == (
         "exhaustive: 14 commutator equations over the 6 degree-zero of 36 "
-        "block elements")
+        "block elements; premise faithful not checked in this run")
     assert scopes["realization[1,1].central-preimages"] == (
         "exhaustive: 9 central elements × 4 summands, full matrices, and × 5 "
         "generators, commutators in the algebra")

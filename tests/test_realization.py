@@ -549,8 +549,53 @@ def test_central_elements_all_blocks():
             assert check.passed, check.row()
 
 
+def test_center_dimension_names_a_failed_faithful_premise(monkeypatch):
+    # the center's nullspace drops K's rows and the nonzero-degree
+    # columns because the block acts faithfully: with the block's
+    # faithful row failed, center-dimension fails and names it; with the
+    # shapes suite not run, its scope says the premise went unchecked
+    label = BlockLabel(2, 3)
+    prefix = "realization[2,3]"
+    R = Realization(B23)
+
+    def center_row():
+        (check,) = [c for c in R.verify_central_elements(label)
+                    if c.check_id == f"{prefix}.center-dimension"]
+        return check
+
+    def faithful_row():
+        return next(c for c in R.verify_block_shape(label)
+                    if c.check_id == f"{prefix}.faithful")
+
+    unchecked = center_row()
+    assert unchecked.passed and "premise" not in unchecked.detail
+    assert unchecked.scope.endswith(
+        "; premise faithful not checked in this run")
+    true_block = R.block_realization
+
+    def first_twice(lab):
+        # the first element listed twice: rank 35 of 36
+        real = true_block(lab)
+        real.elements[1] = real.elements[0]
+        real.matrices[1] = real.matrices[0]
+        return real
+
+    with monkeypatch.context() as patch:
+        patch.setattr(R, "block_realization", first_twice)
+        assert not faithful_row().passed
+    failed = center_row()
+    assert not failed.passed
+    assert failed.detail == (
+        f"commutator nullspace dimension 1 (expected 1); the central "
+        f"family spans 1; premise {prefix}.faithful fails")
+    assert failed.scope.endswith(
+        f"; premise {prefix}.faithful from the shapes suite")
+    assert faithful_row().passed
+    assert center_row().passed
+
+
 def test_center_dimensions():
-    dims = {tuple(lab): R23.center_dimension(lab) for lab in B23.block_labels()}
+    dims ={tuple(lab): R23.center_dimension(lab) for lab in B23.block_labels()}
     assert dims == {(1, 1): 9, (1, 3): 3, (2, 1): 3, (2, 2): 3,
                     (2, 3): 1, (0, 3): 1}
     assert sum(dims.values()) == 20
