@@ -106,7 +106,8 @@ its triples, P and one row per residue r = b mod P, built on first use
 word, zero values dropped.  `__mul__` reads the row of b mod P and makes
 one field multiply per output word, (c_u c_v) * V, at key word 1_b, and
 tests for zero only the keys that got two or more contributions (the
-prune rule in its docstring).  Per
+prune rule in its docstring).  `Functionals.radford_transform` reads the
+same rows against the left integral in the projector basis.  Per
 verify-2-3 benchmark pass this took field multiplies from 38,273 to
 26,668 and `CycloField.make` calls from 8,828 to 4,974, for the same
 3,080 element products.
@@ -561,9 +562,10 @@ class Algebra:
         wu * wv = sum coeff * word * K^shift, where ``keys`` and ``monos``
         list the word's projector keys and PBW monomials indexed by j and
         by K-exponent.  The PBW readers (`product_monomials`,
-        `pbw_product`, `TensorElement.__mul__`, the Radford convolution)
-        walk these triples; `AlgebraElement.__mul__` reads the evaluated
-        rows of the same memo entry (`_word_pair`, `_pair_row`).
+        `pbw_product`, `TensorElement.__mul__`) walk these triples;
+        `AlgebraElement.__mul__` and `Functionals.radford_transform` read
+        the evaluated rows of the same memo entry (`_word_pair`,
+        `_pair_row`).
         """
         return self._word_pair(wu, wv)[0]
 

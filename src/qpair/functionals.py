@@ -6,10 +6,10 @@ closed forms disagree about the K-exponent between their two appearances,
 so the solver settles ground truth and both printed variants are graded
 against it); each equation of a PBW word's coproduct holds one unknown
 and sets it to zero (`integral_functional`).  Both integrals live on one
-monomial of Z^2-degree (0, 0), so a value phi(u v) is read off the word
-product of u and v at its entries on that support, and only for u and v
-of opposite degree (`_product_row`): the Radford transform builds no
-product.  The symmetric-function basis is read off the block
+word of Z^2-degree (0, 0), so phi(u v) vanishes unless u and v have
+opposite degree; the Radford transform pairs only such words, in the
+projector basis, on the evaluated rows that element products read
+(`radford_transform`).  The symmetric-function basis is read off the block
 realizations: every member is a partial trace of the representing
 matrices over one or two family groups.  It and both kinds of character
 are one quantity, the sum of the entries of rho(K^t w K^ell) over a set
@@ -329,50 +329,26 @@ class Functionals:
                    f"{len(GENERATOR_NAMES)} right products against counit "
                    f"scaling; the counit is an algebra map"))
 
-    def _integral_support(self, side: str):
-        """The integral's values as {K-free word: [(K-exponent, value)]},
-        and None when its whole support has Z^2-degree (0, 0), else the
-        failed premise, named after the check that states it."""
-        support: Dict[tuple, list] = {}
+    def _integral_support(self):
+        """lambda in projector coordinates, {w + (j,): lambda(w 1_j)}, and
+        None when its whole support has Z^2-degree (0, 0), else the failed
+        premise, named after the check that states it.
+
+        1_j = (1/korder) sum_l zeta^(-2 j l) K^l, so lambda(w 1_j) is one
+        Fourier fold of lambda's values on the words w K^l."""
+        polys: Dict[tuple, Dict[int, CycloNumber]] = {}
         off = None
-        for k, v in sorted(self.integral_functional(side).values.items()):
+        for k, v in sorted(self.integral_functional("left").values.items()):
             m = self._monos[k]
-            support.setdefault(m[:4], []).append((m[4], v))
+            polys.setdefault(m[:4], {})[m[4]] = v
             if off is None and _degree(m) != (0, 0):
                 off = m
+        support = {word + (j,): v for word, j, v in self.algebra._fourier(
+            polys, -1, self.params.korder)}
         if off is None:
             return support, None
-        name = "lambda" if side == "left" else "mu"
-        return support, (f"premise integrals.{side}-support fails: {name} "
+        return support, ("premise integrals.left-support fails: lambda "
                          f"takes a value off Z²-degree (0, 0), at {off}")
-
-    def _product_row(self, support, wu: tuple, wv: tuple
-                     ) -> Dict[int, CycloNumber]:
-        """phi on the products of two K-free words, phi given by its
-        `_integral_support`: {r: R_r} with
-
-            phi(wu K^l * wv K^m) = zeta^(l t) R_((l + m) mod korder),
-
-        t the weight of wv (K wv = zeta^t wv K), zeros left out.
-
-        wu wv = sum coef word K^shift (`Algebra._word_product`), so R_r =
-        sum coef phi(word K^(shift + r)).  The entries whose word carries
-        no value of phi are skipped, and no product is built.
-
-        The callers pair only words of opposite degree: phi lives on the
-        one monomial w_top K^l0 of degree (0, 0) (checks
-        `integrals.*-support`), and u v is homogeneous of degree deg u +
-        deg v (`generator_scan`), so phi(u v) vanishes otherwise.
-        """
-        korder = self.params.korder
-        row: Dict[int, CycloNumber] = {}
-        for _, monos, shift, coef in self.algebra._word_product(wu, wv):
-            for ell, val in support.get(monos[0][:4], ()):
-                r = (ell - shift) % korder
-                add = coef * val
-                cur = row.get(r)
-                row[r] = add if cur is None else cur + add
-        return {r: v for r, v in row.items() if not v.is_zero()}
 
     def verify_integral_identities(self) -> Check:
         """lambda(ab) = lambda(b S^2(a)) and mu(ab) = mu(S^2(b) a), graded
@@ -590,44 +566,59 @@ class Functionals:
     # ------------------------------------------------------------------
 
     def radford_transform(self, c: AlgebraElement) -> LinearFunctional:
-        """x -> lambda(x * g^{-1}c), read off lambda's support.
+        """x -> lambda(x * g^{-1}c), read in the projector basis.
 
-        With d = K^(p2-p1) c = sum_t c_t t in PBW terms, the value at a
-        basis monomial m = w K^l is sum_t c_t lambda(m t).  Only the words
-        of t with deg t = -deg w are paired with w (`_product_row`, which
-        proves that the others give zero), and d need not be homogeneous.
-        For t = w_t K^s the row R of (w, w_t) gives lambda(m t) = zeta^(l
-        t_t) R_((l + s) mod korder), with t_t the weight of w_t; so each
-        entry R_r meets every term of w_t once, at l = r - s.  The weight
-        is linear in the degree, so t_t = -(weight of w) for every paired
-        word, and the twist is applied once per m at the end.  Raises
-        ArithmeticError if lambda is not supported in degree zero.
+        Let d = K^(p2-p1) c = sum_v c_v w_v 1_(b_v) in projector terms.
+        K^l = sum_a zeta^(2 a l) 1_a, so the value at w K^l is sum_a
+        zeta^(2 a l) P_w(a) with P_w(a) = lambda(w 1_a d), and one Fourier
+        fold per word (`Algebra._fourier`, as in `Algebra.element`) turns
+        the P_w into values on the PBW basis.
+
+        Products are pointwise in j (the `algebra` module docstring): w 1_a
+        meets the term v only at a = b_v + t_v/2, t_v the weight of w_v,
+        and there (w w_v) 1_(b_v) = sum V word 1_(b_v) over the row of
+        (w, w_v) at b_v mod P, the row `AlgebraElement.__mul__` reads
+        (`Algebra._pair_row`).  So the term adds c_v sum V lambda(word
+        1_(b_v)) to P_w(a), read off lambda in projector coordinates
+        (`_integral_support`).
+
+        lambda vanishes off Z^2-degree (0, 0) (the premise, checked by
+        `integrals.left-support`), and so do its projector coordinates,
+        since the fold keeps each word; every word of w w_v has degree
+        deg w + deg w_v, so only the words w of degree -deg w_v are paired
+        with w_v, and d need not be homogeneous.  Raises ArithmeticError
+        if the premise fails.
         """
-        lam, premise = self._integral_support("left")
+        lam, premise = self._integral_support()
         if premise:
             raise ArithmeticError(premise)
         A = self.algebra
-        monos = self._monos
         korder = self.params.korder
-        by_word: Dict[tuple, list] = {}
-        for t, ct in (A.k_power(self.p2 - self.p1) * c).pbw_terms().items():
-            by_word.setdefault(t[:4], []).append((t[4], ct))
-        acc: Dict[int, CycloNumber] = {}
-        for wt, terms in by_word.items():
-            for base in self._words_of_degree.get(_opposite(wt), ()):
-                row = self._product_row(lam, monos[base][:4], wt)
-                for r, val in row.items():
-                    for s, ct in terms:
-                        k = base + (r - s) % korder
-                        add = ct * val
-                        cur = acc.get(k)
-                        acc[k] = add if cur is None else cur + add
-        values = {}
-        for k, v in acc.items():
-            m = monos[k]
-            twist = (-m[4] * A.conjugation_weight_exponent(m)) % self.params.N
-            values[k] = v * self.params.zeta(twist) if twist else v
-        return LinearFunctional(A, values)
+        monos = self._monos
+        polys: Dict[tuple, Dict[int, CycloNumber]] = {}
+        for term, cv in (A.k_power(self.p2 - self.p1) * c).terms.items():
+            wv, b = term[:4], term[4]
+            a = (b + A.conjugation_weight_exponent(wv) // 2) % korder
+            for base in self._words_of_degree.get(_opposite(wv), ()):
+                w = monos[base][:4]
+                entry = A._word_pair(w, wv)
+                r = b % entry[1]
+                row = entry[2][r]
+                if row is None:
+                    row = A._pair_row(entry, r)
+                acc = None
+                for keys, value in row:
+                    val = lam.get(keys[b])
+                    if val is not None:
+                        acc = value * val if acc is None else acc + value * val
+                if acc is None:
+                    continue
+                poly = polys.setdefault(w, {})
+                cur = poly.get(a)
+                poly[a] = cv * acc if cur is None else cur + cv * acc
+        return LinearFunctional(A, {
+            A.monomial_index(word + (ell,)): v
+            for word, ell, v in A._fourier(polys, 1, 1)})
 
     def _radford_of_central(self, label: BlockLabel, key: str,
                             element: AlgebraElement) -> LinearFunctional:
@@ -701,7 +692,7 @@ class Functionals:
         corrections; every identity fails, naming the premise, when the
         transform cannot be read off lambda's degree-zero support."""
         checks = []
-        _, premise = self._integral_support("left")
+        _, premise = self._integral_support()
         slf = self.slf_basis()
         for label in self.system.block_labels():
             central = self.real.central_elements(label)
@@ -746,7 +737,7 @@ class Functionals:
         """Central elements map to independent functionals, block by block;
         each block fails, naming the premise, as the identities do."""
         checks = []
-        _, premise = self._integral_support("left")
+        _, premise = self._integral_support()
         for label in self.system.block_labels():
             if premise:
                 checks.append(Check(

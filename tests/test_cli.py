@@ -120,10 +120,14 @@ def test_blocks_suite_keeps_its_checks_at_3_2():
 @pytest.mark.parametrize("pair, digest", [
     ((2, 3), "50698f770a69157b444e31036db54e06e7017678b9b199a45d0ca4a1b65e24dd"),
     ((3, 2), "6d4e1cfd4b3cb28276bc19fbcb370fe6858f7e9bb03f05fde591f65812eaf548"),
+    ((2, 5), "9b63cc80375cd7756c1bb83aadfd4d3e4cb17032cdf124da24bec6a64e322735"),
+    ((3, 4), "8b120ae385cbe3df5b34be1d44fd97178422a35bb216d4a1bec562259a8ae8a2"),
 ])
 def test_center_and_radford_suites_keep_their_checks(pair, digest):
     # ids and statuses of the two suites, in report order, as they were
-    # when each central element was solved from its matrix prescription
+    # when each central element was solved from its matrix prescription;
+    # the (2,5) and (3,4) rows as they were when the Radford transform
+    # still convolved PBW K-exponents
     session = Session(RunConfig(p1=pair[0], p2=pair[1],
                                 suites=("center", "radford")))
     checks = session.suite_center() + session.suite_radford()

@@ -23,8 +23,8 @@ import pytest
 from conftest import A23, B23, F23, R23
 
 import qpair.functionals
-from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, PBWMonomial,
-                           TensorElement)
+from qpair.algebra import (GENERATOR_MONOMIALS, Algebra, AlgebraElement,
+                           PBWMonomial, TensorElement)
 from qpair.cyclo import CycloNumber
 from qpair.functionals import Functionals, LinearFunctional, SigmaRecord
 from qpair.ideals import BlockSystem
@@ -710,16 +710,13 @@ def _reference_radford(F, c):
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
 def test_radford_transform_matches_the_pair_loop(pair):
-    # every central element of one block of each kind, on every monomial;
-    # then two elements of mixed degree, where the K twist of the pairs
-    # of nonzero degree matters
+    # every central element of every block, on every monomial; then two
+    # elements of mixed degree, where the pairs of nonzero degree matter
     F = _functionals(pair)
     system = F.system
-    kinds = {}
+    assert len({system.block_kind(label)
+                for label in system.block_labels()}) == 5
     for label in system.block_labels():
-        kinds.setdefault(system.block_kind(label), label)
-    assert len(kinds) == 5
-    for label in kinds.values():
         for key, c in F.real.central_elements(label).items():
             assert F.radford_transform(c) == _reference_radford(F, c), (
                 label, key)
@@ -730,6 +727,24 @@ def test_radford_transform_matches_the_pair_loop(pair):
         func = F.radford_transform(c)
         assert not func.is_zero()
         assert func == _reference_radford(F, c), terms
+
+
+def test_radford_transform_reads_projector_terms_after_one_product(
+        monkeypatch):
+    # the transform multiplies K^(p2-p1) into c once and never converts
+    # an element to PBW form
+    label = B23.block_labels()[0]
+    central = list(F23.real.central_elements(label).values())
+    expected = [_reference_radford(F23, c) for c in central]
+
+    def refuse(self):
+        raise AssertionError("pbw_terms called")
+
+    monkeypatch.setattr(AlgebraElement, "pbw_terms", refuse)
+    for c, ref in zip(central, expected):
+        before = A23.element_products
+        assert F23.radford_transform(c) == ref
+        assert A23.element_products == before + 1
 
 
 def test_radford_injectivity_per_block():
