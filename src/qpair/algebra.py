@@ -230,8 +230,8 @@ def casimir(params: Params, i: int, target: RelationTarget):
         C_i = -a K^-p_j - a^-1 K^p_j - (a - a^-1)^2 e_i f_i,   a = q_i^p_j,
 
     with p_j the complementary exponent.  The one Casimir formula: the
-    blocks suite reads it in A, and `modules.verify_simple_module` reads
-    it on each simple module's generator matrices.
+    blocks suite reads it in A and on each projective summand's generator
+    matrices, and `modules.verify_simple_module` on each simple module's.
     """
     pj = params.other(i)
     a = params.qi_pow(i, pj)

@@ -29,9 +29,10 @@ verify_ladder_relations checks.  Each generator times each basis vector
 is compared with its displayed image once per left ideal (`ActionTable`):
 the product that built an element is read there, and every other one is
 expanded there and nowhere else.  The ladder checks tally the
-comparisons, the realization reads the slot-(1, 1) images as its
-generator matrices, and the socle match and the top-family adjudications
-read the images and verdicts they name (`_sweep_premise`).
+comparisons, the slot-(1, 1) images are the generator matrices
+(`generator_matrix`) that the realization reads and the block
+annihilators are evaluated on, and the socle match and the top-family
+adjudications read the images and verdicts they name (`_sweep_premise`).
 
 Names come from a naming view of the roles: the first ladder copy's role
 gives the arrow (up, left, right, down), the second ladder copy's role
@@ -63,8 +64,9 @@ from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, AlgebraElement, casimir
 from .cyclo import CycloNumber, Params
-from .linalg import IncrementalSpan
-from .modules import SimpleModuleSpec, _phi_formula, casimir_eigenvalue, phi, simple_action
+from .linalg import IncrementalSpan, Matrix
+from .modules import (SimpleModuleSpec, _phi_formula, casimir_eigenvalue,
+                      matrix_target, phi, simple_action)
 from .report import Check
 
 
@@ -768,6 +770,23 @@ class BlockSystem:
             table = self._build_action_table(*summand, 1, 1)
         return table
 
+    def generator_matrix(self, summand: ProjectiveSummand,
+                         gen: str) -> Matrix:
+        """Left multiplication by a generator on the summand's slot-(1, 1)
+        ideal, read off its action table with no product: column c holds
+        the displayed image of gen times basis vector c.  If any of the
+        generator's products differs from its image, ArithmeticError names
+        the failed `ladder[...]` check and the instance."""
+        table = self.action_table(summand)
+        for bad in table.failed:
+            if bad.generator == gen:
+                raise ArithmeticError(
+                    f"left multiplication by {gen} on {summand} is not "
+                    f"verified: {bad.check} fails at {bad.instance}")
+        images = table.images[gen]
+        return Matrix(self.params.field, len(images),
+                      columns=dict(enumerate(images)))
+
     def ladder_failures(self, alpha: int, r1: int, r2: int, s1: int,
                         s2: int) -> Tuple[LadderFailure, ...]:
         """The failed relations of one left ideal's action table, kept
@@ -1273,9 +1292,9 @@ class BlockSystem:
 
     def verify_blocks(self) -> List[Check]:
         """Block count and dimensions, central block idempotents, ideal
-        ranks, the Casimirs' centrality and annihilators, and the socles,
-        read off the ladder sweep (its tables are built here when the
-        ideals suite has not run)."""
+        ranks and the Casimirs' centrality; the annihilators and the
+        socles are read off the ladder sweep (its tables are built here
+        when the ideals suite has not run)."""
         checks: List[Check] = []
         P = self.params
         p1, p2 = self.p1, self.p2
@@ -1363,29 +1382,7 @@ class BlockSystem:
                 scope=f"exhaustive: {len(gens)} generators, commutators in "
                       f"the algebra"))
 
-        annihilation_bad = []
-        products = 0
-        for label in labels:
-            (c1, m1), (c2, m2) = self._block_annihilators(label)
-            ann1 = (casimirs[1] - A.one() * c1).power(m1)
-            ann2 = (casimirs[2] - A.one() * c2).power(m2)
-            for entry in self.primitive_idempotent_catalog(label):
-                _, alpha, r1, r2, s1, s2 = entry
-                for el in self.ideal_basis(alpha, r1, r2, s1, s2):
-                    for ann in (ann1, ann2):
-                        products += 1
-                        if not (ann * el.value).is_zero():
-                            annihilation_bad.append((label, entry, el.family,
-                                                     el.arrow, el.idx1, el.idx2))
-        checks.append(Check(
-            "blocks.central-annihilators", not annihilation_bad,
-            (f"first failure: {annihilation_bad[0]}" if annihilation_bad
-             else "every ideal basis vector killed by the block's "
-                  "(central - scalar)^power pair"),
-            anchor="central-annihilators",
-            scope=f"exhaustive: {products} products in the algebra, the "
-                  f"block's two annihilators × each of the {total_vectors} "
-                  f"ideal basis vectors"))
+        checks.append(self._check_central_annihilators(labels))
 
         signatures = {}
         clash = []
@@ -1404,6 +1401,69 @@ class BlockSystem:
         checks.append(self._check_beta_reflections())
         checks.append(self._check_socle_matrices(dims_ok))
         return checks
+
+    def _check_central_annihilators(self, labels: List[BlockLabel]) -> Check:
+        """Each block's annihilators (C_i - c_i)^m_i (`_block_annihilators`)
+        kill every basis vector of its left ideals, derived with no product.
+
+        On a class S, `casimir` is evaluated on the `matrix_target` of S's
+        generator matrices (`generator_matrix`) and K's diagonal; write
+        rho(p) for the value of an expression p there.  By induction on
+        letters, column y of rho(p) holds the coordinates of p y over the
+        ideal basis: for e_d and f_d column y is the displayed image of
+        g y, which is g y in A where the sweep's instance passed; K^t is
+        read as K^(t mod korder), which is K^t in A since K^korder = 1,
+        and t mod korder passed weight instances give w_y^(t mod korder)
+        y; sums and scalar multiples are linear; and (p q) y = p (q y) is
+        column y of rho(p) rho(q).  So a zero (rho(C_i) - c_i)^m_i gives
+        (C_i - c_i)^m_i y = 0 for every basis vector y, with no premise
+        that the basis is independent.  The images read only the layout,
+        which a class's slots share, so where every slot's instances
+        passed (`ladder_failures`) the slot-(1, 1) matrices serve every
+        slot.  A failure names the first failed premise, or the class, the
+        copy and the first nonzero column.
+        """
+        P = self.params
+        premises: List[str] = []
+        bad: List[str] = []
+        classes = vectors = 0
+        for label in labels:
+            annihilators = self._block_annihilators(label)
+            for S in self.summands_of(label):
+                slots = self.slots(S.r1, S.r2)
+                failed = [f for s1, s2 in slots
+                          for f in self.ladder_failures(*S, s1, s2)]
+                if failed:
+                    premises.append(f"premise {failed[0].check} fails at "
+                                    f"{failed[0].instance}")
+                    continue
+                gens = {g: self.generator_matrix(S, g)
+                        for g in ACTION_GENERATORS}
+                K = gens.pop("K")
+                target = matrix_target(P, gens,
+                                       [K[c, c] for c in range(K.nrows)])
+                classes += 1
+                vectors += K.nrows * len(slots)
+                for i, (c, m) in enumerate(annihilators, 1):
+                    ann = (casimir(P, i, target) - target.one * c) ** m
+                    if not ann.is_zero():
+                        col = min(ann)
+                        name = list(self._elements_of_ideal(*S, 1, 1))[col]
+                        bad.append(f"block ({label.r1},{label.r2}), class "
+                                   f"({S.alpha:+d},{S.r1},{S.r2}), copy {i}, "
+                                   f"column {col} {name}")
+        return Check(
+            "blocks.central-annihilators", not premises and not bad,
+            premises[0] if premises else
+            f"{len(bad)} of {2 * classes} class and copy pairs not killed; "
+            f"first: {bad[0]}" if bad else
+            "every ideal basis vector killed by the block's "
+            "(central - scalar)^power pair",
+            anchor="central-annihilators",
+            scope=f"derived: (C_i - c_i)^m_i, i = 1, 2, on the generator "
+                  f"matrices of {classes} classes, for the {vectors} basis "
+                  f"vectors of their left ideals, no products; premise the "
+                  f"ladder sweep's instances on every slot of each class")
 
     def _check_beta_reflections(self) -> Check:
         P = self.params

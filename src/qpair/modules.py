@@ -21,16 +21,17 @@ Matrices act on column vectors: entry (i, j) is the coefficient of
 basis vector i in the image of basis vector j.
 
 The checks hold no relation and no Casimir formula of their own: each
-module's matrices form a `RelationTarget`, on which the one presentation
-of `algebra` (`defining_relations`, `casimir`) is evaluated, as it is in
-A and on the images of the Hopf maps.
+module's matrices form a `RelationTarget` (`matrix_target`, which also
+serves the projective summands' generator matrices), on which the one
+presentation of `algebra` (`defining_relations`, `casimir`) is
+evaluated, as it is in A and on the images of the Hopf maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from typing import Iterator, List
+from typing import Iterator, List, Mapping, Sequence
 
 from .algebra import RelationTarget, casimir, defining_relations
 from .cyclo import CycloNumber, Params
@@ -180,18 +181,28 @@ def k_spectrum(params: Params, spec: SimpleModuleSpec) -> Counter:
     )
 
 
-def relation_target(params: Params, spec: SimpleModuleSpec) -> RelationTarget:
-    """The module as a `RelationTarget`: the matrices of e1, e2, f1 and
-    f2, and K^t the diagonal of the rung weights raised to the power t."""
-    field, dim = params.field, spec.dim
-    weights = [weight(params, spec, n1, n2)
-               for n2 in range(spec.r2) for n1 in range(spec.r1)]
+def matrix_target(params: Params, images: Mapping[str, Matrix],
+                  weights: Sequence[CycloNumber]) -> RelationTarget:
+    """Matrices as a `RelationTarget`: ``images`` of e1, e2, f1 and f2, and
+    K^t the diagonal of ``weights`` raised to t mod korder, the power A
+    reads K^t as.  It serves the simple modules (`relation_target`) and
+    the projective summands (`BlockSystem._check_central_annihilators`)."""
+    field, dim, korder = params.field, len(weights), params.korder
     return RelationTarget(
-        images={g: simple_action(params, spec, g)
-                for g in ("e1", "e2", "f1", "f2")},
+        images=images,
         k_power=lambda t: Matrix(field, dim, columns={
-            j: {j: w ** t} for j, w in enumerate(weights)}),
+            j: {j: w ** (t % korder)} for j, w in enumerate(weights)}),
         one=Matrix.identity(field, dim), zero=Matrix.zeros(field, dim))
+
+
+def relation_target(params: Params, spec: SimpleModuleSpec) -> RelationTarget:
+    """The module as a `matrix_target`: the matrices of e1, e2, f1 and f2,
+    and the rung weights."""
+    return matrix_target(
+        params, {g: simple_action(params, spec, g)
+                 for g in ("e1", "e2", "f1", "f2")},
+        [weight(params, spec, n1, n2)
+         for n2 in range(spec.r2) for n1 in range(spec.r1)])
 
 
 def verify_simple_module(params: Params, spec: SimpleModuleSpec) -> List[Check]:

@@ -9,7 +9,7 @@ decided in `ideals`, and a `GroupLayout` only adds each family's offset.
 
 All matrices are the package's one sparse `linalg.Matrix` type.
 Generator matrices are read off the summand's slot-(1, 1) action table
-(`BlockSystem.action_table`): the ladder sweep expands each generator
+(`BlockSystem.generator_matrix`): the ladder sweep expands each generator
 times each ideal basis vector once, compares it with its displayed image
 and keeps the image's coordinates, so no product is made here and a
 column that failed its check is never used.  The matrix of a K-free word
@@ -302,34 +302,17 @@ class Realization:
 
     def generator_matrix(self, summand: ProjectiveSummand,
                          gen: str) -> Matrix:
-        """Left multiplication by a generator, read off the summand's
-        slot-(1, 1) action table (`BlockSystem.action_table`).
-
-        The table (kept from the ladder sweep, or built on demand) holds
-        each product of the generator with a basis vector, expanded in A
-        once and compared with its displayed image,
-        a combination of at most two basis vectors; column c holds that
-        image's coordinates.  No product and no coordinate solve is made
-        here, and the basis is independent (`_basis`), so the coordinates
-        are the unique ones.  If any of the generator's products differs
-        from its image, ArithmeticError names the failed `ladder[...]`
-        check and the instance: no matrix rests on an unverified column.
-        """
+        """Left multiplication by a generator on the summand's slot-(1, 1)
+        ideal, read off its verified action table
+        (`BlockSystem.generator_matrix`, which refuses an unverified
+        column).  The basis is independent (`_basis`), so the columns hold
+        the unique coordinates."""
         mats = self._gen_mats.setdefault(summand, {})
         cached = mats.get(gen)
-        if cached is not None:
-            return cached
-        els = self._basis(summand)
-        table = self.system.action_table(summand)
-        for bad in table.failed:
-            if bad.generator == gen:
-                raise ArithmeticError(
-                    f"left multiplication by {gen} on {summand} is not "
-                    f"verified: {bad.check} fails at {bad.instance}")
-        cols = Matrix(self.params.field, len(els),
-                      columns=dict(enumerate(table.images[gen])))
-        mats[gen] = cols
-        return cols
+        if cached is None:
+            self._basis(summand)
+            cached = mats[gen] = self.system.generator_matrix(summand, gen)
+        return cached
 
     def monomial_matrices(self, summand: ProjectiveSummand) -> List[Matrix]:
         """Matrices of the K-free words, in word order (`pbw_matrices`)."""

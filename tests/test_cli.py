@@ -108,6 +108,36 @@ def test_idempotents_and_blocks_suites_keep_their_checks():
         "78cf26367a720aae24302546a6c35fe13a16aef9cb23b547cf38a67146b69086")
 
 
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_blocks_suite_alone_matches_its_rows_in_the_whole_stack(pair):
+    # run alone, the blocks suite builds the action tables it reads on
+    # demand and gives the rows it gives after the ideals suite.  At (2,3)
+    # its products are the commutators of the 6 block idempotents and the
+    # 2 Casimirs with 5 generators (60 and 20) and e_i f_i in each Casimir
+    # (2); the annihilators make none (951 products before they were read
+    # through the generator matrices: 864 annihilators times ideal vectors
+    # and 5 squares of annihilators besides)
+    idempotent_ids = {"blocks.idempotent-squares",
+                      "blocks.pairwise-orthogonal",
+                      "blocks.resolution-of-identity"}
+    p1, p2 = pair
+    _, whole = run(RunConfig(p1=p1, p2=p2, suites=("all",)))
+    _, alone = run(RunConfig(p1=p1, p2=p2, suites=("blocks",)))
+
+    def rows(report):
+        return [[c.check_id, c.status, c.detail, c.scope]
+                for c in report.checks if c.check_id.startswith("blocks.")
+                and c.check_id not in idempotent_ids]
+
+    assert rows(alone) == rows(whole)
+    assert len(rows(whole)) == 11
+    # the sweep's own products, made on demand
+    assert (alone.suite_counts["blocks"]["element_products"]
+            > whole.suite_counts["blocks"]["element_products"])
+    if pair == (2, 3):
+        assert whole.suite_counts["blocks"]["element_products"] == 82
+
+
 def test_blocks_suite_keeps_its_checks_at_3_2():
     # ids and statuses in report order, as they were when the socle check
     # expanded its products and solved them over a tracked span

@@ -20,10 +20,10 @@ from functools import lru_cache
 import pytest
 from conftest import A23, B23, decomposition_checks
 
-from qpair.algebra import Algebra, AlgebraElement
+from qpair.algebra import Algebra, AlgebraElement, casimir
 from qpair.cyclo import Params
 from qpair.ideals import (ACTION_GENERATORS, BlockLabel, BlockSystem,
-                          NamedElement, ProjectiveSummand)
+                          LadderFailure, NamedElement, ProjectiveSummand)
 from qpair.linalg import IncrementalSpan
 from qpair.modules import SimpleModuleSpec, phi, simple_action
 from qpair.realization import Realization
@@ -693,6 +693,7 @@ def test_derived_checks_make_no_product_after_the_sweep(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__mul__", scalar_only)
     monkeypatch.setattr(IncrementalSpan, "coordinates", None)
     assert B._check_socle_matrices(True).passed
+    assert B._check_central_annihilators(B.block_labels()).passed
     read = 0
     for label in B.block_labels():
         kind = B.block_kind(label)
@@ -706,6 +707,107 @@ def test_derived_checks_make_no_product_after_the_sweep(monkeypatch):
                                                    label).passed
             read += 1
     assert read == 8
+
+
+def _expanded_annihilator_failures(B):
+    """The loop the derived annihilator check replaced: each block's two
+    annihilators (C_i - c_i)^m_i times every basis vector of every left
+    ideal of the block, in A.  Returns {(label, class, copy): {slot:
+    the columns not killed}} over the pairs with a failure."""
+    A = B.algebra
+    casimirs = {i: casimir(B.params, i, A.relation_target()) for i in (1, 2)}
+    out = {}
+    for label in B.block_labels():
+        anns = [(casimirs[i] - A.one() * c).power(m) for i, (c, m)
+                in enumerate(B._block_annihilators(label), 1)]
+        for _, alpha, r1, r2, s1, s2 in B.primitive_idempotent_catalog(label):
+            for col, el in enumerate(B.ideal_basis(alpha, r1, r2, s1, s2)):
+                for i, ann in enumerate(anns, 1):
+                    if not (ann * el.value).is_zero():
+                        out.setdefault(
+                            (label, (alpha, r1, r2), i), {}).setdefault(
+                            (s1, s2), []).append(col)
+    return out
+
+
+def _first_annihilator_failure(B, failures):
+    """The detail the derived check gives for the loop's failures."""
+    (label, (alpha, r1, r2), i), cols = next(iter(failures.items()))
+    col = min(cols[1, 1])
+    name = list(B._elements_of_ideal(alpha, r1, r2, 1, 1))[col]
+    classes = sum(len(B.summands_of(lab)) for lab in B.block_labels())
+    return (f"{len(failures)} of {2 * classes} class and copy pairs not "
+            f"killed; first: block ({label.r1},{label.r2}), class "
+            f"({alpha:+d},{r1},{r2}), copy {i}, column {col} {name}")
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (3, 4)])
+def test_central_annihilators_match_the_pair_loop(pair):
+    B = _swept(pair)
+    check = B._check_central_annihilators(B.block_labels())
+    assert _expanded_annihilator_failures(B) == {}
+    assert check.passed
+    assert check.detail == ("every ideal basis vector killed by the block's "
+                            "(central - scalar)^power pair")
+    vectors = B.algebra.dimension
+    assert check.scope.startswith("derived: ")
+    assert f"for the {vectors} basis vectors of their left ideals" in (
+        check.scope)
+
+
+def test_shifted_annihilator_scalars_fail_as_in_the_pair_loop(monkeypatch):
+    # every block given the next block's scalars: the derived check and
+    # the loop find the same class and copy pairs not killed, the same
+    # columns on every slot of a class, and the same first column
+    labels = B23.block_labels()
+    true = BlockSystem._block_annihilators
+    monkeypatch.setattr(BlockSystem, "_block_annihilators", lambda self, label:
+                        true(self, labels[(labels.index(label) + 1)
+                                          % len(labels)]))
+    B = _swept((2, 3))
+    failures = _expanded_annihilator_failures(B)
+    for slots in failures.values():
+        assert len(set(map(tuple, slots.values()))) == 1
+    check = B._check_central_annihilators(labels)
+    assert not check.passed
+    assert check.detail == _first_annihilator_failure(B, failures)
+    assert check.detail.startswith("17 of 24 class and copy pairs")
+
+
+def test_a_wrong_annihilator_scalar_names_the_class_copy_and_column(
+        monkeypatch):
+    true = BlockSystem._block_annihilators
+
+    def wrong(self, label):
+        pairs = true(self, label)
+        if label != BlockLabel(1, 1):
+            return pairs
+        (c1, m1), second = pairs
+        return (c1 + 1, m1), second
+
+    monkeypatch.setattr(BlockSystem, "_block_annihilators", wrong)
+    B = _swept((2, 3))
+    check = B._check_central_annihilators(B.block_labels())
+    assert not check.passed
+    assert check.detail == _first_annihilator_failure(
+        B, _expanded_annihilator_failures(B))
+    assert check.detail == (
+        "4 of 24 class and copy pairs not killed; first: block (1,1), "
+        "class (+1,1,1), copy 1, column 0 ('T', 'up', 0, 0)")
+
+
+def test_a_failed_slot_premise_fails_the_annihilator_check():
+    # a failure planted on slot (1, 2) of the class (+1, 1, 2): the
+    # slot-(1, 1) matrices are fine, but they no longer speak for it
+    B = BlockSystem(A23)
+    planted = LadderFailure("e2", 0, "ladder[1,2].dir2.lower.top-with-shadow",
+                            "('B', 'up', 0, 0) in (+1,1,2;1,2)")
+    B._failures[1, 1, 2, 1, 2] = (planted,)
+    check = B._check_central_annihilators(B.block_labels())
+    assert not check.passed
+    assert check.detail == (
+        "premise ladder[1,2].dir2.lower.top-with-shadow fails at "
+        "('B', 'up', 0, 0) in (+1,1,2;1,2)")
 
 
 def test_a_failed_premise_fails_the_socle_check(monkeypatch):
