@@ -86,10 +86,11 @@ Products are pointwise in j.  Let t_v be the weight of the word w_v
 (K w_v = zeta^(t_v) w_v K).  Then 1_a w_v = w_v 1_(a - t_v/2), so
 (w_u 1_a)(w_v 1_b) vanishes unless a = b + t_v/2 (mod korder), and
 otherwise equals sum coef lambda_b^s word 1_b over the triples
-(word, s, coef) of w_u w_v.  `AlgebraElement.__mul__` indexes the right
-factor's terms (w_v, b) by the left index a = b + t_v/2 (mod korder)
-they meet, then walks the left factor's terms against that index, so a
-left term costs one lookup and only the pairs that meet are multiplied.
+(word, s, coef) of w_u w_v.  `Algebra.meeting_index` states the rule
+once.  `AlgebraElement.__mul__` indexes the right factor's terms (w_v, b)
+by the left index a they meet, then walks the left factor's terms
+against that index, so a left term costs one lookup and only the pairs
+that meet are multiplied.
 In the verifier the right factor is the small one: most products are a
 generator or prefix word (korder terms) times a named element of one or
 two terms.
@@ -481,6 +482,16 @@ class Algebra:
         x, or for a K-free word (m1, m2, n1, n2)."""
         m1, m2, n1, n2 = mono[:4]
         return (4 * self.p2 * (m1 - n1) + 4 * self.p1 * (m2 - n2)) % self._N
+
+    def meeting_index(self, key: tuple) -> int:
+        """The index a at which the projector term w_v 1_b = key meets a
+        left factor: (w_u 1_a)(w_v 1_b) = (w_u w_v) 1_b exactly when a =
+        b + t_v/2 (mod korder), and 0 at every other a (the module
+        docstring's pointwise rule).  t_v/2 is half of
+        `conjugation_weight_exponent`, 2 p2 (m1 - n1) + 2 p1 (m2 - n2)."""
+        m1, m2, n1, n2, b = key
+        return (b + 2 * self.p2 * (m1 - n1) + 2 * self.p1 * (m2 - n2)
+                ) % self.korder
 
     # ------------------------------------------------------------------
     # Normal-ordering engine
@@ -1174,10 +1185,11 @@ class AlgebraElement:
 
         Pointwise in j (the module docstring): (w_u 1_a)(w_v 1_b) is
         (w_u w_v) 1_b at a = b + t_v/2 and zero elsewhere.  The right
-        factor's terms are indexed by the left index a they meet, and the
-        left factor's terms walk that index.  Each meeting pair reads the
-        evaluated row of b mod P from the pair's memo entry ("Evaluated
-        rows") and adds (c_u c_v) * V at word 1_b for each (word, V) of it.
+        factor's terms are indexed by the left index a they meet
+        (`meeting_index`), and the left factor's terms walk that index.
+        Each meeting pair reads the evaluated row of b mod P from the
+        pair's memo entry ("Evaluated rows") and adds (c_u c_v) * V at
+        word 1_b for each (word, V) of it.
 
         Prune rule.  Every coefficient of an element is nonzero, every row
         value V is nonzero, and Q(zeta_N) is a field, so each contribution
@@ -1198,14 +1210,11 @@ class AlgebraElement:
         _same_algebra(self, other)
         alg = self.algebra
         alg.element_products += 1
-        korder = alg.korder
-        weight = alg.conjugation_weight_exponent
+        meeting = alg.meeting_index
         memo = alg._word_products
         right: dict[int, list] = {}
-        for (m1, m2, n1, n2, b), cv in other.terms.items():
-            wv = (m1, m2, n1, n2)
-            right.setdefault((b + weight(wv) // 2) % korder, []).append(
-                (wv, b, cv))
+        for key, cv in other.terms.items():
+            right.setdefault(meeting(key), []).append((key[:4], key[4], cv))
         out: dict[tuple, CycloNumber] = {}
         twice = set()
         for term, cu in self.terms.items():

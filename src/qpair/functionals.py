@@ -575,12 +575,12 @@ class Functionals:
         the P_w into values on the PBW basis.
 
         Products are pointwise in j (the `algebra` module docstring): w 1_a
-        meets the term v only at a = b_v + t_v/2, t_v the weight of w_v,
-        and there (w w_v) 1_(b_v) = sum V word 1_(b_v) over the row of
-        (w, w_v) at b_v mod P, the row `AlgebraElement.__mul__` reads
-        (`Algebra._pair_row`).  So the term adds c_v sum V lambda(word
-        1_(b_v)) to P_w(a), read off lambda in projector coordinates
-        (`_integral_support`).
+        meets the term v only at a = b_v + t_v/2, t_v the weight of w_v
+        (`Algebra.meeting_index`), and there (w w_v) 1_(b_v) = sum V word
+        1_(b_v) over the row of (w, w_v) at b_v mod P, the row
+        `AlgebraElement.__mul__` reads (`Algebra._pair_row`).  So the term
+        adds c_v sum V lambda(word 1_(b_v)) to P_w(a), read off lambda in
+        projector coordinates (`_integral_support`).
 
         lambda vanishes off Z^2-degree (0, 0) (the premise, checked by
         `integrals.left-support`), and so do its projector coordinates,
@@ -593,12 +593,11 @@ class Functionals:
         if premise:
             raise ArithmeticError(premise)
         A = self.algebra
-        korder = self.params.korder
         monos = self._monos
         polys: Dict[tuple, Dict[int, CycloNumber]] = {}
         for term, cv in (A.k_power(self.p2 - self.p1) * c).terms.items():
             wv, b = term[:4], term[4]
-            a = (b + A.conjugation_weight_exponent(wv) // 2) % korder
+            a = A.meeting_index(term)
             for base in self._words_of_degree.get(_opposite(wv), ()):
                 w = monos[base][:4]
                 entry = A._word_pair(w, wv)

@@ -27,12 +27,14 @@ elements along these ladders with phi-coefficients, and the displayed
 relations -- normalization handoffs included -- are what
 verify_ladder_relations checks.  Each generator times each basis vector
 is compared with its displayed image once per left ideal (`ActionTable`):
-the product that built an element is read there, and every other one is
-expanded there and nowhere else.  The ladder checks tally the
-comparisons, the slot-(1, 1) images are the generator matrices
-(`generator_matrix`) that the realization reads and the block
-annihilators are evaluated on, and the socle match and the top-family
-adjudications read the images and verdicts they name (`_sweep_premise`).
+the product that built an element is read there, K's product is read
+off the vector's projector keys, and every other one is expanded there
+and nowhere else.  The ladder checks tally the comparisons, the
+slot-(1, 1) images are the generator matrices (`generator_matrix`) that
+the realization reads and the block annihilators are evaluated on, the
+socle match and the top-family adjudications read the images and
+verdicts they name (`_sweep_premise`), and the idempotent squares walk
+them (`_ideal_product`).
 
 Names come from a naming view of the roles: the first ladder copy's role
 gives the arrow (up, left, right, down), the second ladder copy's role
@@ -167,6 +169,25 @@ _ARROW_OF_ROLE = dict(zip(ROLES, ("up", "left", "right", "down")))
 _LETTER_OF_ROLE = dict(zip(ROLES, ("T", "L", "R", "B")))
 # the idempotent kind of a class, by its number of ladder copies
 _IDEMPOTENT_KINDS = ("X-type", "P-boundary", "P-interior")
+
+
+# How a ladder instance is decided with no product, as its check's scope
+# says it after the count of such instances.
+_DERIVED = {
+    "built": "of them derived: g × predecessor, displayed coefficient = "
+             "normalizer ratio, target nonzero, no product",
+    "weight": "derived from the projector keys: K x = mu x where zeta^(2a) "
+              "= mu at the meeting index a of every key of x, no product",
+    "averager": "derived from the projector keys: v x is korder times the "
+                "terms of x whose keys meet the averager's index, no product",
+}
+
+
+def _accumulate(out: Dict[int, CycloNumber], key: int,
+                value: CycloNumber) -> None:
+    """out[key] += value, with a missing key read as 0."""
+    cur = out.get(key)
+    out[key] = value if cur is None else cur + value
 
 
 def _entry(alpha: int, r1: int, r2: int, s1: int, s2: int) -> str:
@@ -565,17 +586,22 @@ class BlockSystem:
                 f"({r1}, {r2}), whose idempotents are {own}")
         return self._slot_element(alpha, r1, r2, s1, s2)
 
-    def _slot_element(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
-                      dropped: Collection[int] = ()) -> AlgebraElement:
-        """The named element at index pair (s1 - 1, s2 - 1) whose role is
-        bottom on each copy in ``dropped``, top on any other ladder copy
-        and bottom on a full copy."""
+    def _slot_name(self, r1: int, r2: int, s1: int, s2: int,
+                   dropped: Collection[int] = ()) -> Tuple[str, str, int, int]:
+        """(family, arrow, idx1, idx2) of the element at index pair (s1 -
+        1, s2 - 1) whose role is bottom on each copy in ``dropped``, top on
+        any other ladder copy and bottom on a full copy."""
         ladders = self.ladder_copies(r1, r2)
         roles = tuple("top" if d in ladders and d not in dropped else "bottom"
                       for d in (1, 2))
-        return self.build_named_element(
-            *self.family_name(r1, r2, roles), alpha, r1, r2, s1, s2,
-            s1 - 1, s2 - 1).value
+        return (*self.family_name(r1, r2, roles), s1 - 1, s2 - 1)
+
+    def _slot_element(self, alpha: int, r1: int, r2: int, s1: int, s2: int,
+                      dropped: Collection[int] = ()) -> AlgebraElement:
+        """The value of the `_slot_name` element of the slot's ideal."""
+        family, arrow, i1, i2 = self._slot_name(r1, r2, s1, s2, dropped)
+        return self.build_named_element(family, arrow, alpha, r1, r2, s1, s2,
+                                        i1, i2).value
 
     def central_element(self, label: BlockLabel,
                         flags: Mapping[int, int]) -> AlgebraElement:
@@ -701,16 +727,21 @@ class BlockSystem:
         }
 
     class _Tally:
-        """Aggregates one relation family across all its instances."""
+        """Aggregates one relation family across all its instances.
+
+        ``derived`` names how an instance was decided without a product
+        (one of the `_DERIVED` readings); the scope counts those."""
 
         def __init__(self):
             self.data: Dict[str, List] = {}
 
         def hit(self, slug: str, ok: bool, context: str = "",
-                derived: bool = False):
-            entry = self.data.setdefault(slug, [0, 0, "", 0])
+                derived: str = ""):
+            entry = self.data.setdefault(slug, [0, 0, "", 0, ""])
             entry[0] += 1
-            entry[3] += derived
+            if derived:
+                entry[3] += 1
+                entry[4] = derived
             if not ok:
                 entry[1] += 1
                 if not entry[2]:
@@ -720,17 +751,14 @@ class BlockSystem:
                    ideals: int) -> List[Check]:
             out = []
             for slug in sorted(self.data):
-                total, failed, context, derived = self.data[slug]
+                total, failed, context, derived, how = self.data[slug]
                 detail = f"{total} instances; failures: {failed}"
                 if failed and context:
                     detail += f"; first at {context}"
                 scope = (f"exhaustive: {total} instances over the {ideals} "
                          f"primitive left ideals")
                 if derived:
-                    scope += (f", {derived} of them derived: g × "
-                              f"predecessor, displayed coefficient = "
-                              f"normalizer ratio, target nonzero, no "
-                              f"product")
+                    scope += f", {derived} {_DERIVED[how]}"
                 out.append(Check(f"{prefix}.{slug}", failed == 0, detail,
                                  anchor, scope=scope))
             return out
@@ -825,6 +853,59 @@ class BlockSystem:
                         f"{_entry(alpha, r1, r2, s1, s2)} is not the target")
         return ""
 
+    def _ideal_product(self, x: AlgebraElement, alpha: int, r1: int,
+                       r2: int, s1: int, s2: int,
+                       y: Mapping[int, CycloNumber]
+                       ) -> Tuple[Dict[int, CycloNumber], str]:
+        """x times the vector with coordinates ``y`` over the basis of the
+        left ideal (alpha, r1, r2; s1, s2), as coordinates over that basis,
+        with no product in A; and '' or the first failed premise.
+
+        Proof.  x is a sum of terms c w 1_j, and (c w 1_j) y = c w (1_j
+        y).  The sweep's weight instance shows K y_b = mu_b y_b for each
+        basis vector y_b.  1_j = (1/korder) sum_l zeta^(-2jl) K^l, so 1_j
+        y_b is y_b when mu_b = zeta^(2j) and 0 otherwise: K^korder = 1, so
+        y_b = 0 or mu_b is a korder-th root of unity, and a sum over a full
+        period of a root of unity other than 1 is 0.  Then w = e1^m1 e2^m2
+        f1^n1 f2^n2 acts right letter first, and a letter g sends sum u_b
+        y_b to sum u_b (g y_b), where the sweep's instance (g, b) shows
+        g y_b = its displayed image, whose coordinates the action table
+        holds.  So x y is the returned combination of the basis wherever
+        every instance the walk read passed.  The images read only the
+        layout, which a class's slots share, so the kept slot-(1, 1)
+        images serve every slot; the premises are the read instances of
+        this slot's sweep (`ladder_failures`).  Each word is walked once,
+        on the sum of the terms that its projectors keep.
+        """
+        images = self.action_table(ProjectiveSummand(alpha, r1, r2)).images
+        field, N = self.params.field, self.params.N
+        read = {("K", b) for b in y}
+        exponent = {b: field.root_exponent(images["K"][b][b]) for b in y}
+        starts: Dict[tuple, Dict[int, CycloNumber]] = {}
+        for key, c in x.terms.items():
+            for b, yb in y.items():
+                if exponent[b] is not None and (
+                        exponent[b] - 2 * key[4]) % N == 0:
+                    _accumulate(starts.setdefault(key[:4], {}), b, c * yb)
+        out: Dict[int, CycloNumber] = {}
+        for (m1, m2, n1, n2), u in starts.items():
+            for gen, times in (("f2", n2), ("f1", n1), ("e2", m2),
+                               ("e1", m1)):
+                for _ in range(times):
+                    moved: Dict[int, CycloNumber] = {}
+                    for b, ub in u.items():
+                        read.add((gen, b))
+                        for d, v in images[gen][b].items():
+                            _accumulate(moved, d, ub * v)
+                    u = {d: v for d, v in moved.items() if not v.is_zero()}
+            for b, ub in u.items():
+                _accumulate(out, b, ub)
+        failed = [bad for bad in self.ladder_failures(alpha, r1, r2, s1, s2)
+                  if (bad.generator, bad.column) in read]
+        premise = (f"premise {failed[0].check} fails at {failed[0].instance}"
+                   if failed else "")
+        return {b: v for b, v in out.items() if not v.is_zero()}, premise
+
     def _build_action_table(self, alpha: int, r1: int, r2: int, s1: int,
                             s2: int, tally: Optional["_Tally"] = None
                             ) -> ActionTable:
@@ -833,10 +914,12 @@ class BlockSystem:
         comparison is one instance of a `ladder[...]` check, tallied into
         ``tally`` when one is given.
 
-        Where g x built a basis vector y = g x / ratio (`_predecessor`),
-        the instance is derived: it holds when the image is {y: ratio}
-        and y is nonzero (`_value`), so no product is made.  Every other
-        instance expands g x in A.
+        Two kinds of instance are derived, with no product.  K's image is
+        the family weight mu times x, and K x = mu x is read off x's keys
+        (`_is_k_eigenvector`).  Where g x built a basis vector y = g x /
+        ratio (`_predecessor`), the instance holds when the image is {y:
+        ratio} and y is nonzero (`_value`).  Every other instance expands
+        g x in A.
 
         The failures are kept for every ideal, the images for slot (1, 1)
         only: that is the ideal the realization reads.
@@ -863,12 +946,17 @@ class BlockSystem:
         for gen, c, slug, image in self._displayed_images(alpha, r1, r2,
                                                           basis):
             made = built.get((gen, c))
-            if made is None:
+            if gen == "K":
+                derived = "weight"
+                ok = self._is_k_eigenvector(values[c], image[c])
+            elif made is None:
+                derived = ""
                 terms = [values[k] if v is one else values[k] * v
                          for k, v in image.items()]
                 want = sum(terms[1:], terms[0]) if terms else zero
                 ok = self._generators[gen] * values[c] == want
             else:
+                derived = "built"
                 target, ratio = made
                 ok = image == {target: ratio} and not values[target].is_zero()
             images[gen][c] = image
@@ -877,7 +965,7 @@ class BlockSystem:
             context = "" if ok else (
                 f"{(el.family, el.arrow, el.idx1, el.idx2)} in {where}")
             if tally is not None:
-                tally.hit(slug, ok, context, derived=made is not None)
+                tally.hit(slug, ok, context, derived)
             if not ok:
                 failed.append(LadderFailure(
                     gen, c, f"ladder[{label.r1},{label.r2}].{slug}", context))
@@ -886,6 +974,24 @@ class BlockSystem:
         if (s1, s2) == (1, 1):
             self._tables[ProjectiveSummand(alpha, r1, r2)] = table
         return table
+
+    def _is_k_eigenvector(self, x: AlgebraElement, mu: CycloNumber) -> bool:
+        """K x = mu x, read off x's projector keys with no product.
+
+        Proof.  K = sum_j zeta^(2j) 1_j, and 1_j (w 1_b) is w 1_b when j
+        is the key's meeting index a (`Algebra.meeting_index`; the empty
+        word times w is w) and 0 at every other j.  So K x is the sum of
+        zeta^(2a) c w 1_b over the terms c w 1_b of x.  The keys are a
+        basis and every c is nonzero, so K x = mu x exactly when zeta^(2a)
+        = mu at every key.  With mu = zeta^k that is 2a = k (mod N); a mu
+        that is no power of zeta equals no zeta^(2a), so then K x = mu x
+        holds for x = 0 only.
+        """
+        k = self.params.field.root_exponent(mu)
+        if k is None:
+            return x.is_zero()
+        meet, N = self.algebra.meeting_index, self.params.N
+        return all((2 * meet(key) - k) % N == 0 for key in x.terms)
 
     def _displayed_images(self, alpha: int, r1: int, r2: int,
                           basis: List[NamedElement]):
@@ -961,25 +1067,44 @@ class BlockSystem:
                         s1: int, s2: int) -> None:
         """The four projection cases of the averager against block vectors:
         case 1 + (copy 1 beyond its ladder) + 2 (copy 2 beyond its
-        ladder), case 1 split into the matching slot and the others."""
+        ladder), case 1 split into the matching slot and the others.  The
+        match reads v x = korder x, every other case v x = 0.
+
+        Each case is read off x's projector keys, with no product.  The
+        averager v is the one term korder 1_j0 (`weight_averager`), and
+        1_j0 (w 1_b) is w 1_b when j0 is the key's meeting index
+        (`Algebra.meeting_index`) and 0 otherwise, so v x is korder times
+        the terms of x whose keys meet j0.  The keys are a basis and every
+        coefficient is nonzero, so v x = korder x exactly when every key
+        of x meets j0, and v x = 0 exactly when none does.  An averager
+        that is not one such term fails every case, naming it.
+        """
         families = self.ladder_families(r1, r2)
         elems = self._elements_of_ideal(alpha, r1, r2, s1, s2)
         where = _entry(alpha, r1, r2, s1, s2)
         v = self.weight_averager(alpha, r1, r2, s1, s2)
-        factor = 2 * self.p1 * self.p2
+        P = self.params
+        korder = P.korder
+        j0, refused = None, f"averager {v!r} is not one term {korder} 1_j"
+        if len(v) == 1:
+            (key, coeff), = v.terms.items()
+            if key[:4] == (0, 0, 0, 0) and coeff == P.rational(korder):
+                j0, refused = key[4], ""
+        meet = self.algebra.meeting_index
         for (family, arrow, i1, i2), el in elems.items():
-            if el.family == "b":
-                continue
             t1, t2 = families[(family, arrow)].slots
             case = 1 + (t1 == "k") + 2 * (t2 == "k")
-            product = v * el.value
+            met = [meet(key) == j0 for key in el.value.terms]
             if case == 1 and (i1, i2) == (s1 - 1, s2 - 1):
-                tally.hit("averager.match", product == el.value * factor,
-                          f"{(family, arrow)} {where}")
+                slug, ok = "match", all(met)
+                context = f"{(family, arrow)} {where}"
             else:
                 slug = "case1-off-slot" if case == 1 else f"case{case}"
-                tally.hit(f"averager.{slug}", product.is_zero(),
-                          f"{(family, arrow, i1, i2)} {where}")
+                ok = not any(met)
+                context = f"{(family, arrow, i1, i2)} {where}"
+            tally.hit(f"averager.{slug}", ok and not refused,
+                      f"{context}: {refused}" if refused else context,
+                      "averager")
 
     def _alternate_expressions(self, tally: "_Tally", alpha: int,
                                r1: int, r2: int, s1: int, s2: int) -> None:
@@ -1253,6 +1378,14 @@ class BlockSystem:
         """The primitive idempotents square to themselves, annihilate
         each other in both orders, and sum to 1.
 
+        Each square is derived with no product.  An idempotent e is, by
+        construction, the basis vector of its own left ideal at its slot
+        (`_slot_name`), so its coordinates there are {that column: 1}, and
+        e e is walked over the ideal's verified images (`_ideal_product`,
+        whose proof and premises apply).  The square holds when the walk
+        returns those coordinates.  An e that is not that basis vector, or
+        a failed premise, fails the check, naming it.
+
         Orthogonality is derived from the other two, with no product.
         Left multiplication by an idempotent e is a projection, so its
         trace is its rank; these maps sum to the identity, so in
@@ -1262,16 +1395,34 @@ class BlockSystem:
         naming it, when a premise fails.
         """
         A = self.algebra
+        one = self.params.field.one
         idems = [(entry, self.primitive_idempotent(*entry))
                  for label in self.block_labels()
                  for entry in self.primitive_idempotent_catalog(label)]
-        bad_square = [entry for entry, e in idems if e * e != e]
+        bad_square, premises = [], []
+        for entry, e in idems:
+            slot = entry[1:]
+            elems = self._elements_of_ideal(*slot)
+            name = self._slot_name(*slot[1:])
+            column = list(elems).index(name)
+            if elems[name].value != e:
+                premise = f"{entry} is not its ideal's basis vector {name}"
+            else:
+                square, premise = self._ideal_product(e, *slot, {column: one})
+                if not premise and square == {column: one}:
+                    continue
+            bad_square.append(entry)
+            if premise:
+                premises.append(premise)
         squares = Check(
             "blocks.idempotent-squares", not bad_square,
-            f"{len(idems)} idempotents; failures: {bad_square or 'none'}",
+            f"{len(idems)} idempotents; failures: {bad_square or 'none'}"
+            + "".join(f"; first: {why}" for why in premises[:1]),
             anchor="idempotent-squares",
-            scope=f"exhaustive: {len(idems)} idempotents squared in the "
-                  f"algebra")
+            scope=f"derived: {len(idems)} idempotents, e × e walked right "
+                  f"letter first over the verified images of e's own left "
+                  f"ideal, no products; premises the ladder sweep's "
+                  f"instances the walks read")
         resolution = Check(
             "blocks.resolution-of-identity",
             sum((e for _, e in idems), A.zero()) == A.one(),

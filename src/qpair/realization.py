@@ -42,7 +42,9 @@ is derived from those checks and the ladder relations, with no product
 (`_verify_matrix_units`).  Each central element, a sum of
 named elements (`BlockSystem.central_element`), is represented on every
 summand against its prescription: one drop (top to bottom) or
-pass-through per copy.  A block center is solved over the block's
+pass-through per copy.  Its commutators with the generator matrices and
+its square are read on those matrices, with no product in the algebra
+(`verify_central_elements`).  A block center is solved over the block's
 elements of Z^2-degree zero only, picked by K-weight before any element
 is built (`degree_zero_elements`; the proof that nothing is lost is in
 `center_basis`), so neither it nor the central elements build the block
@@ -759,6 +761,42 @@ class Realization:
         self._degree_zero[label] = out
         return out
 
+    def _generator_rows(self, summand: ProjectiveSummand,
+                        gens: Sequence[str]) -> List[Tuple[Matrix, Dict]]:
+        """(G, G's rows) for each named generator's matrix on the summand,
+        the rows {row: {col: value}} read off G's columns once."""
+        out = []
+        for g in gens:
+            G = self.generator_matrix(summand, g)
+            rows_of: Dict[int, Dict[int, CycloNumber]] = {}
+            for col, rows in G.items():
+                for row, val in rows.items():
+                    rows_of.setdefault(row, {})[col] = val
+            out.append((G, rows_of))
+        return out
+
+    @staticmethod
+    def _commutator(M: Matrix, G: Matrix, rows_of: Mapping[int, Mapping]
+                    ) -> Dict[Tuple[int, int], CycloNumber]:
+        """The nonzero entries {(row, col): value} of M G - G M, built
+        entry by entry with no matrix product: an entry M[r, c] = v adds
+        v G[c, c'] at (r, c') for each entry of G's row c (``rows_of``)
+        and subtracts G[r', r] v at (r', c) for each entry of G's column
+        r.  Entries that cancel are dropped."""
+        acc: Dict[Tuple[int, int], CycloNumber] = {}
+        for c, rows in M.items():
+            for r, v in rows.items():
+                neg_v = -v
+                for c2, gv in rows_of.get(c, {}).items():
+                    add = v * gv
+                    cur = acc.get((r, c2))
+                    acc[(r, c2)] = add if cur is None else cur + add
+                for r2, gv in G.get(r, {}).items():
+                    add = gv * neg_v
+                    cur = acc.get((r2, c))
+                    acc[(r2, c)] = add if cur is None else cur + add
+        return {pos: val for pos, val in acc.items() if not val.is_zero()}
+
     def commutator_equations(self, label: BlockLabel
                              ) -> Dict[tuple, Dict[int, CycloNumber]]:
         """The center's linear system over the degree-zero elements:
@@ -767,48 +805,20 @@ class Realization:
         `block_realization(label).elements` and the generator's index in
         `GENERATOR_NAMES`.  K is left out: it commutes with every
         degree-zero element, so its rows would be empty.  Each matrix M_k
-        is represented afresh (`represent`).
-
-        Each commutator M G - G M is built entry by entry, with no matrix
-        product: an entry M[r, c] = v of the element adds v G[c, c'] at
-        (r, c') for each entry of G's row c (read off G's transpose,
-        indexed once per summand) and subtracts G[r', r] v at (r', c) for
-        each entry of G's column r.  Entries that cancel within one
-        commutator are dropped, so the keys and values are exactly the
-        nonzero entries of M G - G M.
+        is represented afresh (`represent`), and each commutator is read
+        entry by entry (`_commutator`).
         """
         selected, _ = self.degree_zero_elements(label)
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for s_idx, S in enumerate(self.system.summands_of(label)):
-            gens = []
-            for g in GENERATOR_NAMES:
-                if g == "K":
-                    continue
-                G = self.generator_matrix(S, g)
-                rows_of: Dict[int, Dict[int, CycloNumber]] = {}
-                for col, rows in G.items():
-                    for row, val in rows.items():
-                        rows_of.setdefault(row, {})[col] = val
-                gens.append((G, rows_of))
+            gens = self._generator_rows(S, GENERATOR_NAMES[:4])
             for k, el in selected:
                 M = self.represent(el.value, S)
-                entries = [(r, c, v, -v) for c, rows in M.items()
-                           for r, v in rows.items()]
                 for g_idx, (G, rows_of) in enumerate(gens):
-                    acc: Dict[Tuple[int, int], CycloNumber] = {}
-                    for r, c, v, neg_v in entries:
-                        for c2, gv in rows_of.get(c, {}).items():
-                            add = v * gv
-                            cur = acc.get((r, c2))
-                            acc[(r, c2)] = add if cur is None else cur + add
-                        for r2, gv in G.get(r, {}).items():
-                            add = gv * neg_v
-                            cur = acc.get((r2, c))
-                            acc[(r2, c)] = add if cur is None else cur + add
-                    for (row, col), val in acc.items():
-                        if not val.is_zero():
-                            equations.setdefault(
-                                (s_idx, g_idx, row, col), {})[k] = val
+                    for (row, col), val in self._commutator(
+                            M, G, rows_of).items():
+                        equations.setdefault(
+                            (s_idx, g_idx, row, col), {})[k] = val
         return equations
 
     def center_basis(self, label: BlockLabel):
@@ -872,33 +882,78 @@ class Realization:
     def verify_central_elements(self, label: BlockLabel) -> List[Check]:
         """The central elements realize their prescriptions, commute with
         everything, and square right; the drop-free one is the block
-        idempotent."""
+        idempotent.
+
+        Commutation and the drop squares are derived, with no product in
+        A, from rho_S(z), the matrix of each central element z on each
+        summand S (`represent`), which `central-preimages` compares with
+        its prescription.  rho_S is left multiplication on the summand's
+        ideal, read off its verified generator matrices, so rho_S(x y) =
+        rho_S(x) rho_S(y).  Premises:
+
+        * z lies in the block's two-sided ideal I: it sums named elements
+          of the block's own classes (`central_slots`, checked here), and
+          the elements of a block span its two-sided ideal (the block
+          decomposition of the blocks suite);
+        * `faithful`: rho = (rho_S) over the block's summands is injective
+          on I (the exact rank that `verify_block_shape` records).
+
+        For a generator g, z g - g z lies in I and rho(z g - g z) is the
+        commutator [rho_S(z), rho_S(g)] on each S, with rho_S(g) the
+        verified generator matrix; so all commutators zero give z g = g z.
+        Likewise z z lies in I and rho_S(z z) = rho_S(z)^2, so zero
+        squares give z z = 0.  Reading rho_S(z) rather than the
+        prescription keeps a wrong prescription a failure of
+        `central-preimages` alone.  A failed premise fails both rows,
+        naming it; a run without the shapes suite says that `faithful`
+        was not checked, as `center-dimension` does.
+        """
         prefix = f"realization[{label.r1},{label.r2}]"
         checks: List[Check] = []
         named = self.central_elements(label)
         prescriptions = self.central_prescriptions(label)
         summands = self.system.summands_of(label)
-        A = self.algebra
-        gens = [A.generator(g) for g in GENERATOR_NAMES]
+        reps = {name: [self.represent(z, S) for S in summands]
+                for name, z in named.items()}
+        gens = [self._generator_rows(S, GENERATOR_NAMES) for S in summands]
+        faithful = self._faithful.get(label)
+        catalog = [entry[1:] for entry in
+                   self.system.primitive_idempotent_catalog(label)]
+        own = set(catalog)
+        foreign = [(name, slot) for name, flags, _ in self.central_drops(label)
+                   for slot in self.system.central_slots(label, flags)
+                   if slot not in own]
+        premises = [f"premise {name} lies in the block fails at slot {slot}"
+                    for name, slot in foreign[:1]]
+        if faithful is False:
+            premises.append(f"premise {prefix}.faithful fails")
+        why = "".join(f"; {p}" for p in premises)
+        # the shapes suite decides faithful, and a run without it says so
+        premise = ("premise faithful not checked in this run"
+                   if faithful is None else
+                   f"premise {prefix}.faithful from the shapes suite")
+        derived = f"{premise}; premise z in the block's two-sided ideal"
         # lists, not generators: every comparison the scope states is made
-        failed = [name for name, z in named.items()
-                  if any([self.represent(z, S) != want
-                          for S, want in zip(summands, prescriptions[name])]
-                         + [z * g != g * z for g in gens])]
+        failed = [name for name, mats in reps.items()
+                  if premises or not all(
+                      [M == want for M, want in zip(mats, prescriptions[name])]
+                      + [not self._commutator(M, G, rows_of)
+                         for M, pairs in zip(mats, gens)
+                         for G, rows_of in pairs])]
         checks.append(Check(
             f"{prefix}.central-preimages", not failed,
             f"{len(named)} central elements summed from named elements, "
             f"matched against their prescriptions and checked against five "
-            f"generators; failures: {failed or 'none'}",
+            f"generators; failures: {failed or 'none'}{why}",
             anchor="central-element-preimages",
             scope=(f"exhaustive: {len(named)} central elements × "
-                   f"{len(summands)} summands, full matrices, and × "
-                   f"{len(gens)} generators, commutators in the algebra")))
+                   f"{len(summands)} summands, full matrices; derived: × "
+                   f"{len(GENERATOR_NAMES)} generators, commutators of the "
+                   f"summand matrices with the verified generator matrices, "
+                   f"no products; {derived}")))
 
         # block_idempotent sums primitive_idempotent, which is
         # _slot_element with nothing dropped, over the catalog
-        catalog = [entry[1:] for entry in
-                   self.system.primitive_idempotent_catalog(label)]
         checks.append(Check(
             f"{prefix}.unit-preimage",
             sorted(self.system.central_slots(label, {})) == sorted(catalog),
@@ -908,36 +963,34 @@ class Realization:
                    f"dropped over the same {len(catalog)} slots, compared "
                    f"as slot lists, no algebra")))
 
-        drops = {n: z for n, z in named.items() if n != "unit"}
-        not_nilpotent = [n for n, z in drops.items()
-                         if not (z * z).is_zero()]
+        drops = [name for name in named if name != "unit"]
+        not_nilpotent = [name for name in drops
+                         if premises or any(not (M * M).is_zero()
+                                            for M in reps[name])]
         checks.append(Check(
             f"{prefix}.drop-squares", not not_nilpotent,
             f"{len(drops)} drop elements square to zero in the algebra; "
-            f"failures: {not_nilpotent or 'none'}",
+            f"failures: {not_nilpotent or 'none'}{why}",
             anchor="central-element-preimages",
-            scope=f"exhaustive: {len(drops)} drop elements squared in the "
-                  f"algebra"))
+            scope=f"derived: {len(drops)} drop elements, the square of each "
+                  f"one's matrix on {len(summands)} summands, no products; "
+                  f"{derived}"))
 
         span = IncrementalSpan(self.params.field)
+        index = self.algebra.monomial_index
         for z in named.values():
-            span.add({A.monomial_index(m): c for m, c in z.terms.items()})
+            span.add({index(m): c for m, c in z.terms.items()})
         # per ladder copy, keep or drop at either reflection flag
         want = 3 ** len(self.system.block_ladders(label))
         dim = self.center_dimension(label)
         n_equations = self._centers[label][1]
         selected, n_elements = self.degree_zero_elements(label)
         # the nullspace drops K's rows and the other columns because the
-        # block acts faithfully (`center_basis`); the shapes suite decides
-        # that premise, and a run without it says so
-        faithful = self._faithful.get(label)
+        # block acts faithfully (`center_basis`)
         detail = (f"commutator nullspace dimension {dim} (expected {want}); "
                   f"the central family spans {span.rank}")
         if faithful is False:
             detail += f"; premise {prefix}.faithful fails"
-        premise = ("premise faithful not checked in this run"
-                   if faithful is None else
-                   f"premise {prefix}.faithful from the shapes suite")
         checks.append(Check(
             f"{prefix}.center-dimension",
             dim == want and span.rank == dim and faithful is not False,

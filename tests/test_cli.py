@@ -341,23 +341,31 @@ def test_verify_json_reports_the_solve_scopes():
         "exhaustive: 14 commutator equations over the 6 degree-zero of 36 "
         "block elements; premise faithful not checked in this run")
     assert scopes["realization[1,1].central-preimages"] == (
-        "exhaustive: 9 central elements × 4 summands, full matrices, and × 5 "
-        "generators, commutators in the algebra")
+        "exhaustive: 9 central elements × 4 summands, full matrices"
+        "; derived: × 5 generators, commutators of the summand matrices with "
+        "the verified generator matrices, no products; premise faithful not "
+        "checked in this run; premise z in the block's two-sided ideal")
     assert scopes["realization[1,1].unit-preimage"] == (
         "derived: both are the sum of _slot_element with nothing dropped "
         "over the same 6 slots, compared as slot lists, no algebra")
     assert scopes["realization[1,1].drop-squares"] == (
-        "exhaustive: 8 drop elements squared in the algebra")
+        "derived: 8 drop elements, the square of each one's matrix on 4 "
+        "summands, no products; premise faithful not checked in this run; "
+        "premise z in the block's two-sided ideal")
     assert scopes["realization[1,3].central-preimages"] == (
-        "exhaustive: 3 central elements × 2 summands, full matrices, and × 5 "
-        "generators, commutators in the algebra")
+        "exhaustive: 3 central elements × 2 summands, full matrices"
+        "; derived: × 5 generators, commutators of the summand matrices with "
+        "the verified generator matrices, no products; premise faithful not "
+        "checked in this run; premise z in the block's two-sided ideal")
     assert scopes["realization[1,3].unit-preimage"] == (
         "derived: both are the sum of _slot_element with nothing dropped "
         "over the same 6 slots, compared as slot lists, no algebra")
     assert scopes["center.total-dimension"] == (
         "exhaustive: commutator nullspaces of all 6 blocks, summed")
     assert scopes["realization[2,3].drop-squares"] == (
-        "exhaustive: 0 drop elements squared in the algebra")
+        "derived: 0 drop elements, the square of each one's matrix on 1 "
+        "summands, no products; premise faithful not checked in this run; "
+        "premise z in the block's two-sided ideal")
 
 
 def test_verify_json_reports_the_shape_and_radford_scopes():
@@ -746,7 +754,9 @@ def test_verify_json_reports_the_scan_ladder_and_orthogonality_scopes():
     assert scopes["blocks.pairwise-orthogonal"] == (
         "derived: 1260 ordered pairs, no products")
     assert scopes["ladder[1,1].weight"] == (
-        "exhaustive: 144 instances over the 6 primitive left ideals")
+        "exhaustive: 144 instances over the 6 primitive left ideals, 144 "
+        "derived from the projector keys: K x = mu x where zeta^(2a) = mu "
+        "at the meeting index a of every key of x, no product")
     assert all(scopes[c["check_id"]] for c in checks
                if c["check_id"].startswith(("ladder[", "symmetry.",
                                             "twisted-symmetry.",
