@@ -86,6 +86,16 @@ def test_weight_readings_match_the_k_products(pair):
                 compared += 1
     assert compared >= 5 * A.dimension
     assert B._is_k_eigenvector(A.zero(), field.one * 2)
+    # a sum of two vectors of different weights is no eigenvector, though
+    # each of its keys meets one of the weights
+    for slot in _slots(B)[:3]:
+        weights = _family_weights(B, slot)
+        basis = B.ideal_basis(*slot)
+        b = next(i for i, w in enumerate(weights) if w != weights[0])
+        x = basis[0].value + basis[b].value
+        for mu in (weights[0], weights[b]):
+            assert not B._is_k_eigenvector(x, mu)
+            assert K * x != x * mu
 
 
 def test_a_wrong_family_weight_fails_where_the_product_does(monkeypatch):
@@ -354,6 +364,32 @@ def test_commutator_readings_see_a_non_central_element():
         assert (x * y == y * x) == read, g
         seen.append(read)
     assert not all(seen)
+
+
+def test_a_non_central_element_fails_central_preimages(monkeypatch):
+    # a named element that commutes with no e_d, prescribed as its own
+    # matrices: it matches its prescription, and the commutators fail it
+    label = BlockLabel(1, 1)
+    R = Realization(_swept((2, 3)))
+    summands = R.system.summands_of(label)
+    x = R.system.ideal_basis(*summands[0], 1, 1)[0].value
+    drop = list(R.central_drops(label))[1][0]
+    true_elements = Realization.central_elements
+    true_prescriptions = Realization.central_prescriptions
+    monkeypatch.setattr(Realization, "central_elements", lambda self, lab: {
+        **true_elements(self, lab), **({drop: x} if lab == label else {})})
+    monkeypatch.setattr(
+        Realization, "central_prescriptions", lambda self, lab: {
+            **true_prescriptions(self, lab),
+            **({drop: [self.represent(x, S) for S in summands]}
+               if lab == label else {})})
+    A = R.algebra
+    assert any(x * A.generator(g) != A.generator(g) * x
+               for g in GENERATOR_NAMES)
+    checks = {c.check_id.split(".", 1)[1]: c
+              for c in R.verify_central_elements(label)}
+    assert not checks["central-preimages"].passed
+    assert f"failures: ['{drop}']" in checks["central-preimages"].detail
 
 
 def test_a_non_nilpotent_drop_matrix_fails_only_drop_squares(monkeypatch):
