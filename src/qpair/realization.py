@@ -39,23 +39,28 @@ adjudication at the re-entry cell, and added to the span whose exact
 rank gives faithfulness; no block element's matrix is kept after its
 block's checks.  The corner blocks' matrix-unit law
 is derived from those checks and the ladder relations, with no product
-(`_verify_matrix_units`).  Each central element, a sum of
-named elements (`BlockSystem.central_element`), is represented on every
-summand against its prescription: one drop (top to bottom) or
-pass-through per copy.  Its commutators with the generator matrices and
-its square are read on those matrices, with no product in the algebra
-(`verify_central_elements`).  A block center is solved over the block's
+(`_verify_matrix_units`).  A block center is solved over the block's
 elements of Z^2-degree zero only, picked by K-weight before any element
 is built (`degree_zero_elements`; the proof that nothing is lost is in
-`center_basis`), so neither it nor the central elements build the block
-realization.
+`center_basis`).  One system per block (`commutator_equations`)
+represents those elements on every summand and reads their commutators
+with the generator matrices entry by entry; the center is the nullspace
+of its distinct rows.  Each central element sums named elements of that
+degree-zero set (`BlockSystem.central_slots`), so it is read as
+coordinates over it and never built: its matrix on each summand is the
+sum of theirs, compared with its prescription (one drop, top to bottom,
+or pass-through per copy), its commutators are sums of the system's
+rows, and its square is read on its matrix, with no product in the
+algebra (`verify_central_elements`).  Neither the centers nor the
+central elements build the block realization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Sequence, Tuple)
 
 from .algebra import AlgebraElement
 from .cyclo import CycloNumber, Params
@@ -227,6 +232,16 @@ class GroupLayout:
         return self.offsets[(family, arrow)] + i2 * h1 + i1
 
 
+class CenterSystem(NamedTuple):
+    """One block's center system over its degree-zero elements
+    (`Realization.commutator_equations`)."""
+
+    elements: List[Tuple[int, NamedElement]]
+    matrices: Dict[int, List[Matrix]]
+    equations: Dict[tuple, Dict[int, CycloNumber]]
+    rows: List[Dict[int, CycloNumber]]
+
+
 @dataclass
 class BlockRealization:
     """One block's ordered element basis with per-summand matrices."""
@@ -254,8 +269,7 @@ class Realization:
         self._k_columns: Dict[ProjectiveSummand, Dict[int, List[int]]] = {}
         self._cells: Dict[ProjectiveSummand, Dict[tuple, list]] = {}
         self._degree_zero: Dict[BlockLabel, tuple] = {}
-        # label -> (center basis, number of commutator equations)
-        self._centers: Dict[BlockLabel, Tuple[List[Vector], int]] = {}
+        self._centers: Dict[BlockLabel, List[Vector]] = {}
         # label -> outcome of the block's faithful row, once shapes ran
         self._faithful: Dict[BlockLabel, bool] = {}
 
@@ -797,40 +811,51 @@ class Realization:
                     acc[(r2, c)] = add if cur is None else cur + add
         return {pos: val for pos, val in acc.items() if not val.is_zero()}
 
-    def commutator_equations(self, label: BlockLabel
-                             ) -> Dict[tuple, Dict[int, CycloNumber]]:
-        """The center's linear system over the degree-zero elements:
-        {(summand, generator, row, col): {element k: [M_k, G][row, col]}},
-        nonzero entries only, with k the index in
-        `block_realization(label).elements` and the generator's index in
-        `GENERATOR_NAMES`.  K is left out: it commutes with every
-        degree-zero element, so its rows would be empty.  Each matrix M_k
-        is represented afresh (`represent`), and each commutator is read
-        entry by entry (`_commutator`).
+    def commutator_equations(self, label: BlockLabel) -> CenterSystem:
+        """The center's linear system over the degree-zero elements, built
+        afresh on each call and not kept: the elements (k, x_k) of
+        `degree_zero_elements`, with k the index in
+        `block_realization(label).elements`; their matrices M_k on each
+        summand (`represent`); the equations {(summand, generator, row,
+        col): {k: [M_k, G][row, col]}}, nonzero entries only, with the
+        generator's index in `GENERATOR_NAMES`; and the distinct equation
+        rows, in first-seen order.  K is left out: it commutes with every
+        degree-zero element, so its rows would be empty.  Each commutator
+        is read entry by entry (`_commutator`).
+
+        Rows are told apart exactly, as sets of (k, value) pairs.  A row
+        set and its distinct rows have the same nullspace, so
+        `center_basis` reduces the distinct rows only, and a combination
+        sum_k c_k x_k commutes with e1, e2, f1 and f2 on every summand
+        exactly when sum_k c_k row[k] = 0 on every distinct row.
         """
         selected, _ = self.degree_zero_elements(label)
+        matrices: Dict[int, List[Matrix]] = {k: [] for k, _ in selected}
         equations: Dict[tuple, Dict[int, CycloNumber]] = {}
         for s_idx, S in enumerate(self.system.summands_of(label)):
             gens = self._generator_rows(S, GENERATOR_NAMES[:4])
             for k, el in selected:
                 M = self.represent(el.value, S)
+                matrices[k].append(M)
                 for g_idx, (G, rows_of) in enumerate(gens):
                     for (row, col), val in self._commutator(
                             M, G, rows_of).items():
                         equations.setdefault(
                             (s_idx, g_idx, row, col), {})[k] = val
-        return equations
+        rows = list({frozenset(row.items()): row
+                     for row in equations.values()}.values())
+        return CenterSystem(selected, matrices, equations, rows)
 
-    def center_basis(self, label: BlockLabel):
+    def center_basis(self, label: BlockLabel) -> List[Vector]:
         """Basis of the block's center, as coordinate vectors over
         `block_realization(label).elements`, memoised per block; the
         returned list is shared, so callers only read it.
 
-        It is the nullspace of `commutator_equations`, which has a column
-        for each degree-zero element only and no K rows; the block
-        realization is never built for it.  This is the nullspace of the
-        full system (every element, all five generators), vector for
-        vector:
+        It is the nullspace of the distinct rows of `commutator_equations`,
+        which has a column for each degree-zero element only and no K
+        rows; the block realization is never built for it.  This is the
+        nullspace of the full system (every element, all five
+        generators), vector for vector:
 
         * Every relation is homogeneous for deg e_i = +eps_i, deg f_i =
           -eps_i, deg K = 0, and a block element x = sum w 1_j is
@@ -856,75 +881,131 @@ class Realization:
           free coordinates are then the largest indices that nullspace
           vectors reach, and each basis vector is fixed by the nullspace
           and the column order alone.  Dropping columns that every
-          nullspace vector leaves at zero changes neither.
+          nullspace vector leaves at zero changes neither, and neither
+          does dropping a row equal to another.
 
-        `center-dimension` checks that the central elements, built apart
-        from this basis (`central_elements`), span its dimension, and
-        fails, naming the premise, when the block's `faithful` row failed.
-        The basis itself is solved whether or not the shapes suite ran.
+        `center-dimension` checks that the central elements span its
+        dimension, and fails, naming the premise, when the block's
+        `faithful` row failed.  The basis itself is solved whether or not
+        the shapes suite ran.
         """
         cached = self._centers.get(label)
-        if cached is not None:
-            return cached[0]
-        selected, _ = self.degree_zero_elements(label)
+        if cached is None:
+            cached = self._solve_center(label, self.commutator_equations(label))
+        return cached
+
+    def _solve_center(self, label: BlockLabel,
+                      system: CenterSystem) -> List[Vector]:
+        """`center_basis` off the block's system, memoised."""
+        selected = system.elements
         position = {k: i for i, (k, _) in enumerate(selected)}
-        equations = self.commutator_equations(label)
         rows = ({position[k]: v for k, v in row.items()}
-                for row in equations.values())
+                for row in system.rows)
         basis = [{selected[i][0]: c for i, c in vec.items()}
                  for vec in nullspace(self.params.field, rows, len(selected))]
-        self._centers[label] = (basis, len(equations))
+        self._centers[label] = basis
         return basis
 
     def center_dimension(self, label: BlockLabel) -> int:
         return len(self.center_basis(label))
 
+    def central_coordinates(
+            self, label: BlockLabel,
+            elements: Sequence[Tuple[int, NamedElement]]
+    ) -> Tuple[Dict[str, Dict[int, CycloNumber]], List[Tuple[str, tuple]]]:
+        """Each central element of `central_drops` as coordinates {k: c}
+        over ``elements``, the block's degree-zero elements (k, x_k), and
+        the (name, slot) pairs whose element is not among them.
+
+        `BlockSystem.central_element` sums the `_slot_name` element of
+        each slot of `central_slots`, so z = sum_k c_k x_k with c_k the
+        number of z's slots whose element is x_k.  A slot whose element
+        is missing is left out of z's coordinates and listed instead.
+        """
+        index = {(el.family, el.arrow, el.alpha, el.r1, el.r2, el.s1, el.s2,
+                  el.idx1, el.idx2): k for k, el in elements}
+        one = self.params.field.one
+        coords: Dict[str, Dict[int, CycloNumber]] = {}
+        missing: List[Tuple[str, tuple]] = []
+        for name, flags, _ in self.central_drops(label):
+            vec = coords[name] = {}
+            for slot in self.system.central_slots(label, flags):
+                family, arrow, i1, i2 = self.system._slot_name(*slot[1:], flags)
+                k = index.get((family, arrow, *slot, i1, i2))
+                if k is None:
+                    missing.append((name, slot))
+                else:
+                    vec[k] = vec[k] + one if k in vec else one
+        return coords, missing
+
     def verify_central_elements(self, label: BlockLabel) -> List[Check]:
         """The central elements realize their prescriptions, commute with
         everything, and square right; the drop-free one is the block
-        idempotent.
+        idempotent.  The block's center is solved on the way
+        (`center_basis`), from the same system.
 
-        Commutation and the drop squares are derived, with no product in
-        A, from rho_S(z), the matrix of each central element z on each
-        summand S (`represent`), which `central-preimages` compares with
-        its prescription.  rho_S is left multiplication on the summand's
-        ideal, read off its verified generator matrices, so rho_S(x y) =
-        rho_S(x) rho_S(y).  Premises:
+        No central element is built in A or represented.  Each is read as
+        coordinates z = sum_k c_k x_k over the block's degree-zero
+        elements (`central_coordinates`), and the block's one system
+        (`commutator_equations`) holds M_k = rho_S(x_k) on each summand S
+        and the distinct rows of the commutators [M_k, G].  rho_S is left
+        multiplication on the summand's ideal, read off its verified
+        generator matrices, so it is linear and rho_S(x y) = rho_S(x)
+        rho_S(y).  Hence:
 
-        * z lies in the block's two-sided ideal I: it sums named elements
-          of the block's own classes (`central_slots`, checked here), and
-          the elements of a block span its two-sided ideal (the block
+        * rho_S(z) = sum_k c_k M_k, which `central-preimages` compares
+          with the prescription;
+        * for g in e1, e2, f1, f2, [rho_S(z), rho_S(g)] = sum_k c_k [M_k,
+          rho_S(g)], whose entry at each equation is sum_k c_k row[k]:
+          the commutators vanish exactly when that sum is zero on every
+          distinct row;
+        * K is diagonal, K e_c = zeta^(s_c) e_c, so [rho_S(z), rho_S(K)]
+          has entry rho_S(z)[r, c] (zeta^(s_c) - zeta^(s_r)), which is zero
+          exactly when s_r = s_c on every nonzero entry of rho_S(z);
+        * rho_S(z z) = rho_S(z)^2, read for `drop-squares`;
+        * the central family spans the rank of the coordinate vectors.
+
+        Premises:
+
+        * every slot element of z is one of the block's degree-zero
+          elements (checked here), so z lies in the block's two-sided
+          ideal I, which the block's elements span (the block
           decomposition of the blocks suite);
         * `faithful`: rho = (rho_S) over the block's summands is injective
-          on I (the exact rank that `verify_block_shape` records).
+          on I (the exact rank that `verify_block_shape` records), so the
+          block elements are independent and the coordinate vectors have
+          the rank of the central elements.
 
         For a generator g, z g - g z lies in I and rho(z g - g z) is the
-        commutator [rho_S(z), rho_S(g)] on each S, with rho_S(g) the
-        verified generator matrix; so all commutators zero give z g = g z.
-        Likewise z z lies in I and rho_S(z z) = rho_S(z)^2, so zero
-        squares give z z = 0.  Reading rho_S(z) rather than the
-        prescription keeps a wrong prescription a failure of
-        `central-preimages` alone.  A failed premise fails both rows,
+        commutator on each S; so all commutators zero give z g = g z.
+        Likewise z z lies in I, so zero squares give z z = 0.  Reading
+        rho_S(z) rather than the prescription keeps a wrong prescription
+        a failure of `central-preimages` alone.  A failed premise fails
+        `central-preimages`, `drop-squares` and `center-dimension`,
         naming it; a run without the shapes suite says that `faithful`
-        was not checked, as `center-dimension` does.
+        was not checked.
         """
         prefix = f"realization[{label.r1},{label.r2}]"
         checks: List[Check] = []
-        named = self.central_elements(label)
+        field = self.params.field
+        system = self.commutator_equations(label)
+        dim = len(self._solve_center(label, system))
+        coords, missing = self.central_coordinates(label, system.elements)
         prescriptions = self.central_prescriptions(label)
         summands = self.system.summands_of(label)
-        reps = {name: [self.represent(z, S) for S in summands]
-                for name, z in named.items()}
-        gens = [self._generator_rows(S, GENERATOR_NAMES) for S in summands]
+        reps: Dict[str, List[Matrix]] = {}
+        for name, vec in coords.items():
+            mats = reps[name] = [Matrix(field, self.layout(S).dim)
+                                 for S in summands]
+            for k, c in vec.items():
+                for acc, M in zip(mats, system.matrices[k]):
+                    acc.add_column_scaled(M, dict.fromkeys(M, c))
+        k_exps = [self.k_exponents(S) for S in summands]
         faithful = self._faithful.get(label)
         catalog = [entry[1:] for entry in
                    self.system.primitive_idempotent_catalog(label)]
-        own = set(catalog)
-        foreign = [(name, slot) for name, flags, _ in self.central_drops(label)
-                   for slot in self.system.central_slots(label, flags)
-                   if slot not in own]
-        premises = [f"premise {name} lies in the block fails at slot {slot}"
-                    for name, slot in foreign[:1]]
+        premises = [f"premise {name} sums the block's degree-zero elements "
+                    f"fails at slot {slot}" for name, slot in missing[:1]]
         if faithful is False:
             premises.append(f"premise {prefix}.faithful fails")
         why = "".join(f"; {p}" for p in premises)
@@ -932,25 +1013,35 @@ class Realization:
         premise = ("premise faithful not checked in this run"
                    if faithful is None else
                    f"premise {prefix}.faithful from the shapes suite")
-        derived = f"{premise}; premise z in the block's two-sided ideal"
-        # lists, not generators: every comparison the scope states is made
+        derived = (f"{premise}; premise z sums the block's degree-zero "
+                   f"elements")
+
+        def commutes(vec, mats):
+            # lists, not generators: every comparison the scope states is
+            # made
+            return all(
+                [sum((c * row[k] for k, c in vec.items() if k in row),
+                     field.zero).is_zero() for row in system.rows]
+                + [s[r] == s[col] for M, s in zip(mats, k_exps)
+                   for col, rows in M.items() for r in rows])
+
         failed = [name for name, mats in reps.items()
                   if premises or not all(
                       [M == want for M, want in zip(mats, prescriptions[name])]
-                      + [not self._commutator(M, G, rows_of)
-                         for M, pairs in zip(mats, gens)
-                         for G, rows_of in pairs])]
+                      + [commutes(coords[name], mats)])]
         checks.append(Check(
             f"{prefix}.central-preimages", not failed,
-            f"{len(named)} central elements summed from named elements, "
+            f"{len(reps)} central elements summed from named elements, "
             f"matched against their prescriptions and checked against five "
             f"generators; failures: {failed or 'none'}{why}",
             anchor="central-element-preimages",
-            scope=(f"exhaustive: {len(named)} central elements × "
-                   f"{len(summands)} summands, full matrices; derived: × "
-                   f"{len(GENERATOR_NAMES)} generators, commutators of the "
-                   f"summand matrices with the verified generator matrices, "
-                   f"no products; {derived}")))
+            scope=(f"exhaustive: {len(reps)} central elements × "
+                   f"{len(summands)} summands, full matrices, each the sum "
+                   f"of its degree-zero elements' matrices; derived: × "
+                   f"{len(GENERATOR_NAMES)} generators, commutation read off "
+                   f"the {len(system.rows)} distinct commutator rows of the "
+                   f"degree-zero elements and K's verified diagonal, no "
+                   f"products; {derived}")))
 
         # block_idempotent sums primitive_idempotent, which is
         # _slot_element with nothing dropped, over the catalog
@@ -963,7 +1054,7 @@ class Realization:
                    f"dropped over the same {len(catalog)} slots, compared "
                    f"as slot lists, no algebra")))
 
-        drops = [name for name in named if name != "unit"]
+        drops = [name for name in reps if name != "unit"]
         not_nilpotent = [name for name in drops
                          if premises or any(not (M * M).is_zero()
                                             for M in reps[name])]
@@ -976,26 +1067,21 @@ class Realization:
                   f"one's matrix on {len(summands)} summands, no products; "
                   f"{derived}"))
 
-        span = IncrementalSpan(self.params.field)
-        index = self.algebra.monomial_index
-        for z in named.values():
-            span.add({index(m): c for m, c in z.terms.items()})
+        span = IncrementalSpan(field)
+        for vec in coords.values():
+            span.add(vec)
         # per ladder copy, keep or drop at either reflection flag
         want = 3 ** len(self.system.block_ladders(label))
-        dim = self.center_dimension(label)
-        n_equations = self._centers[label][1]
-        selected, n_elements = self.degree_zero_elements(label)
-        # the nullspace drops K's rows and the other columns because the
-        # block acts faithfully (`center_basis`)
-        detail = (f"commutator nullspace dimension {dim} (expected {want}); "
-                  f"the central family spans {span.rank}")
-        if faithful is False:
-            detail += f"; premise {prefix}.faithful fails"
+        _, n_elements = self.degree_zero_elements(label)
         checks.append(Check(
             f"{prefix}.center-dimension",
-            dim == want and span.rank == dim and faithful is not False,
-            detail, anchor="block-center-dimension",
-            scope=(f"exhaustive: {n_equations} commutator equations over "
-                   f"the {len(selected)} degree-zero of {n_elements} block "
-                   f"elements; {premise}")))
+            dim == want and span.rank == dim and not premises,
+            f"commutator nullspace dimension {dim} (expected {want}); "
+            f"the central family spans {span.rank}{why}",
+            anchor="block-center-dimension",
+            scope=(f"exhaustive: {len(system.equations)} commutator "
+                   f"equations over the {len(system.elements)} degree-zero "
+                   f"of {n_elements} block elements, {len(system.rows)} "
+                   f"distinct rows reduced; the central family's rank over "
+                   f"its degree-zero coordinates; {premise}")))
         return checks

@@ -336,27 +336,35 @@ def test_verify_json_reports_the_solve_scopes():
             "of them on a single unknown")
     assert scopes["realization[1,1].center-dimension"] == (
         "exhaustive: 300 commutator equations over the 24 degree-zero of "
-        "144 block elements; premise faithful not checked in this run")
+        "144 block elements, 44 distinct rows reduced; the central "
+        "family's rank over its degree-zero coordinates; premise faithful "
+        "not checked in this run")
     assert scopes["realization[2,3].center-dimension"] == (
         "exhaustive: 14 commutator equations over the 6 degree-zero of 36 "
-        "block elements; premise faithful not checked in this run")
+        "block elements, 14 distinct rows reduced; the central family's "
+        "rank over its degree-zero coordinates; premise faithful not "
+        "checked in this run")
     assert scopes["realization[1,1].central-preimages"] == (
-        "exhaustive: 9 central elements × 4 summands, full matrices"
-        "; derived: × 5 generators, commutators of the summand matrices with "
-        "the verified generator matrices, no products; premise faithful not "
-        "checked in this run; premise z in the block's two-sided ideal")
+        "exhaustive: 9 central elements × 4 summands, full matrices, each "
+        "the sum of its degree-zero elements' matrices; derived: × 5 "
+        "generators, commutation read off the 44 distinct commutator rows "
+        "of the degree-zero elements and K's verified diagonal, no "
+        "products; premise faithful not checked in this run; premise z "
+        "sums the block's degree-zero elements")
     assert scopes["realization[1,1].unit-preimage"] == (
         "derived: both are the sum of _slot_element with nothing dropped "
         "over the same 6 slots, compared as slot lists, no algebra")
     assert scopes["realization[1,1].drop-squares"] == (
         "derived: 8 drop elements, the square of each one's matrix on 4 "
         "summands, no products; premise faithful not checked in this run; "
-        "premise z in the block's two-sided ideal")
+        "premise z sums the block's degree-zero elements")
     assert scopes["realization[1,3].central-preimages"] == (
-        "exhaustive: 3 central elements × 2 summands, full matrices"
-        "; derived: × 5 generators, commutators of the summand matrices with "
-        "the verified generator matrices, no products; premise faithful not "
-        "checked in this run; premise z in the block's two-sided ideal")
+        "exhaustive: 3 central elements × 2 summands, full matrices, each "
+        "the sum of its degree-zero elements' matrices; derived: × 5 "
+        "generators, commutation read off the 14 distinct commutator rows "
+        "of the degree-zero elements and K's verified diagonal, no "
+        "products; premise faithful not checked in this run; premise z "
+        "sums the block's degree-zero elements")
     assert scopes["realization[1,3].unit-preimage"] == (
         "derived: both are the sum of _slot_element with nothing dropped "
         "over the same 6 slots, compared as slot lists, no algebra")
@@ -365,7 +373,7 @@ def test_verify_json_reports_the_solve_scopes():
     assert scopes["realization[2,3].drop-squares"] == (
         "derived: 0 drop elements, the square of each one's matrix on 1 "
         "summands, no products; premise faithful not checked in this run; "
-        "premise z in the block's two-sided ideal")
+        "premise z sums the block's degree-zero elements")
 
 
 def test_verify_json_reports_the_shape_and_radford_scopes():

@@ -5,9 +5,12 @@ summand matrices, with no element product: the K-weight instances and
 the averager cases of the ladder sweep, the idempotent squares, and the
 commutation and drop-square rows of the center suite.  The loops they
 replaced are kept here as references, instance for instance, at (2,3),
-(3,2) and (3,4).  Mutations show that each reading still fails where the
-product does, and the work counts of a whole-stack run pin that the
-suites make no such product.
+(3,2) and (3,4).  The center suite reads each central element as
+coordinates over its block's degree-zero elements; the loop that
+represented each central element is its reference at the same pairs.
+Mutations show that each reading still fails where the product does,
+and work counts pin that the suites make no such product and that the
+center suite represents no central element.
 """
 
 from functools import lru_cache
@@ -17,7 +20,7 @@ import pytest
 from qpair.algebra import Algebra, AlgebraElement
 from qpair.cli import Session, run
 from qpair.ideals import BlockLabel, BlockSystem, LadderFailure
-from qpair.linalg import Matrix
+from qpair.linalg import IncrementalSpan
 from qpair.realization import GENERATOR_NAMES, Realization
 from qpair.report import RunConfig
 
@@ -366,77 +369,216 @@ def test_commutator_readings_see_a_non_central_element():
     assert not all(seen)
 
 
+def _reference_central_rows(R, label):
+    """The loop the coordinate reading replaced: each central element built
+    in A and represented on every summand, its commutators with all five
+    generator matrices and its square read there, and the span taken over
+    A's keys.  The center-preimages, drop-squares and center-dimension
+    rows as (id, passed, detail)."""
+    prefix = f"realization[{label.r1},{label.r2}]"
+    named = R.central_elements(label)
+    prescriptions = R.central_prescriptions(label)
+    summands = R.system.summands_of(label)
+    reps = {name: [R.represent(z, S) for S in summands]
+            for name, z in named.items()}
+    gens = [R._generator_rows(S, GENERATOR_NAMES) for S in summands]
+    faithful = R._faithful.get(label)
+    why = f"; premise {prefix}.faithful fails" if faithful is False else ""
+    failed = [name for name, mats in reps.items()
+              if why or not all(
+                  [M == want for M, want in zip(mats, prescriptions[name])]
+                  + [not R._commutator(M, G, rows_of)
+                     for M, pairs in zip(mats, gens)
+                     for G, rows_of in pairs])]
+    drops = [name for name in named if name != "unit"]
+    not_nilpotent = [name for name in drops if why or any(
+        not (M * M).is_zero() for M in reps[name])]
+    span = IncrementalSpan(R.params.field)
+    for z in named.values():
+        span.add({R.algebra.monomial_index(m): c for m, c in z.terms.items()})
+    want = 3 ** len(R.system.block_ladders(label))
+    dim = R.center_dimension(label)
+    return [
+        (f"{prefix}.central-preimages", not failed,
+         f"{len(named)} central elements summed from named elements, "
+         f"matched against their prescriptions and checked against five "
+         f"generators; failures: {failed or 'none'}{why}"),
+        (f"{prefix}.drop-squares", not not_nilpotent,
+         f"{len(drops)} drop elements square to zero in the algebra; "
+         f"failures: {not_nilpotent or 'none'}{why}"),
+        (f"{prefix}.center-dimension",
+         dim == want and span.rank == dim and not why,
+         f"commutator nullspace dimension {dim} (expected {want}); the "
+         f"central family spans {span.rank}{why}")]
+
+
+def _center_rows(R, label):
+    return [(c.check_id, c.passed, c.detail)
+            for c in R.verify_central_elements(label)
+            if not c.check_id.endswith("unit-preimage")]
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_coordinate_readings_give_the_rows_of_the_represented_loop(pair):
+    # with the faithful premise from the shapes suite and with it failed
+    R = _realization(pair)
+    for label in R.system.block_labels():
+        assert _center_rows(R, label) == _reference_central_rows(R, label)
+    label = R.system.block_labels()[0]
+    R._faithful[label] = False
+    try:
+        got = _center_rows(R, label)
+        assert got == _reference_central_rows(R, label)
+        assert not any(ok for _, ok, _ in got)
+    finally:
+        R._faithful[label] = True
+
+
+def _refuse_central_elements(self, label):
+    raise AssertionError("the center suite built a central element")
+
+
+def _planted(monkeypatch, label, plant):
+    """Replace the coordinates and prescriptions of some of the block's
+    central elements: ``plant(R, coords, prescriptions)`` edits both in
+    place.  Nothing may build a central element."""
+    true_coordinates = Realization.central_coordinates
+    true_prescriptions = Realization.central_prescriptions
+    planted = {}
+
+    def coordinates(self, lab, elements):
+        coords, missing = true_coordinates(self, lab, elements)
+        if lab == label:
+            prescriptions = true_prescriptions(self, lab)
+            plant(self, coords, prescriptions)
+            planted.update(prescriptions)
+        return coords, missing
+
+    monkeypatch.setattr(Realization, "central_coordinates", coordinates)
+    monkeypatch.setattr(Realization, "central_prescriptions", lambda self, lab: (
+        dict(planted) if lab == label and planted
+        else true_prescriptions(self, lab)))
+    monkeypatch.setattr(Realization, "central_elements",
+                        _refuse_central_elements)
+
+
+def _failing_rows(R, label):
+    checks = {c.check_id.split(".", 1)[1]: c
+              for c in R.verify_central_elements(label)}
+    return checks, {row for row, c in checks.items() if not c.passed}
+
+
 def test_a_non_central_element_fails_central_preimages(monkeypatch):
-    # a named element that commutes with no e_d, prescribed as its own
-    # matrices: it matches its prescription, and the commutators fail it
+    # a drop read as one degree-zero element, T/up(0, 0) of slot (1, 1),
+    # prescribed as its own matrices: it matches its prescription, and the
+    # commutator rows fail it, as does its square
     label = BlockLabel(1, 1)
     R = Realization(_swept((2, 3)))
     summands = R.system.summands_of(label)
-    x = R.system.ideal_basis(*summands[0], 1, 1)[0].value
+    x = R.system.ideal_basis(*summands[0], 1, 1)[0]
+    (k,) = [k for k, el in R.degree_zero_elements(label)[0] if el is x]
     drop = list(R.central_drops(label))[1][0]
-    true_elements = Realization.central_elements
-    true_prescriptions = Realization.central_prescriptions
-    monkeypatch.setattr(Realization, "central_elements", lambda self, lab: {
-        **true_elements(self, lab), **({drop: x} if lab == label else {})})
-    monkeypatch.setattr(
-        Realization, "central_prescriptions", lambda self, lab: {
-            **true_prescriptions(self, lab),
-            **({drop: [self.represent(x, S) for S in summands]}
-               if lab == label else {})})
+
+    def plant(self, coords, prescriptions):
+        coords[drop] = {k: self.params.field.one}
+        prescriptions[drop] = [self.represent(x.value, S) for S in summands]
+
+    _planted(monkeypatch, label, plant)
     A = R.algebra
-    assert any(x * A.generator(g) != A.generator(g) * x
+    assert any(x.value * A.generator(g) != A.generator(g) * x.value
                for g in GENERATOR_NAMES)
-    checks = {c.check_id.split(".", 1)[1]: c
-              for c in R.verify_central_elements(label)}
-    assert not checks["central-preimages"].passed
+    checks, failing = _failing_rows(R, label)
+    assert failing == {"central-preimages", "drop-squares"}
     assert f"failures: ['{drop}']" in checks["central-preimages"].detail
 
 
 def test_a_non_nilpotent_drop_matrix_fails_only_drop_squares(monkeypatch):
-    # a drop element whose matrix and prescription are both the identity:
-    # it matches and commutes, but its square is not zero
+    # a drop read as the unit plus itself, prescribed as the sum of both
+    # prescriptions: it matches and commutes, the central family keeps its
+    # rank, but its square is not zero
     label = BlockLabel(1, 1)
     session = Session(RunConfig(p1=2, p2=3, suites=("center",)))
     R = session.realization
-    named = R.central_elements(label)
-    drop = list(named)[1]
-    prescriptions = R.central_prescriptions(label)
-    identities = [Matrix.identity(R.params.field, m.nrows)
-                  for m in prescriptions[drop]]
-    true_represent = Realization.represent
-    monkeypatch.setattr(Realization, "central_elements",
-                        lambda self, lab: named if lab == label else
-                        {n: self.system.central_element(lab, flags)
-                         for n, flags, _ in self.central_drops(lab)})
-    monkeypatch.setattr(Realization, "central_prescriptions",
-                        lambda self, lab: dict(prescriptions, **{
-                            drop: identities}) if lab == label else {})
-    positions = {S: i for i, S in enumerate(R.system.summands_of(label))}
+    drop = list(R.central_drops(label))[1][0]
 
-    def planted(self, x, S):
-        if x is named[drop]:
-            return identities[positions[S]]
-        return true_represent(self, x, S)
+    def plant(self, coords, prescriptions):
+        coords[drop] = {**coords["unit"], **coords[drop]}
+        prescriptions[drop] = [a + b for a, b in zip(prescriptions["unit"],
+                                                      prescriptions[drop])]
 
-    monkeypatch.setattr(Realization, "represent", planted)
-    checks = {c.check_id.split(".", 1)[1]: c
-              for c in R.verify_central_elements(label)}
-    assert {row for row, c in checks.items() if not c.passed} == {
-        "drop-squares"}
+    _planted(monkeypatch, label, plant)
+    checks, failing = _failing_rows(R, label)
+    assert failing == {"drop-squares"}
     assert drop in checks["drop-squares"].detail
 
 
-def test_a_failed_faithful_row_fails_the_derived_center_rows():
+def test_a_failed_faithful_row_fails_the_derived_center_rows(monkeypatch):
     R = Realization(_swept((2, 3)))
     label = BlockLabel(1, 3)
     R._faithful[label] = False
-    checks = {c.check_id.split(".", 1)[1]: c
-              for c in R.verify_central_elements(label)}
-    for row in ("central-preimages", "drop-squares", "center-dimension"):
-        assert not checks[row].passed
+    _planted(monkeypatch, label, lambda self, coords, prescriptions: None)
+    checks, failing = _failing_rows(R, label)
+    assert failing == {"central-preimages", "drop-squares", "center-dimension"}
+    for row in failing:
         assert checks[row].detail.endswith(
             "; premise realization[1,3].faithful fails")
-    assert checks["unit-preimage"].passed
+
+
+def test_k_read_off_its_diagonal_fails_only_central_preimages():
+    # K's exponent on one column of the first summand moved after the
+    # system is represented: the central elements with an entry off the
+    # diagonal in that row or column no longer commute with K, which only
+    # central-preimages reads
+    label = BlockLabel(1, 1)
+    R = Realization(_swept((2, 3)))
+    R.commutator_equations(label)
+    S = R.system.summands_of(label)[0]
+    moved = list(R.k_exponents(S))
+    moved[0] += 1
+    true_exponents = R.k_exponents
+    R.k_exponents = lambda summand: (moved if summand == S
+                                     else true_exponents(summand))
+    checks, failing = _failing_rows(R, label)
+    assert failing == {"central-preimages"}
+    touched = [name for name, mats in R.central_prescriptions(label).items()
+               if any(r != c and 0 in (r, c)
+                      for c, rows in mats[0].items() for r in rows)]
+    assert touched and "unit" not in touched
+    assert checks["central-preimages"].detail.endswith(f"failures: {touched}")
+
+
+@pytest.mark.parametrize("where", ["another block", "off degree zero"])
+def test_a_slot_off_the_degree_zero_elements_is_named(monkeypatch, where):
+    # a drop with one slot whose element is not among the block's
+    # degree-zero elements: a slot of another block's class summed as
+    # well, or one of its own slots whose element is moved to one of
+    # nonzero degree in the same ideal.  The rows that read the coordinates fail and name the slot;
+    # nothing raises
+    B = _swept((2, 3))
+    R = Realization(B)
+    label = BlockLabel(1, 1)
+    name, flags, _ = list(R.central_drops(label))[1]
+    if where == "another block":
+        extra = B.central_slots(BlockLabel(1, 3), {})[0]
+        true_slots = B.central_slots
+        monkeypatch.setattr(B, "central_slots", lambda lab, fl: (
+            true_slots(lab, fl) + [extra] if (lab, fl) == (label, flags)
+            else true_slots(lab, fl)))
+    else:
+        extra = B.central_slots(label, flags)[0]
+        degree_zero = {id(el) for _, el in R.degree_zero_elements(label)[0]}
+        moved = next((el.family, el.arrow, el.idx1, el.idx2)
+                     for el in B.ideal_basis(*extra)
+                     if id(el) not in degree_zero)
+        true_name = B._slot_name
+        monkeypatch.setattr(B, "_slot_name", lambda *slot: (
+            moved if slot == (*extra[1:], flags) else true_name(*slot)))
+    checks, failing = _failing_rows(R, label)
+    assert failing == {"central-preimages", "drop-squares", "center-dimension"}
+    premise = (f"; premise {name} sums the block's degree-zero elements "
+               f"fails at slot {extra}")
+    for row in failing:
+        assert checks[row].detail.endswith(premise), row
 
 
 # ----------------------------------------------------------------------
@@ -450,6 +592,33 @@ def test_whole_stack_work_counts_at_2_3():
     assert {suite: counts[suite]["element_products"]
             for suite in ("ideals", "idempotents", "center")} == {
         "ideals": 1912, "idempotents": 0, "center": 0}
+
+
+def test_center_suite_work_counts_at_2_3(monkeypatch):
+    # `--suite center` alone: each degree-zero element is represented once
+    # per summand of its block (180) and commuted with four generator
+    # matrices (720), and no central element is represented.  The span adds
+    # are the 180 basis vectors of the summands' ideals, the 129 distinct
+    # commutator rows and the 20 central coordinate vectors.  Before the
+    # coordinate reading: 236 represent calls, 1,000 commutators and 724
+    # span adds (524 commutator rows, 20 central elements over A's keys)
+    counts = dict.fromkeys(("represent", "commutator", "span_add"), 0)
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Realization, "represent",
+                        counted("represent", Realization.represent))
+    monkeypatch.setattr(Realization, "_commutator", staticmethod(
+        counted("commutator", Realization._commutator)))
+    monkeypatch.setattr(IncrementalSpan, "add",
+                        counted("span_add", IncrementalSpan.add))
+    session = Session(RunConfig(p1=2, p2=3, suites=("center",)))
+    assert all(c.passed for c in session.suite_center())
+    assert counts == {"represent": 180, "commutator": 720, "span_add": 329}
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 2)])

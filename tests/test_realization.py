@@ -8,8 +8,8 @@ derived matrix-unit law versus every corner product expanded,
 algebra products versus matrix products, predicted unit-entry patterns
 versus realized support, the central elements summed from named
 elements versus the ones solved from their matrix prescriptions, the
-degree-zero commutator system of a block center versus the full one
-over every element and generator.  Most tests run at (2,3); the central
+degree-zero commutator system of a block center, and its distinct
+rows, versus the full one over every element and generator.  Most tests run at (2,3); the central
 elements and block centers are also compared at (3,2), the centers on
 the (3,4) edge-1 block too, the K-weight selection of their degree-zero
 elements is checked at (2,3), (3,2), (2,5) and (3,4), and the larger
@@ -668,19 +668,26 @@ def test_commutator_equations_match_the_matrix_product_reference(pair):
     # empty there
     R = _realization(pair)
     k_idx = GENERATOR_NAMES.index("K")
-    total = full = 0
+    total = full = distinct = 0
     for lab in R.system.block_labels():
-        got = R.commutator_equations(lab)
+        system = R.commutator_equations(lab)
+        got = system.equations
         reference = _reference_commutator_equations(R, lab)
         restricted = _restricted(reference, _degree_zero_columns(R, lab))
         assert got == restricted, lab
         assert not any(key[1] == k_idx for key in restricted), lab
-        R.center_basis(lab)
-        assert R._centers[lab][1] == len(got)
+        # the distinct rows: each equation's row once, in first-seen order
+        first_seen = []
+        for row in got.values():
+            if row not in first_seen:
+                first_seen.append(row)
+        assert system.rows == first_seen, lab
         total += len(got)
         full += len(reference)
+        distinct += len(system.rows)
     assert full == 4172
     assert total == 524
+    assert distinct == 129
 
 
 def test_commutator_equations_match_the_reference_on_the_34_boundary():
@@ -689,7 +696,7 @@ def test_commutator_equations_match_the_reference_on_the_34_boundary():
     assert R.system.block_kind(label) == "edge-1"
     reference = _reference_commutator_equations(R, label)
     assert len(reference) == 2754
-    got = R.commutator_equations(label)
+    got = R.commutator_equations(label).equations
     assert len(got) == 162
     assert got == _restricted(reference, _degree_zero_columns(R, label))
 
@@ -705,6 +712,30 @@ def test_center_basis_is_the_full_system_nullspace(pair, labels):
                               _reference_commutator_equations(R, lab).values(),
                               len(R.block_realization(lab).elements))
         assert R.center_basis(lab) == reference, lab
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (3, 4)])
+def test_distinct_rows_have_the_nullspace_of_all_rows(pair):
+    # vector for vector, on every block: the center is solved from the
+    # distinct rows only
+    R = _realization(pair)
+    field = R.params.field
+    reduced = 0
+    for lab in R.system.block_labels():
+        system = R.commutator_equations(lab)
+        n = len(system.elements)
+        position = {k: i for i, (k, _) in enumerate(system.elements)}
+
+        def local(rows):
+            return [{position[k]: v for k, v in row.items()} for row in rows]
+
+        every = nullspace(field, local(system.equations.values()), n)
+        assert nullspace(field, local(system.rows), n) == every, lab
+        assert R.center_basis(lab) == [
+            {system.elements[i][0]: c for i, c in vec.items()}
+            for vec in every], lab
+        reduced += len(system.equations) - len(system.rows)
+    assert reduced > 0
 
 
 def _no_block_realization(lab):
